@@ -18,6 +18,11 @@
 //! matches the pending snapshot, that run restores mid-flight instead of
 //! starting fresh. The overall output is therefore byte-identical to the
 //! uninterrupted execution.
+//!
+//! Every run claims its ordinal, but only a checkpoint or resume policy
+//! reads the key, so the workload and config digests are computed only
+//! when `checkpoint_every` is set or a resume snapshot is pending. A run
+//! under the default policy pays nothing for its key.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,10 +84,20 @@ pub fn configure(ctl: RunCtl) -> Result<(), UvmError> {
     Ok(())
 }
 
+/// Whether a resume snapshot is still waiting for the run whose key
+/// matches it (false once that run has taken it, or if none was loaded).
+pub fn resume_pending() -> bool {
+    state().resume.is_some()
+}
+
 /// One run's view of the policy, handed out by `begin_run`.
 #[derive(Debug)]
 pub struct RunSession {
-    key: u64,
+    /// This run's ordinal (tests check that sessions claim distinct ones).
+    #[cfg(test)]
+    ordinal: u64,
+    /// The run key; `None` when the policy never reads it.
+    key: Option<u64>,
     every: Option<u64>,
     path: PathBuf,
     halt: bool,
@@ -93,18 +108,26 @@ pub struct RunSession {
 /// Register the start of a system run and capture the policy that applies
 /// to it. Claims the next run ordinal (the deterministic re-execution
 /// order is what makes resume land on the right run) and, if the pending
-/// resume snapshot's key matches this run, takes it.
-pub(crate) fn begin_run(workload_digest: u64, config_digest: u64) -> RunSession {
+/// resume snapshot's key matches this run, takes it. `digests` yields the
+/// run's `(workload, config)` digests; it is called only when the policy
+/// reads the key.
+pub(crate) fn begin_run(digests: impl FnOnce() -> (u64, u64)) -> RunSession {
     let ordinal = ORDINAL.fetch_add(1, Ordering::SeqCst);
-    let key = run_key(ordinal, workload_digest, config_digest);
     let mut s = state();
-    let resume = match &s.resume {
-        Some(snap) if snap.run_key == key => s.resume.take(),
+    let every = s.ctl.checkpoint_every.filter(|&n| n > 0);
+    let key = (every.is_some() || s.resume.is_some()).then(|| {
+        let (workload_digest, config_digest) = digests();
+        run_key(ordinal, workload_digest, config_digest)
+    });
+    let resume = match (&s.resume, key) {
+        (Some(snap), Some(key)) if snap.run_key == key => s.resume.take(),
         _ => None,
     };
     RunSession {
+        #[cfg(test)]
+        ordinal,
         key,
-        every: s.ctl.checkpoint_every.filter(|&n| n > 0),
+        every,
         path: s
             .ctl
             .checkpoint_path
@@ -117,19 +140,15 @@ pub(crate) fn begin_run(workload_digest: u64, config_digest: u64) -> RunSession 
 }
 
 impl RunSession {
-    /// This run's key, to be stored into checkpoints it writes.
-    pub(crate) fn run_key(&self) -> u64 {
-        self.key
-    }
-
     /// Take the resume snapshot, if one matched this run.
     pub(crate) fn take_resume(&mut self) -> Option<SystemSnapshot> {
         self.resume.take()
     }
 
-    /// Whether a checkpoint is due after serviced batch `n` (1-based).
-    pub(crate) fn should_checkpoint(&self, n: u64) -> bool {
-        self.every.is_some_and(|e| n % e == 0)
+    /// If a checkpoint is due after serviced batch `n` (1-based), the run
+    /// key to store into it.
+    pub(crate) fn checkpoint_due(&self, n: u64) -> Option<u64> {
+        self.every.filter(|e| n % e == 0).and(self.key)
     }
 
     /// Write `snap` to the checkpoint path (atomically, overwriting the
@@ -172,16 +191,28 @@ mod tests {
 
     #[test]
     fn ordinals_are_distinct_and_keys_differ() {
-        let a = begin_run(1, 2);
-        let b = begin_run(1, 2);
-        assert_ne!(a.run_key(), b.run_key(), "same inputs, different ordinal");
+        let a = begin_run(|| (1, 2));
+        let b = begin_run(|| (1, 2));
+        assert_ne!(a.ordinal, b.ordinal);
+        assert_ne!(
+            run_key(a.ordinal, 1, 2),
+            run_key(b.ordinal, 1, 2),
+            "same inputs, different ordinal"
+        );
     }
 
     #[test]
     fn unconfigured_session_never_checkpoints() {
-        let s = begin_run(0, 0);
-        assert!(!s.should_checkpoint(1));
-        assert!(!s.should_checkpoint(50));
+        let s = begin_run(|| (0, 0));
+        assert_eq!(s.checkpoint_due(1), None);
+        assert_eq!(s.checkpoint_due(50), None);
+        s.finish();
+    }
+
+    #[test]
+    fn unconfigured_session_never_computes_the_digests() {
+        let s = begin_run(|| panic!("the run key was computed without a policy"));
+        assert_eq!(s.key, None);
         s.finish();
     }
 }

@@ -286,15 +286,15 @@ impl UvmSystem {
     /// is configured the run's state is written out every N batches, and
     /// when a matching resume snapshot is pending the run restores from it
     /// instead of starting fresh — producing output byte-identical to the
-    /// uninterrupted run.
+    /// uninterrupted run. The run's key (workload and config digests) is
+    /// computed only when one of those policies is set.
     pub fn try_run_with_hints(
         self,
         workload: &Workload,
         hints: &RunHints,
     ) -> Result<RunResult, UvmError> {
-        let config_digest = digest_value(&self.config.to_value());
-        let workload_digest = digest_value(&workload.to_value());
-        let mut session = runctl::begin_run(workload_digest, config_digest);
+        let mut session =
+            runctl::begin_run(|| (serde::digest(workload), serde::digest(&self.config)));
         let mut run = match session.take_resume() {
             Some(snap) => RunInProgress::restore(&snap, workload)?,
             None => self.start(workload, hints)?,
@@ -303,8 +303,8 @@ impl UvmSystem {
             match run.advance_batch(workload)? {
                 Progress::Finished => break,
                 Progress::Batch(n) => {
-                    if session.should_checkpoint(n) {
-                        session.write_checkpoint(&run.snapshot(workload, session.run_key()));
+                    if let Some(key) = session.checkpoint_due(n) {
+                        session.write_checkpoint(&run.snapshot(workload, key));
                     }
                 }
             }
@@ -706,8 +706,9 @@ impl RunInProgress {
         }
     }
 
-    /// Serialize the run-loop state (queue, worker, kernel progress).
-    fn run_state_value(&self) -> Value {
+    /// The run-loop state (queue, worker, kernel progress) in its
+    /// serialized form.
+    fn run_state(&self) -> RunState {
         RunState {
             now: self.queue.now(),
             seq: self.queue.seq(),
@@ -719,7 +720,6 @@ impl RunInProgress {
             current_kernel_start: self.current_kernel_start,
             t0: self.t0,
         }
-        .to_value()
     }
 
     /// FNV-1a digests of the four serialized state trees. Two runs whose
@@ -727,10 +727,10 @@ impl RunInProgress {
     /// first disagreeing digest names the subsystem that diverged.
     pub fn subsystem_digests(&self) -> SubsystemDigests {
         SubsystemDigests {
-            gpu: digest_value(&self.system.gpu.to_value()),
-            driver: digest_value(&self.system.driver.to_value()),
-            host: digest_value(&self.system.host.to_value()),
-            run: digest_value(&self.run_state_value()),
+            gpu: serde::digest(&self.system.gpu),
+            driver: serde::digest(&self.system.driver),
+            host: serde::digest(&self.system.host),
+            run: serde::digest(&self.run_state()),
         }
     }
 
@@ -741,7 +741,7 @@ impl RunInProgress {
         let gpu = self.system.gpu.to_value();
         let driver = self.system.driver.to_value();
         let host = self.system.host.to_value();
-        let run = self.run_state_value();
+        let run = self.run_state().to_value();
         let digests = SubsystemDigests {
             gpu: digest_value(&gpu),
             driver: digest_value(&driver),
@@ -753,7 +753,7 @@ impl RunInProgress {
             run_key,
             batches: self.batches(),
             workload_name: workload.name.clone(),
-            workload_digest: digest_value(&workload.to_value()),
+            workload_digest: serde::digest(workload),
             config: self.system.config.to_value(),
             gpu,
             driver,
@@ -784,7 +784,7 @@ impl RunInProgress {
             });
         }
         snap.verify_integrity()?;
-        let workload_digest = digest_value(&workload.to_value());
+        let workload_digest = serde::digest(workload);
         if workload_digest != snap.workload_digest {
             return Err(UvmError::SnapshotInvalid {
                 detail: format!(

@@ -16,7 +16,9 @@
 //! a pure function of the tree's structure — independent of JSON rendering,
 //! whitespace, or float formatting — and because the serde facade serializes
 //! hash maps and sets in sorted key order, it is also independent of hash
-//! iteration order.
+//! iteration order. [`serde::digest`] computes the same digest of a
+//! `Serialize` value directly from the value, so callers that only need the
+//! digest never build the tree.
 
 use serde::Value;
 
@@ -32,59 +34,16 @@ use serde::Value;
 /// multi-GPU peer owner directory, per-batch peer-traffic counters).
 pub const SNAPSHOT_VERSION: u32 = 4;
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-#[inline]
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn walk(h: u64, v: &Value) -> u64 {
-    // Each variant contributes a distinct tag byte so that structurally
-    // different trees with equal leaf bytes (e.g. `"1"` vs `1`, `[1]` vs `1`)
-    // cannot collide trivially.
-    match v {
-        Value::Null => fnv(h, &[0x00]),
-        Value::Bool(b) => fnv(fnv(h, &[0x01]), &[u8::from(*b)]),
-        Value::NumU(n) => fnv(fnv(h, &[0x02]), &n.to_le_bytes()),
-        Value::NumI(n) => fnv(fnv(h, &[0x03]), &n.to_le_bytes()),
-        Value::Float(f) => fnv(fnv(h, &[0x04]), &f.to_bits().to_le_bytes()),
-        Value::Str(s) => {
-            let h = fnv(fnv(h, &[0x05]), &(s.len() as u64).to_le_bytes());
-            fnv(h, s.as_bytes())
-        }
-        Value::Array(items) => {
-            let mut h = fnv(fnv(h, &[0x06]), &(items.len() as u64).to_le_bytes());
-            for item in items {
-                h = walk(h, item);
-            }
-            h
-        }
-        Value::Object(fields) => {
-            let mut h = fnv(fnv(h, &[0x07]), &(fields.len() as u64).to_le_bytes());
-            for (k, v) in fields {
-                h = fnv(h, &(k.len() as u64).to_le_bytes());
-                h = fnv(h, k.as_bytes());
-                h = walk(h, v);
-            }
-            h
-        }
-    }
-}
-
 /// Stable FNV-1a digest of a serialized state tree.
 ///
 /// Equal trees always digest equally; the digest depends only on the tree
 /// (not on any textual rendering of it), so it can be compared across
 /// processes, machines, and — as long as [`SNAPSHOT_VERSION`] matches —
-/// simulator builds.
+/// simulator builds. The walk lives in the serde facade, which also
+/// streams the same digest from a value without building its tree
+/// ([`serde::digest`]).
 pub fn digest_value(v: &Value) -> u64 {
-    walk(FNV_OFFSET, v)
+    serde::digest_value(v)
 }
 
 #[cfg(test)]
