@@ -4,7 +4,7 @@
 //! * `dedup` — the sort-based scratch-reusing fast path
 //!   (`classify_duplicates_with`) vs the allocating reference
 //!   (`classify_duplicates`) on the same batches.
-//! * `service_batch` — one full `UvmDriver::service_batch` call, with a
+//! * `service_batch` — one full `UvmDriver::service_batch_with` call, with a
 //!   fresh scratch per call vs one reused scratch.
 //! * `event_queue` / `radix_lookup` — the simulator's two busiest
 //!   substrate structures.

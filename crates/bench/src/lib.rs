@@ -272,7 +272,7 @@ pub mod perf {
             .collect()
     }
 
-    /// One full `service_batch` call on a fresh driver: a 1024-fault batch
+    /// One full `service_batch_with` call on a fresh driver: a 1024-fault batch
     /// spread over four VABlocks with every page duplicated once —
     /// exercising fetch-side dedup, grouping, first-touch DMA setup, and
     /// page migration together.

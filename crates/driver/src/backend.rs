@@ -4,10 +4,11 @@
 //! The paper instruments exactly one architecture — the CPU-driver-centric
 //! pipeline in which every fault batch crosses the PCIe interrupt path,
 //! wakes a host worker thread, and pays `unmap_mapping_range` + TLB
-//! shootdown IPIs on the host. This module turns that architecture into
-//! one of several [`ServicingBackend`]s behind an object-safe trait, so a
-//! cross-architecture study is a [`BackendKind`] change instead of a
-//! driver fork:
+//! shootdown IPIs on the host. This module makes that architecture one
+//! variant of [`BackendKind`]; the pipeline asks the kind, through a
+//! `match`, the few things architectures differ in (wake latency, whether
+//! the fault path charges host unmap work, peer count), so a
+//! cross-architecture study is a config change instead of a driver fork:
 //!
 //! * [`BackendKind::CpuDriver`] — the stock pipeline, bit-identical to the
 //!   pre-backend driver.
@@ -26,8 +27,8 @@
 //!
 //! ## Determinism and snapshot contract
 //!
-//! Backends themselves are stateless unit values (dispatch allocates
-//! nothing, mirroring [`crate::engine`]); all mutable backend state — the
+//! A backend kind is a plain `Copy` value (dispatch allocates nothing,
+//! mirroring [`crate::engine`]); all mutable backend state — the
 //! owner directory, per-peer slot usage, traffic counters — lives in the
 //! serialized [`PeerDirectory`] on [`crate::service::UvmDriver`], so a
 //! snapshot captures every bit a backend depends on and a restored run
@@ -76,105 +77,44 @@ impl BackendKind {
 
     /// Stable lower-case name (sweep tables, trace events).
     pub fn name(self) -> &'static str {
-        self.as_backend().name()
-    }
-
-    /// Number of peer GPUs this backend services far-faults with.
-    pub fn peers(self) -> u32 {
-        self.as_backend().peers()
-    }
-
-    /// The backend object implementing this kind. All backends are
-    /// stateless unit values, so dispatch allocates nothing.
-    pub fn as_backend(self) -> &'static dyn ServicingBackend {
         match self {
-            BackendKind::CpuDriver => &CpuDriverBackend,
-            BackendKind::GpuDriven => &GpuDrivenBackend,
-            BackendKind::MultiGpuPeer2 => &PEER2,
-            BackendKind::MultiGpuPeer4 => &PEER4,
+            BackendKind::CpuDriver => "cpu-driver",
+            BackendKind::GpuDriven => "gpu-driven",
+            BackendKind::MultiGpuPeer2 => "peer-2",
+            BackendKind::MultiGpuPeer4 => "peer-4",
         }
     }
-}
 
-/// An object-safe servicing architecture: how fault batches reach the
-/// servicing loop, whether the fault path charges host unmap work, and how
-/// many peer GPUs back far-faults.
-pub trait ServicingBackend: std::fmt::Debug + Send + Sync {
-    /// Stable lower-case name.
-    fn name(&self) -> &'static str;
+    /// Number of peer GPUs this backend services far-faults with (0 =
+    /// none).
+    pub fn peers(self) -> u32 {
+        match self {
+            BackendKind::CpuDriver | BackendKind::GpuDriven => 0,
+            BackendKind::MultiGpuPeer2 => 2,
+            BackendKind::MultiGpuPeer4 => 4,
+        }
+    }
 
     /// Latency from a fault's buffer arrival to the servicing loop picking
-    /// it up (the batch accumulation window's wake term).
-    fn wake_latency(&self, cost: &CostModel) -> SimDuration;
+    /// it up (the batch accumulation window's wake term). Only the
+    /// GPU-driven backend skips the host interrupt + worker wake; the peer
+    /// backends service far-*data*, but batch orchestration stays
+    /// CPU-driven.
+    pub fn wake_latency(self, cost: &CostModel) -> SimDuration {
+        match self {
+            BackendKind::GpuDriven => cost.gpu_queue_poll_latency,
+            BackendKind::CpuDriver | BackendKind::MultiGpuPeer2 | BackendKind::MultiGpuPeer4 => {
+                cost.interrupt_latency + cost.worker_wake_latency
+            }
+        }
+    }
 
     /// Whether servicing a block charges the host `unmap_mapping_range`
     /// path (per-page PTE teardown + TLB shootdown IPIs) to the batch. The
     /// GPU-driven backend performs the same state transition but at zero
     /// host-path cost, emitting no host-OS spans.
-    fn charges_host_unmap(&self) -> bool {
-        true
-    }
-
-    /// Number of peer GPUs servicing far-faults (0 = none).
-    fn peers(&self) -> u32 {
-        0
-    }
-}
-
-/// The stock CPU-driven backend.
-#[derive(Debug)]
-pub struct CpuDriverBackend;
-
-impl ServicingBackend for CpuDriverBackend {
-    fn name(&self) -> &'static str {
-        "cpu-driver"
-    }
-
-    fn wake_latency(&self, cost: &CostModel) -> SimDuration {
-        cost.interrupt_latency + cost.worker_wake_latency
-    }
-}
-
-/// The GPUVM-style GPU-driven backend.
-#[derive(Debug)]
-pub struct GpuDrivenBackend;
-
-impl ServicingBackend for GpuDrivenBackend {
-    fn name(&self) -> &'static str {
-        "gpu-driven"
-    }
-
-    fn wake_latency(&self, cost: &CostModel) -> SimDuration {
-        cost.gpu_queue_poll_latency
-    }
-
-    fn charges_host_unmap(&self) -> bool {
-        false
-    }
-}
-
-/// A multi-GPU peer backend with a fixed peer count.
-#[derive(Debug)]
-pub struct MultiGpuPeerBackend {
-    peers: u32,
-    name: &'static str,
-}
-
-static PEER2: MultiGpuPeerBackend = MultiGpuPeerBackend { peers: 2, name: "peer-2" };
-static PEER4: MultiGpuPeerBackend = MultiGpuPeerBackend { peers: 4, name: "peer-4" };
-
-impl ServicingBackend for MultiGpuPeerBackend {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn wake_latency(&self, cost: &CostModel) -> SimDuration {
-        // Peers service far-*data*; batch orchestration stays CPU-driven.
-        cost.interrupt_latency + cost.worker_wake_latency
-    }
-
-    fn peers(&self) -> u32 {
-        self.peers
+    pub fn charges_host_unmap(self) -> bool {
+        self != BackendKind::GpuDriven
     }
 }
 
@@ -349,9 +289,9 @@ mod tests {
         assert_eq!(BackendKind::MultiGpuPeer2.peers(), 2);
         assert_eq!(BackendKind::MultiGpuPeer4.peers(), 4);
         assert_eq!(BackendKind::CpuDriver.peers(), 0);
-        assert!(BackendKind::CpuDriver.as_backend().charges_host_unmap());
-        assert!(!BackendKind::GpuDriven.as_backend().charges_host_unmap());
-        assert!(BackendKind::MultiGpuPeer4.as_backend().charges_host_unmap());
+        assert!(BackendKind::CpuDriver.charges_host_unmap());
+        assert!(!BackendKind::GpuDriven.charges_host_unmap());
+        assert!(BackendKind::MultiGpuPeer4.charges_host_unmap());
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   address, same μTLB) vs type 2 (same address, different μTLBs).
 //! * [`prefetch`] — the reactive tree-based density prefetcher, confined to
 //!   a single VABlock (64 KiB leaf regions, >50 % density threshold).
-//! * [`backend`] — the servicing-architecture layer: object-safe
-//!   [`backend::ServicingBackend`] trait selecting who runs the pipeline
-//!   (stock CPU driver, GPUVM-style GPU-driven queues, or 2/4-peer
-//!   NVLink-like far-fault servicing with a per-VABlock owner directory).
-//! * [`engine`] — the pluggable policy engine: object-safe
-//!   [`engine::PrefetchPolicy`] / [`engine::EvictionPolicy`] traits with
-//!   the stock
+//! * [`backend`] — the servicing-architecture layer: the [`BackendKind`]
+//!   enum selecting who runs the pipeline (stock CPU driver, GPUVM-style
+//!   GPU-driven queues, or 2/4-peer NVLink-like far-fault servicing with
+//!   a per-VABlock owner directory), dispatched by `match`.
+//! * [`engine`] — the pluggable policy engine: the
+//!   [`PrefetchPolicyKind`] / [`EvictionPolicyKind`] enums with the stock
 //!   tree/LRU pair plus none/stride/oracle prefetchers and random/LFU
-//!   evictors, all serde-configurable through [`DriverPolicy`].
+//!   evictors, all serde-configurable through [`DriverPolicy`] and
+//!   dispatched by `match`.
 //! * [`evict`] — the GPU physical-memory manager: VABlock-granular
 //!   allocation with policy-selected eviction (stock: LRU, "effectively
 //!   earliest-allocated", Sec. 5.4).
@@ -32,11 +32,12 @@
 //!   the paper's modified-driver logs: component times (fetch, DMA setup,
 //!   CPU unmap, population, transfer, eviction), fault counts, duplicate
 //!   counts, VABlock counts.
-//! * [`service`] — [`UvmDriver`], the fault-servicing pipeline itself:
-//!   fetch → deduplicate → per-VABlock service (DMA setup, CPU unmap,
-//!   eviction, population, migration, page-table update, prefetch) →
-//!   flush → replay. Fallible end to end: injected failures are retried
-//!   with deterministic backoff or degrade the block to a remote mapping.
+//! * [`service`] — [`UvmDriver`], the fault-servicing pipeline itself, as
+//!   named stages: sustained failures → health → fetch → admit → dedup →
+//!   group → per VABlock (remote path | prefetch → allocate → DMA setup →
+//!   CPU unmap → migrate) → close. Fallible end to end: injected failures
+//!   are retried with deterministic backoff or degrade the block to a
+//!   remote mapping.
 //! * [`health`] — the graceful-degradation state machine
 //!   (`Healthy → Pressured → Degraded → Resetting`): the driver evaluates
 //!   evidence at every batch boundary and adapts servicing (prefetch
@@ -66,16 +67,13 @@ pub mod va_block;
 pub mod va_space;
 
 pub use advise::MemAdvise;
-pub use backend::{BackendKind, PeerDirectory, PeerHolding, ServicingBackend};
+pub use backend::{BackendKind, PeerDirectory, PeerHolding};
 pub use batch::BatchRecord;
 pub use bitmap::PageBitmap;
 pub use clients::{ClientCounters, ClientLedger, FairnessPolicy, TenancyConfig, TenantConfig};
 pub use dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
-pub use engine::{
-    EvictionPolicy, EvictionPolicyKind, PrefetchContext, PrefetchPolicy, PrefetchPolicyKind,
-    VictimCandidate,
-};
-pub use evict::{EvictOutcome, EvictScratch, GpuMemoryManager, ResidencyOutcome};
+pub use engine::{EvictionPolicyKind, PrefetchContext, PrefetchPolicyKind, VictimCandidate};
+pub use evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
 pub use health::{HealthEvidence, HealthMachine, HealthState};
 pub use policy::DriverPolicy;
 pub use prefetch::compute_prefetch;

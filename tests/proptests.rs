@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use uvm_core::{SystemConfig, UvmSystem};
 use uvm_driver::bitmap::PageBitmap;
 use uvm_driver::dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
-use uvm_driver::evict::{EvictOutcome, GpuMemoryManager};
+use uvm_driver::evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
 use uvm_driver::prefetch::compute_prefetch;
 use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_hostos::page_table::{PageTable, PteFlags};
@@ -279,22 +279,23 @@ proptest! {
     #[test]
     fn lru_manager_invariants(requests in vec(0u64..64, 1..300), capacity in 1u64..16) {
         let mut mm = GpuMemoryManager::new(capacity);
+        let mut scratch = EvictScratch::default();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new(); // block -> last seq
         let mut evictions = 0u64;
         for (seq, &b) in requests.iter().enumerate() {
             let seq = seq as u64;
-            match mm.ensure_resident(VaBlockId(b), seq).unwrap() {
-                EvictOutcome::AlreadyResident => {
+            match mm.ensure_resident_with(VaBlockId(b), seq, &mut scratch).unwrap() {
+                ResidencyOutcome::AlreadyResident => {
                     prop_assert!(model.contains_key(&b));
                 }
-                EvictOutcome::Allocated => {
+                ResidencyOutcome::Allocated => {
                     prop_assert!(!model.contains_key(&b));
                     prop_assert!((model.len() as u64) < capacity);
                 }
-                EvictOutcome::Evicted(victims) => {
+                ResidencyOutcome::Evicted => {
                     prop_assert!(!model.contains_key(&b));
                     prop_assert_eq!(model.len() as u64, capacity);
-                    for v in victims {
+                    for &v in scratch.victims() {
                         // The victim must hold the minimal (seq, id) key.
                         let min = model.iter().map(|(&id, &s)| (s, id)).min().unwrap();
                         prop_assert_eq!((min.1, min.0), (v.0, model[&v.0]));
