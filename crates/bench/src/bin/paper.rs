@@ -389,83 +389,106 @@ fn emit(o: &ExperimentOutput, bless: bool, json_dir: Option<&str>) {
     }
 }
 
-/// `paper sweep`: run the policy × workload grid (`ext-policy`) through
-/// the parallel engine and print the comparison table. `--quick` switches
-/// to the CI-smoke problem sizes (and the `ext-policy-quick` golden);
-/// `--bless`/`--json` behave as for regular experiments.
-fn sweep_command(quick: bool, bless: bool, json_dir: Option<&str>) {
-    let t0 = Instant::now();
-    let r = uvm_core::experiments::ext_policy::run_scaled(SEED, quick);
-    let value = match serde_json::to_value(&r) {
-        Ok(v) => v,
-        Err(err) => fail("serialize ext-policy", err),
-    };
-    let o = ExperimentOutput {
-        id: if quick { "ext-policy-quick" } else { "ext-policy" },
-        title: if quick {
-            "Extension — pluggable policy sweep (quick scale)"
-        } else {
-            "Extension — pluggable policy sweep (prefetch x eviction)"
+/// One sweep verb: `paper <verb> [--quick]` runs an extension sweep at
+/// [`SEED`] through the parallel engine, printed under the full-scale or
+/// the CI-smoke (`--quick`) id and title. `--bless`/`--json` behave as for
+/// regular experiments; the quick id names the quick golden.
+struct SweepVerb {
+    verb: &'static str,
+    id: &'static str,
+    quick_id: &'static str,
+    title: &'static str,
+    quick_title: &'static str,
+    run: fn(bool) -> (String, serde_json::Value),
+}
+
+/// Run a sweep's `run_scaled` at [`SEED`]: the rendered text plus the raw
+/// result as JSON.
+fn scaled<R: serde::Serialize>(
+    run: fn(u64, bool) -> R,
+    render: fn(&R) -> String,
+    quick: bool,
+) -> (String, serde_json::Value) {
+    let r = run(SEED, quick);
+    match serde_json::to_value(&r) {
+        Ok(value) => (render(&r), value),
+        Err(err) => fail("serialize sweep result", err),
+    }
+}
+
+/// `sweep` (prefetch × eviction policy grid), `multitenant` (per-client
+/// fairness tables) and `architectures` (per-backend latency breakdown
+/// and migration traffic).
+const SWEEP_VERBS: [SweepVerb; 3] = [
+    SweepVerb {
+        verb: "sweep",
+        id: "ext-policy",
+        quick_id: "ext-policy-quick",
+        title: "Extension — pluggable policy sweep (prefetch x eviction)",
+        quick_title: "Extension — pluggable policy sweep (quick scale)",
+        run: |quick| {
+            scaled(
+                uvm_core::experiments::ext_policy::run_scaled,
+                |r| r.render(),
+                quick,
+            )
         },
-        text: r.render(),
+    },
+    SweepVerb {
+        verb: "multitenant",
+        id: "ext-multitenant",
+        quick_id: "ext-multitenant-quick",
+        title: "Extension — multi-tenant fairness sweep (3 clients)",
+        quick_title: "Extension — multi-tenant fairness sweep (quick scale)",
+        run: |quick| {
+            scaled(
+                uvm_core::experiments::ext_multitenant::run_scaled,
+                |r| r.render(),
+                quick,
+            )
+        },
+    },
+    SweepVerb {
+        verb: "architectures",
+        id: "ext-architectures",
+        quick_id: "ext-architectures-quick",
+        title: "Extension — servicing-architecture sweep (backend x workload)",
+        quick_title: "Extension — servicing-architecture sweep (quick scale)",
+        run: |quick| {
+            scaled(
+                uvm_core::experiments::ext_architectures::run_scaled,
+                |r| r.render(),
+                quick,
+            )
+        },
+    },
+];
+
+/// Run one sweep verb and print it like a registry experiment.
+fn sweep_command(sweep: &SweepVerb, quick: bool, bless: bool, json_dir: Option<&str>) {
+    let t0 = Instant::now();
+    let (text, value) = (sweep.run)(quick);
+    let o = ExperimentOutput {
+        id: if quick { sweep.quick_id } else { sweep.id },
+        title: if quick {
+            sweep.quick_title
+        } else {
+            sweep.title
+        },
+        text,
         value,
         secs: t0.elapsed().as_secs_f64(),
     };
     emit(&o, bless, json_dir);
 }
 
-/// `paper multitenant`: run the multi-tenant fairness sweep
-/// (`ext-multitenant`) through the parallel engine and print the
-/// per-policy summary plus per-client attribution tables. `--quick`
-/// switches to the CI-smoke problem sizes (and the
-/// `ext-multitenant-quick` golden); `--bless`/`--json` behave as for
-/// regular experiments.
-fn multitenant_command(quick: bool, bless: bool, json_dir: Option<&str>) {
-    let t0 = Instant::now();
-    let r = uvm_core::experiments::ext_multitenant::run_scaled(SEED, quick);
-    let value = match serde_json::to_value(&r) {
-        Ok(v) => v,
-        Err(err) => fail("serialize ext-multitenant", err),
-    };
-    let o = ExperimentOutput {
-        id: if quick { "ext-multitenant-quick" } else { "ext-multitenant" },
-        title: if quick {
-            "Extension — multi-tenant fairness sweep (quick scale)"
-        } else {
-            "Extension — multi-tenant fairness sweep (3 clients)"
-        },
-        text: r.render(),
-        value,
-        secs: t0.elapsed().as_secs_f64(),
-    };
-    emit(&o, bless, json_dir);
-}
-
-/// `paper architectures`: run the servicing-architecture sweep
-/// (`ext-architectures`) through the parallel engine and print the
-/// per-backend latency breakdown plus migration-traffic tables.
-/// `--quick` switches to the CI-smoke problem sizes (and the
-/// `ext-architectures-quick` golden); `--bless`/`--json` behave as for
-/// regular experiments.
-fn architectures_command(quick: bool, bless: bool, json_dir: Option<&str>) {
-    let t0 = Instant::now();
-    let r = uvm_core::experiments::ext_architectures::run_scaled(SEED, quick);
-    let value = match serde_json::to_value(&r) {
-        Ok(v) => v,
-        Err(err) => fail("serialize ext-architectures", err),
-    };
-    let o = ExperimentOutput {
-        id: if quick { "ext-architectures-quick" } else { "ext-architectures" },
-        title: if quick {
-            "Extension — servicing-architecture sweep (quick scale)"
-        } else {
-            "Extension — servicing-architecture sweep (backend x workload)"
-        },
-        text: r.render(),
-        value,
-        secs: t0.elapsed().as_secs_f64(),
-    };
-    emit(&o, bless, json_dir);
+/// Create the `--json` output directory, if one was given.
+fn create_json_dir(json_dir: Option<&str>) {
+    if let Some(dir) = json_dir {
+        if let Err(err) = std::fs::create_dir_all(dir) {
+            fail("create json output dir", err);
+        }
+    }
 }
 
 /// `paper bench`: write the machine-readable perf baseline.
@@ -491,6 +514,18 @@ fn bench_command(jobs: usize, out: Option<&str>, quick: bool) {
     }
 }
 
+/// Parse a flag's value as a count above zero, or print `usage` and exit
+/// with status 2.
+fn positive<T: std::str::FromStr + Default + PartialEq>(value: Option<String>, usage: &str) -> T {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(n) if n != T::default() => n,
+        _ => {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<String> = None;
@@ -512,23 +547,8 @@ fn main() {
             "--trace-filter" => trace_filter = it.next(),
             "--bless" => bless = true,
             "--quick" => quick = true,
-            "--jobs" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs needs a positive thread count");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("--jobs needs a positive thread count");
-                    std::process::exit(2);
-                }
-                jobs = Some(n);
-            }
-            "--trials" => {
-                trials = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--trials needs a positive count");
-                    std::process::exit(2);
-                });
-            }
+            "--jobs" => jobs = Some(positive(it.next(), "--jobs needs a positive thread count")),
+            "--trials" => trials = positive(it.next(), "--trials needs a positive count"),
             "--seed" => {
                 seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--seed needs an integer");
@@ -537,14 +557,10 @@ fn main() {
             }
             "--repro" => repro = it.next(),
             "--checkpoint-every" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--checkpoint-every needs a batch count");
-                        std::process::exit(2);
-                    });
-                ctl.checkpoint_every = Some(n);
+                ctl.checkpoint_every = Some(positive(
+                    it.next(),
+                    "--checkpoint-every needs a positive batch count",
+                ));
             }
             "--checkpoint-file" => ctl.checkpoint_path = it.next().map(Into::into),
             "--resume" => ctl.resume_from = it.next().map(Into::into),
@@ -597,33 +613,12 @@ fn main() {
         fail("run-control configuration", e);
     }
 
-    if filter.as_deref() == Some("sweep") {
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                fail("create json output dir", err);
-            }
-        }
-        sweep_command(quick, bless, json_dir.as_deref());
-        return;
-    }
-
-    if filter.as_deref() == Some("multitenant") {
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                fail("create json output dir", err);
-            }
-        }
-        multitenant_command(quick, bless, json_dir.as_deref());
-        return;
-    }
-
-    if filter.as_deref() == Some("architectures") {
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                fail("create json output dir", err);
-            }
-        }
-        architectures_command(quick, bless, json_dir.as_deref());
+    if let Some(sweep) = SWEEP_VERBS
+        .iter()
+        .find(|v| filter.as_deref() == Some(v.verb))
+    {
+        create_json_dir(json_dir.as_deref());
+        sweep_command(sweep, quick, bless, json_dir.as_deref());
         return;
     }
 
@@ -649,11 +644,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if let Some(dir) = &json_dir {
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            fail("create json output dir", err);
-        }
-    }
+    create_json_dir(json_dir.as_deref());
 
     if effective <= 1 {
         // Serial path: print each experiment as it finishes.
