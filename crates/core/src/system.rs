@@ -204,6 +204,8 @@ pub struct RunInProgress {
     t0: SimTime,
     /// Reused batch-formation buffer (not run state; never snapshotted).
     batch_buf: Vec<FaultRecord>,
+    /// Reused replay wake list (likewise pure scratch).
+    woken: Vec<(u32, SimTime)>,
     /// Reused per-batch servicing working memory (likewise pure scratch).
     scratch: ServiceScratch,
 }
@@ -369,6 +371,7 @@ impl UvmSystem {
             current_kernel_start: None,
             t0,
             batch_buf: Vec::new(),
+            woken: Vec::new(),
             scratch: ServiceScratch::default(),
         };
         run.launch_next_kernel(workload);
@@ -592,9 +595,7 @@ impl RunInProgress {
                                 // do after drops during a serviced batch.
                                 let replay_done =
                                     now + self.system.config.cost.replay_latency;
-                                for (wid, wake) in self.system.gpu.replay(replay_done) {
-                                    self.queue.schedule(wake, Event::WarpStep(wid));
-                                }
+                                self.replay(replay_done);
                             }
                         } else {
                             let rec = self.system.driver.service_batch_with(
@@ -630,9 +631,7 @@ impl RunInProgress {
                             });
                         }
                         let replay_done = now + self.system.config.cost.replay_latency;
-                        for (wid, wake) in self.system.gpu.replay(replay_done) {
-                            self.queue.schedule(wake, Event::WarpStep(wid));
-                        }
+                        self.replay(replay_done);
                     }
                 }
             }
@@ -647,6 +646,15 @@ impl RunInProgress {
             if !self.launch_next_kernel(workload) {
                 return Ok(Progress::Finished);
             }
+        }
+    }
+
+    /// Issue a fault replay that reaches the GPU at `at`, and schedule a
+    /// step for every warp it wakes.
+    fn replay(&mut self, at: SimTime) {
+        self.system.gpu.replay(at, &mut self.woken);
+        for &(wid, wake) in &self.woken {
+            self.queue.schedule(wake, Event::WarpStep(wid));
         }
     }
 
@@ -825,6 +833,7 @@ impl RunInProgress {
             current_kernel_start: run.current_kernel_start,
             t0: run.t0,
             batch_buf: Vec::new(),
+            woken: Vec::new(),
             scratch: ServiceScratch::default(),
         })
     }

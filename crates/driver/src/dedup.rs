@@ -12,9 +12,8 @@
 //! compared — pure overhead, which is why Fig. 8's deduplicated batch sizes
 //! differ so much from the raw ones.
 
-use std::collections::HashMap;
-
 use uvm_gpu::fault::{AccessKind, FaultRecord};
+use uvm_sim::hash::FastMap;
 use uvm_sim::mem::PageNum;
 
 /// Outcome of deduplicating one batch.
@@ -113,7 +112,8 @@ pub fn classify_duplicates_with(
 /// against this one by unit tests and a property test.
 pub fn classify_duplicates(batch: &[FaultRecord]) -> DedupResult {
     // page -> (index into unique, set of utlbs seen)
-    let mut seen: HashMap<PageNum, (usize, Vec<u32>)> = HashMap::with_capacity(batch.len());
+    let mut seen: FastMap<PageNum, (usize, Vec<u32>)> =
+        FastMap::with_capacity_and_hasher(batch.len(), Default::default());
     let mut unique: Vec<FaultRecord> = Vec::with_capacity(batch.len());
     let mut dup_same_utlb = 0u64;
     let mut dup_cross_utlb = 0u64;

@@ -15,10 +15,9 @@
 //! stream (so stochastic policies replay bit-identically across
 //! snapshot/restore).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use uvm_sim::error::UvmError;
+use uvm_sim::hash::FastMap;
 use uvm_sim::mem::VaBlockId;
 use uvm_sim::rng::DetRng;
 
@@ -74,7 +73,7 @@ struct BlockMeta {
 pub struct GpuMemoryManager {
     capacity_blocks: u64,
     /// Resident blocks → their policy bookkeeping.
-    resident: HashMap<VaBlockId, BlockMeta>,
+    resident: FastMap<VaBlockId, BlockMeta>,
     /// Monotone count of evictions performed.
     evictions: u64,
     /// Which eviction policy picks victims.
@@ -103,7 +102,7 @@ impl GpuMemoryManager {
         assert!(capacity_blocks > 0, "GPU must have at least one block of memory");
         GpuMemoryManager {
             capacity_blocks,
-            resident: HashMap::new(),
+            resident: FastMap::default(),
             evictions: 0,
             policy,
             rng: DetRng::new(seed ^ 0xE71C_7015_AB1E_5EED),

@@ -30,7 +30,7 @@
 //! migration keeps failing degrades to a remote (sysmem-mapped) state.
 //! Only unrecoverable failures propagate to the caller.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use uvm_gpu::device::Gpu;
@@ -39,6 +39,7 @@ use uvm_hostos::dma::DmaSpace;
 use uvm_hostos::host::HostMemory;
 use uvm_sim::cost::CostModel;
 use uvm_sim::error::UvmError;
+use uvm_sim::hash::FastSet;
 use uvm_sim::inject::{InjectionPoint, Injector, PointInjector};
 use uvm_sim::mem::{Allocation, PageNum, VaBlockId, PAGE_SIZE};
 use uvm_sim::rng::DetRng;
@@ -169,7 +170,7 @@ struct DedupBuffers {
     /// Distinct-μTLB attribution buffer.
     utlbs: Vec<u32>,
     /// First-occurrence tracking for the per-fault metadata log.
-    seen_pages: HashSet<PageNum>,
+    seen_pages: FastSet<PageNum>,
 }
 
 /// Why a block's device copy is written back.

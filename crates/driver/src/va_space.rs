@@ -6,10 +6,9 @@
 //! would be fatal in the real driver; here they panic, which turns workload
 //! generator bugs into immediate test failures.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use uvm_sim::error::UvmError;
+use uvm_sim::hash::FastMap;
 use uvm_sim::mem::{Allocation, PageNum, VaBlockId, PAGES_PER_VABLOCK};
 
 use crate::va_block::VaBlockState;
@@ -17,7 +16,7 @@ use crate::va_block::VaBlockState;
 /// Registry of managed allocations and their VABlock states.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct VaSpace {
-    blocks: HashMap<VaBlockId, VaBlockState>,
+    blocks: FastMap<VaBlockId, VaBlockState>,
     allocations: Vec<Allocation>,
 }
 

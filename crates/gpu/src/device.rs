@@ -16,15 +16,16 @@
 //! faults to a stall, finishes, or exhausts its step quantum — the engine
 //! (in `uvm-core`) schedules these steps as discrete events.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::cost::CostModel;
+use uvm_sim::hash::FastSet;
 use uvm_sim::mem::PageNum;
 use uvm_sim::rng::DetRng;
-use uvm_sim::time::SimTime;
+use uvm_sim::time::{SimDuration, SimTime};
 
-use crate::fault::{AccessKind, FaultRecord};
+use crate::fault::AccessKind;
 use crate::fault_buffer::FaultBuffer;
 use crate::gmmu::Gmmu;
 use crate::isa::{Instr, WarpProgram};
@@ -68,7 +69,7 @@ pub struct Gpu {
     pub spec: GpuSpec,
     cost: CostModel,
     /// GPU page table: pages currently resident and mapped on the device.
-    page_table: HashSet<PageNum>,
+    page_table: FastSet<PageNum>,
     utlbs: Vec<Utlb>,
     /// Fault arbitration stage.
     pub gmmu: Gmmu,
@@ -107,7 +108,7 @@ impl Gpu {
             kernel_end: SimTime::ZERO,
             replays: 0,
             resets: 0,
-            page_table: HashSet::new(),
+            page_table: FastSet::default(),
             spec,
             cost,
         }
@@ -190,8 +191,8 @@ impl Gpu {
     }
 
     /// Move pending GMMU faults into the fault buffer (round-robin
-    /// arbitration), returning the inserted records.
-    pub fn drain_faults(&mut self) -> Vec<FaultRecord> {
+    /// arbitration), returning how many were inserted.
+    pub fn drain_faults(&mut self) -> usize {
         self.gmmu.drain(&mut self.fault_buffer, &self.cost)
     }
 
@@ -225,48 +226,44 @@ impl Gpu {
 
     /// Aggregate μTLB entries lost to GPU resets.
     pub fn utlb_reset_losses(&self) -> u64 {
-        self.utlbs.iter().map(|u| u.reset_losses()).sum()
+        self.utlbs.iter().map(Utlb::reset_losses).sum()
     }
 
     /// Fault replay: clear μTLB waiting state and wake every blocked warp.
-    /// Returns `(warp, wake_time)` pairs; wake times are staggered over
-    /// `replay_wake_spread` because μTLB replay processing and warp
-    /// re-scheduling resume warps at slightly different instants — except
-    /// when a single warp is blocked (nothing to arbitrate against), which
-    /// keeps the single-warp microbenchmarks (Figs. 3–5) exactly timed.
-    pub fn replay(&mut self, now: SimTime) -> Vec<(u32, SimTime)> {
+    /// Fills `woken` (cleared first, so the caller can reuse one buffer)
+    /// with `(warp, wake_time)` pairs in warp order; wake times are
+    /// staggered over `replay_wake_spread` because μTLB replay processing
+    /// and warp re-scheduling resume warps at slightly different instants —
+    /// except when a single warp is blocked (nothing to arbitrate against),
+    /// which keeps the single-warp microbenchmarks (Figs. 3–5) exactly
+    /// timed.
+    pub fn replay(&mut self, now: SimTime, woken: &mut Vec<(u32, SimTime)>) {
         self.replays += 1;
-        let blocked_warps =
-            self.warps.iter().filter(|w| w.status == WarpStatus::Blocked).count() as u64;
-        uvm_trace::emit_instant(now.0, || uvm_trace::TraceEvent::Replay {
-            seq: self.replays,
-            woken: blocked_warps,
-        });
         for u in &mut self.utlbs {
             u.replay();
         }
-        let blocked = self
-            .warps
-            .iter()
-            .filter(|w| w.status == WarpStatus::Blocked)
-            .count();
-        let spread = self.cost.replay_wake_spread.as_nanos();
+        woken.clear();
         let page_table = &self.page_table;
-        let mut woken = Vec::new();
         for w in &mut self.warps {
             if w.status == WarpStatus::Blocked {
                 w.apply_replay(|p| page_table.contains(&p));
                 w.status = WarpStatus::Ready;
-                let wake = if blocked > 1 && spread > 0 {
-                    now + uvm_sim::time::SimDuration::from_nanos(self.rng.below(spread))
-                } else {
-                    now
-                };
-                w.ready_at = wake;
-                woken.push((w.id, wake));
+                w.ready_at = now;
+                woken.push((w.id, now));
             }
         }
-        woken
+        uvm_trace::emit_instant(now.0, || uvm_trace::TraceEvent::Replay {
+            seq: self.replays,
+            woken: woken.len() as u64,
+        });
+        let spread = self.cost.replay_wake_spread.as_nanos();
+        if woken.len() > 1 && spread > 0 {
+            // One jitter draw per woken warp, in warp order.
+            for (wid, wake) in woken.iter_mut() {
+                *wake = now + SimDuration::from_nanos(self.rng.below(spread));
+                self.warps[*wid as usize].ready_at = *wake;
+            }
+        }
     }
 
     /// Advance warp `wid` from time `now` until it blocks, finishes, or
@@ -397,8 +394,7 @@ impl Gpu {
             .filter(|_| rng.chance(prob))
             .collect();
         for (page, kind) in reissues {
-            let wake_delay =
-                uvm_sim::time::SimDuration::from_nanos(10_000 + rng.below(50_000));
+            let wake_delay = SimDuration::from_nanos(10_000 + rng.below(50_000));
             gmmu.deposit(w.utlb, page, kind, w.sm, w.id, now + wake_delay, true);
             w.faults_generated += 1;
         }
@@ -406,7 +402,7 @@ impl Gpu {
 
     /// Aggregate μTLB full-stall count (hardware-limit pressure metric).
     pub fn utlb_full_stalls(&self) -> u64 {
-        self.utlbs.iter().map(|u| u.full_stalls()).sum()
+        self.utlbs.iter().map(Utlb::full_stalls).sum()
     }
 
     /// Occupancy of a μTLB (tests).
@@ -417,11 +413,29 @@ impl Gpu {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+    use crate::fault::FaultRecord;
     use uvm_sim::mem::{VaBlockId, PAGES_PER_VABLOCK};
 
     fn small_gpu() -> Gpu {
         Gpu::new(GpuSpec::small(1 << 30), CostModel::titan_v())
+    }
+
+    /// Drain the GMMU into an empty fault buffer and return what landed.
+    fn drain_records(gpu: &mut Gpu) -> Vec<FaultRecord> {
+        assert!(gpu.fault_buffer.is_empty());
+        let inserted = gpu.drain_faults();
+        assert_eq!(inserted, gpu.fault_buffer.len());
+        gpu.fault_buffer.iter().copied().collect()
+    }
+
+    /// Issue a replay and return the woken `(warp, wake time)` pairs.
+    fn replay(gpu: &mut Gpu, now: SimTime) -> Vec<(u32, SimTime)> {
+        let mut woken = vec![(u32::MAX, SimTime::ZERO)];
+        gpu.replay(now, &mut woken);
+        woken
     }
 
     /// A minimal driver loop: fetch → service (map everything) → flush →
@@ -453,7 +467,7 @@ mod tests {
             if batch.is_empty() && gpu.fault_buffer.is_empty() && gpu.gmmu.pending() == 0 {
                 // Warps blocked with nothing buffered: replay to re-fault.
                 gpu.flush();
-                pending = gpu.replay(now).into_iter().map(|(w, _)| w).collect();
+                pending = replay(gpu, now).into_iter().map(|(w, _)| w).collect();
                 continue;
             }
             batches.push(batch.len());
@@ -461,7 +475,7 @@ mod tests {
             gpu.map_pages(pages);
             gpu.flush();
             now = SimTime(now.0 + 10_000);
-            pending = gpu.replay(now).into_iter().map(|(w, _)| w).collect();
+            pending = replay(gpu, now).into_iter().map(|(w, _)| w).collect();
         }
         batches
     }
@@ -495,7 +509,7 @@ mod tests {
         let mut gpu = small_gpu();
         let activated = gpu.launch(vec![vecadd_program()]);
         assert_eq!(gpu.step_warp(activated[0], SimTime::ZERO), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 56);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
         assert_eq!(gpu.utlb_occupancy(gpu.warp(activated[0]).utlb), 56);
@@ -514,21 +528,21 @@ mod tests {
         let batch1 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch1.iter().map(|f| f.page));
         gpu.flush();
-        let woken = gpu.replay(SimTime(1_000_000));
+        let woken = replay(&mut gpu, SimTime(1_000_000));
         assert_eq!(woken, vec![(wid, SimTime(1_000_000))]);
         // Batch 2: the remaining 8 B-reads; the store is still
         // scoreboard-blocked behind them.
         assert_eq!(gpu.step_warp(wid, SimTime(1_000_000)), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 8);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
         // Service batch 2; only now can writes fault.
         let batch2 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch2.iter().map(|f| f.page));
         gpu.flush();
-        gpu.replay(SimTime(2_000_000));
+        replay(&mut gpu, SimTime(2_000_000));
         assert_eq!(gpu.step_warp(wid, SimTime(2_000_000)), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert!(!recs.is_empty());
         assert!(recs.iter().any(|r| r.kind == AccessKind::Write), "writes fault now");
         // All writes in this wave target vector C's first statement pages.
@@ -564,7 +578,7 @@ mod tests {
             StepOutcome::Finished { .. } => {}
             other => panic!("prefetch warp should finish immediately, got {other:?}"),
         }
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 300);
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         assert_eq!(batch.len(), 256, "batch capped at the software limit");
@@ -590,7 +604,7 @@ mod tests {
         }
         assert_eq!(gpu.utlb_occupancy(0), 56);
         assert_eq!(gpu.utlb_full_stalls(), 1);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 56);
     }
 
@@ -606,7 +620,7 @@ mod tests {
         for wid in activated {
             let _ = gpu.step_warp(wid, SimTime::ZERO);
         }
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs.iter().filter(|r| r.dup_of_outstanding).count(), 1);
         assert_eq!(gpu.utlb_occupancy(0), 1, "duplicate consumed no extra slot");
@@ -670,10 +684,10 @@ mod tests {
         let prog = WarpProgram { instrs: vec![Instr::load1(PageNum(7))] };
         let a1 = gpu.launch(vec![prog.clone()]);
         let _ = gpu.step_warp(a1[0], SimTime::ZERO);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         gpu.map_pages(recs.iter().map(|r| r.page));
         gpu.flush();
-        for (w, t) in gpu.replay(SimTime(1000)) {
+        for (w, t) in replay(&mut gpu, SimTime(1000)) {
             let _ = gpu.step_warp(w, t);
         }
         assert!(gpu.all_done());
@@ -700,22 +714,22 @@ mod tests {
         };
         let a = gpu.launch(vec![prog]);
         let _ = gpu.step_warp(a[0], SimTime::ZERO);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 16, "buffer capacity bounds insertions");
         assert_eq!(gpu.fault_buffer.overflow_drops(), 16);
         // Service what arrived, replay, and let the rest re-fault.
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch.iter().map(|f| f.page));
         gpu.flush();
-        for (w, t) in gpu.replay(SimTime(1_000_000)) {
+        for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
             let _ = gpu.step_warp(w, t);
         }
-        let recs2 = gpu.drain_faults();
+        let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 16, "dropped accesses re-fault");
         let batch2 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch2.iter().map(|f| f.page));
         gpu.flush();
-        for (w, t) in gpu.replay(SimTime(2_000_000)) {
+        for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
             let _ = gpu.step_warp(w, t);
         }
         assert!(gpu.all_done());
@@ -733,7 +747,7 @@ mod tests {
         };
         let a = gpu.launch(vec![prog]);
         let _ = gpu.step_warp(a[0], SimTime::ZERO);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 32);
         // Hardware loses everything before the driver fetched a single one.
         let dropped = gpu.reset(SimTime(500));
@@ -743,15 +757,15 @@ mod tests {
         assert_eq!(gpu.utlb_reset_losses(), 32);
         assert_eq!(gpu.utlb_occupancy(gpu.warp(a[0]).utlb), 0);
         // Driver re-attaches and replays: the warp re-faults all 32 pages.
-        for (w, t) in gpu.replay(SimTime(1_000_000)) {
+        for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
             let _ = gpu.step_warp(w, t);
         }
-        let recs2 = gpu.drain_faults();
+        let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 32, "lost accesses re-fault after replay");
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch.iter().map(|f| f.page));
         gpu.flush();
-        for (w, t) in gpu.replay(SimTime(2_000_000)) {
+        for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
             let _ = gpu.step_warp(w, t);
         }
         assert!(gpu.all_done());
@@ -772,12 +786,12 @@ mod tests {
         // The load is non-blocking: both delays elapse, then the warp
         // blocks at program end waiting for its outstanding access.
         assert_eq!(gpu.step_warp(a[0], SimTime::ZERO), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].arrival.as_nanos() >= 10_000, "first delay elapsed before the fault");
         gpu.map_pages([PageNum(1)]);
         gpu.flush();
-        let woken = gpu.replay(SimTime(100_000));
+        let woken = replay(&mut gpu, SimTime(100_000));
         match gpu.step_warp(woken[0].0, woken[0].1) {
             StepOutcome::Finished { at, .. } => {
                 assert_eq!(at, SimTime(100_000), "all compute already ran pre-block")

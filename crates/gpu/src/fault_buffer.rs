@@ -114,6 +114,11 @@ impl FaultBuffer {
         taken
     }
 
+    /// The buffered entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &FaultRecord> {
+        self.entries.iter()
+    }
+
     /// Arrival time of the oldest buffered entry, if any.
     pub fn earliest_arrival(&self) -> Option<SimTime> {
         self.entries.front().map(|f| f.arrival)

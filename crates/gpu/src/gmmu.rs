@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Digester, Serialize, Value};
 use uvm_sim::cost::CostModel;
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimTime;
@@ -37,7 +37,16 @@ struct PendingFault {
 }
 
 /// The GMMU arbitration stage.
-#[derive(Debug, Serialize, Deserialize)]
+///
+/// The run loop asks for [`Gmmu::pending`] and [`Gmmu::earliest_request`]
+/// after every warp step, so both are kept as maintained values rather
+/// than scans of the μTLB queues. They stay exact because the queue
+/// fronts change in only three ways: a deposit into an empty queue, and a
+/// drain or flush, which empty every queue. Being derived, they are not
+/// serialized: the hand-written serde impls below write the five stored
+/// fields exactly as a derive would, and loading rebuilds the two from the
+/// queues.
+#[derive(Debug)]
 pub struct Gmmu {
     queues: Vec<VecDeque<PendingFault>>,
     /// Round-robin cursor over μTLB queues.
@@ -48,6 +57,10 @@ pub struct Gmmu {
     total_deposited: u64,
     /// Monotone count of pending faults discarded by flushes.
     flush_discards: u64,
+    /// Faults across all queues (derived).
+    pending: usize,
+    /// Earliest request time among the queue fronts (derived).
+    earliest: Option<SimTime>,
 }
 
 impl Gmmu {
@@ -59,12 +72,14 @@ impl Gmmu {
             port_free_at: SimTime::ZERO,
             total_deposited: 0,
             flush_discards: 0,
+            pending: 0,
+            earliest: None,
         }
     }
 
     /// Number of faults awaiting insertion.
     pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.pending
     }
 
     /// Monotone count of deposits.
@@ -77,10 +92,7 @@ impl Gmmu {
     /// drain (draining early would defeat round-robin arbitration across
     /// μTLB queues that fill concurrently).
     pub fn earliest_request(&self) -> Option<SimTime> {
-        self.queues
-            .iter()
-            .filter_map(|q| q.front().map(|pf| pf.requested))
-            .min()
+        self.earliest
     }
 
     /// Deposit a fault request from `utlb` at time `requested`.
@@ -95,8 +107,12 @@ impl Gmmu {
         requested: SimTime,
         dup_of_outstanding: bool,
     ) {
-        self.total_deposited += 1;
-        self.queues[utlb as usize].push_back(PendingFault {
+        let queue = &mut self.queues[utlb as usize];
+        if queue.is_empty() {
+            // Only a new front can lower the earliest request.
+            self.earliest = Some(self.earliest.map_or(requested, |t| t.min(requested)));
+        }
+        queue.push_back(PendingFault {
             page,
             kind,
             sm,
@@ -104,21 +120,19 @@ impl Gmmu {
             requested,
             dup_of_outstanding,
         });
+        self.pending += 1;
+        self.total_deposited += 1;
     }
 
-    /// Drain pending faults round-robin into `buffer`, assigning arrival
-    /// timestamps no earlier than each fault's request time and serialized
-    /// at the write port. Returns the inserted records (for event
-    /// scheduling). Entries that find the buffer full are discarded — the
-    /// hardware drops them and the access re-faults after the next replay.
-    pub fn drain(&mut self, buffer: &mut FaultBuffer, cost: &CostModel) -> Vec<FaultRecord> {
+    /// Drain every pending fault round-robin into `buffer`, assigning
+    /// arrival timestamps no earlier than each fault's request time and
+    /// serialized at the write port. Returns how many were inserted.
+    /// Entries that find the buffer full are discarded — the hardware drops
+    /// them and the access re-faults after the next replay.
+    pub fn drain(&mut self, buffer: &mut FaultBuffer, cost: &CostModel) -> usize {
         let n_queues = self.queues.len();
-        let mut inserted = Vec::new();
-        if n_queues == 0 {
-            return inserted;
-        }
-        let mut remaining: usize = self.pending();
-        while remaining > 0 {
+        let mut inserted = 0;
+        for _ in 0..self.pending {
             // Advance the cursor to the next non-empty queue.
             let mut tries = 0;
             while self.queues[self.cursor].is_empty() {
@@ -129,7 +143,6 @@ impl Gmmu {
             let utlb = self.cursor as u32;
             let pf = self.queues[self.cursor].pop_front().expect("non-empty");
             self.cursor = (self.cursor + 1) % n_queues;
-            remaining -= 1;
 
             let slot = if pf.requested > self.port_free_at {
                 pf.requested
@@ -155,7 +168,7 @@ impl Gmmu {
                     warp: record.warp,
                     dup: record.dup_of_outstanding,
                 });
-                inserted.push(record);
+                inserted += 1;
             } else {
                 uvm_trace::emit_instant(record.arrival.0, || uvm_trace::TraceEvent::FaultDropped {
                     page: record.page.0,
@@ -164,6 +177,8 @@ impl Gmmu {
                 });
             }
         }
+        self.pending = 0;
+        self.earliest = None;
         inserted
     }
 
@@ -178,13 +193,69 @@ impl Gmmu {
     /// point resets: without this, a large discarded wave would keep
     /// phantom-delaying future insertions.
     pub fn flush(&mut self) -> u64 {
-        let dropped: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
+        let dropped = self.pending as u64;
         for q in &mut self.queues {
             q.clear();
         }
+        self.pending = 0;
+        self.earliest = None;
         self.flush_discards += dropped;
         self.port_free_at = SimTime::ZERO;
         dropped
+    }
+}
+
+impl Serialize for Gmmu {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("queues".into(), self.queues.to_value()),
+            ("cursor".into(), self.cursor.to_value()),
+            ("port_free_at".into(), self.port_free_at.to_value()),
+            ("total_deposited".into(), self.total_deposited.to_value()),
+            ("flush_discards".into(), self.flush_discards.to_value()),
+        ])
+    }
+
+    fn digest(&self, d: &mut Digester) {
+        d.object(5);
+        d.key("queues");
+        self.queues.digest(d);
+        d.key("cursor");
+        self.cursor.digest(d);
+        d.key("port_free_at");
+        self.port_free_at.digest(d);
+        d.key("total_deposited");
+        self.total_deposited.digest(d);
+        d.key("flush_discards");
+        self.flush_discards.digest(d);
+    }
+}
+
+impl Deserialize for Gmmu {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let fields = serde::__object_fields(v, "Gmmu")?;
+        let queues: Vec<VecDeque<PendingFault>> = serde::__field(fields, "queues")?;
+        let cursor: usize = serde::__field(fields, "cursor")?;
+        if cursor >= queues.len().max(1) {
+            return Err(DeError::custom(format!(
+                "GMMU cursor {cursor} out of range for {} queues",
+                queues.len()
+            )));
+        }
+        let pending = queues.iter().map(VecDeque::len).sum();
+        let earliest = queues
+            .iter()
+            .filter_map(|q| q.front().map(|pf| pf.requested))
+            .min();
+        Ok(Gmmu {
+            queues,
+            cursor,
+            port_free_at: serde::__field(fields, "port_free_at")?,
+            total_deposited: serde::__field(fields, "total_deposited")?,
+            flush_discards: serde::__field(fields, "flush_discards")?,
+            pending,
+            earliest,
+        })
     }
 }
 
@@ -195,7 +266,9 @@ mod tests {
     fn drain_all(g: &mut Gmmu) -> Vec<FaultRecord> {
         let mut buf = FaultBuffer::new(4096);
         let cost = CostModel::titan_v();
-        g.drain(&mut buf, &cost)
+        let inserted = g.drain(&mut buf, &cost);
+        assert_eq!(inserted, buf.len());
+        buf.fetch(inserted, SimTime(u64::MAX))
     }
 
     #[test]
@@ -233,7 +306,15 @@ mod tests {
         let mut g = Gmmu::new(40);
         for u in 0..40u32 {
             for i in 0..56u64 {
-                g.deposit(u, PageNum(u as u64 * 1000 + i), AccessKind::Read, u * 2, u, SimTime(0), false);
+                g.deposit(
+                    u,
+                    PageNum(u64::from(u) * 1000 + i),
+                    AccessKind::Read,
+                    u * 2,
+                    u,
+                    SimTime(0),
+                    false,
+                );
             }
         }
         let recs = drain_all(&mut g);
@@ -271,9 +352,58 @@ mod tests {
         }
         let mut buf = FaultBuffer::new(4);
         let cost = CostModel::titan_v();
-        let inserted = g.drain(&mut buf, &cost);
-        assert_eq!(inserted.len(), 4);
+        assert_eq!(g.drain(&mut buf, &cost), 4);
         assert_eq!(buf.overflow_drops(), 6);
         assert_eq!(g.pending(), 0);
+    }
+
+    #[test]
+    fn maintained_values_track_deposits_and_drains() {
+        let mut g = Gmmu::new(3);
+        assert_eq!((g.pending(), g.earliest_request()), (0, None));
+        g.deposit(1, PageNum(1), AccessKind::Read, 2, 0, SimTime(50), false);
+        g.deposit(1, PageNum(2), AccessKind::Read, 2, 0, SimTime(10), false);
+        // Behind a front: the earliest *front* is still 50.
+        assert_eq!((g.pending(), g.earliest_request()), (2, Some(SimTime(50))));
+        g.deposit(2, PageNum(3), AccessKind::Write, 4, 1, SimTime(30), true);
+        assert_eq!((g.pending(), g.earliest_request()), (3, Some(SimTime(30))));
+        assert_eq!(drain_all(&mut g).len(), 3);
+        assert_eq!((g.pending(), g.earliest_request()), (0, None));
+    }
+
+    #[test]
+    fn serializes_only_the_stored_fields_and_rebuilds_the_rest() {
+        let mut g = Gmmu::new(2);
+        g.deposit(1, PageNum(7), AccessKind::Read, 2, 3, SimTime(40), false);
+        g.deposit(0, PageNum(8), AccessKind::Write, 0, 1, SimTime(90), true);
+        let v = g.to_value();
+        let Value::Object(fields) = &v else {
+            panic!("an object")
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let stored = [
+            "queues",
+            "cursor",
+            "port_free_at",
+            "total_deposited",
+            "flush_discards",
+        ];
+        assert_eq!(names, stored);
+        assert_eq!(serde::digest(&g), serde::digest_value(&v));
+        let back = Gmmu::from_value(&v).unwrap();
+        assert_eq!(
+            (back.pending(), back.earliest_request()),
+            (2, Some(SimTime(40)))
+        );
+        assert_eq!(back.to_value(), v);
+    }
+
+    #[test]
+    fn load_rejects_an_out_of_range_cursor() {
+        let mut v = Gmmu::new(2).to_value();
+        if let Value::Object(fields) = &mut v {
+            fields[1].1 = Value::NumU(2);
+        }
+        assert!(Gmmu::from_value(&v).is_err());
     }
 }

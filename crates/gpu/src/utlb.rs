@@ -6,9 +6,8 @@
 //! (Sec. 3.2: the first vector-addition batch contains exactly 56 faults,
 //! all of vector A's reads plus most of vector B's).
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
+use uvm_sim::hash::FastSet;
 use uvm_sim::mem::PageNum;
 
 /// Result of attempting to register a fault with a μTLB.
@@ -28,7 +27,7 @@ pub enum UtlbInsert {
 /// One μTLB's outstanding-fault state.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Utlb {
-    outstanding: HashSet<PageNum>,
+    outstanding: FastSet<PageNum>,
     limit: u32,
     /// Monotone count of stall events due to a full μTLB.
     full_stalls: u64,
@@ -41,7 +40,7 @@ impl Utlb {
     /// A μTLB with the given outstanding-fault slot count.
     pub fn new(limit: u32) -> Self {
         Utlb {
-            outstanding: HashSet::with_capacity(limit as usize),
+            outstanding: FastSet::with_capacity_and_hasher(limit as usize, Default::default()),
             limit,
             full_stalls: 0,
             reset_losses: 0,

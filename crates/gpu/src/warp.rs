@@ -7,8 +7,6 @@
 //! faulted accesses (the scoreboard), and accesses that must re-fault after
 //! a replay found them still non-resident.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimTime;
@@ -53,10 +51,12 @@ pub struct Warp {
     /// `pop` yields them in program order).
     pending_pages: Vec<PageNum>,
     pending_kind: AccessKind,
-    /// Faulted accesses awaiting service: page → access kind. Ordered so
-    /// every iteration (notably the spurious-reissue RNG pairing) is
-    /// deterministic regardless of process or thread.
-    outstanding: BTreeMap<PageNum, AccessKind>,
+    /// The scoreboard: faulted accesses awaiting service as `(page, kind)`
+    /// pairs, sorted by page with one entry per page. Ascending order keeps
+    /// every iteration (notably the spurious-reissue RNG pairing)
+    /// deterministic, and it serializes as the same `[[page, kind], …]`
+    /// array a `BTreeMap` would.
+    outstanding: Vec<(PageNum, AccessKind)>,
     /// Accesses a replay found still non-resident; re-issued (re-faulted)
     /// before the current instruction continues.
     refault: Vec<(PageNum, AccessKind)>,
@@ -77,7 +77,7 @@ impl Warp {
             pc: 0,
             pending_pages: Vec::new(),
             pending_kind: AccessKind::Read,
-            outstanding: BTreeMap::new(),
+            outstanding: Vec::new(),
             refault: Vec::new(),
             faults_generated: 0,
         }
@@ -94,14 +94,18 @@ impl Warp {
         self.outstanding.len()
     }
 
-    /// Record a faulted access awaiting service.
+    /// Record a faulted access awaiting service. A page already on the
+    /// scoreboard takes the later access's kind.
     pub fn note_outstanding(&mut self, page: PageNum, kind: AccessKind) {
-        self.outstanding.insert(page, kind);
+        match self.outstanding.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(i) => self.outstanding[i].1 = kind,
+            Err(i) => self.outstanding.insert(i, (page, kind)),
+        }
     }
 
     /// Iterate the outstanding faulted accesses in ascending page order.
     pub fn outstanding_accesses(&self) -> impl Iterator<Item = (PageNum, AccessKind)> + '_ {
-        self.outstanding.iter().map(|(&p, &k)| (p, k))
+        self.outstanding.iter().copied()
     }
 
     /// Take the next access to issue: first any refaults, then the pages of
@@ -131,27 +135,21 @@ impl Warp {
     }
 
     /// Fetch the next instruction, loading its pages into the pending
-    /// queue. Returns the fetched instruction, or `None` at program end.
+    /// queue (refilled in place, so stepping allocates nothing once the
+    /// queue has grown to the widest instruction). Returns the fetched
+    /// instruction, or `None` at program end.
     pub fn fetch_next_instr(&mut self) -> Option<&Instr> {
         let instr = self.program.instrs.get(self.pc)?;
         self.pc += 1;
-        match instr {
-            Instr::Load { pages } => {
-                self.pending_kind = AccessKind::Read;
-                self.pending_pages = pages.iter().rev().copied().collect();
-            }
-            Instr::Store { pages } => {
-                self.pending_kind = AccessKind::Write;
-                self.pending_pages = pages.iter().rev().copied().collect();
-            }
-            Instr::Prefetch { pages } => {
-                self.pending_kind = AccessKind::Prefetch;
-                self.pending_pages = pages.iter().rev().copied().collect();
-            }
-            Instr::Delay(_) => {
-                self.pending_pages.clear();
-            }
-        }
+        self.pending_pages.clear();
+        let (kind, pages) = match instr {
+            Instr::Load { pages } => (AccessKind::Read, pages),
+            Instr::Store { pages } => (AccessKind::Write, pages),
+            Instr::Prefetch { pages } => (AccessKind::Prefetch, pages),
+            Instr::Delay(_) => return Some(instr),
+        };
+        self.pending_kind = kind;
+        self.pending_pages.extend(pages.iter().rev());
         Some(instr)
     }
 
@@ -167,23 +165,17 @@ impl Warp {
 
     /// Apply a fault replay: every outstanding access whose page is now
     /// resident (per `is_resident`) is fulfilled; the rest move to the
-    /// refault queue for re-issue. Returns the number fulfilled.
+    /// refault queue for re-issue, in ascending page order. Returns the
+    /// number fulfilled.
     pub fn apply_replay(&mut self, is_resident: impl Fn(PageNum) -> bool) -> usize {
-        let mut fulfilled = 0;
-        let mut still = Vec::new();
-        for (page, kind) in std::mem::take(&mut self.outstanding) {
-            if is_resident(page) {
-                fulfilled += 1;
-            } else {
-                still.push((page, kind));
-            }
-        }
-        // Deterministic re-issue order.
-        still.sort_unstable_by_key(|(p, _)| *p);
-        for (page, kind) in still {
-            self.refault.push((page, kind));
-        }
-        fulfilled
+        let outstanding = self.outstanding.len();
+        let queued = self.refault.len();
+        self.refault.extend(
+            self.outstanding
+                .drain(..)
+                .filter(|&(page, _)| !is_resident(page)),
+        );
+        outstanding - (self.refault.len() - queued)
     }
 }
 

@@ -9,10 +9,9 @@
 //! address assignment, a forward map, and reverse entries inserted into
 //! [`RadixTree`], reporting node-allocation work per block.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use uvm_sim::error::UvmError;
+use uvm_sim::hash::FastMap;
 use uvm_sim::inject::PointInjector;
 use uvm_sim::mem::{PageNum, VaBlockId};
 use uvm_sim::time::SimTime;
@@ -38,7 +37,7 @@ pub struct DmaReport {
 /// kernel-side reverse radix tree.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct DmaSpace {
-    forward: HashMap<PageNum, DmaAddr>,
+    forward: FastMap<PageNum, DmaAddr>,
     reverse: RadixTree<PageNum>,
     next_addr: u64,
     /// DMA-map failure injection (disabled by default).

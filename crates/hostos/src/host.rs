@@ -12,10 +12,9 @@
 //!   the CPU. Returns an [`UnmapReport`] of the work done; the driver
 //!   converts it to time via `CostModel::unmap_time`.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use uvm_sim::error::UvmError;
+use uvm_sim::hash::FastMap;
 use uvm_sim::inject::PointInjector;
 use uvm_sim::mem::{PageNum, VaBlockId};
 use uvm_sim::time::SimTime;
@@ -73,7 +72,7 @@ impl UnmapReport {
 pub struct HostMemory {
     page_table: PageTable,
     /// Reverse map: which cores have each page mapped.
-    rmap: HashMap<PageNum, CoreSet>,
+    rmap: FastMap<PageNum, CoreSet>,
     tlb: TlbDirectory,
     /// NUMA topology, when modelled (None = uniform memory).
     numa: Option<NumaTopology>,
@@ -188,8 +187,8 @@ impl HostMemory {
             block: block.0,
             pages: report.pages_unmapped,
             dirty: report.dirty_pages,
-            mapper_cores: report.mapper_cores as u64,
-            ipis: report.ipis as u64,
+            mapper_cores: u64::from(report.mapper_cores),
+            ipis: u64::from(report.ipis),
         });
         Ok(report)
     }

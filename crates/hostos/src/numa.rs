@@ -71,7 +71,7 @@ impl NumaTopology {
     /// the same node, `distance/10` otherwise.
     pub fn core_distance_factor(&self, core_a: u32, core_b: u32) -> f64 {
         let d = self.distance(self.node_of_core(core_a), self.node_of_core(core_b));
-        d as f64 / 10.0
+        f64::from(d) / 10.0
     }
 }
 

@@ -7,9 +7,8 @@
 //! the work each operation performs — PTEs set/cleared and intermediate
 //! tables allocated/freed — so the cost model can charge for it.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
+use uvm_sim::hash::FastMap;
 use uvm_sim::mem::PageNum;
 
 /// Per-PTE flag bits (subset relevant to the fault path).
@@ -40,7 +39,7 @@ const LEVEL_MASK: u64 = (1 << LEVEL_BITS) - 1;
 /// A leaf table: 512 PTE slots.
 #[derive(Debug, Serialize, Deserialize)]
 struct PteTable {
-    entries: HashMap<u16, PteFlags>,
+    entries: FastMap<u16, PteFlags>,
 }
 
 /// A sparse 4-level page table keyed by [`PageNum`].
@@ -52,10 +51,10 @@ struct PteTable {
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct PageTable {
     /// Leaf tables keyed by `page >> 9` (the PMD-entry coordinate).
-    leaves: HashMap<u64, PteTable>,
+    leaves: FastMap<u64, PteTable>,
     /// Count of interior tables currently allocated (PUD+PMD level), derived
     /// from distinct upper-level coordinates.
-    upper: HashMap<u64, u32>,
+    upper: FastMap<u64, u32>,
     mapped: u64,
     /// Monotone counters.
     tables_allocated: u64,
@@ -95,7 +94,9 @@ impl PageTable {
         let mut allocated = 0;
         let leaf = self.leaves.entry(leaf_key).or_insert_with(|| {
             allocated += 1;
-            PteTable { entries: HashMap::new() }
+            PteTable {
+                entries: FastMap::default(),
+            }
         });
         if leaf.entries.insert(idx, flags).is_none() {
             self.mapped += 1;
@@ -197,7 +198,7 @@ impl PageTable {
         for leaf_key in first_leaf..=last_leaf {
             let Some(leaf) = self.leaves.get(&leaf_key) else { continue };
             for &idx in leaf.entries.keys() {
-                let page = PageNum((leaf_key << LEVEL_BITS) | idx as u64);
+                let page = PageNum((leaf_key << LEVEL_BITS) | u64::from(idx));
                 if page >= start && page < end {
                     out.push(page);
                 }

@@ -11,9 +11,8 @@
 //! distinguish "block initialized by one thread" from "block striped across
 //! 32 threads", coarse enough to stay cheap for multi-gigabyte workloads.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
+use uvm_sim::hash::FastMap;
 use uvm_sim::mem::VaBlockId;
 
 use crate::rmap::CoreSet;
@@ -21,7 +20,7 @@ use crate::rmap::CoreSet;
 /// Directory of which cores hold (possibly stale) translations per VABlock.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct TlbDirectory {
-    entries: HashMap<VaBlockId, CoreSet>,
+    entries: FastMap<VaBlockId, CoreSet>,
     /// Monotone count of shootdown IPIs issued.
     ipis_sent: u64,
     /// Monotone count of shootdown rounds (one per unmap affecting >= 1
@@ -52,7 +51,7 @@ impl TlbDirectory {
         let holders = self.entries.remove(&block).unwrap_or(CoreSet::EMPTY);
         let n = holders.len();
         if n > 0 {
-            self.ipis_sent += n as u64;
+            self.ipis_sent += u64::from(n);
             self.shootdown_rounds += 1;
         }
         n

@@ -16,6 +16,8 @@
 //!   simulator work (pages migrated, PTEs torn down, radix-tree nodes
 //!   allocated, …) into simulated time. The [`CostModel::titan_v`] preset is
 //!   calibrated to the magnitudes reported by Allen & Ge (SC '21).
+//! * [`hash`] — the deterministic hasher behind [`FastMap`] and [`FastSet`],
+//!   the map and set types every simulator crate uses.
 //! * [`error`] — the typed pipeline error ([`UvmError`]) that replaces
 //!   panics along the servicing path.
 //! * [`inject`] — deterministic, seeded fault injection ([`FaultPlan`],
@@ -30,6 +32,7 @@
 pub mod cost;
 pub mod error;
 pub mod event;
+pub mod hash;
 pub mod inject;
 pub mod mem;
 pub mod rng;
@@ -39,6 +42,7 @@ pub mod time;
 pub use cost::CostModel;
 pub use error::{UvmError, UvmResult};
 pub use event::EventQueue;
+pub use hash::{FastMap, FastSet};
 pub use inject::{FaultPlan, InjectionPoint, Injector, PointInjector, PointPlan};
 pub use mem::{PageNum, VaBlockId, VirtAddr, PAGE_SIZE, PAGES_PER_VABLOCK, VABLOCK_SIZE};
 pub use rng::DetRng;

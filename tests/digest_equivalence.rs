@@ -6,18 +6,21 @@
 //! all use the streamed form, so it must agree bit for bit with the tree
 //! walk on every kind of state the simulator digests: each workload
 //! generator, system configs, the live subsystem models of a paused run
-//! under every servicing backend, and a finished run's result.
+//! under every servicing backend, a GPU with faults mid-arbitration, and a
+//! finished run's result.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use uvm_core::experiments::suite::Bench;
 use uvm_core::{
     compose, ClientSpec, InterleaveMode, Progress, RunHints, Scenario, SystemConfig, UvmSystem,
 };
 use uvm_driver::backend::BackendKind;
 use uvm_driver::clients::FairnessPolicy;
+use uvm_gpu::device::Gpu;
+use uvm_gpu::gmmu::Gmmu;
 use uvm_sim::inject::{FaultPlan, InjectionPoint, PointPlan};
 use uvm_sim::snapshot::digest_value;
-use uvm_sim::time::SimDuration;
+use uvm_sim::time::{SimDuration, SimTime};
 use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::workload::Workload;
 use uvm_workloads::{attention, gauss_seidel, graph_bfs, random, stream, vecadd};
@@ -161,6 +164,35 @@ fn paused_run_state_streams_like_the_tree_under_every_backend() {
             digest_value(&workload.to_value()),
             "{name}"
         );
+    }
+}
+
+/// A run pauses only between batches, right after the GMMU was drained,
+/// so the paused states above never hold faults in GMMU arbitration.
+/// Step a scenario's warps by hand instead, so the hand-written `Gmmu`
+/// serializer streams non-empty μTLB queues, and check that a reload
+/// rebuilds the GMMU's maintained values.
+#[test]
+fn gpu_with_faults_in_flight_streams_like_the_tree() {
+    for backend in BackendKind::ALL {
+        let scenario = scenario_with(backend);
+        let config = scenario.config();
+        let workload = scenario.workload.build();
+        let mut gpu = Gpu::new_seeded(config.gpu.clone(), config.cost.clone(), config.seed);
+        for wid in gpu.launch(workload.programs.clone()) {
+            gpu.step_warp(wid, SimTime::ZERO);
+        }
+        let name = backend.name();
+        assert!(gpu.gmmu.pending() > 0, "{name}: no faults in flight");
+        assert_streams_like_the_tree(&format!("{name} gpu mid-arbitration"), &gpu);
+        assert_streams_like_the_tree(&format!("{name} gmmu"), &gpu.gmmu);
+        let loaded = Gmmu::from_value(&gpu.gmmu.to_value()).expect("gmmu reloads");
+        assert_eq!(
+            (loaded.pending(), loaded.earliest_request()),
+            (gpu.gmmu.pending(), gpu.gmmu.earliest_request()),
+            "{name}"
+        );
+        assert_eq!(serde::digest(&loaded), serde::digest(&gpu.gmmu), "{name}");
     }
 }
 

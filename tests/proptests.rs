@@ -489,6 +489,106 @@ proptest! {
             prop_assert!(fb.len() as u64 <= capacity as u64);
         }
     }
+
+    /// The GMMU's maintained `pending()` and `earliest_request()` equal a
+    /// full scan of a model of its μTLB queues under random deposit,
+    /// drain, flush and GPU-reset sequences — and still do after a JSON
+    /// round trip, whose load must rebuild both from the queues (the
+    /// serialized form carries only the queues).
+    #[test]
+    fn gmmu_maintained_values_match_a_queue_scan(
+        ops in vec((0u8..9, 0u32..64, 0u64..500), 1..200),
+        buffer_slots in 1u32..64,
+    ) {
+        use uvm_gpu::device::Gpu;
+        use uvm_gpu::gmmu::Gmmu;
+        use uvm_gpu::spec::GpuSpec;
+        use uvm_sim::cost::CostModel;
+
+        let mut spec = GpuSpec::small(1 << 30);
+        spec.fault_buffer_entries = buffer_slots;
+        let mut gpu = Gpu::new(spec, CostModel::titan_v());
+        let utlbs = gpu.spec.num_utlbs();
+        // Request times per μTLB queue, in deposit order.
+        let mut model: Vec<Vec<u64>> = vec![Vec::new(); utlbs as usize];
+        for (op, utlb, t) in ops {
+            let utlb = utlb % utlbs;
+            match op {
+                0..=4 => {
+                    // Request times are not monotone per queue: spurious
+                    // re-issues land 10-60 µs after their stall.
+                    gpu.gmmu.deposit(utlb, PageNum(t), AccessKind::Read, 0, 0, SimTime(t), op == 4);
+                    model[utlb as usize].push(t);
+                }
+                5 | 6 => {
+                    let inserted = gpu.drain_faults();
+                    prop_assert!(inserted <= model.iter().map(Vec::len).sum::<usize>());
+                    model.iter_mut().for_each(Vec::clear);
+                }
+                7 => {
+                    gpu.flush();
+                    model.iter_mut().for_each(Vec::clear);
+                }
+                _ => {
+                    gpu.reset(SimTime(t));
+                    model.iter_mut().for_each(Vec::clear);
+                }
+            }
+            let pending: usize = model.iter().map(Vec::len).sum();
+            let earliest = model.iter().filter_map(|q| q.first()).min().map(|&t| SimTime(t));
+            prop_assert_eq!(gpu.gmmu.pending(), pending);
+            prop_assert_eq!(gpu.gmmu.earliest_request(), earliest);
+
+            let json = serde_json::to_string(&gpu.gmmu).unwrap();
+            let loaded: Gmmu = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(loaded.pending(), pending);
+            prop_assert_eq!(loaded.earliest_request(), earliest);
+            prop_assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
+        }
+    }
+
+    /// The warp scoreboard, a sorted `Vec`, behaves like the `BTreeMap` it
+    /// replaced: re-noting a page re-kinds it, iteration is ascending, it
+    /// serializes to the same tree, and a replay fulfils exactly the
+    /// resident pages and queues the rest for re-issue in ascending page
+    /// order (so they pop in descending order).
+    #[test]
+    fn warp_scoreboard_matches_a_btreemap(
+        notes in vec((0u64..64, 0usize..3), 0..120),
+        resident in vec(0u64..64, 0..64),
+    ) {
+        use serde::Serialize;
+        use uvm_gpu::isa::WarpProgram;
+        use uvm_gpu::warp::Warp;
+
+        let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Prefetch];
+        let mut warp = Warp::new(0, 0, 0, WarpProgram::new());
+        let mut model: BTreeMap<PageNum, AccessKind> = BTreeMap::new();
+        for (page, k) in notes {
+            warp.note_outstanding(PageNum(page), kinds[k]);
+            model.insert(PageNum(page), kinds[k]);
+            prop_assert_eq!(warp.outstanding_len(), model.len());
+        }
+        let got: Vec<(PageNum, AccessKind)> = warp.outstanding_accesses().collect();
+        let want: Vec<(PageNum, AccessKind)> = model.iter().map(|(&p, &k)| (p, k)).collect();
+        prop_assert_eq!(got, want);
+        let serde::Value::Object(fields) = warp.to_value() else { panic!("a warp is an object") };
+        let scoreboard = fields.iter().find(|(k, _)| k == "outstanding").map(|(_, v)| v);
+        prop_assert_eq!(scoreboard, Some(&model.to_value()));
+
+        let resident: BTreeSet<PageNum> = resident.into_iter().map(PageNum).collect();
+        let fulfilled = warp.apply_replay(|p| resident.contains(&p));
+        prop_assert_eq!(fulfilled, model.keys().filter(|p| resident.contains(p)).count());
+        prop_assert!(!warp.has_outstanding());
+        let mut reissued = Vec::new();
+        while let Some(access) = warp.next_pending_access() {
+            reissued.push(access);
+        }
+        let mut refaults: Vec<(PageNum, AccessKind)> =
+            model.into_iter().filter(|(p, _)| !resident.contains(p)).collect();
+        refaults.reverse();
+        prop_assert_eq!(reissued, refaults);
+    }
 }
 
 proptest! {
