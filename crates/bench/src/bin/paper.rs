@@ -33,47 +33,27 @@
 //! `service_batch_with`, event queue, radix lookups). `--quick` trims micro
 //! reps and skips the parallel suite pass (CI smoke).
 //!
-//! ## Policy sweep
+//! ## Extension sweeps
 //!
 //! ```text
-//! paper sweep [--quick] [--jobs N] [--bless] [--json <dir>]
+//! paper sweep|multitenant|architectures [--quick] [--jobs N] [--bless] [--json <dir>]
 //! ```
 //!
-//! runs the pluggable-policy grid (`ext-policy`): every prefetch policy ×
-//! every eviction policy × four workloads (two regular, two irregular)
-//! under ~125 % oversubscription. Cells fan out across the worker pool;
-//! stdout is byte-identical for any `--jobs N`. `--quick` uses the
-//! CI-smoke problem sizes (golden `ext_policy_quick.txt`).
+//! The four extension experiments (`ext-policy`, `ext-multitenant`,
+//! `ext-architectures`, `ext-inject`) are grids of workloads × one config
+//! axis, run by [`uvm_core::experiments::grid`]: each cell is an
+//! independent seeded simulation at fixed oversubscription, cells fan out
+//! across the worker pool, and stdout is byte-identical for any `--jobs N`.
+//! The axes are every prefetch × eviction policy (`sweep`), every
+//! multi-tenant fairness policy over three co-scheduled clients
+//! (`multitenant`), every fault-servicing backend (`architectures`), and
+//! the injected failure rate (`ext-inject`). `--json` writes the grid's
+//! cells.
 //!
-//! ## Multi-tenant sweep
-//!
-//! ```text
-//! paper multitenant [--quick] [--jobs N] [--bless] [--json <dir>]
-//! ```
-//!
-//! runs the multi-tenant fairness sweep (`ext-multitenant`): three
-//! clients (dense stream, pointer-chasing BFS, weight-2 attention)
-//! co-scheduled under ~125 % oversubscription, once per fairness policy
-//! (none, round-robin, fault-quota, weighted-share). Reports per-policy
-//! kernel time, admission throttling, and the Jain fairness index, plus
-//! per-client p50/p99 fault-service latency. Policy cells fan out across
-//! the worker pool; stdout is byte-identical for any `--jobs N`.
-//!
-//! ## Servicing-architecture sweep
-//!
-//! ```text
-//! paper architectures [--quick] [--jobs N] [--bless] [--json <dir>]
-//! ```
-//!
-//! runs the servicing-architecture sweep (`ext-architectures`): every
-//! servicing backend (CPU-driven stock driver, GPU-driven fault queues,
-//! 2/4-peer multi-GPU far-fault servicing) × four workloads (stream,
-//! gauss-seidel, bfs, attention) under ~125 % oversubscription. Reports
-//! the per-cell fault-service latency breakdown and a migration-traffic
-//! table separating host writeback from peer spill/fetch bytes. Cells
-//! fan out across the worker pool; stdout is byte-identical for any
-//! `--jobs N`. `--quick` uses the CI-smoke problem sizes (golden
-//! `ext_architectures_quick.txt`).
+//! `paper sweep`, `multitenant` and `architectures` are aliases of
+//! `ext-policy`, `ext-multitenant` and `ext-architectures`. With `--quick`
+//! they run at CI-smoke problem sizes as `<id>-quick`, whose golden is
+//! `<id>_quick.txt` (`-` becomes `_`, as for every golden).
 //!
 //! ## Chaos fuzzing
 //!
@@ -132,9 +112,12 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use uvm_bench::{canonical_id, experiments, run_experiments, Experiment, ExperimentOutput, SEED};
+use uvm_bench::{
+    canonical_id, experiments, run_experiments, run_grid, Experiment, ExperimentOutput, SEED,
+};
 use uvm_core::divergence::{run_lockstep_perturbed, LockstepOutcome};
-use uvm_core::experiments::bless_golden;
+use uvm_core::experiments::grid::Sweep;
+use uvm_core::experiments::{bless_golden, ext_architectures, ext_multitenant, ext_policy};
 use uvm_core::parallel;
 use uvm_core::runctl::{self, RunCtl};
 use uvm_core::stats::{percentile, Histogram, Summary};
@@ -368,7 +351,7 @@ fn emit(o: &ExperimentOutput, bless: bool, json_dir: Option<&str>) {
     println!("================================================================");
     println!("{}\n", o.text);
     if bless {
-        match bless_golden(o.id, &o.text) {
+        match bless_golden(&o.id, &o.text) {
             Ok(Some(path)) => println!("blessed {}\n", path.display()),
             Ok(None) => {}
             Err(err) => fail(&format!("failed to bless golden for {}", o.id), err),
@@ -389,97 +372,30 @@ fn emit(o: &ExperimentOutput, bless: bool, json_dir: Option<&str>) {
     }
 }
 
-/// One sweep verb: `paper <verb> [--quick]` runs an extension sweep at
-/// [`SEED`] through the parallel engine, printed under the full-scale or
-/// the CI-smoke (`--quick`) id and title. `--bless`/`--json` behave as for
-/// regular experiments; the quick id names the quick golden.
-struct SweepVerb {
-    verb: &'static str,
-    id: &'static str,
-    quick_id: &'static str,
-    title: &'static str,
-    quick_title: &'static str,
-    run: fn(bool) -> (String, serde_json::Value),
-}
+/// Builds a grid at CI-smoke (`true`) or full scale.
+type SweepFn = fn(bool) -> Sweep;
 
-/// Run a sweep's `run_scaled` at [`SEED`]: the rendered text plus the raw
-/// result as JSON.
-fn scaled<R: serde::Serialize>(
-    run: fn(u64, bool) -> R,
-    render: fn(&R) -> String,
-    quick: bool,
-) -> (String, serde_json::Value) {
-    let r = run(SEED, quick);
-    match serde_json::to_value(&r) {
-        Ok(value) => (render(&r), value),
-        Err(err) => fail("serialize sweep result", err),
-    }
-}
-
-/// `sweep` (prefetch × eviction policy grid), `multitenant` (per-client
-/// fairness tables) and `architectures` (per-backend latency breakdown
-/// and migration traffic).
-const SWEEP_VERBS: [SweepVerb; 3] = [
-    SweepVerb {
-        verb: "sweep",
-        id: "ext-policy",
-        quick_id: "ext-policy-quick",
-        title: "Extension — pluggable policy sweep (prefetch x eviction)",
-        quick_title: "Extension — pluggable policy sweep (quick scale)",
-        run: |quick| {
-            scaled(
-                uvm_core::experiments::ext_policy::run_scaled,
-                |r| r.render(),
-                quick,
-            )
-        },
-    },
-    SweepVerb {
-        verb: "multitenant",
-        id: "ext-multitenant",
-        quick_id: "ext-multitenant-quick",
-        title: "Extension — multi-tenant fairness sweep (3 clients)",
-        quick_title: "Extension — multi-tenant fairness sweep (quick scale)",
-        run: |quick| {
-            scaled(
-                uvm_core::experiments::ext_multitenant::run_scaled,
-                |r| r.render(),
-                quick,
-            )
-        },
-    },
-    SweepVerb {
-        verb: "architectures",
-        id: "ext-architectures",
-        quick_id: "ext-architectures-quick",
-        title: "Extension — servicing-architecture sweep (backend x workload)",
-        quick_title: "Extension — servicing-architecture sweep (quick scale)",
-        run: |quick| {
-            scaled(
-                uvm_core::experiments::ext_architectures::run_scaled,
-                |r| r.render(),
-                quick,
-            )
-        },
-    },
+/// `paper <verb>` aliases of the grid experiments, with the grid each
+/// runs at CI-smoke scale under `--quick`.
+const SWEEP_ALIASES: [(&str, &str, SweepFn); 3] = [
+    ("sweep", "ext-policy", ext_policy::sweep),
+    ("multitenant", "ext-multitenant", ext_multitenant::sweep),
+    ("architectures", "ext-architectures", ext_architectures::sweep),
 ];
 
-/// Run one sweep verb and print it like a registry experiment.
-fn sweep_command(sweep: &SweepVerb, quick: bool, bless: bool, json_dir: Option<&str>) {
+/// Run grid experiment `e` at CI-smoke scale: printed as `<id>-quick`
+/// under its title with the parenthetical replaced by "(quick scale)".
+fn quick_sweep(e: &Experiment, sweep: SweepFn) -> ExperimentOutput {
     let t0 = Instant::now();
-    let (text, value) = (sweep.run)(quick);
-    let o = ExperimentOutput {
-        id: if quick { sweep.quick_id } else { sweep.id },
-        title: if quick {
-            sweep.quick_title
-        } else {
-            sweep.title
-        },
+    let (text, value) = run_grid(&sweep(true));
+    let stem = e.title.rsplit_once(" (").map_or(e.title, |(stem, _)| stem);
+    ExperimentOutput {
+        id: format!("{}-quick", e.id),
+        title: format!("{stem} (quick scale)"),
         text,
         value,
         secs: t0.elapsed().as_secs_f64(),
-    };
-    emit(&o, bless, json_dir);
+    }
 }
 
 /// Create the `--json` output directory, if one was given.
@@ -568,7 +484,23 @@ fn main() {
             _ => positional.push(a),
         }
     }
-    let filter = positional.first().cloned();
+    let mut filter = positional.first().cloned();
+
+    // These verbs return before run control is configured, so a checkpoint
+    // flag would be silently ignored (yet still force `--jobs 1`).
+    let checkpoint_flag = ctl.checkpoint_every.is_some()
+        || ctl.checkpoint_path.is_some()
+        || ctl.resume_from.is_some()
+        || ctl.halt_after_checkpoint;
+    if let Some(verb @ ("chaos" | "bench" | "diverge")) = filter.as_deref() {
+        if checkpoint_flag {
+            eprintln!(
+                "usage: paper {verb} takes no --checkpoint-every, --checkpoint-file, \
+                 --resume or --halt-after-checkpoint"
+            );
+            std::process::exit(2);
+        }
+    }
 
     // Resolve the worker budget. Checkpoint/resume runs are forced serial:
     // the run-control ordinal that matches runs to checkpoints is
@@ -613,15 +545,6 @@ fn main() {
         fail("run-control configuration", e);
     }
 
-    if let Some(sweep) = SWEEP_VERBS
-        .iter()
-        .find(|v| filter.as_deref() == Some(v.verb))
-    {
-        create_json_dir(json_dir.as_deref());
-        sweep_command(sweep, quick, bless, json_dir.as_deref());
-        return;
-    }
-
     if filter.as_deref() == Some("trace") {
         let Some(id) = positional.get(1) else {
             eprintln!("usage: paper trace <experiment> --out <dir> [--trace-filter <spec>]");
@@ -631,6 +554,10 @@ fn main() {
         return;
     }
 
+    let alias = SWEEP_ALIASES.iter().find(|(verb, ..)| filter.as_deref() == Some(*verb));
+    if let Some((_, id, _)) = alias {
+        filter = Some((*id).to_string());
+    }
     let all = experiments();
     let selected: Vec<&Experiment> = match &filter {
         Some(f) => all.iter().filter(|e| e.id == f).collect(),
@@ -645,6 +572,11 @@ fn main() {
         std::process::exit(1);
     }
     create_json_dir(json_dir.as_deref());
+
+    if let (Some((_, _, sweep)), true) = (alias, quick) {
+        emit(&quick_sweep(selected[0], *sweep), bless, json_dir.as_deref());
+        return;
+    }
 
     if effective <= 1 {
         // Serial path: print each experiment as it finishes.

@@ -41,6 +41,13 @@ fn exp<R: serde::Serialize>(
     (render(&r), serde_json::to_value(&r).expect("serializable result"))
 }
 
+/// Run an extension grid at [`SEED`]: the rendered tables plus the cells
+/// as JSON.
+pub fn run_grid(sweep: &grid::Sweep) -> (String, serde_json::Value) {
+    let cells = sweep.run(SEED);
+    (sweep.render(&cells), serde_json::to_value(&cells).expect("serializable result"))
+}
+
 /// Every experiment, in paper order.
 pub fn experiments() -> Vec<Experiment> {
     vec![
@@ -142,7 +149,7 @@ pub fn experiments() -> Vec<Experiment> {
         Experiment {
             id: "ext-inject",
             title: "Extension — fault injection & typed error recovery",
-            run: || exp(ext_inject::run, |r| r.render()),
+            run: || run_grid(&ext_inject::sweep()),
         },
         Experiment {
             id: "ext-thrashing",
@@ -152,17 +159,17 @@ pub fn experiments() -> Vec<Experiment> {
         Experiment {
             id: "ext-policy",
             title: "Extension — pluggable policy sweep (prefetch x eviction)",
-            run: || exp(ext_policy::run, |r| r.render()),
+            run: || run_grid(&ext_policy::sweep(false)),
         },
         Experiment {
             id: "ext-multitenant",
             title: "Extension — multi-tenant fairness sweep (3 clients)",
-            run: || exp(ext_multitenant::run, |r| r.render()),
+            run: || run_grid(&ext_multitenant::sweep(false)),
         },
         Experiment {
             id: "ext-architectures",
             title: "Extension — servicing-architecture sweep (backend x workload)",
-            run: || exp(ext_architectures::run, |r| r.render()),
+            run: || run_grid(&ext_architectures::sweep(false)),
         },
     ]
 }
@@ -185,9 +192,9 @@ pub fn canonical_id(spec: &str) -> String {
 /// One completed experiment run.
 pub struct ExperimentOutput {
     /// Registry id.
-    pub id: &'static str,
+    pub id: String,
     /// Banner title.
-    pub title: &'static str,
+    pub title: String,
     /// Rendered text report.
     pub text: String,
     /// Raw result as JSON.
@@ -206,8 +213,8 @@ pub fn run_experiments(selected: Vec<&Experiment>) -> Vec<ExperimentOutput> {
         let t0 = Instant::now();
         let (text, value) = (e.run)();
         ExperimentOutput {
-            id: e.id,
-            title: e.title,
+            id: e.id.to_string(),
+            title: e.title.to_string(),
             text,
             value,
             secs: t0.elapsed().as_secs_f64(),
@@ -386,7 +393,7 @@ pub mod perf {
             .iter()
             .map(|o| {
                 obj(vec![
-                    ("id", Value::Str(o.id.to_string())),
+                    ("id", Value::Str(o.id.clone())),
                     ("serial_s", Value::Float(o.secs)),
                 ])
             })

@@ -841,4 +841,15 @@ mod tests {
         assert_eq!(back.description, "test");
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn repro_load_rejects_deep_nesting() {
+        let dir = std::env::temp_dir().join("uvm-chaos-test");
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("nested.json");
+        std::fs::write(&path, "[".repeat(1_000_000)).expect("write repro");
+        let err = ReproFile::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, Err(UvmError::SnapshotInvalid { .. })), "{err:?}");
+    }
 }

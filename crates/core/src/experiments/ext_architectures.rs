@@ -18,65 +18,22 @@
 //! GPU-driven backend's unmap column is exactly zero, and the peer
 //! backends convert host writeback into cheaper interconnect traffic.
 //!
-//! Every cell is an independent seeded simulation, so the sweep fans out
-//! across `--jobs N` workers with byte-identical output.
+//! Every cell is an independent seeded simulation, run by
+//! [`grid`](super::grid) across `--jobs N` workers with byte-identical
+//! output.
 
-use serde::{Deserialize, Serialize};
 use uvm_driver::backend::BackendKind;
+use uvm_driver::policy::DriverPolicy;
 use uvm_workloads::cpu_init::CpuInitPolicy;
-use uvm_workloads::workload::Workload;
 use uvm_workloads::{attention, gauss_seidel, graph_bfs, stream};
 
-use crate::experiments::suite::experiment_config;
-use crate::parallel;
-use crate::system::UvmSystem;
+use crate::experiments::grid::{Axis, Column, Rows, Sweep, Table, BATCHES, KERNEL_MS, WORKLOAD};
 
-/// One (backend, workload) sweep cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellResult {
-    /// Backend name (`cpu-driver`, `gpu-driven`, `peer-2`, `peer-4`).
-    pub backend: String,
-    /// Workload name.
-    pub workload: String,
-    /// Kernel time (ms).
-    pub kernel_ms: f64,
-    /// Fault batches serviced.
-    pub batches: u64,
-    /// Batch-fetch time summed over the run (ms).
-    pub fetch_ms: f64,
-    /// Host `unmap_mapping_range` time (ms) — exactly zero under the
-    /// GPU-driven backend.
-    pub unmap_ms: f64,
-    /// Population + PTE-update time (ms).
-    pub populate_ms: f64,
-    /// DMA transfer time, host→device plus peer→device (ms).
-    pub transfer_ms: f64,
-    /// Eviction time: host writebacks, peer spills, reclaims (ms).
-    pub evict_ms: f64,
-    /// Everything else: preprocess, DMA setup, fixed, backoff (ms).
-    pub other_ms: f64,
-    /// Pages migrated onto the device (any source).
-    pub pages_migrated: u64,
-    /// Host-writeback eviction traffic (bytes).
-    pub bytes_evicted: u64,
-    /// Device→peer spill traffic (bytes).
-    pub bytes_spilled_to_peer: u64,
-    /// Peer→device re-fault fetch traffic (bytes).
-    pub bytes_from_peer: u64,
-}
-
-/// The sweep dataset: workload-major, backend order within a workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtArchitecturesResult {
-    /// One cell per (workload, backend) pair.
-    pub cells: Vec<CellResult>,
-}
-
-/// The swept workloads, in report order. `quick` shrinks each for CI
-/// smoke and debug-mode tests.
-fn workloads(quick: bool) -> Vec<(&'static str, Workload)> {
+/// Every backend over four workloads at ~125 % oversubscription, in report
+/// order. `quick` shrinks each workload for CI smoke and debug-mode tests.
+pub fn sweep(quick: bool) -> Sweep {
     let init = Some(CpuInitPolicy::SingleThread);
-    vec![
+    let workloads = vec![
         (
             "stream",
             stream::build(stream::StreamParams {
@@ -117,161 +74,84 @@ fn workloads(quick: bool) -> Vec<(&'static str, Workload)> {
                 ..attention::AttentionParams::default()
             }),
         ),
-    ]
-}
-
-/// Run one sweep cell: the workload at ~125 % oversubscription under one
-/// servicing backend.
-fn measure(backend: BackendKind, name: &str, workload: &Workload, seed: u64) -> CellResult {
-    let memory_mb = (workload.footprint_bytes() / (1024 * 1024) * 4 / 5).max(4);
-    let config = experiment_config(memory_mb).with_seed(seed).with_backend(backend);
-    let r = UvmSystem::new(config).run(workload);
-
-    let ms = |ns: u64| ns as f64 / 1e6;
-    // component_ns() order: [fetch, preprocess, dma_setup, unmap,
-    // populate, transfer, evict, pte, fixed, backoff].
-    let mut c = [0u64; 10];
-    let (mut migrated, mut evicted, mut spilled, mut fetched) = (0u64, 0u64, 0u64, 0u64);
-    for rec in &r.records {
-        for (acc, ns) in c.iter_mut().zip(rec.component_ns()) {
-            *acc += ns;
-        }
-        migrated += rec.pages_migrated;
-        evicted += rec.bytes_evicted;
-        spilled += rec.bytes_spilled_to_peer;
-        fetched += rec.bytes_from_peer;
+    ];
+    const BACKEND: Column = ("Backend", |c| c.config[0].clone());
+    fn mib(bytes: u64) -> String {
+        format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
     }
-    CellResult {
-        backend: backend.name().to_string(),
-        workload: name.to_string(),
-        kernel_ms: r.kernel_time.as_nanos() as f64 / 1e6,
-        batches: r.num_batches,
-        fetch_ms: ms(c[0]),
-        unmap_ms: ms(c[3]),
-        populate_ms: ms(c[4] + c[7]),
-        transfer_ms: ms(c[5]),
-        evict_ms: ms(c[6]),
-        other_ms: ms(c[1] + c[2] + c[8] + c[9]),
-        pages_migrated: migrated,
-        bytes_evicted: evicted,
-        bytes_spilled_to_peer: spilled,
-        bytes_from_peer: fetched,
-    }
-}
-
-/// Run the full sweep at experiment scale.
-pub fn run(seed: u64) -> ExtArchitecturesResult {
-    run_scaled(seed, false)
-}
-
-/// Run the sweep; `quick` uses the CI-smoke problem sizes. Cells fan out
-/// across the configured worker pool with submission-order results, so
-/// the rendered report is byte-identical for any `--jobs N`.
-pub fn run_scaled(seed: u64, quick: bool) -> ExtArchitecturesResult {
-    let named = workloads(quick);
-    let mut grid = Vec::with_capacity(named.len() * BackendKind::ALL.len());
-    for (name, workload) in &named {
-        for backend in BackendKind::ALL {
-            grid.push((backend, *name, workload.clone()));
-        }
-    }
-    let cells =
-        parallel::map(grid, |(backend, name, workload)| measure(backend, name, &workload, seed));
-    ExtArchitecturesResult { cells }
-}
-
-impl ExtArchitecturesResult {
-    /// The cell for a (backend, workload) pair.
-    pub fn cell(&self, backend: &str, workload: &str) -> Option<&CellResult> {
-        self.cells.iter().find(|c| c.backend == backend && c.workload == workload)
-    }
-
-    /// Paper-style text rendering: the latency-breakdown table followed by
-    /// the migration-traffic table.
-    pub fn render(&self) -> String {
-        let mut b = uvm_stats::Table::new(vec![
-            "Workload",
-            "Backend",
-            "Kernel (ms)",
-            "Batches",
-            "Fetch",
-            "Unmap",
-            "Pop+PTE",
-            "Transfer",
-            "Evict",
-            "Other",
-        ]);
-        for c in &self.cells {
-            b.row(vec![
-                c.workload.clone(),
-                c.backend.clone(),
-                format!("{:.2}", c.kernel_ms),
-                c.batches.to_string(),
-                format!("{:.2}", c.fetch_ms),
-                format!("{:.2}", c.unmap_ms),
-                format!("{:.2}", c.populate_ms),
-                format!("{:.2}", c.transfer_ms),
-                format!("{:.2}", c.evict_ms),
-                format!("{:.2}", c.other_ms),
-            ]);
-        }
-        let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-        let mut t = uvm_stats::Table::new(vec![
-            "Workload",
-            "Backend",
-            "Migrated (pages)",
-            "Host WB (MiB)",
-            "To peer (MiB)",
-            "From peer (MiB)",
-        ]);
-        for c in &self.cells {
-            t.row(vec![
-                c.workload.clone(),
-                c.backend.clone(),
-                c.pages_migrated.to_string(),
-                format!("{:.1}", mib(c.bytes_evicted)),
-                format!("{:.1}", mib(c.bytes_spilled_to_peer)),
-                format!("{:.1}", mib(c.bytes_from_peer)),
-            ]);
-        }
-        format!(
-            "Extension — servicing-architecture sweep (backend x workload, ~125% oversubscription)\nFault-service latency breakdown (component ms summed over batches)\n{}\nMigration traffic by source and destination\n{}",
-            b.render(),
-            t.render()
-        )
+    Sweep {
+        title:
+            "Extension — servicing-architecture sweep (backend x workload, ~125% oversubscription)",
+        workloads,
+        resident: (4, 5),
+        policy: DriverPolicy::default(),
+        tenancy: Default::default(),
+        axis: BackendKind::ALL.into_iter().map(Axis::Backend).collect(),
+        tables: vec![
+            Table {
+                caption: Some("Fault-service latency breakdown (component ms summed over batches)"),
+                rows: Rows::Cells(vec![
+                    WORKLOAD,
+                    BACKEND,
+                    KERNEL_MS,
+                    BATCHES,
+                    ("Fetch", |c| format!("{:.2}", c.ms(&[0]))),
+                    ("Unmap", |c| format!("{:.2}", c.ms(&[3]))),
+                    ("Pop+PTE", |c| format!("{:.2}", c.ms(&[4, 7]))),
+                    ("Transfer", |c| format!("{:.2}", c.ms(&[5]))),
+                    ("Evict", |c| format!("{:.2}", c.ms(&[6]))),
+                    ("Other", |c| format!("{:.2}", c.ms(&[1, 2, 8, 9]))),
+                ]),
+            },
+            Table {
+                caption: Some("Migration traffic by source and destination"),
+                rows: Rows::Cells(vec![
+                    WORKLOAD,
+                    BACKEND,
+                    ("Migrated (pages)", |c| c.pages_migrated.to_string()),
+                    ("Host WB (MiB)", |c| mib(c.bytes_evicted)),
+                    ("To peer (MiB)", |c| mib(c.bytes_spilled_to_peer)),
+                    ("From peer (MiB)", |c| mib(c.bytes_from_peer)),
+                ]),
+            },
+        ],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::grid::{find, Cell};
 
     #[test]
     fn quick_sweep_covers_every_backend_and_workload() {
-        let r = run_scaled(1, true);
-        assert_eq!(r.cells.len(), 4 * 4);
-        for c in &r.cells {
+        let grid = sweep(true);
+        let cells = grid.run(1);
+        assert_eq!(cells.len(), 4 * 4);
+        for c in &cells {
             assert!(c.batches > 0, "{c:?}");
             assert!(c.kernel_ms > 0.0, "{c:?}");
             assert!(c.pages_migrated > 0, "{c:?}");
         }
+        let cell = |b: &str, w: &str| -> &Cell { find(&cells, w, &[b]).expect("sweep cell") };
+        let unmap_ms = |c: &Cell| c.ms(&[3]);
         for w in ["stream", "gauss-seidel", "bfs", "attn"] {
             // The headline claim: GPU-driven servicing removes the host
             // unmap component entirely; the stock driver pays it on every
             // CPU-initialized workload.
-            assert!(r.cell("cpu-driver", w).expect("cpu cell").unmap_ms > 0.0, "{w}");
-            assert_eq!(r.cell("gpu-driven", w).expect("gpu cell").unmap_ms, 0.0, "{w}");
+            assert!(unmap_ms(cell("cpu-driver", w)) > 0.0, "{w}");
+            assert_eq!(unmap_ms(cell("gpu-driven", w)), 0.0, "{w}");
             // Oversubscription forces evictions; under the peer backends
             // they become interconnect spills, not host writeback.
             for b in ["peer-2", "peer-4"] {
-                let c = r.cell(b, w).expect("peer cell");
+                let c = cell(b, w);
                 assert!(c.bytes_spilled_to_peer > 0, "{b}/{w}: {c:?}");
                 assert!(c.bytes_from_peer > 0, "{b}/{w}: {c:?}");
             }
-            let stock = r.cell("cpu-driver", w).expect("cpu cell");
+            let stock = cell("cpu-driver", w);
             assert!(stock.bytes_spilled_to_peer == 0 && stock.bytes_from_peer == 0, "{w}");
         }
-        let rendered = r.render();
+        let rendered = grid.render(&cells);
         assert!(rendered.contains("gpu-driven"));
         assert!(rendered.contains("peer-4"));
         assert!(rendered.contains("Host WB (MiB)"));
@@ -279,9 +159,11 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic_per_seed() {
-        let (name, w) = workloads(true).remove(0);
-        let a = measure(BackendKind::MultiGpuPeer2, name, &w, 7);
-        let b = measure(BackendKind::MultiGpuPeer2, name, &w, 7);
+        let mut grid = sweep(true);
+        grid.workloads.truncate(1);
+        grid.axis = vec![Axis::Backend(BackendKind::MultiGpuPeer2)];
+        let a = grid.run(7);
+        let b = grid.run(7);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

@@ -4,145 +4,70 @@
 //! driver additionally survives replayable-buffer overflows, IOMMU map
 //! failures, copy-engine faults, and populate errors. This experiment
 //! sweeps a uniform per-operation failure probability across **all five**
-//! injection points ([`FaultPlan::uniform`]) on an oversubscribed Stream
-//! run with the invariant auditor enabled, and reports how much recovery
-//! work (retries, deterministic backoff, degradations to remote mappings,
-//! dropped faults) each failure rate causes. The zero-rate row doubles as
-//! a regression guard: it must be identical to a run without any injection
-//! wiring at all.
+//! injection points
+//! ([`FaultPlan::uniform`](uvm_sim::inject::FaultPlan::uniform)) on an
+//! oversubscribed Stream run with the invariant auditor enabled, and
+//! reports how much recovery work (retries, deterministic backoff,
+//! degradations to remote mappings, dropped faults) each failure rate
+//! causes. The zero-rate row doubles as a regression guard: it must be
+//! identical to a run without any injection wiring at all.
+//!
+//! The rates run as one [`grid`](super::grid) over the worker pool, so the
+//! report is byte-identical for any `--jobs N`.
 
-use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
-use uvm_sim::inject::FaultPlan;
 
-use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
-
-/// One failure rate's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InjectRow {
-    /// Per-operation failure probability at every injection point.
-    pub rate: f64,
-    /// Whether the run completed (recovery absorbed every failure).
-    pub completed: bool,
-    /// The terminal error when recovery was exhausted.
-    pub error: Option<String>,
-    /// Kernel time (ms); 0 when the run failed.
-    pub kernel_ms: f64,
-    /// Failures injected across all points.
-    pub injected: u64,
-    /// Retry attempts performed by the driver.
-    pub retries: u64,
-    /// Deterministic backoff spent retrying (µs).
-    pub backoff_us: u64,
-    /// VABlocks degraded to remote (sysmem-mapped) state.
-    pub degraded_blocks: u64,
-    /// Faults lost to injected buffer-overflow storms.
-    pub dropped_faults: u64,
-    /// Pages left remote-mapped by degradations and pins.
-    pub remote_mapped: u64,
-    /// Pages migrated to the device.
-    pub pages_migrated: u64,
-}
-
-/// The injection-sweep dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtInjectResult {
-    /// One row per swept failure rate, ascending.
-    pub rows: Vec<InjectRow>,
-}
+use crate::experiments::grid::{Axis, Rows, Sweep, Table, KERNEL_MS};
+use crate::experiments::suite::Bench;
 
 /// The swept per-operation failure probabilities.
 pub const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.15];
 
-fn measure(rate: f64, seed: u64) -> InjectRow {
-    let workload = Bench::Stream.build();
-    // 75% of the footprint resident: evictions and re-migrations give the
-    // copy-engine and DMA injection points plenty of operations to fail.
-    let mem_mb = (workload.footprint_bytes() / (1024 * 1024)) * 3 / 4;
-    let config = experiment_config(mem_mb)
-        .with_policy(DriverPolicy::default().audited(true))
-        .with_fault_plan(FaultPlan::uniform(rate))
-        .with_seed(seed);
-    match UvmSystem::new(config).try_run(&workload) {
-        Ok(r) => InjectRow {
-            rate,
-            completed: true,
-            error: None,
-            kernel_ms: r.kernel_time.as_nanos() as f64 / 1e6,
-            injected: r.records.iter().map(|x| x.injected_faults).sum(),
-            retries: r.records.iter().map(|x| x.retries).sum(),
-            backoff_us: r.records.iter().map(|x| x.t_backoff.as_nanos()).sum::<u64>() / 1000,
-            degraded_blocks: r.records.iter().map(|x| x.degraded_blocks).sum(),
-            dropped_faults: r.records.iter().map(|x| x.dropped_faults).sum(),
-            remote_mapped: r.records.iter().map(|x| x.remote_mapped_pages).sum(),
-            pages_migrated: r.records.iter().map(|x| x.pages_migrated).sum(),
-        },
-        Err(e) => InjectRow {
-            rate,
-            completed: false,
-            error: Some(e.to_string()),
-            kernel_ms: 0.0,
-            injected: 0,
-            retries: 0,
-            backoff_us: 0,
-            degraded_blocks: 0,
-            dropped_faults: 0,
-            remote_mapped: 0,
-            pages_migrated: 0,
-        },
-    }
-}
-
-/// Run the failure-rate sweep.
-pub fn run(seed: u64) -> ExtInjectResult {
-    ExtInjectResult {
-        rows: RATES.iter().map(|&rate| measure(rate, seed)).collect(),
-    }
-}
-
-impl ExtInjectResult {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut t = uvm_stats::Table::new(vec![
-            "Rate",
-            "Status",
-            "Kernel (ms)",
-            "Injected",
-            "Retries",
-            "Backoff (us)",
-            "Degraded",
-            "Dropped",
-            "Remote",
-            "Migrated",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                format!("{:.2}", r.rate),
-                match (&r.error, r.completed) {
-                    (Some(e), _) => format!("failed: {e}"),
-                    (None, _) => "ok".to_string(),
-                },
-                format!("{:.2}", r.kernel_ms),
-                r.injected.to_string(),
-                r.retries.to_string(),
-                r.backoff_us.to_string(),
-                r.degraded_blocks.to_string(),
-                r.dropped_faults.to_string(),
-                r.remote_mapped.to_string(),
-                r.pages_migrated.to_string(),
-            ]);
-        }
-        format!(
-            "Extension — fault injection & recovery (Stream, 133% oversubscription, audited)\n{}",
-            t.render()
-        )
+/// The failure-rate sweep: audited Stream with 75 % of its footprint
+/// resident, so evictions and re-migrations give the copy-engine and DMA
+/// injection points plenty of operations to fail.
+pub fn sweep() -> Sweep {
+    Sweep {
+        title: "Extension — fault injection & recovery (Stream, 133% oversubscription, audited)",
+        workloads: vec![("stream", Bench::Stream.build())],
+        resident: (3, 4),
+        policy: DriverPolicy::default().audited(true),
+        tenancy: Default::default(),
+        axis: RATES.map(Axis::FaultRate).to_vec(),
+        tables: vec![Table {
+            caption: None,
+            rows: Rows::Cells(vec![
+                ("Rate", |c| c.config[0].clone()),
+                ("Status", |c| match &c.error {
+                    Some(e) => format!("failed: {e}"),
+                    None => "ok".to_string(),
+                }),
+                KERNEL_MS,
+                ("Injected", |c| c.injected.to_string()),
+                ("Retries", |c| c.retries.to_string()),
+                ("Backoff (us)", |c| (c.component_ns[9] / 1000).to_string()),
+                ("Degraded", |c| c.degraded_blocks.to_string()),
+                ("Dropped", |c| c.dropped_faults.to_string()),
+                ("Remote", |c| c.remote_mapped.to_string()),
+                ("Migrated", |c| c.pages_migrated.to_string()),
+            ]),
+        }],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::grid::Cell;
+    use crate::experiments::suite::experiment_config;
+    use crate::system::UvmSystem;
+
+    /// The sweep's cell at one failure rate.
+    fn measure(rate: f64, seed: u64) -> Cell {
+        let mut grid = sweep();
+        grid.axis = vec![Axis::FaultRate(rate)];
+        grid.run(seed).remove(0)
+    }
 
     #[test]
     fn zero_rate_row_matches_an_uninjected_baseline() {
@@ -155,7 +80,7 @@ mod tests {
             UvmSystem::new(config).try_run(&workload).unwrap()
         };
         let row = measure(0.0, 9);
-        assert!(row.completed);
+        assert!(row.error.is_none());
         assert_eq!(row.injected, 0);
         assert_eq!(row.retries, 0);
         assert_eq!(row.kernel_ms, baseline.kernel_time.as_nanos() as f64 / 1e6);
@@ -169,31 +94,30 @@ mod tests {
     fn nonzero_rates_inject_and_recover() {
         let row = measure(0.05, 9);
         assert!(row.injected > 0, "failures must fire at 5%");
-        if row.completed {
+        if row.error.is_none() {
             assert!(row.retries > 0, "recovery implies retries");
-            assert!(row.backoff_us > 0, "retries accumulate backoff");
-        } else {
-            assert!(row.error.is_some());
+            assert!(row.component_ns[9] / 1000 > 0, "retries accumulate backoff");
         }
     }
 
     #[test]
     fn same_seed_gives_identical_sweeps() {
-        let a = run(0x5C21);
-        let b = run(0x5C21);
+        let grid = sweep();
+        let a = grid.run(0x5C21);
+        let b = grid.run(0x5C21);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-        assert_eq!(a.render(), b.render());
+        assert_eq!(grid.render(&a), grid.render(&b));
     }
 
     #[test]
     fn render_matches_checked_in_golden() {
         // Regenerate with:
-        //   cargo run --release -p uvm-bench --bin paper -- ext-inject
-        // and paste the table (or run the test and copy the `left` value).
+        //   cargo run --release -p uvm-bench --bin paper -- ext-inject --bless
         let golden = include_str!("golden/ext_inject.txt");
-        assert_eq!(run(0x5C21).render().trim_end(), golden.trim_end());
+        let grid = sweep();
+        assert_eq!(grid.render(&grid.run(0x5C21)).trim_end(), golden.trim_end());
     }
 }

@@ -16,79 +16,25 @@
 //! faults plus p50/p99 fault-service latency (fault-buffer arrival →
 //! batch close, from the per-fault metadata log).
 //!
-//! Every policy cell is an independent seeded simulation, so the sweep
-//! fans out across `--jobs N` workers with byte-identical output.
+//! Every policy cell is an independent seeded simulation, run by
+//! [`grid`](super::grid) across `--jobs N` workers with byte-identical
+//! output.
 
-use serde::{Deserialize, Serialize};
 use uvm_driver::clients::FairnessPolicy;
 use uvm_driver::policy::DriverPolicy;
-use uvm_stats::{grouped_percentile, jain_index};
 use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::{attention, graph_bfs, vecadd};
 
-use crate::experiments::suite::experiment_config;
-use crate::parallel;
-use crate::system::UvmSystem;
+use crate::experiments::grid::{Axis, Rows, Sweep, Table, BATCHES, KERNEL_MS};
 use crate::tenancy::{compose, ClientSpec, InterleaveMode};
 
-/// Per-policy aggregate of one sweep cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicySummary {
-    /// Fairness policy name.
-    pub policy: String,
-    /// Kernel time (ms).
-    pub kernel_ms: f64,
-    /// Fault batches serviced.
-    pub batches: u64,
-    /// Faults dropped at admission over client quotas (they re-fault
-    /// after the end-of-batch replay).
-    pub throttled: u64,
-    /// Jain fairness index over the clients' mean fault-service
-    /// latencies (1.0 = perfectly even).
-    pub jain: f64,
-}
-
-/// Per-client attribution and latency for one policy cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClientRow {
-    /// Fairness policy name.
-    pub policy: String,
-    /// Client name.
-    pub client: String,
-    /// Scheduling weight.
-    pub weight: u32,
-    /// Faults attributed to the client at admission (arrivals).
-    pub faults: u64,
-    /// Median fault-service latency (ms): buffer arrival → batch close.
-    pub p50_ms: f64,
-    /// 99th-percentile fault-service latency (ms).
-    pub p99_ms: f64,
-}
-
-/// The sweep dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtMultitenantResult {
-    /// One summary per fairness policy, in sweep order.
-    pub summaries: Vec<PolicySummary>,
-    /// One row per (policy, client), policy-major in client order.
-    pub clients: Vec<ClientRow>,
-}
-
-/// The policies swept, in report order.
-fn policies() -> Vec<FairnessPolicy> {
-    vec![
-        FairnessPolicy::None,
-        FairnessPolicy::RoundRobin,
-        FairnessPolicy::FaultQuota(64),
-        FairnessPolicy::WeightedShare,
-    ]
-}
-
-/// The three tenants. `quick` shrinks every client for CI smoke and
-/// debug-mode tests.
-fn client_specs(quick: bool) -> Vec<ClientSpec> {
+/// The three tenants composed once (the composed workload does not depend
+/// on the fairness policy) and run under every fairness policy, with
+/// per-fault metadata logging for the latency attribution. `quick`
+/// shrinks every client for CI smoke and debug-mode tests.
+pub fn sweep(quick: bool) -> Sweep {
     let init = Some(CpuInitPolicy::SingleThread);
-    vec![
+    let specs = [
         ClientSpec::new(
             "stream",
             vecadd::build(vecadd::VecAddParams {
@@ -118,182 +64,83 @@ fn client_specs(quick: bool) -> Vec<ClientSpec> {
             }),
         )
         .with_weight(2),
-    ]
-}
-
-/// Run one policy cell: compose the tenants, run with per-fault metadata
-/// logging, and attribute latencies back through the client table.
-fn measure(
-    policy: FairnessPolicy,
-    quick: bool,
-    seed: u64,
-) -> (PolicySummary, Vec<ClientRow>) {
-    let specs = client_specs(quick);
-    let (workload, tenancy) = compose(&specs, InterleaveMode::Coschedule, policy);
-    // ~125 % oversubscription of the combined footprint.
-    let memory_mb = (workload.footprint_bytes() / (1024 * 1024) * 4 / 5).max(4);
-    let config = experiment_config(memory_mb)
-        .with_policy(DriverPolicy::default().log_faults(true))
-        .with_seed(seed)
-        .with_tenancy(tenancy.clone());
-    let r = UvmSystem::new(config).run(&workload);
-
-    let n = tenancy.clients.len();
-    // Fault-service latency per admitted fault: arrival → its batch's
-    // close, labelled with the owning client.
-    let mut end_of = std::collections::BTreeMap::new();
-    for rec in &r.records {
-        end_of.insert(rec.seq, rec.end);
-    }
-    let mut samples: Vec<(usize, f64)> = Vec::with_capacity(r.fault_log.len());
-    for m in &r.fault_log {
-        let (Some(client), Some(end)) =
-            (tenancy.client_of_page(m.page), end_of.get(&m.batch_seq))
-        else {
-            continue;
-        };
-        samples.push((client, (*end - m.arrival).as_nanos() as f64 / 1e6));
-    }
-    let p50 = grouped_percentile(samples.iter().copied(), n, 50.0);
-    let p99 = grouped_percentile(samples.iter().copied(), n, 99.0);
-    let mut sum = vec![0.0f64; n];
-    let mut count = vec![0u64; n];
-    for &(c, ms) in &samples {
-        sum[c] += ms;
-        count[c] += 1;
-    }
-    let means: Vec<f64> =
-        (0..n).map(|c| if count[c] == 0 { 0.0 } else { sum[c] / count[c] as f64 }).collect();
-
-    let mut faults = vec![0u64; n];
-    for rec in &r.records {
-        for (c, &f) in rec.client_faults.iter().enumerate() {
-            faults[c] += f;
-        }
-    }
-    let summary = PolicySummary {
-        policy: policy.name().to_string(),
-        kernel_ms: r.kernel_time.as_nanos() as f64 / 1e6,
-        batches: r.num_batches,
-        throttled: r.records.iter().map(|x| x.throttled_faults).sum(),
-        jain: jain_index(&means),
-    };
-    let clients = (0..n)
-        .map(|c| ClientRow {
-            policy: policy.name().to_string(),
-            client: tenancy.clients[c].name.clone(),
-            weight: tenancy.clients[c].weight,
-            faults: faults[c],
-            p50_ms: p50[c],
-            p99_ms: p99[c],
-        })
-        .collect();
-    (summary, clients)
-}
-
-/// Run the full sweep at experiment scale.
-pub fn run(seed: u64) -> ExtMultitenantResult {
-    run_scaled(seed, false)
-}
-
-/// Run the sweep; `quick` uses the CI-smoke problem sizes. Policy cells
-/// fan out across the configured worker pool with submission-order
-/// results, so the rendered report is byte-identical for any `--jobs N`.
-pub fn run_scaled(seed: u64, quick: bool) -> ExtMultitenantResult {
-    let cells = parallel::map(policies(), |p| measure(p, quick, seed));
-    let mut summaries = Vec::with_capacity(cells.len());
-    let mut clients = Vec::new();
-    for (s, mut c) in cells {
-        summaries.push(s);
-        clients.append(&mut c);
-    }
-    ExtMultitenantResult { summaries, clients }
-}
-
-impl ExtMultitenantResult {
-    /// The summary row for a policy name.
-    pub fn summary(&self, policy: &str) -> Option<&PolicySummary> {
-        self.summaries.iter().find(|s| s.policy == policy)
-    }
-
-    /// The client row for a (policy, client) pair.
-    pub fn client(&self, policy: &str, client: &str) -> Option<&ClientRow> {
-        self.clients.iter().find(|r| r.policy == policy && r.client == client)
-    }
-
-    /// Paper-style text rendering: the per-policy summary followed by the
-    /// per-client attribution table.
-    pub fn render(&self) -> String {
-        let mut s = uvm_stats::Table::new(vec![
-            "Policy",
-            "Kernel (ms)",
-            "Batches",
-            "Throttled",
-            "Jain",
-        ]);
-        for r in &self.summaries {
-            s.row(vec![
-                r.policy.clone(),
-                format!("{:.2}", r.kernel_ms),
-                r.batches.to_string(),
-                r.throttled.to_string(),
-                format!("{:.4}", r.jain),
-            ]);
-        }
-        let mut c = uvm_stats::Table::new(vec![
-            "Policy",
-            "Client",
-            "Weight",
-            "Faults",
-            "p50 (ms)",
-            "p99 (ms)",
-        ]);
-        for r in &self.clients {
-            c.row(vec![
-                r.policy.clone(),
-                r.client.clone(),
-                r.weight.to_string(),
-                r.faults.to_string(),
-                format!("{:.3}", r.p50_ms),
-                format!("{:.3}", r.p99_ms),
-            ]);
-        }
-        format!(
-            "Extension — multi-tenant fairness sweep (3 clients, coschedule, ~125% oversubscription)\n{}\nPer-client fault attribution and service latency\n{}",
-            s.render(),
-            c.render()
-        )
+    ];
+    let (workload, tenancy) = compose(&specs, InterleaveMode::Coschedule, FairnessPolicy::None);
+    Sweep {
+        title:
+            "Extension — multi-tenant fairness sweep (3 clients, coschedule, ~125% oversubscription)",
+        workloads: vec![("stream+bfs+attn", workload)],
+        resident: (4, 5),
+        policy: DriverPolicy::default().log_faults(true),
+        tenancy,
+        axis: [
+            FairnessPolicy::None,
+            FairnessPolicy::RoundRobin,
+            FairnessPolicy::FaultQuota(64),
+            FairnessPolicy::WeightedShare,
+        ]
+        .map(Axis::Fairness)
+        .to_vec(),
+        tables: vec![
+            Table {
+                caption: None,
+                rows: Rows::Cells(vec![
+                    ("Policy", |c| c.config[0].clone()),
+                    KERNEL_MS,
+                    BATCHES,
+                    ("Throttled", |c| c.throttled.to_string()),
+                    ("Jain", |c| format!("{:.4}", c.jain())),
+                ]),
+            },
+            Table {
+                caption: Some("Per-client fault attribution and service latency"),
+                rows: Rows::Clients(vec![
+                    ("Policy", |c, _| c.config[0].clone()),
+                    ("Client", |_, t| t.name.clone()),
+                    ("Weight", |_, t| t.weight.to_string()),
+                    ("Faults", |_, t| t.faults.to_string()),
+                    ("p50 (ms)", |_, t| format!("{:.3}", t.p50_ms)),
+                    ("p99 (ms)", |_, t| format!("{:.3}", t.p99_ms)),
+                ]),
+            },
+        ],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::grid::Cell;
 
     #[test]
     fn quick_sweep_covers_every_policy_and_client() {
-        let r = run_scaled(1, true);
-        assert_eq!(r.summaries.len(), 4);
-        assert_eq!(r.clients.len(), 4 * 3);
-        for s in &r.summaries {
+        let grid = sweep(true);
+        let cells = grid.run(1);
+        assert_eq!(cells.len(), 4);
+        assert_eq!(cells.iter().map(|c| c.clients.len()).sum::<usize>(), 4 * 3);
+        for s in &cells {
             assert!(s.batches > 0, "{s:?}");
-            assert!(s.jain > 0.0 && s.jain <= 1.0 + 1e-9, "{s:?}");
+            assert!(s.jain() > 0.0 && s.jain() <= 1.0 + 1e-9, "{s:?}");
         }
+        let summary = |policy: &str| -> &Cell {
+            cells.iter().find(|c| c.config[0] == policy).expect("policy row")
+        };
         // Pure attribution policies never throttle; quota policies must.
-        assert_eq!(r.summary("none").expect("none row").throttled, 0);
-        assert_eq!(r.summary("round-robin").expect("rr row").throttled, 0);
+        assert_eq!(summary("none").throttled, 0);
+        assert_eq!(summary("round-robin").throttled, 0);
         for policy in ["fault-quota", "weighted-share"] {
-            let s = r.summary(policy).expect("quota row");
+            let s = summary(policy);
             assert!(s.throttled > 0, "{policy} should clip a 3-client coschedule: {s:?}");
         }
-        for row in &r.clients {
+        for row in cells.iter().flat_map(|c| &c.clients) {
             assert!(row.faults > 0, "every client faults: {row:?}");
             assert!(row.p99_ms >= row.p50_ms, "{row:?}");
             assert!(row.p50_ms > 0.0, "{row:?}");
         }
         // The attn client carries weight 2 into the report.
-        assert_eq!(r.client("none", "attn").expect("attn row").weight, 2);
-        let rendered = r.render();
+        let attn = summary("none").clients.iter().find(|c| c.name == "attn");
+        assert_eq!(attn.expect("attn row").weight, 2);
+        let rendered = grid.render(&cells);
         assert!(rendered.contains("weighted-share"));
         assert!(rendered.contains("stream"));
         assert!(rendered.contains("Jain"));
@@ -301,8 +148,10 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic_per_seed() {
-        let a = measure(FairnessPolicy::WeightedShare, true, 7);
-        let b = measure(FairnessPolicy::WeightedShare, true, 7);
+        let mut grid = sweep(true);
+        grid.axis = vec![Axis::Fairness(FairnessPolicy::WeightedShare)];
+        let a = grid.run(7);
+        let b = grid.run(7);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

@@ -18,71 +18,26 @@
 //! * eviction policy matters most where the working set is skewed
 //!   (attention's hot rows make LRU ≈ LFU ≫ random).
 //!
-//! Every cell is an independent seeded simulation, so the grid fans out
-//! across `--jobs N` workers with byte-identical output.
+//! Every cell is an independent seeded simulation, run by
+//! [`grid`](super::grid) across `--jobs N` workers with byte-identical
+//! output.
 
-use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 use uvm_driver::{EvictionPolicyKind, PrefetchPolicyKind};
 use uvm_sim::time::SimDuration;
 use uvm_workloads::cpu_init::CpuInitPolicy;
-use uvm_workloads::workload::Workload;
 use uvm_workloads::{attention, gauss_seidel, graph_bfs, vecadd};
 
-use crate::experiments::suite::experiment_config;
-use crate::parallel;
-use crate::system::UvmSystem;
+use crate::experiments::grid::{Axis, Rows, Sweep, Table, BATCHES, KERNEL_MS, WORKLOAD};
 
-/// One (workload, prefetcher, evictor) cell of the grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicyRow {
-    /// Workload name.
-    pub workload: String,
-    /// Prefetch policy name.
-    pub prefetch: String,
-    /// Eviction policy name.
-    pub evict: String,
-    /// Kernel time (ms).
-    pub kernel_ms: f64,
-    /// Fault batches serviced.
-    pub batches: u64,
-    /// Pages migrated host→device.
-    pub pages_migrated: u64,
-    /// Pages added by the prefetcher.
-    pub pages_prefetched: u64,
-    /// VABlock evictions.
-    pub evictions: u64,
-}
-
-/// The sweep dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtPolicyResult {
-    /// Grid cells in workload-major, prefetcher-then-evictor order.
-    pub rows: Vec<PolicyRow>,
-}
-
-/// A workload instance plus the device memory that oversubscribes it.
-struct SweepCase {
-    name: &'static str,
-    workload: Workload,
-    memory_mb: u64,
-}
-
-impl SweepCase {
-    /// ~125 % oversubscription: device memory = footprint / 1.25.
-    fn new(name: &'static str, workload: Workload) -> SweepCase {
-        let footprint_mb = workload.footprint_bytes() / (1024 * 1024);
-        SweepCase { name, workload, memory_mb: (footprint_mb * 4 / 5).max(4) }
-    }
-}
-
-/// The four sweep workloads: two regular (streaming, stencil) and two
-/// irregular (pointer-chasing, skewed gathers). `quick` shrinks every
-/// problem for CI smoke and debug-mode tests.
-fn sweep_cases(quick: bool) -> Vec<SweepCase> {
+/// The policy grid over four workloads — two regular (streaming, stencil)
+/// and two irregular (pointer-chasing, skewed gathers) — at ~125 %
+/// oversubscription. `quick` shrinks every problem for CI smoke and
+/// debug-mode tests.
+pub fn sweep(quick: bool) -> Sweep {
     let init = Some(CpuInitPolicy::SingleThread);
-    vec![
-        SweepCase::new(
+    let workloads = vec![
+        (
             "vecadd",
             vecadd::build(vecadd::VecAddParams {
                 warps: if quick { 128 } else { 256 },
@@ -91,7 +46,7 @@ fn sweep_cases(quick: bool) -> Vec<SweepCase> {
                 cpu_init: init,
             }),
         ),
-        SweepCase::new(
+        (
             "gauss-seidel",
             gauss_seidel::build(gauss_seidel::GaussSeidelParams {
                 rows: if quick { 512 } else { 1024 },
@@ -102,7 +57,7 @@ fn sweep_cases(quick: bool) -> Vec<SweepCase> {
                 cpu_init: init,
             }),
         ),
-        SweepCase::new(
+        (
             "graph-bfs",
             graph_bfs::build(graph_bfs::GraphBfsParams {
                 vertices: if quick { 4096 } else { 8192 },
@@ -110,7 +65,7 @@ fn sweep_cases(quick: bool) -> Vec<SweepCase> {
                 ..graph_bfs::GraphBfsParams::default()
             }),
         ),
-        SweepCase::new(
+        (
             "attention",
             attention::build(attention::AttentionParams {
                 kv_rows: if quick { 2048 } else { 8192 },
@@ -120,127 +75,66 @@ fn sweep_cases(quick: bool) -> Vec<SweepCase> {
                 ..attention::AttentionParams::default()
             }),
         ),
-    ]
-}
-
-/// Run one grid cell.
-fn measure(
-    case: &SweepCase,
-    prefetch: PrefetchPolicyKind,
-    evict: EvictionPolicyKind,
-    seed: u64,
-) -> PolicyRow {
-    let config = experiment_config(case.memory_mb)
-        .with_policy(DriverPolicy::default().prefetcher(prefetch).evictor(evict))
-        .with_seed(seed);
-    let r = UvmSystem::new(config).run(&case.workload);
-    PolicyRow {
-        workload: case.name.to_string(),
-        prefetch: prefetch.name().to_string(),
-        evict: evict.name().to_string(),
-        kernel_ms: r.kernel_time.as_nanos() as f64 / 1e6,
-        batches: r.num_batches,
-        pages_migrated: r.records.iter().map(|x| x.pages_migrated).sum(),
-        pages_prefetched: r.records.iter().map(|x| x.prefetched_pages).sum(),
-        evictions: r.evictions,
-    }
-}
-
-/// Run the full grid at experiment scale.
-pub fn run(seed: u64) -> ExtPolicyResult {
-    run_scaled(seed, false)
-}
-
-/// Run the grid; `quick` uses the CI-smoke problem sizes.
-///
-/// Cells fan out across the configured worker pool
-/// ([`crate::parallel::configure_jobs`]); every cell owns its seeded
-/// simulation, and results come back in submission order, so the rendered
-/// table is byte-identical for any `--jobs N`.
-pub fn run_scaled(seed: u64, quick: bool) -> ExtPolicyResult {
-    let cases = sweep_cases(quick);
-    let mut cells: Vec<(usize, PrefetchPolicyKind, EvictionPolicyKind)> = Vec::new();
-    for wi in 0..cases.len() {
-        for &p in &PrefetchPolicyKind::ALL {
-            for &e in &EvictionPolicyKind::ALL {
-                cells.push((wi, p, e));
-            }
-        }
-    }
-    let rows = parallel::map(cells, |(wi, p, e)| measure(&cases[wi], p, e, seed));
-    ExtPolicyResult { rows }
-}
-
-impl ExtPolicyResult {
-    /// The row for a given (workload, prefetch, evict) combination.
-    pub fn cell(&self, workload: &str, prefetch: &str, evict: &str) -> Option<&PolicyRow> {
-        self.rows
+    ];
+    Sweep {
+        title: "Extension — policy sweep (prefetch x eviction grid, ~125% oversubscription)",
+        workloads,
+        resident: (4, 5),
+        policy: DriverPolicy::default(),
+        tenancy: Default::default(),
+        axis: PrefetchPolicyKind::ALL
             .iter()
-            .find(|r| r.workload == workload && r.prefetch == prefetch && r.evict == evict)
-    }
-
-    /// Paper-style text rendering: the full grid, one row per cell.
-    pub fn render(&self) -> String {
-        let mut t = uvm_stats::Table::new(vec![
-            "Workload",
-            "Prefetch",
-            "Evict",
-            "Kernel (ms)",
-            "Batches",
-            "Migrated",
-            "Prefetched",
-            "Evictions",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.workload.clone(),
-                r.prefetch.clone(),
-                r.evict.clone(),
-                format!("{:.2}", r.kernel_ms),
-                r.batches.to_string(),
-                r.pages_migrated.to_string(),
-                r.pages_prefetched.to_string(),
-                r.evictions.to_string(),
-            ]);
-        }
-        format!(
-            "Extension — policy sweep (prefetch x eviction grid, ~125% oversubscription)\n{}",
-            t.render()
-        )
+            .flat_map(|&p| EvictionPolicyKind::ALL.iter().map(move |&e| Axis::Policy(p, e)))
+            .collect(),
+        tables: vec![Table {
+            caption: None,
+            rows: Rows::Cells(vec![
+                WORKLOAD,
+                ("Prefetch", |c| c.config[0].clone()),
+                ("Evict", |c| c.config[1].clone()),
+                KERNEL_MS,
+                BATCHES,
+                ("Migrated", |c| c.pages_migrated.to_string()),
+                ("Prefetched", |c| c.pages_prefetched.to_string()),
+                ("Evictions", |c| c.evictions.to_string()),
+            ]),
+        }],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::grid::Cell;
 
     #[test]
     fn quick_grid_covers_every_policy_combination() {
-        let r = run_scaled(1, true);
+        let grid = sweep(true);
+        let rows = grid.run(1);
         assert_eq!(
-            r.rows.len(),
+            rows.len(),
             4 * PrefetchPolicyKind::ALL.len() * EvictionPolicyKind::ALL.len()
         );
+        let prefetch = |r: &Cell| r.config[0].clone();
         // Every cell ran a real oversubscribed simulation.
-        for row in &r.rows {
+        for row in &rows {
             assert!(row.batches > 0, "{row:?}");
             assert!(row.pages_migrated > 0, "{row:?}");
             assert!(row.evictions > 0, "oversubscription must force evictions: {row:?}");
         }
         // The `none` prefetcher never prefetches; the others do somewhere.
-        for row in r.rows.iter().filter(|r| r.prefetch == "none") {
+        for row in rows.iter().filter(|r| prefetch(r) == "none") {
             assert_eq!(row.pages_prefetched, 0, "{row:?}");
         }
         for name in ["tree", "stride", "oracle"] {
-            let total: u64 = r
-                .rows
+            let total: u64 = rows
                 .iter()
-                .filter(|r| r.prefetch == name)
+                .filter(|r| prefetch(r) == name)
                 .map(|r| r.pages_prefetched)
                 .sum();
             assert!(total > 0, "{name} never prefetched a page");
         }
-        let rendered = r.render();
+        let rendered = grid.render(&rows);
         assert!(rendered.contains("vecadd"));
         assert!(rendered.contains("graph-bfs"));
         assert!(rendered.contains("oracle"));
@@ -252,12 +146,13 @@ mod tests {
         // Grid-level determinism (and jobs-invariance) is covered by the
         // `policy_matrix` integration tests and the CI sweep smoke job;
         // here just pin the per-cell contract on a cheap cell.
-        let cases = sweep_cases(true);
-        let case = cases.last().expect("sweep has cases");
-        let a = measure(case, PrefetchPolicyKind::Oracle, EvictionPolicyKind::Random, 7);
-        let b = measure(case, PrefetchPolicyKind::Oracle, EvictionPolicyKind::Random, 7);
+        let mut grid = sweep(true);
+        grid.workloads.drain(..3);
+        grid.axis = vec![Axis::Policy(PrefetchPolicyKind::Oracle, EvictionPolicyKind::Random)];
+        let a = grid.run(7);
+        let b = grid.run(7);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let c = measure(case, PrefetchPolicyKind::Oracle, EvictionPolicyKind::Random, 8);
+        let c = grid.run(8);
         assert_ne!(format!("{a:?}"), format!("{c:?}"), "seed must perturb the run");
     }
 }

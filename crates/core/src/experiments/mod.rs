@@ -27,39 +27,37 @@
 //! | [`fig16_gauss_seidel`] | Fig. 16 — Gauss-Seidel case study |
 //! | [`fig17_hpgmg`] | Fig. 17 — HPGMG case study (LRU order) |
 //! | [`table4_speedup`] | Table 4 — prefetch on/off batch & kernel times |
+//!
+//! The extension sweeps (`ext_policy`, `ext_architectures`,
+//! `ext_multitenant`, `ext_inject`) each declare a [`grid::Sweep`] and
+//! share its runner, cell type and table renderer.
 
 use std::path::{Path, PathBuf};
 
+/// A report as its golden file stores it: every non-empty line, each
+/// byte-exact (column padding matters to the CI diff), newline-terminated.
+pub fn golden_form(rendered: &str) -> String {
+    let mut out = rendered.lines().filter(|l| !l.is_empty()).collect::<Vec<_>>().join("\n");
+    out.push('\n');
+    out
+}
+
 /// Overwrite the checked-in golden file for experiment `id` with freshly
-/// rendered output (the experiment runner's `--bless` flow). Returns the
-/// path written, or `None` when the experiment keeps no golden file.
+/// rendered output (the experiment runner's `--bless` flow). The golden of
+/// `ext-policy-quick` is `ext_policy_quick.txt`. Returns the path written,
+/// or `None` when the experiment keeps no golden file.
 ///
 /// The golden lives in this crate's source tree
 /// (`src/experiments/golden/`), so blessing only works from a source
 /// checkout — which is the only place it makes sense.
 pub fn bless_golden(id: &str, rendered: &str) -> std::io::Result<Option<PathBuf>> {
-    let file = match id {
-        "ext-architectures" => "ext_architectures.txt",
-        "ext-architectures-quick" => "ext_architectures_quick.txt",
-        "ext-inject" => "ext_inject.txt",
-        "ext-multitenant" => "ext_multitenant.txt",
-        "ext-multitenant-quick" => "ext_multitenant_quick.txt",
-        "ext-policy" => "ext_policy.txt",
-        "ext-policy-quick" => "ext_policy_quick.txt",
-        _ => return Ok(None),
-    };
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("src/experiments/golden")
-        .join(file);
-    // Keep each line byte-exact (column padding matters to the CI diff);
-    // drop only empty lines, as the CI extraction does.
-    let mut out = rendered
-        .lines()
-        .filter(|l| !l.is_empty())
-        .collect::<Vec<_>>()
-        .join("\n");
-    out.push('\n');
-    std::fs::write(&path, out)?;
+        .join(format!("{}.txt", id.replace('-', "_")));
+    if !path.exists() {
+        return Ok(None);
+    }
+    std::fs::write(&path, golden_form(rendered))?;
     Ok(Some(path))
 }
 
@@ -84,6 +82,7 @@ pub mod fig14_prefetch_batches;
 pub mod fig15_evict_prefetch;
 pub mod fig16_gauss_seidel;
 pub mod fig17_hpgmg;
+pub mod grid;
 pub mod suite;
 pub mod table2_per_sm;
 pub mod table3_vablocks;

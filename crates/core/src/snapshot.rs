@@ -343,4 +343,20 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn load_rejects_deep_nesting_without_overflowing_the_stack() {
+        let dir = std::env::temp_dir().join("uvm-snap-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("nested.json");
+        std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+        let err = SystemSnapshot::load(&path);
+        std::fs::remove_file(&path).ok();
+        match err {
+            Err(UvmError::SnapshotInvalid { detail }) => {
+                assert!(detail.contains("recursion limit"), "{detail}");
+            }
+            other => panic!("expected SnapshotInvalid, got {other:?}"),
+        }
+    }
 }

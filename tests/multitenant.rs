@@ -16,7 +16,7 @@
 
 use std::sync::Mutex;
 
-use uvm_core::experiments::ext_multitenant;
+use uvm_core::experiments::{ext_multitenant, golden_form};
 use uvm_core::parallel;
 use uvm_core::tenancy::{compose, ClientSpec, InterleaveMode};
 use uvm_core::{Progress, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem};
@@ -169,18 +169,28 @@ fn two_client_stepped_run_matches_oneshot_and_ledger_conserves() {
 }
 
 /// The `ext-multitenant` sweep fans policy cells across workers; the
-/// rendered report must be byte-identical for any `--jobs N`.
+/// rendered report must be byte-identical for any `--jobs N`, and equal to
+/// the quick golden that CI's sweep smoke job diffs.
 #[test]
 fn multitenant_sweep_is_jobs_invariant() {
     let _g = JOBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let grid = ext_multitenant::sweep(true);
     let sweep = |jobs: usize| -> String {
         parallel::configure_jobs(jobs);
-        ext_multitenant::run_scaled(SEED, true).render()
+        grid.render(&grid.run(SEED))
     };
     let serial = sweep(1);
     let fanned = sweep(4);
     parallel::configure_jobs(1);
     assert_eq!(serial, fanned, "--jobs 4 must be byte-identical to --jobs 1");
+    assert_eq!(
+        golden_form(&serial),
+        include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/src/experiments/golden/ext_multitenant_quick.txt"
+        )),
+        "the quick sweep must match its checked-in golden"
+    );
 }
 
 /// Kill/restore mid-run with two clients: the snapshot must carry the

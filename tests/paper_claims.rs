@@ -3,6 +3,8 @@
 //! regeneration lives in `crates/bench` (`cargo run --release -p uvm-bench
 //! --bin paper`).
 
+use uvm_core::experiments::grid::find;
+use uvm_core::experiments::{ext_policy, golden_form};
 use uvm_core::{SystemConfig, UvmSystem};
 use uvm_driver::policy::DriverPolicy;
 use uvm_workloads::cpu_init::CpuInitPolicy;
@@ -280,8 +282,17 @@ fn claim_prefetch_does_not_rescue_irregular_apps() {
 ///    fewest batches and the least kernel time of any prefetcher.
 #[test]
 fn claim_policy_grid_matches_section_5_2() {
-    let grid = uvm_core::experiments::ext_policy::run_scaled(0x5C21, true);
-    let cell = |w: &str, p: &str| grid.cell(w, p, "lru").expect("grid cell exists");
+    let sweep = ext_policy::sweep(true);
+    let grid = sweep.run(0x5C21);
+    // The same cells render byte-for-byte to the checked-in quick golden.
+    assert_eq!(
+        golden_form(&sweep.render(&grid)),
+        include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/src/experiments/golden/ext_policy_quick.txt"
+        ))
+    );
+    let cell = |w: &str, p: &str| find(&grid, w, &[p, "lru"]).expect("grid cell exists");
 
     // (1) Dense: tree collapses batches and speeds the kernel.
     let (dense_none, dense_tree) = (cell("gauss-seidel", "none"), cell("gauss-seidel", "tree"));
