@@ -1,37 +1,43 @@
 //! Versioned whole-system checkpoints.
 //!
-//! A [`SystemSnapshot`] is the serialized form of a paused
-//! [`RunInProgress`](crate::system::RunInProgress): one [`Value`] tree per
-//! subsystem (GPU, driver, host OS) plus the run-loop state (event queue,
-//! virtual clock, worker state, kernel progress), a format version, the
-//! digest of the workload it was taken against, and FNV-1a digests of each
-//! state tree.
+//! A [`SystemSnapshot`] is the captured state of a paused
+//! [`RunInProgress`](crate::system::RunInProgress), held as typed values:
+//! the system config, the three subsystem models (GPU, driver, host OS),
+//! and the run-loop state (event queue, virtual clock, worker state,
+//! kernel progress), plus a format version, the digest of the workload it
+//! was taken against, and FNV-1a digests of the four state values.
 //!
 //! ## Format and versioning
 //!
 //! The on-disk encoding is JSON (via the vendored `serde_json` shim). The
-//! shape of the tree is defined entirely by the `Serialize` derives of the
-//! subsystem types; [`SNAPSHOT_VERSION`] must be bumped whenever any of
-//! those shapes change, and
+//! shape of the document is defined entirely by the `Serialize` derives of
+//! the subsystem types; [`SNAPSHOT_VERSION`] must be bumped whenever any
+//! of those shapes change. [`SystemSnapshot::load`] and
 //! [`RunInProgress::restore`](crate::system::RunInProgress::restore)
-//! rejects a version mismatch outright — replaying a snapshot through
+//! reject a version mismatch outright — replaying a snapshot through
 //! changed code would not crash, it would *silently diverge*, which is
 //! worse.
 //!
 //! The stored [`SubsystemDigests`] serve two purposes: restore recomputes
-//! them over the embedded trees as an integrity check (a truncated or
+//! them over the decoded state as an integrity check (a truncated or
 //! hand-edited file fails closed), and the divergence detector
 //! ([`crate::divergence`]) compares them per batch across two runs.
 
 use std::fs;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use uvm_driver::service::UvmDriver;
+use uvm_gpu::device::Gpu;
+use uvm_hostos::host::HostMemory;
 use uvm_sim::error::UvmError;
-use uvm_sim::snapshot::digest_value;
 pub use uvm_sim::snapshot::SNAPSHOT_VERSION;
+use uvm_trace::TraceState;
 
-/// FNV-1a digests of the four serialized state trees of a run. Two runs in
+use crate::config::SystemConfig;
+use crate::system::RunState;
+
+/// FNV-1a digests of the four serialized state values of a run. Two runs in
 /// bit-identical states have equal digests in every field; the first field
 /// that disagrees names the subsystem that diverged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,6 +54,16 @@ pub struct SubsystemDigests {
 }
 
 impl SubsystemDigests {
+    /// Digest the four state values, streamed from the values themselves.
+    pub fn of(gpu: &Gpu, driver: &UvmDriver, host: &HostMemory, run: &RunState) -> Self {
+        SubsystemDigests {
+            gpu: serde::digest(gpu),
+            driver: serde::digest(driver),
+            host: serde::digest(host),
+            run: serde::digest(run),
+        }
+    }
+
     /// Names of the subsystems whose digests differ between `self` and
     /// `other`, in fixed order. Empty exactly when the states are
     /// identical.
@@ -88,27 +104,42 @@ pub struct SystemSnapshot {
     pub workload_name: String,
     /// Digest of the serialized workload; restore refuses any other.
     pub workload_digest: u64,
-    /// Serialized [`SystemConfig`](crate::config::SystemConfig).
-    pub config: Value,
-    /// Serialized GPU state.
-    pub gpu: Value,
-    /// Serialized driver state.
-    pub driver: Value,
-    /// Serialized host-OS state.
-    pub host: Value,
-    /// Serialized run-loop state.
-    pub run: Value,
-    /// Digests of the four state trees, for integrity checking and
+    /// The run's system configuration.
+    pub config: SystemConfig,
+    /// GPU state.
+    pub gpu: Gpu,
+    /// Driver state.
+    pub driver: UvmDriver,
+    /// Host-OS state.
+    pub host: HostMemory,
+    /// Run-loop state.
+    pub run: RunState,
+    /// Digests of the four state values, for integrity checking and
     /// divergence comparison.
     pub digests: SubsystemDigests,
-    /// Serialized tracer state ([`uvm_trace::TraceState`]) when the run
-    /// was captured with a ring tracer installed; `Null` otherwise (and
-    /// in snapshots written before tracing existed, which deserialize the
-    /// missing field as `Null`). Deliberately excluded from the
-    /// subsystem digests: the tracer observes the simulation without
-    /// being part of its state, so traced and untraced checkpoints of
-    /// the same run remain digest-identical.
-    pub trace: Value,
+    /// Ring-tracer state when the run was captured with a ring tracer
+    /// installed; `None` otherwise (and in snapshots written before
+    /// tracing existed, which lack the field). Deliberately excluded from
+    /// the subsystem digests: the tracer observes the simulation without
+    /// being part of its state, so traced and untraced checkpoints of the
+    /// same run remain digest-identical.
+    pub trace: Option<TraceState>,
+}
+
+/// The one field every snapshot version shares.
+#[derive(Deserialize)]
+struct Version {
+    version: u32,
+}
+
+/// Reject a snapshot of another format version.
+pub(crate) fn check_version(version: u32) -> Result<(), UvmError> {
+    if version == SNAPSHOT_VERSION {
+        return Ok(());
+    }
+    Err(UvmError::SnapshotInvalid {
+        detail: format!("format version {version} (this build reads version {SNAPSHOT_VERSION})"),
+    })
 }
 
 impl SystemSnapshot {
@@ -139,32 +170,31 @@ impl SystemSnapshot {
         fs::rename(&tmp, path)
     }
 
-    /// Read a snapshot back from `path`. I/O and parse failures surface as
-    /// [`UvmError::SnapshotInvalid`]; integrity is *not* checked here (it
-    /// is checked by restore).
+    /// Read a snapshot back from `path`. I/O, parse and version failures
+    /// surface as [`UvmError::SnapshotInvalid`]; integrity is *not*
+    /// checked here (it is checked by restore). The version is checked
+    /// before the rest is decoded, because a file of another version
+    /// usually has another shape too.
     pub fn load(path: &Path) -> Result<Self, UvmError> {
+        let invalid = |e: &dyn std::fmt::Display| UvmError::SnapshotInvalid {
+            detail: format!("cannot parse {}: {e}", path.display()),
+        };
         let text = fs::read_to_string(path).map_err(|e| UvmError::SnapshotInvalid {
             detail: format!("cannot read {}: {e}", path.display()),
         })?;
-        serde_json::from_str(&text).map_err(|e| UvmError::SnapshotInvalid {
-            detail: format!("cannot parse {}: {e}", path.display()),
-        })
+        let tree = serde_json::parse(&text).map_err(|e| invalid(&e))?;
+        check_version(Version::from_value(&tree).map_err(|e| invalid(&e))?.version)?;
+        Self::from_value(&tree).map_err(|e| invalid(&e))
     }
 
-    /// Verify that the stored digests match the state trees they describe.
+    /// Verify that the stored digests match the state they describe.
     /// A mismatch means the file was truncated, edited, or corrupted.
     pub fn verify_integrity(&self) -> Result<(), UvmError> {
-        let actual = SubsystemDigests {
-            gpu: digest_value(&self.gpu),
-            driver: digest_value(&self.driver),
-            host: digest_value(&self.host),
-            run: digest_value(&self.run),
-        };
+        let actual = SubsystemDigests::of(&self.gpu, &self.driver, &self.host, &self.run);
         if actual != self.digests {
             return Err(UvmError::SnapshotInvalid {
                 detail: format!(
-                    "integrity check failed: stored digests disagree with state trees \
-                     in [{}]",
+                    "integrity check failed: stored digests disagree with the state in [{}]",
                     self.digests.diff(&actual).join(", ")
                 ),
             });
@@ -215,61 +245,76 @@ mod tests {
         assert_eq!(base, run_key(0, 10, 20));
     }
 
+    /// A real snapshot, taken after three batches of a small stream run.
+    fn real_snapshot() -> SystemSnapshot {
+        use crate::system::{RunHints, UvmSystem};
+        use uvm_workloads::stream::{self, StreamParams};
+        let w = stream::build(StreamParams {
+            warps: 8,
+            pages_per_warp: 4,
+            iters: 1,
+            warps_per_page: 1,
+            cpu_init: None,
+        });
+        let mut run = UvmSystem::new(SystemConfig::test_small(4 << 20))
+            .start(&w, &RunHints::default())
+            .expect("run starts");
+        for _ in 0..3 {
+            run.advance_batch(&w).expect("batch services");
+        }
+        run.snapshot(&w, 7)
+    }
+
+    /// `snap`'s JSON with its one occurrence of `from` replaced by `to`.
+    fn tamper(snap: &SystemSnapshot, from: &str, to: &str) -> String {
+        let json = serde_json::to_string(snap).expect("snapshot encodes");
+        assert_eq!(json.matches(from).count(), 1, "`{from}` must occur once");
+        json.replacen(from, to, 1)
+    }
+
     #[test]
     fn save_and_load_round_trip() {
-        let snap = SystemSnapshot {
-            version: SNAPSHOT_VERSION,
-            run_key: 7,
-            batches: 3,
-            workload_name: "t".into(),
-            workload_digest: 11,
-            config: Value::Null,
-            gpu: Value::NumU(1),
-            driver: Value::NumU(2),
-            host: Value::NumU(3),
-            run: Value::NumU(4),
-            digests: SubsystemDigests {
-                gpu: digest_value(&Value::NumU(1)),
-                driver: digest_value(&Value::NumU(2)),
-                host: digest_value(&Value::NumU(3)),
-                run: digest_value(&Value::NumU(4)),
-            },
-            trace: Value::Null,
-        };
+        let snap = real_snapshot();
         let dir = std::env::temp_dir().join("uvm-snap-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         snap.save(&path).unwrap();
         let back = SystemSnapshot::load(&path).unwrap();
         assert_eq!(back.run_key, 7);
+        assert_eq!(back.digests, snap.digests);
         back.verify_integrity().unwrap();
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&snap).unwrap()
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn integrity_failure_names_the_subsystem() {
-        let mut snap = SystemSnapshot {
-            version: SNAPSHOT_VERSION,
-            run_key: 0,
-            batches: 0,
-            workload_name: "t".into(),
-            workload_digest: 0,
-            config: Value::Null,
-            gpu: Value::NumU(1),
-            driver: Value::NumU(2),
-            host: Value::NumU(3),
-            run: Value::NumU(4),
-            digests: SubsystemDigests {
-                gpu: digest_value(&Value::NumU(1)),
-                driver: digest_value(&Value::NumU(2)),
-                host: digest_value(&Value::NumU(3)),
-                run: digest_value(&Value::NumU(4)),
-            },
-            trace: Value::Null,
-        };
-        snap.driver = Value::NumU(99);
-        let err = snap.verify_integrity().unwrap_err();
-        assert!(err.to_string().contains("driver"), "got: {err}");
+        let snap = real_snapshot();
+        // Edit one counter in the driver's JSON: the file still decodes,
+        // but the decoded driver no longer digests as stored.
+        let json = tamper(&snap, "\"batch_seq\":", "\"batch_seq\":9");
+        let edited: SystemSnapshot = serde_json::from_str(&json).expect("edited snapshot decodes");
+        let err = edited.verify_integrity().unwrap_err();
+        assert!(matches!(err, UvmError::SnapshotInvalid { .. }));
+        assert!(err.to_string().contains("[driver]"), "got: {err}");
+    }
+
+    #[test]
+    fn load_reports_a_version_mismatch_before_the_shape() {
+        let snap = real_snapshot();
+        let dir = std::env::temp_dir().join("uvm-snap-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old-version.json");
+        // Another version, and a shape this build cannot decode.
+        let json = tamper(&snap, &format!("\"version\":{SNAPSHOT_VERSION},"), "\"version\":0,");
+        let json = json.replacen("\"writeback_pages\":", "\"writeback_v3\":", 1);
+        std::fs::write(&path, json).unwrap();
+        let err = SystemSnapshot::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.to_string().contains("format version 0"), "got: {err}");
     }
 
     #[test]
@@ -277,25 +322,8 @@ mod tests {
         // The crash-consistency contract: an I/O failure partway through
         // the tmp-file write (a full disk, a kill) must leave the previous
         // checkpoint loadable — the rename into place never happens.
-        let mk = |batches: u64| SystemSnapshot {
-            version: SNAPSHOT_VERSION,
-            run_key: 1,
-            batches,
-            workload_name: "t".into(),
-            workload_digest: 5,
-            config: Value::Null,
-            gpu: Value::NumU(batches),
-            driver: Value::NumU(2),
-            host: Value::NumU(3),
-            run: Value::NumU(4),
-            digests: SubsystemDigests {
-                gpu: digest_value(&Value::NumU(batches)),
-                driver: digest_value(&Value::NumU(2)),
-                host: digest_value(&Value::NumU(3)),
-                run: digest_value(&Value::NumU(4)),
-            },
-            trace: Value::Null,
-        };
+        let real = real_snapshot();
+        let mk = |batches: u64| SystemSnapshot { batches, ..real.clone() };
         let dir = std::env::temp_dir().join("uvm-snap-crash-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");

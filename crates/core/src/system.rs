@@ -31,7 +31,7 @@
 //! interface, so batch-mode and checkpointed executions traverse exactly
 //! the same code path.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use uvm_driver::advise::MemAdvise;
 use uvm_driver::batch::{BatchRecord, FaultMeta};
 use uvm_driver::service::{ServiceScratch, UvmDriver};
@@ -42,13 +42,12 @@ use uvm_sim::error::UvmError;
 use uvm_sim::event::EventQueue;
 use uvm_sim::inject::{InjectionPoint, Injector};
 use uvm_sim::mem::Allocation;
-use uvm_sim::snapshot::digest_value;
 use uvm_sim::time::{SimDuration, SimTime};
 use uvm_workloads::workload::Workload;
 
 use crate::config::SystemConfig;
 use crate::runctl;
-use crate::snapshot::{SubsystemDigests, SystemSnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{check_version, SubsystemDigests, SystemSnapshot, SNAPSHOT_VERSION};
 
 /// Safety valve: a run that schedules more events than this is considered
 /// hung (it would correspond to billions of simulated faults).
@@ -161,11 +160,10 @@ pub enum Progress {
     Finished,
 }
 
-/// Serialized run-loop state: everything [`RunInProgress`] holds beyond the
-/// three subsystem models. Captured into the `run` tree of a
-/// [`SystemSnapshot`].
-#[derive(Debug, Serialize, Deserialize)]
-struct RunState {
+/// Run-loop state: everything [`RunInProgress`] holds beyond the three
+/// subsystem models. Captured as the `run` field of a [`SystemSnapshot`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RunState {
     /// Virtual clock of the event queue (time of the last popped event).
     now: SimTime,
     /// The queue's monotone scheduling counter (FIFO tie-break state).
@@ -729,67 +727,47 @@ impl RunInProgress {
         }
     }
 
-    /// FNV-1a digests of the four serialized state trees. Two runs whose
+    /// FNV-1a digests of the four serialized state values. Two runs whose
     /// digests agree after every batch are in bit-identical states; the
     /// first disagreeing digest names the subsystem that diverged.
     pub fn subsystem_digests(&self) -> SubsystemDigests {
-        SubsystemDigests {
-            gpu: serde::digest(&self.system.gpu),
-            driver: serde::digest(&self.system.driver),
-            host: serde::digest(&self.system.host),
-            run: serde::digest(&self.run_state()),
-        }
+        let UvmSystem { gpu, driver, host, .. } = &self.system;
+        SubsystemDigests::of(gpu, driver, host, &self.run_state())
     }
 
     /// Capture the complete system state as a versioned checkpoint.
     /// `run_key` identifies this run within its harness process (see
     /// [`crate::snapshot::run_key`]); pass 0 for standalone snapshots.
     pub fn snapshot(&self, workload: &Workload, run_key: u64) -> SystemSnapshot {
-        let gpu = self.system.gpu.to_value();
-        let driver = self.system.driver.to_value();
-        let host = self.system.host.to_value();
-        let run = self.run_state().to_value();
-        let digests = SubsystemDigests {
-            gpu: digest_value(&gpu),
-            driver: digest_value(&driver),
-            host: digest_value(&host),
-            run: digest_value(&run),
-        };
+        let UvmSystem { config, gpu, driver, host } = &self.system;
+        let run = self.run_state();
         SystemSnapshot {
             version: SNAPSHOT_VERSION,
             run_key,
             batches: self.batches(),
             workload_name: workload.name.clone(),
             workload_digest: serde::digest(workload),
-            config: self.system.config.to_value(),
-            gpu,
-            driver,
-            host,
+            digests: SubsystemDigests::of(gpu, driver, host, &run),
+            config: config.clone(),
+            gpu: gpu.clone(),
+            driver: driver.clone(),
+            host: host.clone(),
             run,
-            digests,
             // Ring-tracer state rides along (outside the digests) so a
             // resumed run continues tracing without duplicating or
-            // dropping events; Null when tracing is off.
-            trace: uvm_trace::snapshot_state()
-                .map(|s| s.to_value())
-                .unwrap_or(Value::Null),
+            // dropping events; `None` when tracing is off.
+            trace: uvm_trace::snapshot_state(),
         }
     }
 
     /// Rebuild a paused run from a checkpoint. Validates the format
-    /// version, the stored per-subsystem digests (integrity), and that
-    /// `workload` is byte-identical to the one the checkpoint was taken
-    /// against; the restored run then continues exactly where the
-    /// snapshotted one stopped, producing bit-identical results.
+    /// version, the stored per-subsystem digests against the decoded state
+    /// (integrity), and that `workload` is byte-identical to the one the
+    /// checkpoint was taken against; the restored run then continues
+    /// exactly where the snapshotted one stopped, producing bit-identical
+    /// results.
     pub fn restore(snap: &SystemSnapshot, workload: &Workload) -> Result<Self, UvmError> {
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(UvmError::SnapshotInvalid {
-                detail: format!(
-                    "format version {} (this build reads version {})",
-                    snap.version, SNAPSHOT_VERSION
-                ),
-            });
-        }
+        check_version(snap.version)?;
         snap.verify_integrity()?;
         let workload_digest = serde::digest(workload);
         if workload_digest != snap.workload_digest {
@@ -801,29 +779,19 @@ impl RunInProgress {
                 ),
             });
         }
-        let invalid = |what: &str, e: serde::DeError| UvmError::SnapshotInvalid {
-            detail: format!("malformed {what} state: {e}"),
-        };
-        let config =
-            SystemConfig::from_value(&snap.config).map_err(|e| invalid("config", e))?;
-        let gpu = Gpu::from_value(&snap.gpu).map_err(|e| invalid("gpu", e))?;
-        let driver = UvmDriver::from_value(&snap.driver).map_err(|e| invalid("driver", e))?;
-        let host = HostMemory::from_value(&snap.host).map_err(|e| invalid("host", e))?;
-        let run = RunState::from_value(&snap.run).map_err(|e| invalid("run", e))?;
         // Reinstate tracer state captured with the checkpoint. Restoring a
         // traced checkpoint with tracing disabled simply drops the buffered
         // events (the simulation itself is unaffected either way).
-        let trace_state = Option::<uvm_trace::TraceState>::from_value(&snap.trace)
-            .map_err(|e| invalid("trace", e))?;
-        if let Some(state) = trace_state {
-            uvm_trace::restore_state(state);
+        if let Some(state) = &snap.trace {
+            uvm_trace::restore_state(state.clone());
         }
+        let run = snap.run.clone();
         Ok(RunInProgress {
             system: UvmSystem {
-                config,
-                gpu,
-                driver,
-                host,
+                config: snap.config.clone(),
+                gpu: snap.gpu.clone(),
+                driver: snap.driver.clone(),
+                host: snap.host.clone(),
             },
             queue: EventQueue::restore(run.now, run.seq, run.entries),
             worker: run.worker,
@@ -1264,12 +1232,16 @@ mod tests {
             RunInProgress::restore(&wrong, &w).expect_err("future version must be rejected");
         assert!(matches!(err, UvmError::SnapshotInvalid { .. }));
 
-        // A tampered state tree must fail the integrity check.
-        let mut tampered = snap.clone();
-        tampered.gpu = Value::Null;
+        // A snapshot whose GPU JSON was edited still decodes, but must fail
+        // the integrity check and name the subsystem.
+        let json = serde_json::to_string(&snap).expect("snapshot encodes");
+        assert_eq!(json.matches("\"replays\":").count(), 1, "one GPU replay counter");
+        let json = json.replacen("\"replays\":", "\"replays\":9", 1);
+        let tampered: SystemSnapshot = serde_json::from_str(&json).expect("edited snapshot decodes");
         let err =
-            RunInProgress::restore(&tampered, &w).expect_err("tampered tree must be rejected");
+            RunInProgress::restore(&tampered, &w).expect_err("tampered state must be rejected");
         assert!(matches!(err, UvmError::SnapshotInvalid { .. }));
+        assert!(err.to_string().contains("[gpu]"), "got: {err}");
         Ok(())
     }
 

@@ -39,3 +39,18 @@ fn committed_repros_all_pass() {
         );
     }
 }
+
+/// Pins the pretty JSON writer: re-saving a committed repro through
+/// `ReproFile::save` reproduces the committed bytes exactly.
+#[test]
+fn committed_repro_resaves_byte_identically() {
+    let path = repro_dir().join("overflow-storm-stranded-warp.json");
+    let committed = std::fs::read_to_string(&path).expect("committed repro is readable");
+    let repro = ReproFile::load(&path).expect("committed repro loads");
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("resaved-repro-{}.json", std::process::id()));
+    repro.save(&out).expect("repro saves");
+    let resaved = std::fs::read_to_string(&out).expect("re-saved repro is readable");
+    std::fs::remove_file(&out).ok();
+    assert!(resaved == committed, "ReproFile::save changed the bytes of {}", path.display());
+}

@@ -69,7 +69,7 @@ struct BlockMeta {
 }
 
 /// The GPU physical-memory manager.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GpuMemoryManager {
     capacity_blocks: u64,
     /// Resident blocks → their policy bookkeeping.

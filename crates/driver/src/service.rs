@@ -199,7 +199,7 @@ enum Writeback {
 /// mid-stream, every driver-owned injector (transient and sustained), the
 /// health machine, and the complete batch log, so
 /// a restored driver continues bit-identically under any policy stack.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UvmDriver {
     policy: DriverPolicy,
     cost: CostModel,

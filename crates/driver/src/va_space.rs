@@ -14,7 +14,7 @@ use uvm_sim::mem::{Allocation, PageNum, VaBlockId, PAGES_PER_VABLOCK};
 use crate::va_block::VaBlockState;
 
 /// Registry of managed allocations and their VABlock states.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct VaSpace {
     blocks: FastMap<VaBlockId, VaBlockState>,
     allocations: Vec<Allocation>,

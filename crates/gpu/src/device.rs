@@ -63,7 +63,7 @@ pub enum StepOutcome {
 /// Serializable in full — page table, μTLBs, GMMU queues, fault buffer,
 /// every warp's scoreboard, SM occupancy, and the hardware-jitter RNG — so
 /// a snapshot taken between batches restores to a bit-identical device.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Gpu {
     /// Hardware configuration.
     pub spec: GpuSpec,

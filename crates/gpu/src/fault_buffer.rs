@@ -16,7 +16,7 @@ use uvm_sim::time::SimTime;
 use crate::fault::FaultRecord;
 
 /// The circular GPU fault buffer.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultBuffer {
     entries: VecDeque<FaultRecord>,
     capacity: u32,

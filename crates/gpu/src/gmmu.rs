@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{DeError, Deserialize, Digester, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 use uvm_sim::cost::CostModel;
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimTime;
@@ -46,7 +46,7 @@ struct PendingFault {
 /// serialized: the hand-written serde impls below write the five stored
 /// fields exactly as a derive would, and loading rebuilds the two from the
 /// queues.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Gmmu {
     queues: Vec<VecDeque<PendingFault>>,
     /// Round-robin cursor over μTLB queues.
@@ -206,28 +206,19 @@ impl Gmmu {
 }
 
 impl Serialize for Gmmu {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("queues".into(), self.queues.to_value()),
-            ("cursor".into(), self.cursor.to_value()),
-            ("port_free_at".into(), self.port_free_at.to_value()),
-            ("total_deposited".into(), self.total_deposited.to_value()),
-            ("flush_discards".into(), self.flush_discards.to_value()),
-        ])
-    }
-
-    fn digest(&self, d: &mut Digester) {
-        d.object(5);
-        d.key("queues");
-        self.queues.digest(d);
-        d.key("cursor");
-        self.cursor.digest(d);
-        d.key("port_free_at");
-        self.port_free_at.digest(d);
-        d.key("total_deposited");
-        self.total_deposited.digest(d);
-        d.key("flush_discards");
-        self.flush_discards.digest(d);
+    fn stream<S: Sink>(&self, s: &mut S) {
+        s.object(5);
+        s.key("queues");
+        self.queues.stream(s);
+        s.key("cursor");
+        self.cursor.stream(s);
+        s.key("port_free_at");
+        self.port_free_at.stream(s);
+        s.key("total_deposited");
+        self.total_deposited.stream(s);
+        s.key("flush_discards");
+        self.flush_discards.stream(s);
+        s.end_object();
     }
 }
 

@@ -25,7 +25,7 @@ pub enum UtlbInsert {
 }
 
 /// One μTLB's outstanding-fault state.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Utlb {
     outstanding: FastSet<PageNum>,
     limit: u32,

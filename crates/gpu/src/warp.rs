@@ -33,7 +33,7 @@ pub enum WarpStatus {
 /// Fully serializable — program counter, partially issued instruction,
 /// scoreboard, and refault queue included — so a restored warp resumes
 /// mid-instruction exactly where the snapshot left it.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Warp {
     /// Global warp id.
     pub id: u32,

@@ -35,7 +35,7 @@ pub struct DmaReport {
 
 /// The DMA address space for one GPU: forward page→DMA map plus the
 /// kernel-side reverse radix tree.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DmaSpace {
     forward: FastMap<PageNum, DmaAddr>,
     reverse: RadixTree<PageNum>,

@@ -68,7 +68,7 @@ impl UnmapReport {
 ///
 /// Serializable in full — page table, rmap, TLB directory, NUMA topology,
 /// and injector state — for whole-system snapshot/restore.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HostMemory {
     page_table: PageTable,
     /// Reverse map: which cores have each page mapped.

@@ -37,7 +37,7 @@ const LEVEL_BITS: u32 = 9;
 const LEVEL_MASK: u64 = (1 << LEVEL_BITS) - 1;
 
 /// A leaf table: 512 PTE slots.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct PteTable {
     entries: FastMap<u16, PteFlags>,
 }
@@ -48,7 +48,7 @@ struct PteTable {
 /// sparse, because a simulation touches a tiny fraction of the 2^36-page
 /// space — but the *leaf* level retains the 512-slot granularity so that
 /// table allocation/free work matches the real structure.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PageTable {
     /// Leaf tables keyed by `page >> 9` (the PMD-entry coordinate).
     leaves: FastMap<u64, PteTable>,

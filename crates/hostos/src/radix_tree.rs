@@ -36,7 +36,7 @@
 
 use std::cell::Cell;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 /// log2 of the node fan-out (64 slots per node, as in Linux).
 pub const MAP_SHIFT: u32 = 6;
@@ -52,7 +52,7 @@ type NodeIdx = u32;
 /// live link. Children of the lowest interior level index the leaf arena;
 /// all others index the interior arena. Non-present `children` slots hold
 /// stale indices and are never read.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InnerNode {
     present: u64,
     children: [NodeIdx; MAP_SIZE],
@@ -60,7 +60,7 @@ struct InnerNode {
 
 /// A leaf node: bit `i` of `present` is set iff slot `i` holds a value,
 /// stored densely at `values[popcount(present below bit i)]`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LeafNode<V> {
     present: u64,
     values: Vec<V>,
@@ -123,7 +123,7 @@ const STALE_MEMO: Memo =
 /// assert_eq!(t.get(0x1234), Some(&"page"));
 /// assert_eq!(t.get(0x9999), None);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RadixTree<V> {
     /// Interior-node arena; `free_inner` lists recycled indices.
     inners: Vec<InnerNode>,
@@ -447,20 +447,25 @@ impl<V> RadixTree<V> {
     /// Iterate over all `(key, value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         let mut out = Vec::new();
-        if let Some(root) = self.root {
-            self.collect(root, 0, self.height, &mut out);
-        }
+        self.for_each(|k, v| out.push((k, v)));
         out.into_iter()
     }
 
-    fn collect<'a>(&'a self, node: NodeIdx, prefix: u64, height: u32, out: &mut Vec<(u64, &'a V)>) {
+    /// Call `f` on every `(key, value)` pair in ascending key order.
+    fn for_each<'a>(&'a self, mut f: impl FnMut(u64, &'a V)) {
+        if let Some(root) = self.root {
+            self.visit(root, 0, self.height, &mut f);
+        }
+    }
+
+    fn visit<'a>(&'a self, node: NodeIdx, prefix: u64, height: u32, f: &mut impl FnMut(u64, &'a V)) {
         if height == 1 {
             let leaf = &self.leaves[node as usize];
             let mut bits = leaf.present;
             let mut pos = 0;
             while bits != 0 {
                 let digit = u64::from(bits.trailing_zeros());
-                out.push(((prefix << MAP_SHIFT) | digit, &leaf.values[pos]));
+                f((prefix << MAP_SHIFT) | digit, &leaf.values[pos]);
                 pos += 1;
                 bits &= bits - 1;
             }
@@ -470,11 +475,11 @@ impl<V> RadixTree<V> {
         let mut bits = inner.present;
         while bits != 0 {
             let digit = bits.trailing_zeros() as usize;
-            self.collect(
+            self.visit(
                 inner.children[digit],
                 (prefix << MAP_SHIFT) | digit as u64,
                 height - 1,
-                out,
+                f,
             );
             bits &= bits - 1;
         }
@@ -491,16 +496,17 @@ impl<V> RadixTree<V> {
 // key has since been removed — reinsertion alone would rebuild a shorter
 // tree whose future growth costs diverge from the original's.
 impl<V: Serialize> Serialize for RadixTree<V> {
-    fn to_value(&self) -> Value {
-        let items: Vec<Value> = self
-            .iter()
-            .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-            .collect();
-        Value::Object(vec![
-            ("height".to_string(), self.height.to_value()),
-            ("items".to_string(), Value::Array(items)),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
+    fn stream<S: Sink>(&self, s: &mut S) {
+        s.object(3);
+        s.key("height");
+        self.height.stream(s);
+        s.key("items");
+        s.array(self.len() as usize);
+        self.for_each(|k, v| (k, v).stream(s));
+        s.end_array();
+        s.key("stats");
+        self.stats.stream(s);
+        s.end_object();
     }
 }
 
@@ -515,6 +521,12 @@ impl<V: Deserialize> Deserialize for RadixTree<V> {
                 "radix tree snapshot lists {} items but stats claim {} entries",
                 items.len(),
                 stats.entries
+            )));
+        }
+        if height > Self::height_for(u64::MAX) {
+            return Err(DeError::custom(format!(
+                "radix tree snapshot height {height} exceeds the {}-level maximum",
+                Self::height_for(u64::MAX)
             )));
         }
         let mut tree = RadixTree::new();
@@ -533,10 +545,12 @@ impl<V: Deserialize> Deserialize for RadixTree<V> {
         } else if !items.is_empty() {
             return Err(DeError::custom("radix tree snapshot has items but zero height"));
         }
-        debug_assert_eq!(
-            tree.stats.nodes, stats.nodes,
-            "reinserted tree structure must match the snapshot"
-        );
+        if tree.stats.nodes != stats.nodes {
+            return Err(DeError::custom(format!(
+                "radix tree snapshot claims {} nodes but its items need {}",
+                stats.nodes, tree.stats.nodes
+            )));
+        }
         tree.stats = stats;
         // Reinsertion left an insert memo; discard it so a restored tree
         // starts from the same cold-cache state as a fresh one.
@@ -662,6 +676,51 @@ mod tests {
         }
         // Identical serialized form (the digest property snapshots rely on).
         assert_eq!(back.to_value(), t.to_value());
+        assert_eq!(serde::digest(&back), serde::digest_value(&t.to_value()));
+    }
+
+    /// A serialized tree with the given fields.
+    fn tree_value(height: u64, items: &[(u64, u64)], nodes: u64) -> Value {
+        let stats = RadixStats { nodes, total_allocs: nodes, total_frees: 0, entries: items.len() as u64 };
+        Value::Object(vec![
+            ("height".into(), Value::NumU(height)),
+            ("items".into(), items.to_value()),
+            ("stats".into(), stats.to_value()),
+        ])
+    }
+
+    #[test]
+    fn hostile_heights_are_typed_errors() {
+        let max = u64::from(RadixTree::<u64>::height_for(u64::MAX));
+        assert_eq!(max, 11);
+        // The tallest legal tree still loads: a key at the top of the key
+        // space allocates one node per level.
+        let ok = tree_value(max, &[(u64::MAX, 1)], max);
+        let back = RadixTree::<u64>::from_value(&ok).expect("maximum height loads");
+        assert_eq!(back.get(u64::MAX), Some(&1));
+        // One level taller would shift keys by 64 bits or more on insert;
+        // a billion levels would allocate a billion nodes per key.
+        for height in [max + 1, 64, 1_000_000_000, u64::from(u32::MAX)] {
+            for items in [&[][..], &[(0, 0)], &[(5, 5), (u64::MAX, 9)]] {
+                let err = RadixTree::<u64>::from_value(&tree_value(height, items, 1))
+                    .expect_err("height beyond the maximum must be rejected");
+                assert!(err.to_string().contains("height"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_node_counts_are_typed_errors() {
+        // Key 0 at height 3 needs three nodes; every other claim is a lie.
+        for nodes in [0, 1, 2, 4, u64::MAX] {
+            let err = RadixTree::<u64>::from_value(&tree_value(3, &[(0, 7)], nodes))
+                .expect_err("a wrong node count must be rejected");
+            assert!(err.to_string().contains("nodes"), "{err}");
+        }
+        assert!(RadixTree::<u64>::from_value(&tree_value(3, &[(0, 7)], 3)).is_ok());
+        // An empty tree of height 2 still holds its root.
+        assert!(RadixTree::<u64>::from_value(&tree_value(2, &[], 0)).is_err());
+        assert!(RadixTree::<u64>::from_value(&tree_value(2, &[], 1)).is_ok());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use uvm_sim::mem::VaBlockId;
 use crate::rmap::CoreSet;
 
 /// Directory of which cores hold (possibly stale) translations per VABlock.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TlbDirectory {
     entries: FastMap<VaBlockId, CoreSet>,
     /// Monotone count of shootdown IPIs issued.

@@ -1,24 +1,25 @@
 //! Snapshot support shared by every stateful crate.
 //!
-//! A system snapshot is assembled from per-subsystem [`serde::Value`] trees
-//! (the vendored serde facade's self-describing intermediate form). This
-//! module provides the two pieces that must be common across crates:
+//! A system snapshot holds each subsystem's typed state and is written
+//! through the subsystems' `Serialize` impls. This module provides the two
+//! pieces that must be common across crates:
 //!
 //! * [`SNAPSHOT_VERSION`] — the on-disk format version. A snapshot written
 //!   by one version of the simulator refuses to load into another, because
 //!   replaying it would silently diverge.
-//! * [`digest_value`] — a stable 64-bit digest of a `Value` tree. Subsystem
-//!   digests are the currency of divergence detection: two runs agree on a
-//!   batch exactly when all their subsystem digests agree, and the first
-//!   digest that differs names the subsystem that broke determinism.
+//! * [`digest_value`] — a stable 64-bit digest of a [`serde::Value`] tree.
+//!   Subsystem digests are the currency of divergence detection: two runs
+//!   agree on a batch exactly when all their subsystem digests agree, and
+//!   the first digest that differs names the subsystem that broke
+//!   determinism.
 //!
-//! The digest is FNV-1a over a type-tagged preorder walk of the tree. It is
-//! a pure function of the tree's structure — independent of JSON rendering,
-//! whitespace, or float formatting — and because the serde facade serializes
-//! hash maps and sets in sorted key order, it is also independent of hash
-//! iteration order. [`serde::digest`] computes the same digest of a
-//! `Serialize` value directly from the value, so callers that only need the
-//! digest never build the tree.
+//! The digest is FNV-1a over a type-tagged preorder walk. It is a pure
+//! function of the walk's structure — independent of JSON rendering,
+//! whitespace, or float formatting — and because the serde facade
+//! serializes hash maps and sets in sorted key order, it is also
+//! independent of hash iteration order. [`serde::digest`] computes the same
+//! digest of a `Serialize` value by streaming its walk, so callers that only
+//! need the digest never build the tree.
 
 use serde::Value;
 
