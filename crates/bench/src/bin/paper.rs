@@ -18,8 +18,7 @@
 //! submission order, so stdout, golden files, and JSON dumps are
 //! byte-identical to a serial run — only the wall-clock `[N.NNs]`
 //! suffixes differ. `--jobs 1` forces the fully serial path. Checkpoint
-//! and resume runs are forced serial (the run-control ordinal is
-//! process-global).
+//! and resume work at any `--jobs` width.
 //!
 //! ## Benchmark baseline
 //!
@@ -85,7 +84,11 @@
 //! Resume re-executes the harness deterministically; completed runs replay
 //! in full and the checkpointed run restores mid-flight, so the combined
 //! output of the killed invocation and the resumed one is byte-identical
-//! to an uninterrupted run.
+//! to an uninterrupted run. A run is matched to its checkpoint by its
+//! path (experiment id, grid item, run number), which no `--jobs` width
+//! changes. `--checkpoint-file` and `--halt-after-checkpoint` need
+//! `--checkpoint-every` (exit 2 otherwise); a resume snapshot that no run
+//! takes, or a halting invocation in which no checkpoint fell due, exits 1.
 //!
 //! ## Tracing
 //!
@@ -96,11 +99,12 @@
 //! ```
 //!
 //! `trace` installs a bounded [`uvm_core::trace::RingTracer`], runs the
-//! selected experiment with *byte-identical* stdout (tracing is
-//! perturbation-free), and writes four artifacts to `--out`: a Chrome
-//! `trace_event` JSON (load in Perfetto or `chrome://tracing`), a CSV
-//! event dump, the per-batch latency-breakdown table, and the
-//! trace-derived fault-latency distribution. With no `--trace-filter` it
+//! selected experiment serially (the tracer sink is per-thread) with
+//! *byte-identical* stdout (tracing is perturbation-free), and writes
+//! four artifacts to `--out`: a Chrome `trace_event` JSON (load in
+//! Perfetto or `chrome://tracing`), a CSV event dump, the per-batch
+//! latency-breakdown table, and the trace-derived fault-latency
+//! distribution. With no `--trace-filter` it
 //! also asserts that every complete batch's span breakdown reconciles
 //! exactly with its `BatchClose` component vector.
 //!
@@ -118,13 +122,11 @@ use uvm_bench::{
 use uvm_core::divergence::{run_lockstep_perturbed, LockstepOutcome};
 use uvm_core::experiments::grid::Sweep;
 use uvm_core::experiments::{bless_golden, ext_architectures, ext_multitenant, ext_policy};
-use uvm_core::parallel;
-use uvm_core::runctl::{self, RunCtl};
 use uvm_core::stats::{percentile, Histogram, Summary};
 use uvm_core::trace::{self as trace, RingTracer, TraceFilter};
 use uvm_core::workloads::cpu_init::CpuInitPolicy;
 use uvm_core::workloads::stream::{self, StreamParams};
-use uvm_core::SystemConfig;
+use uvm_core::{RunCtl, RunCtx, SystemConfig};
 
 /// Print `err` and exit with status 1 — the harness's terminal error path.
 fn fail(context: &str, err: impl std::fmt::Display) -> ! {
@@ -134,7 +136,7 @@ fn fail(context: &str, err: impl std::fmt::Display) -> ! {
 
 /// `paper chaos`: run a seeded chaos campaign (or replay one repro file)
 /// and exit non-zero on any divergence, audit failure, or error.
-fn chaos_command(trials: u64, seed: u64, repro: Option<&str>, out_dir: Option<&str>) {
+fn chaos_command(jobs: usize, trials: u64, seed: u64, repro: Option<&str>, out_dir: Option<&str>) {
     use uvm_core::chaos;
 
     if let Some(path) = repro {
@@ -159,7 +161,7 @@ fn chaos_command(trials: u64, seed: u64, repro: Option<&str>, out_dir: Option<&s
     }
 
     println!("chaos: {trials} trials, seed {seed:#x}");
-    let report = chaos::run_campaign(trials, seed);
+    let report = chaos::run_campaign(&RunCtx::new(jobs), trials, seed);
     print!("{}", report.render());
     if !report.clean() {
         // Persist each shrunk failure so it can be replayed and committed.
@@ -256,7 +258,7 @@ fn latency_report(lifetimes: &[u64]) -> String {
 /// trace. Stdout is byte-identical to an untraced run of the same
 /// experiment (tracing is perturbation-free); the artifacts and a summary
 /// go to `--out` and stderr.
-fn trace_experiment(spec: &str, out_dir: Option<&str>, filter_spec: Option<&str>) {
+fn trace_experiment(ctx: &RunCtx, spec: &str, out_dir: Option<&str>, filter_spec: Option<&str>) {
     let all = experiments();
     let id = canonical_id(spec);
     let Some(e) = all.iter().find(|e| e.id == id) else {
@@ -283,7 +285,7 @@ fn trace_experiment(spec: &str, out_dir: Option<&str>, filter_spec: Option<&str>
 
     trace::install(Box::new(RingTracer::with_filter(1 << 22, filter)));
     let t0 = Instant::now();
-    let (text, _value) = (e.run)();
+    let (text, _value) = (e.run)(&ctx.experiment(e.id));
     let elapsed = t0.elapsed().as_secs_f64();
     let Some(tracer) = trace::uninstall() else {
         fail("trace teardown", "tracer no longer installed after run");
@@ -385,12 +387,13 @@ const SWEEP_ALIASES: [(&str, &str, SweepFn); 3] = [
 
 /// Run grid experiment `e` at CI-smoke scale: printed as `<id>-quick`
 /// under its title with the parenthetical replaced by "(quick scale)".
-fn quick_sweep(e: &Experiment, sweep: SweepFn) -> ExperimentOutput {
+fn quick_sweep(ctx: &RunCtx, e: &Experiment, sweep: SweepFn) -> ExperimentOutput {
     let t0 = Instant::now();
-    let (text, value) = run_grid(&sweep(true));
+    let id = format!("{}-quick", e.id);
+    let (text, value) = run_grid(&ctx.experiment(&id), &sweep(true));
     let stem = e.title.rsplit_once(" (").map_or(e.title, |(stem, _)| stem);
     ExperimentOutput {
-        id: format!("{}-quick", e.id),
+        id,
         title: format!("{stem} (quick scale)"),
         text,
         value,
@@ -486,8 +489,8 @@ fn main() {
     }
     let mut filter = positional.first().cloned();
 
-    // These verbs return before run control is configured, so a checkpoint
-    // flag would be silently ignored (yet still force `--jobs 1`).
+    // These verbs build no run ctx, so a checkpoint flag would be silently
+    // ignored.
     let checkpoint_flag = ctl.checkpoint_every.is_some()
         || ctl.checkpoint_path.is_some()
         || ctl.resume_from.is_some()
@@ -501,21 +504,15 @@ fn main() {
             std::process::exit(2);
         }
     }
+    let needs_every = ctl.checkpoint_path.is_some() || ctl.halt_after_checkpoint;
+    if needs_every && ctl.checkpoint_every.is_none() {
+        eprintln!("usage: --checkpoint-file and --halt-after-checkpoint need --checkpoint-every N");
+        std::process::exit(2);
+    }
 
-    // Resolve the worker budget. Checkpoint/resume runs are forced serial:
-    // the run-control ordinal that matches runs to checkpoints is
-    // process-global, so concurrent runs would race it.
-    let checkpointing = ctl.checkpoint_every.is_some() || ctl.resume_from.is_some();
-    let requested = jobs.unwrap_or_else(|| {
+    let jobs = jobs.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
-    let effective = if checkpointing && requested > 1 {
-        eprintln!("note: checkpoint/resume forces --jobs 1 (run ordinal is process-global)");
-        1
-    } else {
-        requested
-    };
-    parallel::configure_jobs(effective);
 
     if filter.as_deref() == Some("list") {
         for e in experiments() {
@@ -532,64 +529,66 @@ fn main() {
     }
 
     if filter.as_deref() == Some("bench") {
-        bench_command(effective, out_dir.as_deref(), quick);
+        bench_command(jobs, out_dir.as_deref(), quick);
         return;
     }
 
     if filter.as_deref() == Some("chaos") {
-        chaos_command(trials, seed, repro.as_deref(), out_dir.as_deref());
+        chaos_command(jobs, trials, seed, repro.as_deref(), out_dir.as_deref());
         return;
     }
 
-    if let Err(e) = runctl::configure(ctl) {
-        fail("run-control configuration", e);
-    }
+    // The tracer sink is per-thread, so a traced experiment runs serially.
+    let tracing = filter.as_deref() == Some("trace");
+    let ctx = match RunCtx::with_policy(if tracing { 1 } else { jobs }, ctl) {
+        Ok(ctx) => ctx,
+        Err(e) => fail("run-control configuration", e),
+    };
 
-    if filter.as_deref() == Some("trace") {
+    if tracing {
         let Some(id) = positional.get(1) else {
             eprintln!("usage: paper trace <experiment> --out <dir> [--trace-filter <spec>]");
             std::process::exit(2);
         };
-        trace_experiment(id, out_dir.as_deref(), trace_filter.as_deref());
-        return;
-    }
-
-    let alias = SWEEP_ALIASES.iter().find(|(verb, ..)| filter.as_deref() == Some(*verb));
-    if let Some((_, id, _)) = alias {
-        filter = Some((*id).to_string());
-    }
-    let all = experiments();
-    let selected: Vec<&Experiment> = match &filter {
-        Some(f) => all.iter().filter(|e| e.id == f).collect(),
-        None => all.iter().collect(),
-    };
-    if selected.is_empty() {
-        eprintln!(
-            "unknown experiment '{}'; available: {}",
-            filter.unwrap_or_default(),
-            all.iter().map(|e| e.id).collect::<Vec<_>>().join(", ")
-        );
-        std::process::exit(1);
-    }
-    create_json_dir(json_dir.as_deref());
-
-    if let (Some((_, _, sweep)), true) = (alias, quick) {
-        emit(&quick_sweep(selected[0], *sweep), bless, json_dir.as_deref());
-        return;
-    }
-
-    if effective <= 1 {
-        // Serial path: print each experiment as it finishes.
-        for e in selected {
-            let o = run_experiments(vec![e]);
-            emit(&o[0], bless, json_dir.as_deref());
-        }
+        trace_experiment(&ctx, id, out_dir.as_deref(), trace_filter.as_deref());
     } else {
-        // Parallel path: fan out across the pool; results come back in
-        // submission order, so the emitted stream is byte-identical to
-        // the serial path (modulo the wall-clock suffixes).
-        for o in run_experiments(selected) {
-            emit(&o, bless, json_dir.as_deref());
+        let alias = SWEEP_ALIASES.iter().find(|(verb, ..)| filter.as_deref() == Some(*verb));
+        if let Some((_, id, _)) = alias {
+            filter = Some((*id).to_string());
         }
+        let all = experiments();
+        let selected: Vec<&Experiment> = match &filter {
+            Some(f) => all.iter().filter(|e| e.id == f).collect(),
+            None => all.iter().collect(),
+        };
+        if selected.is_empty() {
+            eprintln!(
+                "unknown experiment '{}'; available: {}",
+                filter.unwrap_or_default(),
+                all.iter().map(|e| e.id).collect::<Vec<_>>().join(", ")
+            );
+            std::process::exit(1);
+        }
+        create_json_dir(json_dir.as_deref());
+
+        if let (Some((_, _, sweep)), true) = (alias, quick) {
+            emit(&quick_sweep(&ctx, selected[0], *sweep), bless, json_dir.as_deref());
+        } else if ctx.jobs() <= 1 {
+            // Serial path: print each experiment as it finishes.
+            for e in selected {
+                let o = run_experiments(&ctx, vec![e]);
+                emit(&o[0], bless, json_dir.as_deref());
+            }
+        } else {
+            // Parallel path: fan out across the pool; results come back in
+            // submission order, so the emitted stream is byte-identical to
+            // the serial path (modulo the wall-clock suffixes).
+            for o in run_experiments(&ctx, selected) {
+                emit(&o, bless, json_dir.as_deref());
+            }
+        }
+    }
+    if let Err(e) = ctx.finish() {
+        fail("checkpoint/resume", e);
     }
 }

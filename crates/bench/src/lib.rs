@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use uvm_core::experiments::*;
-use uvm_core::parallel;
+use uvm_core::RunCtx;
 
 /// The seed every experiment runs under (the harness-wide default).
 pub const SEED: u64 = 0x5C21;
@@ -29,22 +29,23 @@ pub struct Experiment {
     pub id: &'static str,
     /// Human banner title, printed above the rendered text.
     pub title: &'static str,
-    /// Run the experiment at [`SEED`].
-    pub run: fn() -> (String, serde_json::Value),
+    /// Run the experiment at [`SEED`] under the given ctx.
+    pub run: fn(&RunCtx) -> (String, serde_json::Value),
 }
 
 fn exp<R: serde::Serialize>(
-    f: fn(u64) -> R,
+    ctx: &RunCtx,
+    f: fn(&RunCtx, u64) -> R,
     render: fn(&R) -> String,
 ) -> (String, serde_json::Value) {
-    let r = f(SEED);
+    let r = f(ctx, SEED);
     (render(&r), serde_json::to_value(&r).expect("serializable result"))
 }
 
 /// Run an extension grid at [`SEED`]: the rendered tables plus the cells
 /// as JSON.
-pub fn run_grid(sweep: &grid::Sweep) -> (String, serde_json::Value) {
-    let cells = sweep.run(SEED);
+pub fn run_grid(ctx: &RunCtx, sweep: &grid::Sweep) -> (String, serde_json::Value) {
+    let cells = sweep.run(ctx, SEED);
     (sweep.render(&cells), serde_json::to_value(&cells).expect("serializable result"))
 }
 
@@ -54,122 +55,122 @@ pub fn experiments() -> Vec<Experiment> {
         Experiment {
             id: "fig1",
             title: "Fig. 1  — UVM vs explicit-management access latency",
-            run: || exp(fig01_latency::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig01_latency::run, |r| r.render()),
         },
         Experiment {
             id: "fig3",
             title: "Figs. 3/4 — vecadd fault batches and arrival timeline",
-            run: || exp(fig03_vecadd::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig03_vecadd::run, |r| r.render()),
         },
         Experiment {
             id: "fig5",
             title: "Fig. 5  — single-warp prefetch fills a batch",
-            run: || exp(fig05_prefetch_ub::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig05_prefetch_ub::run, |r| r.render()),
         },
         Experiment {
             id: "table2",
             title: "Table 2 — per-SM fault statistics per batch",
-            run: || exp(table2_per_sm::run, |r| r.render()),
+            run: |ctx| exp(ctx, table2_per_sm::run, |r| r.render()),
         },
         Experiment {
             id: "fig6",
             title: "Fig. 6  — batch cost vs data migrated (best fits)",
-            run: || exp(fig06_cost_vs_data::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
+            run: |ctx| exp(ctx, fig06_cost_vs_data::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
         },
         Experiment {
             id: "fig7",
             title: "Fig. 7  — transfer share of batch time (sgemm)",
-            run: || exp(fig07_transfer_fraction::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig07_transfer_fraction::run, |r| r.render()),
         },
         Experiment {
             id: "fig8",
             title: "Fig. 8  — raw vs deduplicated batch sizes",
-            run: || exp(fig08_dedup_series::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
+            run: |ctx| exp(ctx, fig08_dedup_series::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
         },
         Experiment {
             id: "fig9",
             title: "Fig. 9  — batch-size-limit sweep (sgemm)",
-            run: || exp(fig09_batch_size::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig09_batch_size::run, |r| r.render()),
         },
         Experiment {
             id: "fig10",
             title: "Fig. 10 — batch cost vs size by VABlock count",
-            run: || exp(fig10_vablocks::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig10_vablocks::run, |r| r.render()),
         },
         Experiment {
             id: "table3",
             title: "Table 3 — VABlock source statistics",
-            run: || exp(table3_vablocks::run, |r| r.render()),
+            run: |ctx| exp(ctx, table3_vablocks::run, |r| r.render()),
         },
         Experiment {
             id: "fig11",
             title: "Fig. 11 — CPU-thread count vs unmap cost (HPGMG)",
-            run: || exp(fig11_unmap_threads::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig11_unmap_threads::run, |r| r.render()),
         },
         Experiment {
             id: "fig12",
             title: "Fig. 12 — sgemm under oversubscription",
-            run: || exp(fig12_oversub::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
+            run: |ctx| exp(ctx, fig12_oversub::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
         },
         Experiment {
             id: "fig13",
             title: "Fig. 13 — stream eviction cost levels",
-            run: || exp(fig13_evict_levels::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig13_evict_levels::run, |r| r.render()),
         },
         Experiment {
             id: "fig14",
             title: "Fig. 14 — sgemm prefetch profile + DMA outliers",
-            run: || exp(fig14_prefetch_batches::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig14_prefetch_batches::run, |r| r.render()),
         },
         Experiment {
             id: "fig15",
             title: "Fig. 15 — dgemm eviction + prefetching panels",
-            run: || exp(fig15_evict_prefetch::run, |r| r.render()),
+            run: |ctx| exp(ctx, fig15_evict_prefetch::run, |r| r.render()),
         },
         Experiment {
             id: "fig16",
             title: "Fig. 16 — Gauss-Seidel case study",
-            run: || exp(fig16_gauss_seidel::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
+            run: |ctx| exp(ctx, fig16_gauss_seidel::run, |r| format!("{}\n{}", r.render(), r.render_plot())),
         },
         Experiment {
             id: "fig17",
             title: "Fig. 17 — HPGMG case study (LRU order)",
-            run: || exp(fig17_hpgmg::run, |r| format!("{}\n{}", r.render(), r.case.render_plot())),
+            run: |ctx| exp(ctx, fig17_hpgmg::run, |r| format!("{}\n{}", r.render(), r.case.render_plot())),
         },
         Experiment {
             id: "table4",
             title: "Table 4 — prefetch on/off batch & kernel times",
-            run: || exp(table4_speedup::run, |r| r.render()),
+            run: |ctx| exp(ctx, table4_speedup::run, |r| r.render()),
         },
         Experiment {
             id: "ext-hints",
             title: "Extension — cudaMemAdvise / cudaMemPrefetchAsync",
-            run: || exp(ext_hints::run, |r| r.render()),
+            run: |ctx| exp(ctx, ext_hints::run, |r| r.render()),
         },
         Experiment {
             id: "ext-inject",
             title: "Extension — fault injection & typed error recovery",
-            run: || run_grid(&ext_inject::sweep()),
+            run: |ctx| run_grid(ctx, &ext_inject::sweep()),
         },
         Experiment {
             id: "ext-thrashing",
             title: "Extension — thrashing mitigation (uvm_perf_thrashing)",
-            run: || exp(ext_thrashing::run, |r| r.render()),
+            run: |ctx| exp(ctx, ext_thrashing::run, |r| r.render()),
         },
         Experiment {
             id: "ext-policy",
             title: "Extension — pluggable policy sweep (prefetch x eviction)",
-            run: || run_grid(&ext_policy::sweep(false)),
+            run: |ctx| run_grid(ctx, &ext_policy::sweep(false)),
         },
         Experiment {
             id: "ext-multitenant",
             title: "Extension — multi-tenant fairness sweep (3 clients)",
-            run: || run_grid(&ext_multitenant::sweep(false)),
+            run: |ctx| run_grid(ctx, &ext_multitenant::sweep(false)),
         },
         Experiment {
             id: "ext-architectures",
             title: "Extension — servicing-architecture sweep (backend x workload)",
-            run: || run_grid(&ext_architectures::sweep(false)),
+            run: |ctx| run_grid(ctx, &ext_architectures::sweep(false)),
         },
     ]
 }
@@ -203,15 +204,15 @@ pub struct ExperimentOutput {
     pub secs: f64,
 }
 
-/// Run `selected` experiments across the configured worker pool
-/// ([`uvm_core::parallel::configure_jobs`]), returning outputs **in
-/// submission order** — the caller prints them exactly as a serial loop
-/// would, so stdout is byte-identical for any `--jobs N` (only the
-/// wall-clock `[N.NNs]` suffixes differ).
-pub fn run_experiments(selected: Vec<&Experiment>) -> Vec<ExperimentOutput> {
-    parallel::map(selected, |e| {
+/// Run `selected` experiments across `ctx`'s worker budget, each under
+/// its own [`RunCtx::experiment`] ctx, returning outputs **in submission
+/// order** — the caller prints them exactly as a serial loop would, so
+/// stdout is byte-identical for any `--jobs N` (only the wall-clock
+/// `[N.NNs]` suffixes differ).
+pub fn run_experiments(ctx: &RunCtx, selected: Vec<&Experiment>) -> Vec<ExperimentOutput> {
+    ctx.map(selected, |ctx, e| {
         let t0 = Instant::now();
-        let (text, value) = (e.run)();
+        let (text, value) = (e.run)(&ctx.experiment(e.id));
         ExperimentOutput {
             id: e.id.to_string(),
             title: e.title.to_string(),
@@ -225,7 +226,7 @@ pub fn run_experiments(selected: Vec<&Experiment>) -> Vec<ExperimentOutput> {
 /// Hand-rolled hot-loop micro timings and the suite-level serial/parallel
 /// comparison behind `paper bench`.
 pub mod perf {
-    use super::{experiments, run_experiments, Instant};
+    use super::{experiments, run_experiments, Instant, RunCtx};
     use serde_json::Value;
 
     /// Build a [`Value::Object`] from `(key, value)` pairs (the vendored
@@ -243,7 +244,6 @@ pub mod perf {
     use uvm_core::gpu::spec::GpuSpec;
     use uvm_core::hostos::host::HostMemory;
     use uvm_core::hostos::radix_tree::RadixTree;
-    use uvm_core::parallel;
     use uvm_core::sim::cost::CostModel;
     use uvm_core::sim::event::EventQueue;
     use uvm_core::sim::mem::{AddressSpaceAllocator, PageNum, VABLOCK_SIZE};
@@ -362,24 +362,20 @@ pub mod perf {
     /// and the micro numbers. `quick` trims micro reps and skips the
     /// parallel suite pass (for CI smoke on small runners).
     pub fn bench_report(jobs: usize, quick: bool) -> Value {
-        let prior = parallel::jobs();
-
         // Serial pass: per-experiment wall times (the regression-gate
         // numbers — single-threaded, so they are comparable across runs
         // regardless of the runner's core count).
-        parallel::configure_jobs(1);
         let t0 = Instant::now();
         let all = experiments();
-        let serial = run_experiments(all.iter().collect());
+        let serial = run_experiments(&RunCtx::new(1), all.iter().collect());
         let serial_wall = t0.elapsed().as_secs_f64();
 
         // Parallel pass: suite wall time at `jobs` workers.
         let parallel_wall = if quick || jobs <= 1 {
             None
         } else {
-            parallel::configure_jobs(jobs);
             let t0 = Instant::now();
-            let again = run_experiments(all.iter().collect());
+            let again = run_experiments(&RunCtx::new(jobs), all.iter().collect());
             let wall = t0.elapsed().as_secs_f64();
             assert_eq!(serial.len(), again.len());
             for (a, b) in serial.iter().zip(&again) {
@@ -387,7 +383,6 @@ pub mod perf {
             }
             Some(wall)
         };
-        parallel::configure_jobs(prior.max(1));
 
         let per_experiment: Vec<Value> = serial
             .iter()

@@ -21,9 +21,9 @@
 //! repro file (`paper chaos --repro <file>`).
 //!
 //! Trials are fully independent (each builds its own system from its own
-//! seeds and never consults the process-global [`crate::runctl`] state),
-//! so the harness fans them across the `--jobs` worker pool; the report
-//! is byte-identical for any jobs width.
+//! seeds and drives it without a checkpoint policy), so the harness fans
+//! them across the `--jobs` worker budget of a [`RunCtx`]; the report is
+//! byte-identical for any jobs width.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -44,7 +44,7 @@ use uvm_workloads::vecadd::{self, VecAddParams};
 use uvm_workloads::workload::Workload;
 
 use crate::config::SystemConfig;
-use crate::parallel;
+use crate::runctl::RunCtx;
 use crate::snapshot::{run_key, SubsystemDigests, SystemSnapshot};
 use crate::system::{Progress, RunHints, RunInProgress, UvmSystem};
 
@@ -637,12 +637,12 @@ impl ChaosReport {
 }
 
 /// Run a chaos campaign: `trials` scenarios generated from `seed`,
-/// executed across the configured `--jobs` worker pool (trials are
-/// independent; results are reported in trial order, so the report is
-/// byte-identical for any jobs width). Failing scenarios are shrunk.
-pub fn run_campaign(trials: u64, seed: u64) -> ChaosReport {
-    let verdicts = parallel::map_indexed(trials as usize, |i| {
-        let scenario = Scenario::generate(seed, i as u64);
+/// executed across `ctx`'s worker budget (trials are independent;
+/// results are reported in trial order, so the report is byte-identical
+/// for any jobs width). Failing scenarios are shrunk.
+pub fn run_campaign(ctx: &RunCtx, trials: u64, seed: u64) -> ChaosReport {
+    let verdicts = ctx.map((0..trials).collect(), |_, i| {
+        let scenario = Scenario::generate(seed, i);
         let verdict = run_trial(&scenario);
         (verdict, scenario)
     });
@@ -797,10 +797,10 @@ mod tests {
 
     #[test]
     fn small_campaign_is_clean_and_deterministic() {
-        let a = run_campaign(4, 0);
+        let a = run_campaign(&RunCtx::new(1), 4, 0);
         assert!(a.clean(), "seed-0 campaign must be clean: {}", a.render());
         assert_eq!(a.trials, 4);
-        let b = run_campaign(4, 0);
+        let b = run_campaign(&RunCtx::new(4), 4, 0);
         assert_eq!(a.render(), b.render(), "campaign report must be reproducible");
         assert!(a.render().contains("0 divergences, 0 audit failures"));
     }

@@ -121,12 +121,13 @@ pub fn sweep(quick: bool) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::RunCtx;
     use crate::experiments::grid::{find, Cell};
 
     #[test]
     fn quick_sweep_covers_every_backend_and_workload() {
         let grid = sweep(true);
-        let cells = grid.run(1);
+        let cells = grid.run(&RunCtx::new(1), 1);
         assert_eq!(cells.len(), 4 * 4);
         for c in &cells {
             assert!(c.batches > 0, "{c:?}");
@@ -162,8 +163,8 @@ mod tests {
         let mut grid = sweep(true);
         grid.workloads.truncate(1);
         grid.axis = vec![Axis::Backend(BackendKind::MultiGpuPeer2)];
-        let a = grid.run(7);
-        let b = grid.run(7);
+        let a = grid.run(&RunCtx::new(1), 7);
+        let b = grid.run(&RunCtx::new(1), 7);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

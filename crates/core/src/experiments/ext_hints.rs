@@ -22,7 +22,8 @@ use uvm_workloads::stream::{self, StreamParams};
 use uvm_workloads::workload::Workload;
 
 use crate::experiments::suite::experiment_config;
-use crate::system::{RunHints, UvmSystem};
+use crate::system::RunHints;
+use crate::runctl::RunCtx;
 
 /// One management strategy's outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,8 +59,9 @@ fn workload() -> Workload {
     })
 }
 
-fn measure(name: &str, w: &Workload, hints: RunHints, seed: u64) -> HintRow {
-    let result = UvmSystem::new(experiment_config(256).with_seed(seed)).run_with_hints(w, &hints);
+fn measure(ctx: &RunCtx, name: &str, w: &Workload, hints: RunHints, seed: u64) -> HintRow {
+    let config = experiment_config(256).with_seed(seed);
+    let result = ctx.try_run(config, w, &hints).expect("hint runs inject no faults");
     let fault_batches = result.records.iter().filter(|r| !r.driver_prefetch_op).count() as u64;
     HintRow {
         strategy: name.to_string(),
@@ -72,44 +74,21 @@ fn measure(name: &str, w: &Workload, hints: RunHints, seed: u64) -> HintRow {
 }
 
 /// Run the four-strategy comparison.
-pub fn run(seed: u64) -> ExtHintsResult {
+pub fn run(ctx: &RunCtx, seed: u64) -> ExtHintsResult {
     let w = workload();
-    let inputs: Vec<_> = w.allocations[..2].to_vec(); // a and b (c is output)
-
-    let rows = vec![
-        measure("default", &w, RunHints::default(), seed),
-        measure(
-            "prefetch-async",
-            &w,
-            RunHints {
-                prefetch: w.allocations.clone(),
-                ..Default::default()
-            },
-            seed,
-        ),
-        measure(
-            "read-mostly",
-            &w,
-            RunHints {
-                advise: inputs.iter().map(|&a| (a, MemAdvise::ReadMostly)).collect(),
-                ..Default::default()
-            },
-            seed,
-        ),
-        measure(
-            "preferred-host",
-            &w,
-            RunHints {
-                advise: inputs
-                    .iter()
-                    .map(|&a| (a, MemAdvise::PreferredLocationHost))
-                    .collect(),
-                ..Default::default()
-            },
-            seed,
-        ),
+    let inputs = &w.allocations[..2]; // a and b (c is output)
+    let advise = |hint| RunHints {
+        advise: inputs.iter().map(|&a| (a, hint)).collect(),
+        ..Default::default()
+    };
+    let strategies = [
+        ("default", RunHints::default()),
+        ("prefetch-async", RunHints { prefetch: w.allocations.clone(), ..Default::default() }),
+        ("read-mostly", advise(MemAdvise::ReadMostly)),
+        ("preferred-host", advise(MemAdvise::PreferredLocationHost)),
     ];
-    ExtHintsResult { rows }
+    let rows = strategies.into_iter().map(|(name, hints)| measure(ctx, name, &w, hints, seed));
+    ExtHintsResult { rows: rows.collect() }
 }
 
 impl ExtHintsResult {
@@ -146,7 +125,7 @@ mod tests {
 
     #[test]
     fn hints_trade_costs_as_designed() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         let by = |n: &str| r.rows.iter().find(|row| row.strategy == n).unwrap();
         let default = by("default");
         let prefetch = by("prefetch-async");

@@ -58,6 +58,7 @@ pub fn sweep() -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::RunCtx;
     use crate::experiments::grid::Cell;
     use crate::experiments::suite::experiment_config;
     use crate::system::UvmSystem;
@@ -66,7 +67,7 @@ mod tests {
     fn measure(rate: f64, seed: u64) -> Cell {
         let mut grid = sweep();
         grid.axis = vec![Axis::FaultRate(rate)];
-        grid.run(seed).remove(0)
+        grid.run(&RunCtx::new(1), seed).remove(0)
     }
 
     #[test]
@@ -103,8 +104,8 @@ mod tests {
     #[test]
     fn same_seed_gives_identical_sweeps() {
         let grid = sweep();
-        let a = grid.run(0x5C21);
-        let b = grid.run(0x5C21);
+        let a = grid.run(&RunCtx::new(1), 0x5C21);
+        let b = grid.run(&RunCtx::new(1), 0x5C21);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -118,6 +119,6 @@ mod tests {
         //   cargo run --release -p uvm-bench --bin paper -- ext-inject --bless
         let golden = include_str!("golden/ext_inject.txt");
         let grid = sweep();
-        assert_eq!(grid.render(&grid.run(0x5C21)).trim_end(), golden.trim_end());
+        assert_eq!(grid.render(&grid.run(&RunCtx::new(1), 0x5C21)).trim_end(), golden.trim_end());
     }
 }

@@ -110,12 +110,13 @@ pub fn sweep(quick: bool) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::RunCtx;
     use crate::experiments::grid::Cell;
 
     #[test]
     fn quick_sweep_covers_every_policy_and_client() {
         let grid = sweep(true);
-        let cells = grid.run(1);
+        let cells = grid.run(&RunCtx::new(1), 1);
         assert_eq!(cells.len(), 4);
         assert_eq!(cells.iter().map(|c| c.clients.len()).sum::<usize>(), 4 * 3);
         for s in &cells {
@@ -150,8 +151,8 @@ mod tests {
     fn cells_are_deterministic_per_seed() {
         let mut grid = sweep(true);
         grid.axis = vec![Axis::Fairness(FairnessPolicy::WeightedShare)];
-        let a = grid.run(7);
-        let b = grid.run(7);
+        let a = grid.run(&RunCtx::new(1), 7);
+        let b = grid.run(&RunCtx::new(1), 7);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

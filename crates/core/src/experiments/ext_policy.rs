@@ -105,12 +105,13 @@ pub fn sweep(quick: bool) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::RunCtx;
     use crate::experiments::grid::Cell;
 
     #[test]
     fn quick_grid_covers_every_policy_combination() {
         let grid = sweep(true);
-        let rows = grid.run(1);
+        let rows = grid.run(&RunCtx::new(1), 1);
         assert_eq!(
             rows.len(),
             4 * PrefetchPolicyKind::ALL.len() * EvictionPolicyKind::ALL.len()
@@ -149,10 +150,10 @@ mod tests {
         let mut grid = sweep(true);
         grid.workloads.drain(..3);
         grid.axis = vec![Axis::Policy(PrefetchPolicyKind::Oracle, EvictionPolicyKind::Random)];
-        let a = grid.run(7);
-        let b = grid.run(7);
+        let a = grid.run(&RunCtx::new(1), 7);
+        let b = grid.run(&RunCtx::new(1), 7);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let c = grid.run(8);
+        let c = grid.run(&RunCtx::new(1), 8);
         assert_ne!(format!("{a:?}"), format!("{c:?}"), "seed must perturb the run");
     }
 }

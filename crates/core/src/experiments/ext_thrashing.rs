@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One configuration's outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -40,7 +40,7 @@ pub struct ExtThrashingResult {
     pub rows: Vec<ThrashRow>,
 }
 
-fn measure(mitigation: bool, seed: u64) -> ThrashRow {
+fn measure(ctx: &RunCtx, mitigation: bool, seed: u64) -> ThrashRow {
     let bench = Bench::Random;
     let workload = bench.build();
     // Uniform random at 200% oversubscription: heavy eviction ping-pong.
@@ -48,7 +48,7 @@ fn measure(mitigation: bool, seed: u64) -> ThrashRow {
     let config = experiment_config(mem_mb)
         .with_policy(DriverPolicy::default().thrashing(mitigation))
         .with_seed(seed);
-    let r = UvmSystem::new(config).run(&workload);
+    let r = ctx.run(config, &workload);
     ThrashRow {
         mitigation,
         kernel_ms: r.kernel_time.as_nanos() as f64 / 1e6,
@@ -60,9 +60,9 @@ fn measure(mitigation: bool, seed: u64) -> ThrashRow {
 }
 
 /// Run the comparison.
-pub fn run(seed: u64) -> ExtThrashingResult {
+pub fn run(ctx: &RunCtx, seed: u64) -> ExtThrashingResult {
     ExtThrashingResult {
-        rows: vec![measure(false, seed), measure(true, seed)],
+        rows: vec![measure(ctx, false, seed), measure(ctx, true, seed)],
     }
 }
 
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn mitigation_cuts_evictions_and_migration_churn() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         let off = &r.rows[0];
         let on = &r.rows[1];
         assert!(!off.mitigation && on.mitigation);

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::experiments::suite::{experiment_config, Bench};
 use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One benchmark's latency comparison.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -41,7 +42,7 @@ pub struct Fig1Result {
 }
 
 /// Run the Fig. 1 comparison.
-pub fn run(seed: u64) -> Fig1Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig1Result {
     let benches = [Bench::Stream, Bench::Sgemm, Bench::Cufft];
     let rows = benches
         .iter()
@@ -49,7 +50,7 @@ pub fn run(seed: u64) -> Fig1Result {
             let workload = b.build();
             let accesses = workload.total_accesses() as u64;
             let config = experiment_config(768).with_seed(seed);
-            let uvm = UvmSystem::new(config.clone()).run(&workload);
+            let uvm = ctx.run(config.clone(), &workload);
             let explicit = UvmSystem::new(config).run_explicit(&workload);
             let uvm_total_ns = uvm.kernel_time.as_nanos();
             let explicit_total_ns =
@@ -97,7 +98,7 @@ mod tests {
 
     #[test]
     fn uvm_latency_is_an_order_of_magnitude_higher() {
-        let result = run(1);
+        let result = run(&RunCtx::new(1), 1);
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             assert!(

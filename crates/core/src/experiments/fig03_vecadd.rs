@@ -14,7 +14,7 @@ use uvm_driver::policy::DriverPolicy;
 use uvm_workloads::vecadd::{self, VecAddParams};
 
 use crate::experiments::suite::experiment_config;
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One fault observation (a point in Figs. 3/4).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -61,12 +61,12 @@ pub struct Fig3Result {
 }
 
 /// Run the vector-addition microscope.
-pub fn run(seed: u64) -> Fig3Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig3Result {
     let config = experiment_config(64)
         .with_policy(DriverPolicy::default().log_faults(true))
         .with_seed(seed);
     let workload = vecadd::build(VecAddParams::default());
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
 
     let faults: Vec<FaultPoint> = result
         .fault_log
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn reproduces_fig3_and_fig4_shape() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         // Fig. 3: first batch = 56 reads (μTLB limit), second = remaining 8.
         assert_eq!(r.batches[0].faults, 56);
         assert_eq!(r.batches[0].writes, 0);

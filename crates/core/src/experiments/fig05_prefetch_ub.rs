@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use uvm_workloads::prefetch_ub::{self, PrefetchUbParams};
 
 use crate::experiments::suite::experiment_config;
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// The Fig. 5 dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -29,12 +29,12 @@ pub struct Fig5Result {
 }
 
 /// Run the prefetch microbenchmark.
-pub fn run(seed: u64) -> Fig5Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig5Result {
     let config = experiment_config(64).with_seed(seed);
     let batch_limit = config.policy.batch_limit as u64;
     let workload = prefetch_ub::build(PrefetchUbParams::default());
     let pages = workload.total_accesses() as u64;
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
     Fig5Result {
         pages_prefetched: pages,
         first_batch_size: result.records.first().map(|r| r.raw_faults).unwrap_or(0),
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn single_warp_fills_the_batch_limit() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert_eq!(r.pages_prefetched, 300);
         assert_eq!(r.first_batch_size, r.batch_limit, "batch capped at software limit");
         assert!(

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use uvm_stats::{linear_fit, LinearFit};
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One application's scatter and fit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,7 +30,7 @@ pub struct Fig6Result {
 }
 
 /// Run the cost-vs-data experiment.
-pub fn run(seed: u64) -> Fig6Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig6Result {
     let benches = [
         Bench::Regular,
         Bench::Sgemm,
@@ -42,7 +42,7 @@ pub fn run(seed: u64) -> Fig6Result {
         .iter()
         .map(|&b| {
             let config = experiment_config(768).with_seed(seed);
-            let result = UvmSystem::new(config).run(&b.build());
+            let result = ctx.run(config, &b.build());
             let points: Vec<(f64, f64)> = result
                 .records
                 .iter()
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn cost_rises_linearly_with_data() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert_eq!(r.series.len(), 5);
         let mut positive_intercepts = 0;
         for s in &r.series {

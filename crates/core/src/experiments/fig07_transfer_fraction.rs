@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use uvm_stats::{percentile, Summary};
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// The Fig. 7 dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -26,9 +26,9 @@ pub struct Fig7Result {
 }
 
 /// Run the transfer-fraction experiment (sgemm, stock policy).
-pub fn run(seed: u64) -> Fig7Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig7Result {
     let config = experiment_config(768).with_seed(seed);
-    let result = UvmSystem::new(config).run(&Bench::Sgemm.build());
+    let result = ctx.run(config, &Bench::Sgemm.build());
     let fractions: Vec<(u64, f64)> = result
         .records
         .iter()
@@ -67,7 +67,7 @@ mod tests {
 
     #[test]
     fn transfer_is_at_most_a_quarter_of_batch_time() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(r.num_batches > 20);
         // The paper's bound: at most ~25%, typically far lower.
         assert!(

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One application's batch-size time series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,12 +33,12 @@ pub struct Fig8Result {
 }
 
 /// Run the dedup time-series experiment.
-pub fn run(seed: u64) -> Fig8Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig8Result {
     let series = [Bench::Stream, Bench::Sgemm]
         .iter()
         .map(|&b| {
             let config = experiment_config(768).with_seed(seed);
-            let result = UvmSystem::new(config).run(&b.build());
+            let result = ctx.run(config, &b.build());
             Fig8Series {
                 bench: b.name().to_string(),
                 raw: result
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn dedup_shrinks_batches_and_sgemm_shows_phases() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert_eq!(r.series.len(), 2);
         for s in &r.series {
             assert!(s.total_dups > 0, "{}: expected duplicate faults", s.bench);

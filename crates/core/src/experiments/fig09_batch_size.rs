@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One point of the sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,19 +39,19 @@ pub struct Fig9Result {
 }
 
 /// Run the batch-size sweep.
-pub fn run(seed: u64) -> Fig9Result {
-    run_limits(seed, &[64, 256, 512, 1024, 2048])
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig9Result {
+    run_limits(ctx, seed, &[64, 256, 512, 1024, 2048])
 }
 
 /// Run the sweep over explicit limits. The per-limit sims are independent
 /// (each constructs its own seeded system), so the grid fans out across
 /// the configured worker pool; points stay in `limits` order.
-pub fn run_limits(seed: u64, limits: &[usize]) -> Fig9Result {
-    let points = crate::parallel::map(limits.to_vec(), |limit| {
+pub fn run_limits(ctx: &RunCtx, seed: u64, limits: &[usize]) -> Fig9Result {
+    let points = ctx.map(limits.to_vec(), |ctx, limit| {
             let config = experiment_config(768)
                 .with_policy(DriverPolicy::default().batch_limit(limit))
                 .with_seed(seed);
-            let result = UvmSystem::new(config).run(&Bench::Sgemm.build());
+            let result = ctx.run(config, &Bench::Sgemm.build());
             let raw: u64 = result.records.iter().map(|r| r.raw_faults).sum();
             let unique: u64 = result.records.iter().map(|r| r.unique_pages).sum();
             Fig9Point {
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn larger_batches_win_with_diminishing_returns() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         let by_limit = |l: usize| r.points.iter().find(|p| p.batch_limit == l).unwrap();
         let b64 = by_limit(64);
         let b256 = by_limit(256);

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One batch observation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -44,13 +44,13 @@ pub struct Fig10Result {
 }
 
 /// Run the VABlock-cost experiment across several benchmarks.
-pub fn run(seed: u64) -> Fig10Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig10Result {
     // Independent per-benchmark sims, fanned across the worker pool; the
     // concatenation below keeps the serial benchmark order.
     let benches = vec![Bench::Regular, Bench::Random, Bench::Sgemm, Bench::Cufft, Bench::GaussSeidel];
-    let per_bench = crate::parallel::map(benches, |b| {
+    let per_bench = ctx.map(benches, |ctx, b| {
         let config = experiment_config(768).with_seed(seed);
-        let result = UvmSystem::new(config).run(&b.build());
+        let result = ctx.run(config, &b.build());
         result
             .records
             .iter()
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn more_vablocks_cost_more_at_equal_size() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(r.points.len() > 100);
         assert!(!r.buckets.is_empty());
         let higher = r

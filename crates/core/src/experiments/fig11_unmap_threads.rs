@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use uvm_workloads::cpu_init::CpuInitPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One configuration's measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -41,10 +41,10 @@ pub struct Fig11Result {
     pub multi: Fig11Config,
 }
 
-fn run_one(seed: u64, policy: CpuInitPolicy, threads: u32) -> Fig11Config {
+fn run_one(ctx: &RunCtx, seed: u64, policy: CpuInitPolicy, threads: u32) -> Fig11Config {
     let config = experiment_config(768).with_seed(seed);
     let workload = Bench::Hpgmg.build_with_init(Some(policy));
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
     let fractions: Vec<(u64, f64)> = result
         .records
         .iter()
@@ -68,10 +68,10 @@ fn run_one(seed: u64, policy: CpuInitPolicy, threads: u32) -> Fig11Config {
 
 /// Run the single- vs multi-threaded comparison (32 threads, the Epyc
 /// 7551P core count).
-pub fn run(seed: u64) -> Fig11Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig11Result {
     Fig11Result {
-        single: run_one(seed, CpuInitPolicy::SingleThread, 1),
-        multi: run_one(seed, CpuInitPolicy::Striped { threads: 32 }, 32),
+        single: run_one(ctx, seed, CpuInitPolicy::SingleThread, 1),
+        multi: run_one(ctx, seed, CpuInitPolicy::Striped { threads: 32 }, 32),
     }
 }
 
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn multithreaded_init_roughly_doubles_unmap_cost() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         // The unmap component itself inflates sharply.
         assert!(
             r.multi.unmap_ms > 1.8 * r.single.unmap_ms,

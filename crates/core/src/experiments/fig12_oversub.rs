@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One batch observation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -40,13 +40,13 @@ pub struct Fig12Result {
 }
 
 /// Run sgemm oversubscribed (~125 % of device memory).
-pub fn run(seed: u64) -> Fig12Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig12Result {
     let bench = Bench::Sgemm;
     let workload = bench.build();
     let mem_mb = bench.oversub_memory_mb();
     let config = experiment_config(mem_mb).with_seed(seed);
     let oversub_ratio = workload.footprint_bytes() as f64 / (mem_mb * 1024 * 1024) as f64;
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
     let points: Vec<Fig12Point> = result
         .records
         .iter()
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn evicting_batches_cost_more() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(r.oversub_ratio > 1.05, "workload oversubscribes: {:.2}", r.oversub_ratio);
         assert!(r.total_evictions > 0);
         // Many batches execute before memory fills, without evictions.

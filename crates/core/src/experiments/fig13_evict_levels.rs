@@ -12,7 +12,7 @@ use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::stream::{self, StreamParams};
 
 use crate::experiments::suite::experiment_config;
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One evicting-batch observation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -42,7 +42,7 @@ pub struct Fig13Result {
 }
 
 /// Run the iterated stream triad oversubscribed.
-pub fn run(seed: u64) -> Fig13Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig13Result {
     // More warps than the GPU's occupancy (5120 resident): the grid drains
     // in waves, so new VABlocks are first-touched *throughout* the run —
     // first-touch unmap and eviction coincide, as they do at the paper's
@@ -57,7 +57,7 @@ pub fn run(seed: u64) -> Fig13Result {
     });
     let mem_mb = workload.footprint_bytes() * 4 / 5 / (1024 * 1024);
     let config = experiment_config(mem_mb).with_seed(seed);
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
 
     let points: Vec<Fig13Point> = result
         .records
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn eviction_batches_form_two_cost_levels() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(!r.points.is_empty(), "oversubscribed stream must evict");
         assert!(r.with_unmap > 0, "first-touch migrations pay unmap");
         assert!(

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// The Fig. 14 dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,12 +36,12 @@ pub struct Fig14Result {
 }
 
 /// Run sgemm with and without prefetching.
-pub fn run(seed: u64) -> Fig14Result {
-    let baseline = UvmSystem::new(experiment_config(768).with_seed(seed)).run(&Bench::Sgemm.build());
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig14Result {
+    let baseline = ctx.run(experiment_config(768).with_seed(seed), &Bench::Sgemm.build());
     let pf_config = experiment_config(768)
         .with_policy(DriverPolicy::with_prefetch())
         .with_seed(seed);
-    let prefetch = UvmSystem::new(pf_config).run(&Bench::Sgemm.build());
+    let prefetch = ctx.run(pf_config, &Bench::Sgemm.build());
 
     let points: Vec<(f64, f64, f64)> = prefetch
         .records
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn prefetch_collapses_batches_and_exposes_dma_outliers() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(
             r.reduction >= 0.70,
             "prefetch should eliminate most batches (paper: 93%), got {:.0}%",

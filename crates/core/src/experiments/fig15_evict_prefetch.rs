@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One batch observation across all four panels.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ pub struct Fig15Result {
 }
 
 /// Run dgemm oversubscribed with prefetching enabled.
-pub fn run(seed: u64) -> Fig15Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig15Result {
     let bench = Bench::Dgemm;
     let workload = bench.build();
     let mem_mb = bench.oversub_memory_mb();
@@ -54,7 +54,7 @@ pub fn run(seed: u64) -> Fig15Result {
         .with_policy(DriverPolicy::with_prefetch())
         .with_seed(seed);
     let oversub_ratio = workload.footprint_bytes() as f64 / (mem_mb * 1024 * 1024) as f64;
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
     let points: Vec<Fig15Point> = result
         .records
         .iter()
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn four_panel_shape_holds() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(r.oversub_ratio > 1.05);
         assert!(r.total_evictions > 0);
         assert!(r.total_prefetched > 0, "prefetching stays active");

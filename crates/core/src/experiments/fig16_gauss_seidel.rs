@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// Per-batch observation for the case-study panels.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,14 +50,14 @@ pub struct CaseStudyResult {
 }
 
 /// Shared runner for the case studies.
-pub fn run_case_study(bench: Bench, oversub_pct: u64, seed: u64) -> CaseStudyResult {
+pub fn run_case_study(ctx: &RunCtx, bench: Bench, oversub_pct: u64, seed: u64) -> CaseStudyResult {
     let workload = bench.build();
     let footprint_mb = workload.footprint_bytes() / (1024 * 1024);
     let mem_mb = (footprint_mb * 100 / oversub_pct).max(4);
     let config = experiment_config(mem_mb)
         .with_policy(DriverPolicy::with_prefetch())
         .with_seed(seed);
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
     CaseStudyResult {
         bench: bench.name().to_string(),
         oversub_ratio: workload.footprint_bytes() as f64 / (mem_mb * 1024 * 1024) as f64,
@@ -147,8 +147,8 @@ impl CaseStudyResult {
 }
 
 /// Run the Gauss-Seidel case study at ~16 % oversubscription.
-pub fn run(seed: u64) -> CaseStudyResult {
-    run_case_study(Bench::GaussSeidel, 116, seed)
+pub fn run(ctx: &RunCtx, seed: u64) -> CaseStudyResult {
+    run_case_study(ctx, Bench::GaussSeidel, 116, seed)
 }
 
 #[cfg(test)]
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn eviction_and_prefetch_interleave() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(r.oversub_ratio > 1.1 && r.oversub_ratio < 1.25, "{}", r.oversub_ratio);
         assert!(r.total_evictions > 0);
         let evicting = r.points.iter().filter(|p| p.evictions > 0).count();

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::experiments::suite::Bench;
 use crate::experiments::fig16_gauss_seidel::{run_case_study, CaseStudyResult};
+use crate::runctl::RunCtx;
 
 /// The Fig. 17 dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,8 +25,8 @@ pub struct Fig17Result {
 }
 
 /// Run the HPGMG case study at ~25 % oversubscription.
-pub fn run(seed: u64) -> Fig17Result {
-    let case = run_case_study(Bench::Hpgmg, 125, seed);
+pub fn run(ctx: &RunCtx, seed: u64) -> Fig17Result {
+    let case = run_case_study(ctx, Bench::Hpgmg, 125, seed);
     let all_evicted: Vec<u64> = case
         .points
         .iter()
@@ -82,7 +83,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_earliest_allocated_first() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert!(r.case.total_evictions > 0);
         // The first eviction wave targets the earliest-allocated blocks:
         // its mean first-touch rank sits in the early part of the order.

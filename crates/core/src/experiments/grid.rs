@@ -10,8 +10,8 @@
 //! 2. each cell runs one workload under one [`Axis`] value, with device
 //!    memory set to a fixed fraction of that workload's footprint
 //!    (oversubscription);
-//! 3. [`Sweep::run`] fans the cells out through [`crate::parallel::map`]
-//!    in workload-major order, so the result is byte-identical for any
+//! 3. [`Sweep::run`] fans the cells out through [`RunCtx::map`] in
+//!    workload-major order, so the result is byte-identical for any
 //!    `--jobs N`;
 //! 4. each finished run reduces to one serializable [`Cell`], and
 //!    [`Sweep::render`] prints the sweep's tables from the cells.
@@ -28,8 +28,8 @@ use uvm_stats::{grouped_percentile, jain_index};
 use uvm_workloads::workload::Workload;
 
 use crate::experiments::suite::experiment_config;
-use crate::parallel;
-use crate::system::{RunResult, UvmSystem};
+use crate::runctl::RunCtx;
+use crate::system::{RunHints, RunResult};
 use crate::SystemConfig;
 
 /// One value of a sweep's per-cell config axis.
@@ -253,19 +253,19 @@ fn client_cells(r: &RunResult, tenancy: &TenancyConfig) -> Vec<ClientCell> {
 
 impl Sweep {
     /// Run every (workload, axis value) cell at `seed`, workload-major,
-    /// across the configured worker pool; results come back in that order.
-    pub fn run(&self, seed: u64) -> Vec<Cell> {
+    /// across `ctx`'s worker budget; results come back in that order.
+    pub fn run(&self, ctx: &RunCtx, seed: u64) -> Vec<Cell> {
         let cells: Vec<_> = self
             .workloads
             .iter()
             .flat_map(|w| self.axis.iter().map(move |&a| (w, a)))
             .collect();
-        parallel::map(cells, |((name, workload), axis)| self.measure(name, workload, axis, seed))
+        ctx.map(cells, |ctx, ((name, w), axis)| self.measure(ctx, name, w, axis, seed))
     }
 
-    fn measure(&self, name: &str, workload: &Workload, axis: Axis, seed: u64) -> Cell {
+    fn measure(&self, ctx: &RunCtx, name: &str, w: &Workload, axis: Axis, seed: u64) -> Cell {
         let (num, den) = self.resident;
-        let memory_mb = (workload.footprint_bytes() / (1024 * 1024) * num / den).max(4);
+        let memory_mb = (w.footprint_bytes() / (1024 * 1024) * num / den).max(4);
         let config = axis.apply(
             experiment_config(memory_mb)
                 .with_policy(self.policy.clone())
@@ -273,7 +273,7 @@ impl Sweep {
                 .with_seed(seed),
         );
         let mut cell = Cell { workload: name.into(), config: axis.labels(), ..Cell::default() };
-        match UvmSystem::new(config).try_run(workload) {
+        match ctx.try_run(config, w, &RunHints::default()) {
             Ok(r) => cell.record(&r, &self.tenancy),
             Err(e) => cell.error = Some(e.to_string()),
         }
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn architectures_quick_grid_matches_its_golden() {
         let sweep = ext_architectures::sweep(true);
-        let cells = sweep.run(0x5C21);
+        let cells = sweep.run(&RunCtx::new(1), 0x5C21);
         assert_eq!(
             golden_form(&sweep.render(&cells)),
             include_str!("golden/ext_architectures_quick.txt")

@@ -1,7 +1,8 @@
 //! Experiment drivers: one module per table and figure of the paper's
 //! evaluation.
 //!
-//! Every module exposes a `run(seed)` (or parameterized variant) returning
+//! Every module exposes a `run(ctx, seed)` (or parameterized variant),
+//! whose system runs go through the [`crate::RunCtx`] it is given, returning
 //! a serializable result struct with a `render()` method that prints the
 //! same rows/series the paper reports. The `suite` module defines the
 //! benchmark instances (scaled to simulate in seconds rather than hours)

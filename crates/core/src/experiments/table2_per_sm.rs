@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use uvm_stats::Summary;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One benchmark's row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,13 +44,13 @@ pub struct Table2Result {
 }
 
 /// Run Table 2 over the benchmark suite.
-pub fn run(seed: u64) -> Table2Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Table2Result {
     let num_sms = experiment_config(768).gpu.num_sms;
     // One independent sim per benchmark: fan the suite across the worker
     // pool, rows staying in paper order.
-    let rows = crate::parallel::map(Bench::table_suite().to_vec(), |b| {
+    let rows = ctx.map(Bench::table_suite().to_vec(), |ctx, b| {
             let config = experiment_config(768).with_seed(seed);
-            let result = UvmSystem::new(config).run(&b.build());
+            let result = ctx.run(config, &b.build());
             let per_sm: Vec<f64> = result
                 .records
                 .iter()
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn per_sm_stats_match_paper_shape() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert_eq!(r.rows.len(), 7);
         let cap = 256.0 / r.num_sms as f64; // 3.2 on the Titan V config
         let by_name = |n: &str| r.rows.iter().find(|row| row.bench == n).unwrap();

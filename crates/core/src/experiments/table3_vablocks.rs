@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use uvm_stats::Summary;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One benchmark's row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,11 +38,11 @@ pub struct Table3Result {
 }
 
 /// Run Table 3 over the benchmark suite.
-pub fn run(seed: u64) -> Table3Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Table3Result {
     // Independent per-benchmark sims: parallel over the suite, paper order.
-    let rows = crate::parallel::map(Bench::table_suite().to_vec(), |b| {
+    let rows = ctx.map(Bench::table_suite().to_vec(), |ctx, b| {
             let config = experiment_config(768).with_seed(seed);
-            let result = UvmSystem::new(config).run(&b.build());
+            let result = ctx.run(config, &b.build());
             let blocks_per_batch: Vec<f64> = result
                 .records
                 .iter()
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn vablock_distribution_matches_paper_shape() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert_eq!(r.rows.len(), 7);
         let by_name = |n: &str| r.rows.iter().find(|row| row.bench == n).unwrap();
         let random = by_name("Random");

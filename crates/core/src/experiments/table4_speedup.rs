@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use uvm_driver::policy::DriverPolicy;
 
 use crate::experiments::suite::{experiment_config, Bench};
-use crate::system::UvmSystem;
+use crate::runctl::RunCtx;
 
 /// One benchmark's row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub struct Table4Result {
 }
 
 /// One `(benchmark, prefetch?)` cell: batch and kernel time in ns.
-fn run_cell(bench: Bench, prefetch: bool, seed: u64) -> (u64, u64) {
+fn run_cell(ctx: &RunCtx, bench: Bench, prefetch: bool, seed: u64) -> (u64, u64) {
     let workload = bench.build();
     // Modest oversubscription, as in the paper. At this simulator's reduced
     // scale (tens of VABlocks instead of thousands), LRU-horizon thrash
@@ -48,19 +48,19 @@ fn run_cell(bench: Bench, prefetch: bool, seed: u64) -> (u64, u64) {
     if prefetch {
         config = config.with_policy(DriverPolicy::with_prefetch());
     }
-    let result = UvmSystem::new(config).run(&workload);
+    let result = ctx.run(config, &workload);
     (result.total_batch_time.as_nanos(), result.kernel_time.as_nanos())
 }
 
 /// Run Table 4. The app × config matrix is four independent sims, fanned
 /// out across the worker pool; rows assemble in fixed benchmark order.
-pub fn run(seed: u64) -> Table4Result {
+pub fn run(ctx: &RunCtx, seed: u64) -> Table4Result {
     let benches = [Bench::GaussSeidel, Bench::Hpgmg];
     let cells: Vec<(Bench, bool)> = benches
         .iter()
         .flat_map(|&b| [(b, false), (b, true)])
         .collect();
-    let timings = crate::parallel::map(cells, |(bench, prefetch)| run_cell(bench, prefetch, seed));
+    let timings = ctx.map(cells, |ctx, (bench, prefetch)| run_cell(ctx, bench, prefetch, seed));
     let rows = benches
         .iter()
         .zip(timings.chunks_exact(2))
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn prefetch_speeds_up_oversubscribed_kernels() {
-        let r = run(1);
+        let r = run(&RunCtx::new(1), 1);
         assert_eq!(r.rows.len(), 2);
         for row in &r.rows {
             // Paper: 3.39x and 2.72x. We require the same winner at the

@@ -38,10 +38,11 @@
 //! * [`report`] — CSV export and terminal summaries of batch records.
 //! * [`snapshot`] — [`snapshot::SystemSnapshot`]: versioned whole-system
 //!   checkpoints with per-subsystem integrity digests.
-//! * [`parallel`] — deterministic scoped worker pool fanning independent
-//!   runs across `--jobs N` threads with submission-order results.
-//! * [`runctl`] — process-global `--checkpoint-every` / `--resume` policy
-//!   consulted transparently by every run.
+//! * [`runctl`] — [`RunCtx`], the explicit context every experiment runs
+//!   under: the `--jobs N` worker budget ([`RunCtx::map`] fans
+//!   independent runs across threads with submission-order results), the
+//!   `--checkpoint-every` / `--resume` policy, and each run's
+//!   deterministic path, which keys its checkpoints.
 //! * [`divergence`] — lockstep execution of two instances, reporting the
 //!   first batch and subsystem whose state digests disagree.
 //! * [`tenancy`] — multi-tenant composition: several clients' workloads
@@ -52,7 +53,7 @@ pub mod chaos;
 pub mod config;
 pub mod divergence;
 pub mod experiments;
-pub mod parallel;
+mod parallel;
 pub mod report;
 pub mod runctl;
 pub mod snapshot;
@@ -61,6 +62,7 @@ pub mod tenancy;
 
 pub use chaos::{ChaosReport, ReproFile, Scenario};
 pub use config::SystemConfig;
+pub use runctl::{RunCtl, RunCtx};
 pub use snapshot::SystemSnapshot;
 pub use system::{Progress, RunHints, RunInProgress, RunResult, UvmSystem};
 pub use tenancy::{compose, ClientSpec, InterleaveMode};

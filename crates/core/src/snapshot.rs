@@ -94,7 +94,7 @@ impl SubsystemDigests {
 pub struct SystemSnapshot {
     /// Snapshot format version ([`SNAPSHOT_VERSION`] at capture time).
     pub version: u32,
-    /// Identity of the run within its harness process (see [`run_key`]);
+    /// Identity of the run within its harness invocation (see [`run_key`]);
     /// 0 for standalone snapshots.
     pub run_key: u64,
     /// Batches serviced when the snapshot was taken.
@@ -206,16 +206,17 @@ impl SystemSnapshot {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// The identity of one system run within a harness process: FNV-1a over
-/// the run's ordinal (how many runs the process started before it), the
-/// workload digest, and the config digest.
+/// The identity of one system run within a harness invocation: FNV-1a over
+/// the digest of the run's path (experiment id, map item indices, sequence
+/// number in its [`RunCtx`](crate::runctl::RunCtx)), the workload digest,
+/// and the config digest.
 ///
 /// Because the harness is deterministic, re-executing it reproduces the
-/// same sequence of run keys; a resume replays runs until the key stored
-/// in the checkpoint comes up, then restores mid-run.
-pub fn run_key(ordinal: u64, workload_digest: u64, config_digest: u64) -> u64 {
+/// same run keys; a resume replays runs until the key stored in the
+/// checkpoint comes up, then restores mid-run.
+pub fn run_key(path: u64, workload_digest: u64, config_digest: u64) -> u64 {
     let mut h = FNV_OFFSET;
-    for word in [ordinal, workload_digest, config_digest] {
+    for word in [path, workload_digest, config_digest] {
         for b in word.to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(FNV_PRIME);

@@ -27,9 +27,9 @@
 //! streams, injectors — can be captured as a versioned
 //! [`SystemSnapshot`] and later restored
 //! into a new `RunInProgress` that continues bit-identically.
-//! [`UvmSystem::try_run_with_hints`] and friends are thin drivers over this
-//! interface, so batch-mode and checkpointed executions traverse exactly
-//! the same code path.
+//! [`RunCtx::run`] and [`UvmSystem::run`] and friends are thin drivers over
+//! this interface, so batch-mode and checkpointed executions traverse
+//! exactly the same code path.
 
 use serde::{Deserialize, Serialize};
 use uvm_driver::advise::MemAdvise;
@@ -46,7 +46,7 @@ use uvm_sim::time::{SimDuration, SimTime};
 use uvm_workloads::workload::Workload;
 
 use crate::config::SystemConfig;
-use crate::runctl;
+use crate::runctl::RunCtx;
 use crate::snapshot::{check_version, SubsystemDigests, SystemSnapshot, SNAPSHOT_VERSION};
 
 /// Safety valve: a run that schedules more events than this is considered
@@ -279,23 +279,30 @@ impl UvmSystem {
     }
 
     /// Like [`Self::run_with_hints`], but an unrecoverable pipeline
-    /// failure returns the typed [`UvmError`] instead of panicking.
-    ///
-    /// This is the path every full run takes, and it consults the
-    /// process-global [`runctl`] checkpoint policy: when auto-checkpointing
-    /// is configured the run's state is written out every N batches, and
-    /// when a matching resume snapshot is pending the run restores from it
-    /// instead of starting fresh — producing output byte-identical to the
-    /// uninterrupted run. The run's key (workload and config digests) is
-    /// computed only when one of those policies is set.
+    /// failure returns the typed [`UvmError`] instead of panicking. Runs
+    /// under a policy-free [`RunCtx`], so it never checkpoints or resumes.
     pub fn try_run_with_hints(
         self,
         workload: &Workload,
         hints: &RunHints,
     ) -> Result<RunResult, UvmError> {
+        self.try_run_in(&RunCtx::new(1), workload, hints)
+    }
+
+    /// The run loop every full run takes, under `ctx`'s checkpoint policy:
+    /// when auto-checkpointing is configured the run's state is written
+    /// out every N batches, and when the pending resume snapshot's key
+    /// matches this run it restores from it instead of starting fresh —
+    /// producing output byte-identical to the uninterrupted run.
+    pub(crate) fn try_run_in(
+        self,
+        ctx: &RunCtx,
+        workload: &Workload,
+        hints: &RunHints,
+    ) -> Result<RunResult, UvmError> {
         let mut session =
-            runctl::begin_run(|| (serde::digest(workload), serde::digest(&self.config)));
-        let mut run = match session.take_resume() {
+            ctx.begin_run(|| (serde::digest(workload), serde::digest(&self.config)));
+        let mut run = match session.resume.take() {
             Some(snap) => RunInProgress::restore(&snap, workload)?,
             None => self.start(workload, hints)?,
         };

@@ -10,9 +10,10 @@
 //! ```
 
 use uvm_core::experiments::fig03_vecadd;
+use uvm_core::RunCtx;
 
 fn main() {
-    let result = fig03_vecadd::run(0x5C21);
+    let result = fig03_vecadd::run(&RunCtx::new(1), 0x5C21);
     println!("{}", result.render());
 
     println!("\nper-fault arrival log (first three batches):");

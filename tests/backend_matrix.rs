@@ -21,10 +21,9 @@
 //! All four workload families run oversubscribed, so every backend
 //! actually evicts — and the peer backends actually spill.
 
-use std::sync::Mutex;
-
-use uvm_core::parallel;
-use uvm_core::{Progress, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem};
+use uvm_core::{
+    Progress, RunCtx, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem,
+};
 use uvm_driver::backend::BackendKind;
 use uvm_driver::policy::DriverPolicy;
 use uvm_sim::mem::PAGES_PER_VABLOCK;
@@ -35,9 +34,6 @@ use uvm_workloads::{attention, gauss_seidel, graph_bfs, stream};
 
 /// The harness-wide default seed (`uvm_bench::SEED`).
 const SEED: u64 = 0x5C21;
-
-/// Serialize tests that mutate the process-global worker budget.
-static JOBS_GUARD: Mutex<()> = Mutex::new(());
 
 /// The four paper workload families at CI-smoke scale.
 fn workloads() -> Vec<(&'static str, Workload)> {
@@ -182,18 +178,15 @@ fn attn_matrix_audits_conserves_and_reruns_identically() {
 
 #[test]
 fn backend_grid_is_jobs_invariant() {
-    let _g = JOBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let (_, workload) = workloads().remove(0);
     let grid = |jobs: usize| -> Vec<String> {
-        parallel::configure_jobs(jobs);
-        parallel::map(BackendKind::ALL.to_vec(), |backend| {
-            let r = UvmSystem::new(config(&workload, backend)).run(&workload);
+        RunCtx::new(jobs).map(BackendKind::ALL.to_vec(), |ctx, backend| {
+            let r = ctx.run(config(&workload, backend), &workload);
             serde_json::to_string(&r).expect("result serializes")
         })
     };
     let serial = grid(1);
     let fanned = grid(4);
-    parallel::configure_jobs(1);
     assert_eq!(serial, fanned, "--jobs 4 must be byte-identical to --jobs 1");
 }
 

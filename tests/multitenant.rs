@@ -14,12 +14,11 @@
 //! * a mid-run snapshot/restore with two clients and an active fairness
 //!   policy (ledger counters, admission state) resumes bit-identically.
 
-use std::sync::Mutex;
-
 use uvm_core::experiments::{ext_multitenant, golden_form};
-use uvm_core::parallel;
 use uvm_core::tenancy::{compose, ClientSpec, InterleaveMode};
-use uvm_core::{Progress, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem};
+use uvm_core::{
+    Progress, RunCtx, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem,
+};
 use uvm_driver::clients::FairnessPolicy;
 use uvm_driver::policy::DriverPolicy;
 use uvm_sim::time::SimDuration;
@@ -29,9 +28,6 @@ use uvm_workloads::{graph_bfs, vecadd};
 
 /// The harness-wide default seed (`uvm_bench::SEED`).
 const SEED: u64 = 0x5C21;
-
-/// Serialize tests that mutate the process-global worker budget.
-static JOBS_GUARD: Mutex<()> = Mutex::new(());
 
 /// Dense streaming client: page-strided vecadd, ~9 MiB footprint.
 fn stream_client() -> Workload {
@@ -173,15 +169,10 @@ fn two_client_stepped_run_matches_oneshot_and_ledger_conserves() {
 /// the quick golden that CI's sweep smoke job diffs.
 #[test]
 fn multitenant_sweep_is_jobs_invariant() {
-    let _g = JOBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let grid = ext_multitenant::sweep(true);
-    let sweep = |jobs: usize| -> String {
-        parallel::configure_jobs(jobs);
-        grid.render(&grid.run(SEED))
-    };
+    let sweep = |jobs: usize| grid.render(&grid.run(&RunCtx::new(jobs), SEED));
     let serial = sweep(1);
     let fanned = sweep(4);
-    parallel::configure_jobs(1);
     assert_eq!(serial, fanned, "--jobs 4 must be byte-identical to --jobs 1");
     assert_eq!(
         golden_form(&serial),

@@ -5,7 +5,7 @@
 
 use uvm_core::experiments::grid::find;
 use uvm_core::experiments::{ext_policy, golden_form};
-use uvm_core::{SystemConfig, UvmSystem};
+use uvm_core::{RunCtx, SystemConfig, UvmSystem};
 use uvm_driver::policy::DriverPolicy;
 use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::prefetch_ub::{self, PrefetchUbParams};
@@ -283,7 +283,7 @@ fn claim_prefetch_does_not_rescue_irregular_apps() {
 #[test]
 fn claim_policy_grid_matches_section_5_2() {
     let sweep = ext_policy::sweep(true);
-    let grid = sweep.run(0x5C21);
+    let grid = sweep.run(&RunCtx::new(1), 0x5C21);
     // The same cells render byte-for-byte to the checked-in quick golden.
     assert_eq!(
         golden_form(&sweep.render(&grid)),

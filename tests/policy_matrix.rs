@@ -19,10 +19,9 @@
 //! Both a regular workload (vecadd) and an irregular one (graph BFS) run
 //! under oversubscription, so every combination actually evicts.
 
-use std::sync::Mutex;
-
-use uvm_core::parallel;
-use uvm_core::{Progress, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem};
+use uvm_core::{
+    Progress, RunCtx, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem,
+};
 use uvm_driver::policy::DriverPolicy;
 use uvm_driver::{EvictionPolicyKind, PrefetchPolicyKind};
 use uvm_sim::mem::PAGES_PER_VABLOCK;
@@ -33,9 +32,6 @@ use uvm_workloads::{graph_bfs, vecadd};
 
 /// The harness-wide default seed (`uvm_bench::SEED`).
 const SEED: u64 = 0x5C21;
-
-/// Serialize tests that mutate the process-global worker budget.
-static JOBS_GUARD: Mutex<()> = Mutex::new(());
 
 /// Regular workload: page-strided vecadd, ~9 MiB footprint.
 fn vecadd_small() -> Workload {
@@ -158,18 +154,15 @@ fn bfs_matrix_audits_conserves_and_reruns_identically() {
 
 #[test]
 fn policy_grid_is_jobs_invariant() {
-    let _g = JOBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let workload = vecadd_small();
     let grid = |jobs: usize| -> Vec<String> {
-        parallel::configure_jobs(jobs);
-        parallel::map(combos(), |(p, e)| {
-            let r = UvmSystem::new(config(4, p, e)).run(&workload);
+        RunCtx::new(jobs).map(combos(), |ctx, (p, e)| {
+            let r = ctx.run(config(4, p, e), &workload);
             serde_json::to_string(&r).expect("result serializes")
         })
     };
     let serial = grid(1);
     let fanned = grid(4);
-    parallel::configure_jobs(1);
     assert_eq!(serial, fanned, "--jobs 4 must be byte-identical to --jobs 1");
 }
 
