@@ -26,7 +26,7 @@
 use std::fs;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Kind, Serialize, Source};
 use uvm_driver::service::UvmDriver;
 use uvm_gpu::device::Gpu;
 use uvm_hostos::host::HostMemory;
@@ -126,10 +126,26 @@ pub struct SystemSnapshot {
     pub trace: Option<TraceState>,
 }
 
-/// The one field every snapshot version shares.
-#[derive(Deserialize)]
-struct Version {
-    version: u32,
+/// The one field every snapshot version shares. Decoding it skips every
+/// other field, so it syntax-checks the whole document; a document that
+/// is not an object is skipped whole before its shape is reported, so
+/// malformed JSON reports its syntax error (or the depth limit) first.
+struct Version(u32);
+
+impl Deserialize for Version {
+    fn pull<S: Source>(src: &mut S) -> Result<Self, DeError> {
+        let found = src.peek()?;
+        if found != Kind::Object {
+            let e = src.invalid_type("SystemSnapshot", found.name());
+            src.skip()?;
+            return Err(e);
+        }
+        let mut version = None;
+        serde::__pull_object(src, "SystemSnapshot", &["version"], |src, _| {
+            serde::__pull_field(src, &mut version, "version")
+        })?;
+        serde::__take(src, version, "version").map(Version)
+    }
 }
 
 /// Reject a snapshot of another format version.
@@ -174,7 +190,8 @@ impl SystemSnapshot {
     /// surface as [`UvmError::SnapshotInvalid`]; integrity is *not*
     /// checked here (it is checked by restore). The version is checked
     /// before the rest is decoded, because a file of another version
-    /// usually has another shape too.
+    /// usually has another shape too: a first pass decodes only the
+    /// version, skipping every other field.
     pub fn load(path: &Path) -> Result<Self, UvmError> {
         let invalid = |e: &dyn std::fmt::Display| UvmError::SnapshotInvalid {
             detail: format!("cannot parse {}: {e}", path.display()),
@@ -182,9 +199,9 @@ impl SystemSnapshot {
         let text = fs::read_to_string(path).map_err(|e| UvmError::SnapshotInvalid {
             detail: format!("cannot read {}: {e}", path.display()),
         })?;
-        let tree = serde_json::parse(&text).map_err(|e| invalid(&e))?;
-        check_version(Version::from_value(&tree).map_err(|e| invalid(&e))?.version)?;
-        Self::from_value(&tree).map_err(|e| invalid(&e))
+        let Version(version) = serde_json::from_str(&text).map_err(|e| invalid(&e))?;
+        check_version(version)?;
+        serde_json::from_str(&text).map_err(|e| invalid(&e))
     }
 
     /// Verify that the stored digests match the state they describe.

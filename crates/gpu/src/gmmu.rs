@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{DeError, Deserialize, Serialize, Sink, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 use uvm_sim::cost::CostModel;
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimTime;
@@ -223,15 +223,25 @@ impl Serialize for Gmmu {
 }
 
 impl Deserialize for Gmmu {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = serde::__object_fields(v, "Gmmu")?;
-        let queues: Vec<VecDeque<PendingFault>> = serde::__field(fields, "queues")?;
-        let cursor: usize = serde::__field(fields, "cursor")?;
+    fn pull<S: Source>(src: &mut S) -> Result<Self, DeError> {
+        const FIELDS: &[&str] =
+            &["queues", "cursor", "port_free_at", "total_deposited", "flush_discards"];
+        let (mut queues, mut cursor, mut port_free_at) = (None, None, None);
+        let (mut total_deposited, mut flush_discards) = (None, None);
+        serde::__pull_object(src, "Gmmu", FIELDS, |src, i| match i {
+            0 => serde::__pull_field(src, &mut queues, "queues"),
+            1 => serde::__pull_field(src, &mut cursor, "cursor"),
+            2 => serde::__pull_field(src, &mut port_free_at, "port_free_at"),
+            3 => serde::__pull_field(src, &mut total_deposited, "total_deposited"),
+            _ => serde::__pull_field(src, &mut flush_discards, "flush_discards"),
+        })?;
+        let queues: Vec<VecDeque<PendingFault>> = serde::__take(src, queues, "queues")?;
+        let cursor: usize = serde::__take(src, cursor, "cursor")?;
         if cursor >= queues.len().max(1) {
-            return Err(DeError::custom(format!(
+            return Err(src.locate(DeError::custom(format!(
                 "GMMU cursor {cursor} out of range for {} queues",
                 queues.len()
-            )));
+            ))));
         }
         let pending = queues.iter().map(VecDeque::len).sum();
         let earliest = queues
@@ -241,9 +251,9 @@ impl Deserialize for Gmmu {
         Ok(Gmmu {
             queues,
             cursor,
-            port_free_at: serde::__field(fields, "port_free_at")?,
-            total_deposited: serde::__field(fields, "total_deposited")?,
-            flush_discards: serde::__field(fields, "flush_discards")?,
+            port_free_at: serde::__take(src, port_free_at, "port_free_at")?,
+            total_deposited: serde::__take(src, total_deposited, "total_deposited")?,
+            flush_discards: serde::__take(src, flush_discards, "flush_discards")?,
             pending,
             earliest,
         })
@@ -253,6 +263,7 @@ impl Deserialize for Gmmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn drain_all(g: &mut Gmmu) -> Vec<FaultRecord> {
         let mut buf = FaultBuffer::new(4096);

@@ -36,7 +36,7 @@
 
 use std::cell::Cell;
 
-use serde::{DeError, Deserialize, Serialize, Sink, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 
 /// log2 of the node fan-out (64 slots per node, as in Linux).
 pub const MAP_SHIFT: u32 = 6;
@@ -511,11 +511,24 @@ impl<V: Serialize> Serialize for RadixTree<V> {
 }
 
 impl<V: Deserialize> Deserialize for RadixTree<V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = serde::__object_fields(v, "RadixTree")?;
-        let height: u32 = serde::__field(fields, "height")?;
-        let items: Vec<(u64, V)> = serde::__field(fields, "items")?;
-        let stats: RadixStats = serde::__field(fields, "stats")?;
+    fn pull<S: Source>(src: &mut S) -> Result<Self, DeError> {
+        let (mut height, mut items, mut stats) = (None, None, None);
+        serde::__pull_object(src, "RadixTree", &["height", "items", "stats"], |src, i| match i {
+            0 => serde::__pull_field(src, &mut height, "height"),
+            1 => serde::__pull_field(src, &mut items, "items"),
+            _ => serde::__pull_field(src, &mut stats, "stats"),
+        })?;
+        let height: u32 = serde::__take(src, height, "height")?;
+        let items: Vec<(u64, V)> = serde::__take(src, items, "items")?;
+        let stats: RadixStats = serde::__take(src, stats, "stats")?;
+        Self::rebuild(height, items, stats).map_err(|e| src.locate(e))
+    }
+}
+
+impl<V> RadixTree<V> {
+    /// The tree a snapshot of `(height, items, stats)` describes, checked
+    /// against what rebuilding it from those items allocates.
+    fn rebuild(height: u32, items: Vec<(u64, V)>, stats: RadixStats) -> Result<Self, DeError> {
         if stats.entries != items.len() as u64 {
             return Err(DeError::custom(format!(
                 "radix tree snapshot lists {} items but stats claim {} entries",
@@ -562,6 +575,7 @@ impl<V: Deserialize> Deserialize for RadixTree<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn insert_get_round_trip() {
