@@ -278,11 +278,9 @@ impl Scenario {
         // random footprints reach ~16-24 MiB) and some do not.
         let memory_mb = [16u64, 24, 32, 64][rng.below(4) as usize];
 
-        let base = if rng.chance(0.5) {
-            DriverPolicy::with_prefetch()
-        } else {
-            DriverPolicy::default()
-        };
+        // An unused draw, kept because removing it would shift every later
+        // draw and so change every campaign's scenarios.
+        let _ = rng.chance(0.5);
         let prefetcher = [
             PrefetchPolicyKind::None,
             PrefetchPolicyKind::TreeDensity,
@@ -293,7 +291,7 @@ impl Scenario {
             EvictionPolicyKind::Random,
             EvictionPolicyKind::Lfu,
         ][rng.below(3) as usize];
-        let policy = base
+        let policy = DriverPolicy::default()
             .prefetcher(prefetcher)
             .evictor(evictor)
             .batch_limit([64usize, 256][rng.below(2) as usize])
@@ -553,11 +551,6 @@ fn reductions(s: &Scenario) -> Vec<Scenario> {
         }
     }
     let stock = DriverPolicy::default().audited(true);
-    if s.policy.prefetch_enabled {
-        let mut c = s.clone();
-        c.policy.prefetch_enabled = false;
-        out.push(c);
-    }
     if s.policy.prefetch_policy != stock.prefetch_policy {
         let mut c = s.clone();
         c.policy.prefetch_policy = stock.prefetch_policy;
@@ -851,5 +844,53 @@ mod tests {
         let err = ReproFile::load(&path);
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, Err(UvmError::SnapshotInvalid { .. })), "{err:?}");
+    }
+
+    /// Pins what `Scenario::generate` draws for trials 0..64 of two
+    /// campaign seeds: the FNV-1a of every field's JSON, and of each kept
+    /// policy field's JSON (a policy field that is dropped or added does
+    /// not move the pin; a changed draw does). Recorded when the policy
+    /// lost its derived and fixed fields, so it proves campaigns, and the
+    /// benchmark's chaos cells, kept their scenarios through that change.
+    #[test]
+    fn generated_scenarios_keep_their_draws() {
+        const POLICY_FIELDS: [&str; 11] = [
+            "batch_limit",
+            "prefetch_policy",
+            "eviction_policy",
+            "log_fault_metadata",
+            "dedup_enabled",
+            "flush_on_replay",
+            "thrashing_mitigation",
+            "max_retries",
+            "audit_enabled",
+            "pressure_reserve_blocks",
+            "degraded_threshold",
+        ];
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut feed = |json: Result<String, serde_json::Error>| {
+            for b in json.expect("encodes").bytes().chain([b'\n']) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for seed in [23585, 4242] {
+            for trial in 0..64 {
+                let s = Scenario::generate(seed, trial);
+                feed(serde_json::to_string(&s.seed));
+                feed(serde_json::to_string(&s.workload));
+                feed(serde_json::to_string(&s.memory_mb));
+                feed(serde_json::to_string(&s.plan));
+                feed(serde_json::to_string(&s.kill_batches));
+                feed(serde_json::to_string(&s.backend));
+                let serde::Value::Object(policy) = s.policy.to_value() else {
+                    panic!("a policy is an object")
+                };
+                for key in POLICY_FIELDS {
+                    let (_, v) = policy.iter().find(|(k, _)| k == key).expect("policy field");
+                    feed(serde_json::to_string(v));
+                }
+            }
+        }
+        assert_eq!(hash, 1_881_296_555_427_569_109, "Scenario::generate draws changed");
     }
 }

@@ -134,7 +134,7 @@ mod tests {
             .with_seed(7)
             .with_fault_plan(FaultPlan::uniform(0.1))
             .with_backend(BackendKind::GpuDriven);
-        assert!(c.policy.prefetch_enabled);
+        assert_eq!(c.policy, DriverPolicy::with_prefetch());
         assert_eq!(c.seed, 7);
         assert!(c.fault_plan.is_enabled());
         assert_eq!(c.backend, BackendKind::GpuDriven);

@@ -404,12 +404,12 @@ impl UvmSystem {
 
         let mut queue: EventQueue<Event> = EventQueue::with_capacity(workload.num_warps() * 2);
         let start = SimTime::ZERO + copy_time;
-        for wid in self.gpu.launch(workload.programs.clone()) {
+        for wid in self.gpu.launch(workload.num_warps()) {
             queue.schedule(start, Event::WarpStep(wid));
         }
         while let Some((now, event)) = queue.pop() {
             match event {
-                Event::WarpStep(wid) => match self.gpu.step_warp(wid, now) {
+                Event::WarpStep(wid) => match self.gpu.step_warp(&workload.programs, wid, now) {
                     StepOutcome::Continue { at } => queue.schedule(at, Event::WarpStep(wid)),
                     StepOutcome::Blocked => unreachable!("no faults under explicit management"),
                     StepOutcome::Finished { at, activated } => {
@@ -493,7 +493,8 @@ impl RunInProgress {
     /// Launch the next sequential kernel, if any. Kernels launch
     /// sequentially: each waits for the previous one to complete and for
     /// the driver to go idle (the implicit stream synchronization between
-    /// dependent launches).
+    /// dependent launches). The kernels' program ranges are contiguous and
+    /// launch in order, so warp ids equal program indices.
     fn launch_next_kernel(&mut self, workload: &Workload) -> bool {
         let kernels = workload.kernels();
         if self.kernel_cursor >= kernels.len() {
@@ -506,7 +507,8 @@ impl RunInProgress {
         uvm_trace::emit_instant(start.0, || uvm_trace::TraceEvent::KernelLaunch {
             kernel: ordinal,
         });
-        for wid in self.system.gpu.launch(workload.programs[range].to_vec()) {
+        debug_assert_eq!(range.start, self.system.gpu.num_warps());
+        for wid in self.system.gpu.launch(range.len()) {
             self.queue.schedule(start, Event::WarpStep(wid));
         }
         self.current_kernel_start = Some(start);
@@ -530,7 +532,7 @@ impl RunInProgress {
                 );
                 match event {
                     Event::WarpStep(wid) => {
-                        match self.system.gpu.step_warp(wid, now) {
+                        match self.system.gpu.step_warp(&workload.programs, wid, now) {
                             StepOutcome::Continue { at } => {
                                 self.queue.schedule(at, Event::WarpStep(wid))
                             }
@@ -769,10 +771,11 @@ impl RunInProgress {
 
     /// Rebuild a paused run from a checkpoint. Validates the format
     /// version, the stored per-subsystem digests against the decoded state
-    /// (integrity), and that `workload` is byte-identical to the one the
-    /// checkpoint was taken against; the restored run then continues
-    /// exactly where the snapshotted one stopped, producing bit-identical
-    /// results.
+    /// (integrity), that `workload` is byte-identical to the one the
+    /// checkpoint was taken against, and that the GPU's warps fit the
+    /// programs of the kernels launched so far; the restored run then
+    /// continues exactly where the snapshotted one stopped, producing
+    /// bit-identical results.
     pub fn restore(snap: &SystemSnapshot, workload: &Workload) -> Result<Self, UvmError> {
         check_version(snap.version)?;
         snap.verify_integrity()?;
@@ -786,6 +789,13 @@ impl RunInProgress {
                 ),
             });
         }
+        // Warps index the workload's programs: a GPU whose warps do not fit
+        // the kernels launched so far must fail here, not in a step.
+        let kernels = workload.kernels();
+        let launched = &kernels[..snap.run.kernel_cursor.min(kernels.len())];
+        snap.gpu
+            .check_programs(&workload.programs[..launched.last().map_or(0, |k| k.end)])
+            .map_err(|detail| UvmError::SnapshotInvalid { detail })?;
         // Reinstate tracer state captured with the checkpoint. Restoring a
         // traced checkpoint with tracing disabled simply drops the buffered
         // events (the simulation itself is unaffected either way).
@@ -974,9 +984,9 @@ mod tests {
         assert_eq!(migrated, w.footprint_pages());
     }
 
-    #[test]
-    fn sequential_kernels_synchronize_and_reuse_residency() {
-        // Kernel 1 streams a+b -> c; kernel 2 re-reads c (warm) and writes d.
+    /// Two sequential kernels: kernel 1 streams a -> c; kernel 2 re-reads c
+    /// (warm) and writes d.
+    fn pipeline_workload() -> Workload {
         let mut b = uvm_workloads::workload::Workload::builder("pipeline");
         let a = b.alloc(32 * 4096);
         let c = b.alloc(32 * 4096);
@@ -998,7 +1008,13 @@ mod tests {
             }
             b.warp(p);
         }
-        let w = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn sequential_kernels_synchronize_and_reuse_residency() {
+        // Kernel 1 streams a+b -> c; kernel 2 re-reads c (warm) and writes d.
+        let w = pipeline_workload();
         let result = UvmSystem::new(SystemConfig::test_small(64 * MB)).run(&w);
 
         assert_eq!(result.kernel_spans.len(), 2);
@@ -1272,6 +1288,141 @@ mod tests {
         while resumed.advance_batch(&w)? != Progress::Finished {}
         let result = resumed.into_result(&w);
         assert_eq!(result_json(&straight), result_json(&result));
+        Ok(())
+    }
+
+    // ---- warps run the workload's programs in place ----
+
+    /// Drive `config` over `w` until `pause` holds after a batch, take a
+    /// snapshot there, round-trip it through JSON, restore it and finish:
+    /// the result must be byte-identical to the uninterrupted run.
+    fn json_restore_matches_straight_run(
+        config: SystemConfig,
+        w: &Workload,
+        pause: impl Fn(&RunInProgress) -> bool,
+    ) -> Result<(), UvmError> {
+        let straight = UvmSystem::new(config.clone()).run(w);
+        let mut run = UvmSystem::new(config).start(w, &RunHints::default())?;
+        while !pause(&run) {
+            assert!(
+                matches!(run.advance_batch(w)?, Progress::Batch(_)),
+                "{}: the run finished before its pause point",
+                w.name
+            );
+        }
+        let json = serde_json::to_string(&run.snapshot(w, 0)).expect("snapshot encodes");
+        drop(run);
+        let back: SystemSnapshot = serde_json::from_str(&json).expect("snapshot decodes");
+        let mut resumed = RunInProgress::restore(&back, w)?;
+        while resumed.advance_batch(w)? != Progress::Finished {}
+        assert_eq!(result_json(&straight), result_json(&resumed.into_result(w)), "{}", w.name);
+        Ok(())
+    }
+
+    #[test]
+    fn restore_mid_second_kernel_runs_the_second_kernels_programs() -> Result<(), UvmError> {
+        // Warps 4..8 run programs 4..8: the second kernel's, launched onto
+        // the ids after the first kernel's four warps.
+        let w = pipeline_workload();
+        assert_eq!(w.kernels(), vec![0..4, 4..8]);
+        json_restore_matches_straight_run(SystemConfig::test_small(64 * MB), &w, |run| {
+            // Kernel 1's warps are done, and kernel 2 has faulted for three
+            // batches and is still running.
+            run.kernel_cursor == 2 && run.batches() >= 12 && !run.gpu().all_done()
+        })
+    }
+
+    #[test]
+    fn restore_mid_run_of_a_composed_workload() -> Result<(), UvmError> {
+        use crate::tenancy::{compose, ClientSpec, InterleaveMode};
+        use uvm_driver::clients::FairnessPolicy;
+        let client = |warps| {
+            stream::build(StreamParams {
+                warps,
+                pages_per_warp: 8,
+                iters: 1,
+                warps_per_page: 1,
+                cpu_init: Some(CpuInitPolicy::SingleThread),
+            })
+        };
+        let (w, tenancy) = compose(
+            &[ClientSpec::new("a", client(24)), ClientSpec::new("b", client(8)).with_weight(2)],
+            InterleaveMode::Coschedule,
+            FairnessPolicy::RoundRobin,
+        );
+        let config = SystemConfig::test_small(16 * MB).with_tenancy(tenancy);
+        json_restore_matches_straight_run(config, &w, |run| run.batches() >= 6)
+    }
+
+    #[test]
+    fn snapshots_hold_program_counters_not_programs() -> Result<(), UvmError> {
+        let w = ckpt_workload();
+        let mut run =
+            UvmSystem::new(SystemConfig::test_small(16 * MB)).start(&w, &RunHints::default())?;
+        for _ in 0..3 {
+            run.advance_batch(&w)?;
+        }
+        let json = serde_json::to_string(&run.snapshot(&w, 0)).expect("snapshot encodes");
+        assert!(!json.contains("\"instrs\""), "a snapshot copies no instruction stream");
+        assert_eq!(json.matches("\"pc\":").count(), w.num_warps(), "one pc per warp");
+        Ok(())
+    }
+
+    /// A mid-run snapshot of `w` with its GPU edited through the JSON tree
+    /// by `edit`, and its digests recomputed so the integrity check passes.
+    fn edited_snapshot(
+        w: &Workload,
+        edit: impl FnOnce(&mut Vec<serde::Value>),
+    ) -> Result<SystemSnapshot, UvmError> {
+        use serde::Value;
+        fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Object(fields) = v else { panic!("`{key}`'s parent is an object") };
+            fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).expect("field present")
+        }
+        let mut run =
+            UvmSystem::new(SystemConfig::test_small(16 * MB)).start(w, &RunHints::default())?;
+        run.advance_batch(w)?;
+        let mut tree = serde_json::parse(
+            &serde_json::to_string(&run.snapshot(w, 0)).expect("snapshot encodes"),
+        )
+        .expect("snapshot parses");
+        let Value::Array(warps) = field(field(&mut tree, "gpu"), "warps") else {
+            panic!("warps are an array")
+        };
+        edit(warps);
+        let mut snap = SystemSnapshot::from_value(&tree).expect("edited snapshot decodes");
+        snap.digests = SubsystemDigests::of(&snap.gpu, &snap.driver, &snap.host, &snap.run);
+        snap.verify_integrity()?;
+        Ok(snap)
+    }
+
+    #[test]
+    fn restore_rejects_warps_that_do_not_fit_the_workload() -> Result<(), UvmError> {
+        use serde::Value;
+        let w = ckpt_workload();
+        let rejects = |snap: SystemSnapshot, want: &str| {
+            let err = RunInProgress::restore(&snap, &w).expect_err("edited GPU must be rejected");
+            assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+            assert!(err.to_string().contains(want), "got: {err}");
+        };
+        // One warp fewer than the launched kernel has programs.
+        rejects(
+            edited_snapshot(&w, |warps| drop(warps.pop()))?,
+            &format!("{} warps launched, but the launched kernels have {} programs",
+                w.num_warps() - 1, w.num_warps()),
+        );
+        // A program counter one past its program's end.
+        let len = w.programs[3].instrs.len();
+        rejects(
+            edited_snapshot(&w, |warps| {
+                let Value::Object(fields) = &mut warps[3] else { panic!("a warp is an object") };
+                let pc = fields.iter_mut().find(|(k, _)| k == "pc").expect("warp has a pc");
+                pc.1 = Value::NumU(len as u64 + 1);
+            })?,
+            &format!("warp 3 is at instruction {} of a {len}-instruction program", len + 1),
+        );
+        // The unedited tree restores.
+        RunInProgress::restore(&edited_snapshot(&w, |_| {})?, &w)?;
         Ok(())
     }
 }

@@ -24,7 +24,7 @@
 //!   off even after pressure lifts.
 //! * **Resetting** — the GPU lost its fault buffer and μTLB state this
 //!   batch; the driver pays the re-attach cost
-//!   ([`crate::policy::DriverPolicy::reset_reattach_cost`], charged to
+//!   ([`crate::policy::DriverPolicy::RESET_REATTACH_COST`], charged to
 //!   `t_fixed`) and relies on the end-of-batch replay to regenerate the
 //!   lost faults from the last consistent point.
 //!

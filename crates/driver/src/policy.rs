@@ -5,26 +5,21 @@ use uvm_sim::time::SimDuration;
 
 use crate::engine::{EvictionPolicyKind, PrefetchPolicyKind};
 
-/// UVM driver policy knobs. Defaults match the stock `nvidia-uvm` driver
-/// configuration the paper studies.
+/// UVM driver policy knobs: one field per decision a run can vary.
+/// Defaults match the stock `nvidia-uvm` driver configuration the paper
+/// studies. Tunables no configuration varies are the associated constants
+/// ([`Self::PREFETCH_THRESHOLD`] and the rest).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriverPolicy {
     /// Maximum faults fetched into one batch. The stock driver uses 256;
     /// Fig. 9 sweeps this up to 6144.
     pub batch_limit: usize,
-    /// Whether the tree-based density prefetcher is active (`uvm_perf_prefetch`).
-    pub prefetch_enabled: bool,
-    /// Density threshold for the prefetcher: a subtree is prefetched when
-    /// strictly more than this fraction of its pages are faulted/resident.
-    pub prefetch_threshold: f64,
-    /// Which prefetcher runs when `prefetch_enabled` is set (the policy
-    /// engine, [`crate::engine`]). `prefetch_enabled` remains the master
-    /// gate so pre-engine configurations keep their meaning.
+    /// Which prefetcher runs (the policy engine, [`crate::engine`]).
+    /// [`PrefetchPolicyKind::None`], the default, is demand paging only;
+    /// any other kind enables prefetching (`uvm_perf_prefetch`).
     pub prefetch_policy: PrefetchPolicyKind,
     /// Which evictor picks victims when device memory is full.
     pub eviction_policy: EvictionPolicyKind,
-    /// Expansion depth (in pages) for the sequential-stride prefetcher.
-    pub stride_pages: u32,
     /// Whether to retain per-fault metadata (the paper's first instrumented
     /// driver variant). Costs memory on long runs; batch-level records are
     /// always kept.
@@ -40,23 +35,16 @@ pub struct DriverPolicy {
     pub flush_on_replay: bool,
     /// Thrashing mitigation (the real driver's `uvm_perf_thrashing`
     /// module, simplified): a block refaulted within
-    /// `thrashing_window` batches of its eviction is *pinned* host-side —
-    /// mapped remotely instead of re-migrated — for `thrashing_pin`
-    /// batches, breaking eviction ping-pong. Off by default (the paper's
-    /// analysis runs without it).
+    /// [`Self::THRASHING_WINDOW`] batches of its eviction is *pinned*
+    /// host-side — mapped remotely instead of re-migrated — for
+    /// [`Self::THRASHING_PIN`] batches, breaking eviction ping-pong. Off by
+    /// default (the paper's analysis runs without it).
     pub thrashing_mitigation: bool,
-    /// Eviction→refault distance (in batches) that counts as thrashing.
-    pub thrashing_window: u64,
-    /// How long (in batches) a thrashing block stays pinned host-side.
-    pub thrashing_pin: u64,
     /// Recovery: maximum retry attempts after a transient failure (DMA map,
     /// copy-engine fault, host page-table populate, batch-fetch stall)
     /// before the error escalates — to degradation for migration failures,
     /// to a hard [`UvmError`](uvm_sim::error::UvmError) otherwise.
     pub max_retries: u32,
-    /// Recovery: deterministic base backoff charged to the batch per retry;
-    /// attempt `n` (0-based) waits `retry_backoff << n`.
-    pub retry_backoff: SimDuration,
     /// Run the cross-subsystem invariant audit (`uvm_driver::audit`) at the
     /// end of every serviced batch. Off by default: the audit costs real
     /// wall-clock time on large runs (it charges no *simulated* time).
@@ -69,67 +57,62 @@ pub struct DriverPolicy {
     /// Health escalation: cumulative degraded VABlocks at or above which
     /// the driver enters the `Degraded` state (0 disables escalation).
     pub degraded_threshold: u64,
-    /// Recovery: fixed re-attach cost the driver pays (charged to
-    /// `t_fixed`) in the batch that absorbs a GPU reset — channel
-    /// re-initialization, fault-buffer re-registration, push-buffer
-    /// re-binding.
-    pub reset_reattach_cost: SimDuration,
 }
 
 impl Default for DriverPolicy {
     fn default() -> Self {
         DriverPolicy {
             batch_limit: 256,
-            prefetch_enabled: false,
-            prefetch_threshold: 0.5,
-            prefetch_policy: PrefetchPolicyKind::default(),
+            prefetch_policy: PrefetchPolicyKind::None,
             eviction_policy: EvictionPolicyKind::default(),
-            stride_pages: 16,
             log_fault_metadata: false,
             dedup_enabled: true,
             flush_on_replay: true,
             thrashing_mitigation: false,
-            thrashing_window: 16,
-            thrashing_pin: 64,
             max_retries: 3,
-            retry_backoff: SimDuration::from_micros(20),
             audit_enabled: false,
             pressure_reserve_blocks: 8,
             degraded_threshold: 4,
-            reset_reattach_cost: SimDuration::from_micros(500),
         }
     }
 }
 
 impl DriverPolicy {
-    /// Stock configuration with prefetching enabled (the driver default in
-    /// production; the paper flips it per experiment).
+    /// Density threshold of the tree prefetcher: a subtree is prefetched
+    /// when strictly more than this fraction of its pages are
+    /// faulted/resident.
+    pub const PREFETCH_THRESHOLD: f64 = 0.5;
+    /// Expansion depth (in pages) of the sequential-stride prefetcher.
+    pub const STRIDE_PAGES: u32 = 16;
+    /// Recovery: deterministic base backoff charged to the batch per retry;
+    /// attempt `n` (0-based) waits `RETRY_BACKOFF << n`.
+    pub const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(20);
+    /// Recovery: fixed re-attach cost the driver pays (charged to
+    /// `t_fixed`) in the batch that absorbs a GPU reset — channel
+    /// re-initialization, fault-buffer re-registration, push-buffer
+    /// re-binding.
+    pub const RESET_REATTACH_COST: SimDuration = SimDuration::from_micros(500);
+    /// Eviction→refault distance (in batches) that counts as thrashing.
+    pub const THRASHING_WINDOW: u64 = 16;
+    /// How long (in batches) a thrashing block stays pinned host-side.
+    pub const THRASHING_PIN: u64 = 64;
+
+    /// Stock configuration with the tree-density prefetcher enabled (the
+    /// driver default in production; the paper flips it per experiment).
     pub fn with_prefetch() -> Self {
-        DriverPolicy {
-            prefetch_enabled: true,
-            ..Default::default()
-        }
+        Self::default().prefetcher(PrefetchPolicyKind::TreeDensity)
     }
 
-    /// Builder-style prefetcher selection. Also sets `prefetch_enabled`
-    /// so `prefetcher(kind)` alone is a complete configuration
-    /// (`PrefetchPolicyKind::None` disables prefetching outright —
-    /// equivalent to the stock `prefetch_enabled: false`).
+    /// Builder-style prefetcher selection (`PrefetchPolicyKind::None`
+    /// disables prefetching).
     pub fn prefetcher(mut self, kind: PrefetchPolicyKind) -> Self {
         self.prefetch_policy = kind;
-        self.prefetch_enabled = kind != PrefetchPolicyKind::None;
         self
     }
 
     /// Builder-style evictor selection.
     pub fn evictor(mut self, kind: EvictionPolicyKind) -> Self {
         self.eviction_policy = kind;
-        self
-    }
-
-    /// Builder-style stride depth for the sequential-stride prefetcher.
-    pub fn stride(mut self, pages: u32) -> Self {
-        self.stride_pages = pages;
         self
     }
 
@@ -169,12 +152,6 @@ impl DriverPolicy {
         self
     }
 
-    /// Builder-style base backoff per retry attempt.
-    pub fn backoff(mut self, d: SimDuration) -> Self {
-        self.retry_backoff = d;
-        self
-    }
-
     /// Builder-style per-batch invariant audit toggle.
     pub fn audited(mut self, on: bool) -> Self {
         self.audit_enabled = on;
@@ -193,12 +170,6 @@ impl DriverPolicy {
         self.degraded_threshold = blocks;
         self
     }
-
-    /// Builder-style GPU-reset re-attach cost.
-    pub fn reattach_cost(mut self, d: SimDuration) -> Self {
-        self.reset_reattach_cost = d;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -209,8 +180,8 @@ mod tests {
     fn defaults_match_stock_driver() {
         let p = DriverPolicy::default();
         assert_eq!(p.batch_limit, 256);
-        assert!(!p.prefetch_enabled);
-        assert_eq!(p.prefetch_threshold, 0.5);
+        assert_eq!(p.prefetch_policy, PrefetchPolicyKind::None);
+        assert_eq!(DriverPolicy::PREFETCH_THRESHOLD, 0.5);
         assert!(p.dedup_enabled);
         assert!(p.flush_on_replay);
     }
@@ -218,7 +189,7 @@ mod tests {
     #[test]
     fn builders_compose() {
         let p = DriverPolicy::with_prefetch().batch_limit(1024).log_faults(true);
-        assert!(p.prefetch_enabled);
+        assert_eq!(p.prefetch_policy, PrefetchPolicyKind::TreeDensity);
         assert_eq!(p.batch_limit, 1024);
         assert!(p.log_fault_metadata);
     }
@@ -226,9 +197,9 @@ mod tests {
     #[test]
     fn policy_engine_defaults_match_stock_driver() {
         let p = DriverPolicy::default();
-        assert_eq!(p.prefetch_policy, PrefetchPolicyKind::TreeDensity);
+        assert_eq!(p.prefetch_policy, PrefetchPolicyKind::None);
         assert_eq!(p.eviction_policy, EvictionPolicyKind::Lru);
-        assert_eq!(p.stride_pages, 16);
+        assert_eq!(DriverPolicy::STRIDE_PAGES, 16);
         // with_prefetch() is exactly prefetcher(TreeDensity).
         assert_eq!(
             DriverPolicy::with_prefetch(),
@@ -239,15 +210,13 @@ mod tests {
     #[test]
     fn prefetcher_builder_gates_on_none() {
         let p = DriverPolicy::default().prefetcher(PrefetchPolicyKind::Oracle);
-        assert!(p.prefetch_enabled);
         assert_eq!(p.prefetch_policy, PrefetchPolicyKind::Oracle);
         let p = p.prefetcher(PrefetchPolicyKind::None);
-        assert!(!p.prefetch_enabled);
+        assert_eq!(p, DriverPolicy::default(), "None is the stock demand-paging policy");
         let p = DriverPolicy::default()
             .prefetcher(PrefetchPolicyKind::SequentialStride)
-            .stride(64)
             .evictor(EvictionPolicyKind::Lfu);
-        assert_eq!(p.stride_pages, 64);
+        assert_eq!(p.prefetch_policy, PrefetchPolicyKind::SequentialStride);
         assert_eq!(p.eviction_policy, EvictionPolicyKind::Lfu);
     }
 
@@ -255,15 +224,11 @@ mod tests {
     fn recovery_defaults_and_builders() {
         let p = DriverPolicy::default();
         assert_eq!(p.max_retries, 3);
-        assert_eq!(p.retry_backoff, SimDuration::from_micros(20));
+        assert_eq!(DriverPolicy::RETRY_BACKOFF, SimDuration::from_micros(20));
         assert!(!p.audit_enabled);
 
-        let p = DriverPolicy::default()
-            .retries(5)
-            .backoff(SimDuration::from_micros(7))
-            .audited(true);
+        let p = DriverPolicy::default().retries(5).audited(true);
         assert_eq!(p.max_retries, 5);
-        assert_eq!(p.retry_backoff, SimDuration::from_micros(7));
         assert!(p.audit_enabled);
     }
 
@@ -272,14 +237,10 @@ mod tests {
         let p = DriverPolicy::default();
         assert_eq!(p.pressure_reserve_blocks, 8);
         assert_eq!(p.degraded_threshold, 4);
-        assert_eq!(p.reset_reattach_cost, SimDuration::from_micros(500));
+        assert_eq!(DriverPolicy::RESET_REATTACH_COST, SimDuration::from_micros(500));
 
-        let p = DriverPolicy::default()
-            .pressure_reserve(16)
-            .degraded_escalation(0)
-            .reattach_cost(SimDuration::from_micros(250));
+        let p = DriverPolicy::default().pressure_reserve(16).degraded_escalation(0);
         assert_eq!(p.pressure_reserve_blocks, 16);
         assert_eq!(p.degraded_threshold, 0);
-        assert_eq!(p.reset_reattach_cost, SimDuration::from_micros(250));
     }
 }

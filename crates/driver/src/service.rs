@@ -106,7 +106,7 @@ fn retry<T>(
             return Err(err);
         }
         rec.retries += 1;
-        let d = policy.retry_backoff * (1u64 << attempt.min(20));
+        let d = DriverPolicy::RETRY_BACKOFF * (1u64 << attempt.min(20));
         rec.t_backoff += d;
         span(rec, d, || TraceEvent::Backoff {
             batch: rec.seq,
@@ -551,8 +551,8 @@ impl UvmDriver {
             // point, exactly like overflow-dropped entries.
             rec.gpu_resets += 1;
             rec.reset_lost_faults += gpu.reset(rec.start);
-            rec.t_fixed += self.policy.reset_reattach_cost;
-            span(rec, self.policy.reset_reattach_cost, || TraceEvent::Fixed {
+            rec.t_fixed += DriverPolicy::RESET_REATTACH_COST;
+            span(rec, DriverPolicy::RESET_REATTACH_COST, || TraceEvent::Fixed {
                 batch: rec.seq,
             });
         }
@@ -829,9 +829,9 @@ impl UvmDriver {
         if self.policy.thrashing_mitigation {
             if let Some(evicted_at) = state.last_evict_seq {
                 if state.pinned_until.is_none()
-                    && rec.seq.saturating_sub(evicted_at) <= self.policy.thrashing_window
+                    && rec.seq.saturating_sub(evicted_at) <= DriverPolicy::THRASHING_WINDOW
                 {
-                    state.pinned_until = Some(rec.seq + self.policy.thrashing_pin);
+                    state.pinned_until = Some(rec.seq + DriverPolicy::THRASHING_PIN);
                     rec.thrashing_pins += 1;
                 }
             }
@@ -894,15 +894,16 @@ impl UvmDriver {
         valid_pages: u32,
         rec: &mut BatchRecord,
     ) -> PageBitmap {
-        let prefetched = if self.policy.prefetch_enabled && self.health.state().prefetch_allowed() {
+        // `PrefetchPolicyKind::None` expands nothing, so it needs no gate.
+        let prefetched = if self.health.state().prefetch_allowed() {
             run_prefetch_policy(
                 self.policy.prefetch_policy,
                 &PrefetchContext {
                     resident: &self.va_space.block(block_id).gpu_resident,
                     faulted,
                     valid_pages,
-                    threshold: self.policy.prefetch_threshold,
-                    stride_pages: self.policy.stride_pages,
+                    threshold: DriverPolicy::PREFETCH_THRESHOLD,
+                    stride_pages: DriverPolicy::STRIDE_PAGES,
                     future: self.oracle_future.get(&block_id),
                 },
             )
@@ -2223,7 +2224,7 @@ mod tests {
         assert_eq!(gpu.resets, 1);
         assert_eq!(gpu.fault_buffer.reset_losses(), 3);
         assert!(
-            r1.t_fixed >= DriverPolicy::default().reset_reattach_cost,
+            r1.t_fixed >= DriverPolicy::RESET_REATTACH_COST,
             "re-attach cost charged"
         );
         // Driver-side state survived: the already-migrated page stays

@@ -14,7 +14,10 @@
 //!
 //! Warps are driven by [`Gpu::step_warp`], which advances one warp until it
 //! faults to a stall, finishes, or exhausts its step quantum — the engine
-//! (in `uvm-core`) schedules these steps as discrete events.
+//! (in `uvm-core`) schedules these steps as discrete events. The device
+//! holds no instruction streams: warp `i` runs `programs[i]` of the slice
+//! the caller passes to every step (the workload's programs, launched in
+//! order).
 
 use std::collections::VecDeque;
 
@@ -61,8 +64,10 @@ pub enum StepOutcome {
 /// The modelled GPU device.
 ///
 /// Serializable in full — page table, μTLBs, GMMU queues, fault buffer,
-/// every warp's scoreboard, SM occupancy, and the hardware-jitter RNG — so
-/// a snapshot taken between batches restores to a bit-identical device.
+/// every warp's program counter and scoreboard, SM occupancy, and the
+/// hardware-jitter RNG — so a snapshot taken between batches restores to a
+/// bit-identical device. The warps' programs are not part of the device:
+/// they stay with the workload, indexed by warp id.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Gpu {
     /// Hardware configuration.
@@ -119,16 +124,17 @@ impl Gpu {
         Self::new_seeded(spec, cost, 0)
     }
 
-    /// Launch a kernel: one program per warp, assigned to SMs round-robin.
-    /// Returns the ids of warps activated immediately (the first wave);
-    /// the rest queue behind them and activate as slots free up.
-    pub fn launch(&mut self, programs: Vec<WarpProgram>) -> Vec<u32> {
+    /// Launch a kernel of `warps` warps, assigned to SMs round-robin. The
+    /// new warps take the next ids, so warp `i` runs program `i` of the
+    /// slice later passed to [`Self::step_warp`]. Returns the ids of warps
+    /// activated immediately (the first wave); the rest queue behind them
+    /// and activate as slots free up.
+    pub fn launch(&mut self, warps: usize) -> Vec<u32> {
         let base = self.warps.len() as u32;
-        for (i, program) in programs.into_iter().enumerate() {
-            let id = base + i as u32;
+        for id in base..base + warps as u32 {
             let sm = id % self.spec.num_sms;
             let utlb = self.spec.utlb_of_sm(sm);
-            self.warps.push(Warp::new(id, sm, utlb, program));
+            self.warps.push(Warp::new(id, sm, utlb));
             self.sm_queues[sm as usize].push_back(id);
         }
         let mut activated = Vec::new();
@@ -146,6 +152,29 @@ impl Gpu {
     /// Total warps launched.
     pub fn num_warps(&self) -> usize {
         self.warps.len()
+    }
+
+    /// Check that the warps fit `programs`, the programs of every kernel
+    /// launched so far: one warp per program, and no program counter past
+    /// its program's end. A device decoded from a snapshot must pass
+    /// before it is stepped.
+    pub fn check_programs(&self, programs: &[WarpProgram]) -> Result<(), String> {
+        if self.warps.len() != programs.len() {
+            return Err(format!(
+                "{} warps launched, but the launched kernels have {} programs",
+                self.warps.len(),
+                programs.len()
+            ));
+        }
+        match self.warps.iter().zip(programs).find(|(w, p)| w.pc() > p.instrs.len()) {
+            Some((w, p)) => Err(format!(
+                "warp {} is at instruction {} of a {}-instruction program",
+                w.id,
+                w.pc(),
+                p.instrs.len()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Warps that have completed.
@@ -266,13 +295,15 @@ impl Gpu {
         }
     }
 
-    /// Advance warp `wid` from time `now` until it blocks, finishes, or
-    /// exhausts its step quantum.
+    /// Advance warp `wid`, running `programs[wid]`, from time `now` until it
+    /// blocks, finishes, or exhausts its step quantum.
     ///
     /// # Panics
     ///
-    /// Panics if the warp is not in the `Ready` state.
-    pub fn step_warp(&mut self, wid: u32, now: SimTime) -> StepOutcome {
+    /// Panics if the warp is not in the `Ready` state, or if `programs`
+    /// has no program `wid`.
+    pub fn step_warp(&mut self, programs: &[WarpProgram], wid: u32, now: SimTime) -> StepOutcome {
+        let program = &programs[wid as usize];
         let w = &mut self.warps[wid as usize];
         assert_eq!(w.status, WarpStatus::Ready, "stepping warp {wid} in state {:?}", w.status);
         let mut t = if now > w.ready_at { now } else { w.ready_at };
@@ -322,7 +353,7 @@ impl Gpu {
             }
 
             // Current instruction fully issued: move to the next.
-            if w.at_program_end() {
+            if w.at_program_end(program) {
                 if w.has_outstanding() {
                     // Program issued completely but accesses are still in
                     // flight; the warp retires only when they land.
@@ -350,7 +381,7 @@ impl Gpu {
             // Scoreboard: a store cannot issue while any prior faulted
             // access is outstanding (Listing 2: FADD stalls on its input
             // registers, blocking the STG and everything after it).
-            if matches!(w.peek_instr(), Some(Instr::Store { .. })) && w.has_outstanding() {
+            if matches!(w.peek_instr(program), Some(Instr::Store { .. })) && w.has_outstanding() {
                 w.status = WarpStatus::Blocked;
                 w.ready_at = t;
                 Self::spurious_reissue(w, &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
@@ -358,7 +389,7 @@ impl Gpu {
             }
 
             // Infallible: the `at_program_end` branch above already returned.
-            let instr = w.fetch_next_instr().expect("not at program end");
+            let instr = w.fetch_next_instr(program).expect("not at program end");
             t += match instr {
                 Instr::Delay(d) => *d,
                 _ => self.cost.warp_instr_latency,
@@ -440,14 +471,19 @@ mod tests {
 
     /// A minimal driver loop: fetch → service (map everything) → flush →
     /// replay, repeated until the kernel finishes. Returns the batch sizes.
-    fn mini_drive(gpu: &mut Gpu, activated: Vec<u32>, batch_limit: usize) -> Vec<usize> {
+    fn mini_drive(
+        gpu: &mut Gpu,
+        programs: &[WarpProgram],
+        activated: Vec<u32>,
+        batch_limit: usize,
+    ) -> Vec<usize> {
         let mut pending: Vec<u32> = activated;
         let mut batches = Vec::new();
         let mut now = SimTime::ZERO;
         for _round in 0..10_000 {
             // Step every ready warp to quiescence.
             while let Some(wid) = pending.pop() {
-                match gpu.step_warp(wid, now) {
+                match gpu.step_warp(programs, wid, now) {
                     StepOutcome::Continue { .. } => pending.push(wid),
                     StepOutcome::Blocked => {}
                     StepOutcome::Finished { activated, .. } => {
@@ -507,8 +543,9 @@ mod tests {
     fn vecadd_first_batch_is_exactly_56_faults() {
         // Paper Fig. 3: 32 A-reads plus 24 B-reads fill the 56 μTLB slots.
         let mut gpu = small_gpu();
-        let activated = gpu.launch(vec![vecadd_program()]);
-        assert_eq!(gpu.step_warp(activated[0], SimTime::ZERO), StepOutcome::Blocked);
+        let programs = [vecadd_program()];
+        let activated = gpu.launch(programs.len());
+        assert_eq!(gpu.step_warp(&programs, activated[0], SimTime::ZERO), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 56);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
@@ -520,9 +557,10 @@ mod tests {
         // Paper Sec. 3.2: no write access can execute until all 64
         // prerequisite reads are fulfilled.
         let mut gpu = small_gpu();
-        let activated = gpu.launch(vec![vecadd_program()]);
+        let programs = [vecadd_program()];
+        let activated = gpu.launch(programs.len());
         let wid = activated[0];
-        assert_eq!(gpu.step_warp(wid, SimTime::ZERO), StepOutcome::Blocked);
+        assert_eq!(gpu.step_warp(&programs, wid, SimTime::ZERO), StepOutcome::Blocked);
         // Service batch 1 (56 reads).
         gpu.drain_faults();
         let batch1 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
@@ -532,7 +570,7 @@ mod tests {
         assert_eq!(woken, vec![(wid, SimTime(1_000_000))]);
         // Batch 2: the remaining 8 B-reads; the store is still
         // scoreboard-blocked behind them.
-        assert_eq!(gpu.step_warp(wid, SimTime(1_000_000)), StepOutcome::Blocked);
+        assert_eq!(gpu.step_warp(&programs, wid, SimTime(1_000_000)), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 8);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
@@ -541,7 +579,7 @@ mod tests {
         gpu.map_pages(batch2.iter().map(|f| f.page));
         gpu.flush();
         replay(&mut gpu, SimTime(2_000_000));
-        assert_eq!(gpu.step_warp(wid, SimTime(2_000_000)), StepOutcome::Blocked);
+        assert_eq!(gpu.step_warp(&programs, wid, SimTime(2_000_000)), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert!(!recs.is_empty());
         assert!(recs.iter().any(|r| r.kind == AccessKind::Write), "writes fault now");
@@ -554,8 +592,9 @@ mod tests {
     #[test]
     fn vecadd_completes_under_mini_driver() {
         let mut gpu = small_gpu();
-        let activated = gpu.launch(vec![vecadd_program()]);
-        let batches = mini_drive(&mut gpu, activated, 256);
+        let programs = [vecadd_program()];
+        let activated = gpu.launch(programs.len());
+        let batches = mini_drive(&mut gpu, &programs, activated, 256);
         assert!(gpu.all_done());
         assert_eq!(batches[0], 56);
         // 3 statements x 96 accesses = 288 unique pages total.
@@ -572,9 +611,10 @@ mod tests {
         let pages: Vec<PageNum> = (0..300).map(|i| PageNum(5000 + i)).collect();
         let mut p = WarpProgram::new();
         p.push(Instr::Prefetch { pages });
-        let activated = gpu.launch(vec![p]);
+        let programs = [p];
+        let activated = gpu.launch(programs.len());
         // The warp never blocks: prefetches are fire-and-forget.
-        match gpu.step_warp(activated[0], SimTime::ZERO) {
+        match gpu.step_warp(&programs, activated[0], SimTime::ZERO) {
             StepOutcome::Finished { .. } => {}
             other => panic!("prefetch warp should finish immediately, got {other:?}"),
         }
@@ -598,9 +638,10 @@ mod tests {
             instrs: vec![Instr::Load { pages: (0..32).map(|i| PageNum(200 + i)).collect() }],
         };
         // Launch 8 programs so warps land on SMs 0..8; warps 0 and 1 share μTLB 0.
-        let activated = gpu.launch(vec![p0, p1]);
+        let programs = [p0, p1];
+        let activated = gpu.launch(programs.len());
         for wid in activated {
-            let _ = gpu.step_warp(wid, SimTime::ZERO);
+            let _ = gpu.step_warp(&programs, wid, SimTime::ZERO);
         }
         assert_eq!(gpu.utlb_occupancy(0), 56);
         assert_eq!(gpu.utlb_full_stalls(), 1);
@@ -616,9 +657,10 @@ mod tests {
         let shared = PageNum(42);
         let prog = WarpProgram { instrs: vec![Instr::load1(shared)] };
         // Warps 0 and 1 land on SMs 0 and 1 → both on μTLB 0.
-        let activated = gpu.launch(vec![prog.clone(), prog]);
+        let programs = [prog.clone(), prog];
+        let activated = gpu.launch(programs.len());
         for wid in activated {
-            let _ = gpu.step_warp(wid, SimTime::ZERO);
+            let _ = gpu.step_warp(&programs, wid, SimTime::ZERO);
         }
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 2);
@@ -638,8 +680,9 @@ mod tests {
                 Instr::Store { pages: vec![block.page_at(6)] },
             ],
         };
-        let activated = gpu.launch(vec![prog]);
-        match gpu.step_warp(activated[0], SimTime::ZERO) {
+        let programs = [prog];
+        let activated = gpu.launch(programs.len());
+        match gpu.step_warp(&programs, activated[0], SimTime::ZERO) {
             StepOutcome::Finished { .. } => {}
             other => panic!("all-resident warp should finish, got {other:?}"),
         }
@@ -654,9 +697,9 @@ mod tests {
         let progs: Vec<WarpProgram> = (0..130)
             .map(|i| WarpProgram { instrs: vec![Instr::load1(PageNum(10_000 + i))] })
             .collect();
-        let activated = gpu.launch(progs);
+        let activated = gpu.launch(progs.len());
         assert_eq!(activated.len(), 128);
-        let batches = mini_drive(&mut gpu, activated, 256);
+        let batches = mini_drive(&mut gpu, &progs, activated, 256);
         assert!(gpu.all_done());
         assert_eq!(gpu.num_warps(), 130);
         assert!(!batches.is_empty());
@@ -668,8 +711,9 @@ mod tests {
         let prog = WarpProgram {
             instrs: vec![Instr::Delay(uvm_sim::time::SimDuration::from_micros(50))],
         };
-        let activated = gpu.launch(vec![prog]);
-        match gpu.step_warp(activated[0], SimTime(1000)) {
+        let programs = [prog];
+        let activated = gpu.launch(programs.len());
+        match gpu.step_warp(&programs, activated[0], SimTime(1000)) {
             StepOutcome::Finished { at, .. } => {
                 assert_eq!(at, SimTime(1000 + 50_000));
                 assert_eq!(gpu.kernel_end, at);
@@ -682,18 +726,20 @@ mod tests {
     fn second_launch_reuses_residency() {
         let mut gpu = small_gpu();
         let prog = WarpProgram { instrs: vec![Instr::load1(PageNum(7))] };
-        let a1 = gpu.launch(vec![prog.clone()]);
-        let _ = gpu.step_warp(a1[0], SimTime::ZERO);
+        // Warp 0 runs the first kernel's program, warp 1 the second's.
+        let programs = [prog.clone(), prog];
+        let a1 = gpu.launch(1);
+        let _ = gpu.step_warp(&programs, a1[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
         gpu.map_pages(recs.iter().map(|r| r.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(1000)) {
-            let _ = gpu.step_warp(w, t);
+            let _ = gpu.step_warp(&programs, w, t);
         }
         assert!(gpu.all_done());
         // Second kernel touching the same page: no fault.
-        let a2 = gpu.launch(vec![prog]);
-        match gpu.step_warp(a2[0], SimTime(2000)) {
+        let a2 = gpu.launch(1);
+        match gpu.step_warp(&programs, a2[0], SimTime(2000)) {
             StepOutcome::Finished { .. } => {}
             other => panic!("warm page should not fault: {other:?}"),
         }
@@ -712,8 +758,9 @@ mod tests {
         let prog = WarpProgram {
             instrs: vec![Instr::Load { pages: (0..32).map(PageNum).collect() }],
         };
-        let a = gpu.launch(vec![prog]);
-        let _ = gpu.step_warp(a[0], SimTime::ZERO);
+        let programs = [prog];
+        let a = gpu.launch(programs.len());
+        let _ = gpu.step_warp(&programs, a[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 16, "buffer capacity bounds insertions");
         assert_eq!(gpu.fault_buffer.overflow_drops(), 16);
@@ -722,7 +769,7 @@ mod tests {
         gpu.map_pages(batch.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
-            let _ = gpu.step_warp(w, t);
+            let _ = gpu.step_warp(&programs, w, t);
         }
         let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 16, "dropped accesses re-fault");
@@ -730,7 +777,7 @@ mod tests {
         gpu.map_pages(batch2.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
-            let _ = gpu.step_warp(w, t);
+            let _ = gpu.step_warp(&programs, w, t);
         }
         assert!(gpu.all_done());
         assert_eq!(gpu.resident_pages(), 32);
@@ -745,8 +792,9 @@ mod tests {
         let prog = WarpProgram {
             instrs: vec![Instr::Load { pages: (0..32).map(PageNum).collect() }],
         };
-        let a = gpu.launch(vec![prog]);
-        let _ = gpu.step_warp(a[0], SimTime::ZERO);
+        let programs = [prog];
+        let a = gpu.launch(programs.len());
+        let _ = gpu.step_warp(&programs, a[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 32);
         // Hardware loses everything before the driver fetched a single one.
@@ -758,7 +806,7 @@ mod tests {
         assert_eq!(gpu.utlb_occupancy(gpu.warp(a[0]).utlb), 0);
         // Driver re-attaches and replays: the warp re-faults all 32 pages.
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
-            let _ = gpu.step_warp(w, t);
+            let _ = gpu.step_warp(&programs, w, t);
         }
         let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 32, "lost accesses re-fault after replay");
@@ -766,7 +814,7 @@ mod tests {
         gpu.map_pages(batch.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
-            let _ = gpu.step_warp(w, t);
+            let _ = gpu.step_warp(&programs, w, t);
         }
         assert!(gpu.all_done());
         assert_eq!(gpu.resident_pages(), 32);
@@ -782,17 +830,18 @@ mod tests {
                 Instr::Delay(uvm_sim::time::SimDuration::from_micros(10)),
             ],
         };
-        let a = gpu.launch(vec![prog]);
+        let programs = [prog];
+        let a = gpu.launch(programs.len());
         // The load is non-blocking: both delays elapse, then the warp
         // blocks at program end waiting for its outstanding access.
-        assert_eq!(gpu.step_warp(a[0], SimTime::ZERO), StepOutcome::Blocked);
+        assert_eq!(gpu.step_warp(&programs, a[0], SimTime::ZERO), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].arrival.as_nanos() >= 10_000, "first delay elapsed before the fault");
         gpu.map_pages([PageNum(1)]);
         gpu.flush();
         let woken = replay(&mut gpu, SimTime(100_000));
-        match gpu.step_warp(woken[0].0, woken[0].1) {
+        match gpu.step_warp(&programs, woken[0].0, woken[0].1) {
             StepOutcome::Finished { at, .. } => {
                 assert_eq!(at, SimTime(100_000), "all compute already ran pre-block")
             }
@@ -807,9 +856,10 @@ mod tests {
         let prog = WarpProgram {
             instrs: vec![Instr::Load { pages: vec![PageNum(1)] }],
         };
-        let activated = gpu.launch(vec![prog]);
+        let programs = [prog];
+        let activated = gpu.launch(programs.len());
         // Warp blocks at end with outstanding fault.
-        let _ = gpu.step_warp(activated[0], SimTime::ZERO);
-        let _ = gpu.step_warp(activated[0], SimTime::ZERO);
+        let _ = gpu.step_warp(&programs, activated[0], SimTime::ZERO);
+        let _ = gpu.step_warp(&programs, activated[0], SimTime::ZERO);
     }
 }

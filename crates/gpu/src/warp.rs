@@ -1,7 +1,9 @@
 //! Warp execution state.
 //!
-//! A [`Warp`] is an in-order issue state machine over its [`WarpProgram`].
-//! The stepping logic itself lives in [`crate::device`] (it needs the μTLBs,
+//! A [`Warp`] is an in-order issue state machine over a [`WarpProgram`]
+//! it does not own: the workload keeps the instruction streams, and every
+//! method that reads one takes the warp's program as an argument. The
+//! stepping logic itself lives in [`crate::device`] (it needs the μTLBs,
 //! GMMU, and page table); this module owns the per-warp bookkeeping:
 //! program counter, partially issued instruction, the set of outstanding
 //! faulted accesses (the scoreboard), and accesses that must re-fault after
@@ -30,9 +32,11 @@ pub enum WarpStatus {
 
 /// One warp.
 ///
-/// Fully serializable — program counter, partially issued instruction,
-/// scoreboard, and refault queue included — so a restored warp resumes
-/// mid-instruction exactly where the snapshot left it.
+/// Hardware state only: the program counter indexes the warp's program,
+/// which stays with the workload. Fully serializable — program counter,
+/// partially issued instruction, scoreboard, and refault queue included —
+/// so a restored warp, given the same program, resumes mid-instruction
+/// exactly where the snapshot left it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Warp {
     /// Global warp id.
@@ -45,7 +49,7 @@ pub struct Warp {
     pub status: WarpStatus,
     /// Time at which the warp may next issue.
     pub ready_at: SimTime,
-    program: WarpProgram,
+    /// Index of the next instruction of the warp's program.
     pc: usize,
     /// Pages of the current instruction not yet issued (in reverse order so
     /// `pop` yields them in program order).
@@ -66,14 +70,13 @@ pub struct Warp {
 
 impl Warp {
     /// Create a queued warp.
-    pub fn new(id: u32, sm: u32, utlb: u32, program: WarpProgram) -> Self {
+    pub fn new(id: u32, sm: u32, utlb: u32) -> Self {
         Warp {
             id,
             sm,
             utlb,
             status: WarpStatus::Queued,
             ready_at: SimTime::ZERO,
-            program,
             pc: 0,
             pending_pages: Vec::new(),
             pending_kind: AccessKind::Read,
@@ -81,6 +84,11 @@ impl Warp {
             refault: Vec::new(),
             faults_generated: 0,
         }
+    }
+
+    /// Index of the next instruction of the warp's program.
+    pub(crate) fn pc(&self) -> usize {
+        self.pc
     }
 
     /// Whether the warp has outstanding faulted accesses (the scoreboard is
@@ -134,12 +142,12 @@ impl Warp {
         !self.pending_pages.is_empty() || !self.refault.is_empty()
     }
 
-    /// Fetch the next instruction, loading its pages into the pending
-    /// queue (refilled in place, so stepping allocates nothing once the
-    /// queue has grown to the widest instruction). Returns the fetched
+    /// Fetch the next instruction of `program`, loading its pages into the
+    /// pending queue (refilled in place, so stepping allocates nothing once
+    /// the queue has grown to the widest instruction). Returns the fetched
     /// instruction, or `None` at program end.
-    pub fn fetch_next_instr(&mut self) -> Option<&Instr> {
-        let instr = self.program.instrs.get(self.pc)?;
+    pub fn fetch_next_instr<'p>(&mut self, program: &'p WarpProgram) -> Option<&'p Instr> {
+        let instr = program.instrs.get(self.pc)?;
         self.pc += 1;
         self.pending_pages.clear();
         let (kind, pages) = match instr {
@@ -153,14 +161,14 @@ impl Warp {
         Some(instr)
     }
 
-    /// Peek at the next instruction without consuming it.
-    pub fn peek_instr(&self) -> Option<&Instr> {
-        self.program.instrs.get(self.pc)
+    /// Peek at the next instruction of `program` without consuming it.
+    pub fn peek_instr<'p>(&self, program: &'p WarpProgram) -> Option<&'p Instr> {
+        program.instrs.get(self.pc)
     }
 
-    /// Whether the program counter is at the end.
-    pub fn at_program_end(&self) -> bool {
-        self.pc >= self.program.instrs.len()
+    /// Whether the program counter is at the end of `program`.
+    pub fn at_program_end(&self, program: &WarpProgram) -> bool {
+        self.pc >= program.instrs.len()
     }
 
     /// Apply a fault replay: every outstanding access whose page is now
@@ -189,23 +197,25 @@ mod tests {
 
     #[test]
     fn fetch_loads_pages_in_program_order() {
-        let mut w = Warp::new(0, 0, 0, prog(vec![Instr::Load {
+        let p = prog(vec![Instr::Load {
             pages: vec![PageNum(1), PageNum(2), PageNum(3)],
-        }]));
-        w.fetch_next_instr().unwrap();
+        }]);
+        let mut w = Warp::new(0, 0, 0);
+        w.fetch_next_instr(&p).unwrap();
         assert_eq!(w.next_pending_access(), Some((PageNum(1), AccessKind::Read)));
         assert_eq!(w.next_pending_access(), Some((PageNum(2), AccessKind::Read)));
         assert_eq!(w.next_pending_access(), Some((PageNum(3), AccessKind::Read)));
         assert_eq!(w.next_pending_access(), None);
-        assert!(w.at_program_end());
+        assert!(w.at_program_end(&p));
     }
 
     #[test]
     fn push_back_retries_same_access_next() {
-        let mut w = Warp::new(0, 0, 0, prog(vec![Instr::Load {
+        let p = prog(vec![Instr::Load {
             pages: vec![PageNum(1), PageNum(2)],
-        }]));
-        w.fetch_next_instr().unwrap();
+        }]);
+        let mut w = Warp::new(0, 0, 0);
+        w.fetch_next_instr(&p).unwrap();
         let (p, k) = w.next_pending_access().unwrap();
         w.push_back_access(p, k);
         assert_eq!(w.next_pending_access(), Some((PageNum(1), AccessKind::Read)));
@@ -213,7 +223,7 @@ mod tests {
 
     #[test]
     fn replay_fulfills_resident_and_queues_refaults() {
-        let mut w = Warp::new(0, 0, 0, prog(vec![]));
+        let mut w = Warp::new(0, 0, 0);
         w.note_outstanding(PageNum(1), AccessKind::Read);
         w.note_outstanding(PageNum(2), AccessKind::Read);
         w.note_outstanding(PageNum(3), AccessKind::Write);
@@ -231,10 +241,9 @@ mod tests {
 
     #[test]
     fn delay_instruction_has_no_pages() {
-        let mut w = Warp::new(0, 0, 0, prog(vec![Instr::Delay(
-            uvm_sim::time::SimDuration::from_micros(1),
-        )]));
-        let instr = w.fetch_next_instr().unwrap();
+        let p = prog(vec![Instr::Delay(uvm_sim::time::SimDuration::from_micros(1))]);
+        let mut w = Warp::new(0, 0, 0);
+        let instr = w.fetch_next_instr(&p).unwrap();
         assert!(matches!(instr, Instr::Delay(_)));
         assert!(!w.has_pending_accesses());
     }

@@ -32,8 +32,12 @@ use serde::Value;
 /// attribution counters, tenancy section of the system config, per-batch
 /// client fault attribution); v4 — servicing backends (backend kind in the
 /// system config and driver, per-VABlock peer-held page sets, the
-/// multi-GPU peer owner directory, per-batch peer-traffic counters).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// multi-GPU peer owner directory, per-batch peer-traffic counters);
+/// v5 — warps carry their program counter but not their program (the
+/// workload keeps the instruction streams), and the driver policy keeps
+/// one field per decision (`prefetch_enabled` and the fixed tunables
+/// are gone).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Stable FNV-1a digest of a serialized state tree.
 ///

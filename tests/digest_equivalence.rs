@@ -179,8 +179,8 @@ fn gpu_with_faults_in_flight_streams_like_the_tree() {
         let config = scenario.config();
         let workload = scenario.workload.build();
         let mut gpu = Gpu::new_seeded(config.gpu.clone(), config.cost.clone(), config.seed);
-        for wid in gpu.launch(workload.programs.clone()) {
-            gpu.step_warp(wid, SimTime::ZERO);
+        for wid in gpu.launch(workload.num_warps()) {
+            gpu.step_warp(&workload.programs, wid, SimTime::ZERO);
         }
         let name = backend.name();
         assert!(gpu.gmmu.pending() > 0, "{name}: no faults in flight");

@@ -558,11 +558,10 @@ proptest! {
         resident in vec(0u64..64, 0..64),
     ) {
         use serde::Serialize;
-        use uvm_gpu::isa::WarpProgram;
         use uvm_gpu::warp::Warp;
 
         let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Prefetch];
-        let mut warp = Warp::new(0, 0, 0, WarpProgram::new());
+        let mut warp = Warp::new(0, 0, 0);
         let mut model: BTreeMap<PageNum, AccessKind> = BTreeMap::new();
         for (page, k) in notes {
             warp.note_outstanding(PageNum(page), kinds[k]);

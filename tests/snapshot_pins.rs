@@ -85,19 +85,19 @@ fn arch_workloads() -> [(&'static str, Workload); 2] {
 
 /// `(workload, backend, batches at the pause, FNV of the snapshot JSON)`.
 const ARCH_PINS: [(&str, &str, u64, u64); 8] = [
-    ("stream", "cpu-driver", 16, 8_199_089_296_456_947_666),
-    ("stream", "gpu-driven", 160, 16_346_955_908_340_449_598),
-    ("stream", "peer-2", 16, 11_035_393_271_268_657_022),
-    ("stream", "peer-4", 16, 7_281_646_179_188_078_211),
-    ("gauss-seidel", "cpu-driver", 700, 5_158_031_882_313_825_529),
-    ("gauss-seidel", "gpu-driven", 700, 3_400_462_429_417_229_069),
-    ("gauss-seidel", "peer-2", 700, 1_460_951_124_536_528_757),
-    ("gauss-seidel", "peer-4", 700, 16_305_270_545_842_506_705),
+    ("stream", "cpu-driver", 16, 8_165_212_830_310_164_704),
+    ("stream", "gpu-driven", 160, 4_325_741_101_847_667_878),
+    ("stream", "peer-2", 16, 16_250_981_111_787_748_633),
+    ("stream", "peer-4", 16, 16_849_273_273_991_049_105),
+    ("gauss-seidel", "cpu-driver", 700, 10_678_274_836_069_902_831),
+    ("gauss-seidel", "gpu-driven", 700, 7_478_043_665_286_015_579),
+    ("gauss-seidel", "peer-2", 700, 11_149_122_857_416_545_551),
+    ("gauss-seidel", "peer-4", 700, 12_627_350_579_453_669_828),
 ];
 
 #[test]
 fn arch_oversub_snapshots_keep_their_bytes() {
-    assert_eq!(SNAPSHOT_VERSION, 4, "re-record every pin for a new version");
+    assert_eq!(SNAPSHOT_VERSION, 5, "re-record every pin for a new version");
     let mut got = Vec::new();
     let mut blocked = 0;
     for (name, workload) in arch_workloads() {
@@ -117,7 +117,7 @@ fn arch_oversub_snapshots_keep_their_bytes() {
     }
     assert_eq!(
         got, ARCH_PINS,
-        "snapshot bytes changed under SNAPSHOT_VERSION 4"
+        "snapshot bytes changed under SNAPSHOT_VERSION 5"
     );
     // The pins cover warps paused with faulted accesses on their
     // scoreboards, not only idle devices.
@@ -144,7 +144,7 @@ fn chaos_snapshot_keeps_its_bytes() {
     let (batches, hash) = pin(&run, &workload);
     assert_eq!(
         (index, batches, hash),
-        (4, 12, 13_613_875_517_327_531_135),
-        "snapshot bytes changed under SNAPSHOT_VERSION 4"
+        (4, 12, 15_955_534_861_004_235_724),
+        "snapshot bytes changed under SNAPSHOT_VERSION 5"
     );
 }
