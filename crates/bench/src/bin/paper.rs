@@ -63,14 +63,17 @@
 //!
 //! `chaos` runs the deterministic scenario fuzzer
 //! ([`uvm_core::chaos`]): each trial composes a workload × policy stack ×
-//! fault plan × oversubscription × kill/restore schedule, runs it in
-//! torture mode (snapshot → JSON → kill → restore at fuzzer-chosen batch
-//! boundaries) against a clean one-shot reference, and requires
-//! bit-identical final digests and batch records plus a clean cross-layer
-//! audit. Failures shrink to a minimal scenario and are written as repro
-//! files (`chaos-repro-<trial>.json`, or into `--out <dir>`); replay one
-//! with `--repro`. Exit status is non-zero if any trial fails. Output is
-//! byte-identical for any `--jobs N`.
+//! fault plan × oversubscription × kill/restore schedule. From the first
+//! kill on, a torture run (snapshot → JSON → kill → restore at each
+//! fuzzer-chosen batch boundary) runs in lockstep with a never-killed
+//! reference: their state digests must agree at every kill, and their
+//! final digests and batch records at the end, with a clean cross-layer
+//! audit. A divergence names the kill interval where the runs split and
+//! the subsystems whose digests broke. Failures shrink to a minimal
+//! scenario and are written as repro files (`chaos-repro-<trial>.json`,
+//! or into `--out <dir>`); replay one with `--repro`. Exit status is
+//! non-zero if any trial fails. Output is byte-identical for any
+//! `--jobs N`.
 //!
 //! ## Checkpoint / resume
 //!
@@ -110,23 +113,19 @@
 //!
 //! ## Other maintenance commands
 //!
-//! `--bless` rewrites the checked-in golden files from the current output;
-//! `diverge [batch]` runs the lockstep divergence-detector demo.
+//! `--bless` rewrites the checked-in golden files from the current output.
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use uvm_bench::{
-    canonical_id, experiments, run_experiments, run_grid, Experiment, ExperimentOutput, SEED,
+    canonical_id, experiments, run_experiments, run_grid, Experiment, ExperimentOutput,
 };
-use uvm_core::divergence::{run_lockstep_perturbed, LockstepOutcome};
 use uvm_core::experiments::grid::Sweep;
 use uvm_core::experiments::{bless_golden, ext_architectures, ext_multitenant, ext_policy};
 use uvm_core::stats::{percentile, Histogram, Summary};
 use uvm_core::trace::{self as trace, RingTracer, TraceFilter};
-use uvm_core::workloads::cpu_init::CpuInitPolicy;
-use uvm_core::workloads::stream::{self, StreamParams};
-use uvm_core::{RunCtl, RunCtx, SystemConfig};
+use uvm_core::{RunCtl, RunCtx};
 
 /// Print `err` and exit with status 1 — the harness's terminal error path.
 fn fail(context: &str, err: impl std::fmt::Display) -> ! {
@@ -184,40 +183,6 @@ fn chaos_command(jobs: usize, trials: u64, seed: u64, repro: Option<&str>, out_d
             }
         }
         std::process::exit(1);
-    }
-}
-
-/// Lockstep divergence-detector demo: two identically-seeded systems, one
-/// with a deliberately burned RNG draw before `perturb_at`. The detector
-/// must name the first diverging batch and the subsystem whose digest
-/// broke.
-fn diverge_demo(perturb_at: u64) {
-    let workload = stream::build(StreamParams {
-        warps: 64,
-        pages_per_warp: 16,
-        iters: 1,
-        warps_per_page: 1,
-        cpu_init: Some(CpuInitPolicy::Striped { threads: 8 }),
-    });
-    let config = SystemConfig::test_small(64 * 1024 * 1024).with_seed(SEED);
-    println!("lockstep divergence demo: stream workload, seed {SEED:#x}");
-    println!("instance A: pristine; instance B: one extra RNG draw before batch {perturb_at}");
-    match run_lockstep_perturbed(&config, &workload, perturb_at) {
-        Ok(LockstepOutcome::Identical { batches }) => {
-            println!("runs stayed bit-identical through all {batches} batches");
-            if perturb_at > 0 {
-                eprintln!("error: the perturbation was not detected");
-                std::process::exit(1);
-            }
-        }
-        Ok(LockstepOutcome::Diverged(d)) => {
-            println!("{d}");
-            println!("  instance A digests: gpu={:#018x} driver={:#018x} host={:#018x} run={:#018x}",
-                d.a.gpu, d.a.driver, d.a.host, d.a.run);
-            println!("  instance B digests: gpu={:#018x} driver={:#018x} host={:#018x} run={:#018x}",
-                d.b.gpu, d.b.driver, d.b.host, d.b.run);
-        }
-        Err(e) => fail("lockstep run failed", e),
     }
 }
 
@@ -495,7 +460,7 @@ fn main() {
         || ctl.checkpoint_path.is_some()
         || ctl.resume_from.is_some()
         || ctl.halt_after_checkpoint;
-    if let Some(verb @ ("chaos" | "bench" | "diverge")) = filter.as_deref() {
+    if let Some(verb @ ("chaos" | "bench")) = filter.as_deref() {
         if checkpoint_flag {
             eprintln!(
                 "usage: paper {verb} takes no --checkpoint-every, --checkpoint-file, \
@@ -518,13 +483,6 @@ fn main() {
         for e in experiments() {
             println!("{:<14} {}", e.id, e.title);
         }
-        return;
-    }
-
-    if filter.as_deref() == Some("diverge") {
-        // Optional trailing batch number; default to a mid-run batch.
-        let at = positional.get(1).and_then(|v| v.parse().ok()).unwrap_or(3);
-        diverge_demo(at);
         return;
     }
 

@@ -2,7 +2,7 @@
 //! running nothing and reporting success: `chaos --trials 0` would print
 //! a clean "0 divergences" summary, and `--checkpoint-every 0` would never
 //! checkpoint. It likewise rejects checkpoint flags on the verbs that never
-//! configure run control (`chaos`, `bench`, `diverge`), which would
+//! configure run control (`chaos`, `bench`), which would
 //! otherwise ignore them, and checkpoint requests that cannot take effect:
 //! `--checkpoint-file` or `--halt-after-checkpoint` without
 //! `--checkpoint-every` (status 2), a halting run in which no checkpoint
@@ -39,7 +39,7 @@ fn zero_counts_exit_with_status_2() {
 
 #[test]
 fn checkpoint_flags_on_verbs_without_run_control_exit_with_status_2() {
-    for verb in ["chaos", "bench", "diverge"] {
+    for verb in ["chaos", "bench"] {
         for flag in [
             &["--checkpoint-every", "1"][..],
             &["--checkpoint-file", "unused.json"],

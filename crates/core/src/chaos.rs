@@ -3,22 +3,29 @@
 //!
 //! Each trial composes a [`Scenario`] — workload × policy stack × fault
 //! plan × device-memory size × kill/restore points — from a deterministic
-//! per-trial RNG stream, then executes it twice:
+//! per-trial RNG stream, then runs it in lockstep with itself:
 //!
-//! 1. **Reference**: one uninterrupted run from [`UvmSystem::start`] to
-//!    completion.
-//! 2. **Torture**: the same scenario, but at every fuzzer-chosen batch
-//!    boundary the run is snapshotted, serialized to JSON, dropped, parsed
-//!    back, and restored — the in-memory equivalent of a kill + resume.
+//! 1. **Shared prefix**: one run executes from [`UvmSystem::start`] up to
+//!    the first kill point that fires.
+//! 2. **Fork**: there the run is snapshotted, serialized to JSON, parsed
+//!    back and restored — the in-memory equivalent of a kill + resume. The
+//!    restored copy is the **torture** run; the original goes on, never
+//!    killed, as the **reference**.
+//! 3. **Lockstep**: both runs advance one batch at a time and must report
+//!    the same [`Progress`]. At every later kill point the reference's
+//!    [`SubsystemDigests`](crate::snapshot::SubsystemDigests) must equal the ones the torture snapshot
+//!    carries, and the torture run is killed and restored again.
 //!
-//! The two runs must agree **bit-for-bit**: identical per-subsystem state
-//! digests at completion and byte-identical serialized batch records. Any
-//! disagreement is a digest divergence. After both runs the full
+//! At completion the two runs must agree **bit-for-bit**: identical final
+//! digests and byte-identical serialized batch records. Any disagreement
+//! is a divergence, and its verdict names the kill interval in which the
+//! runs split and the subsystems whose digests broke. The full
 //! cross-layer auditor ([`uvm_driver::audit`]) must report zero
-//! violations (scenarios also run with in-band auditing enabled, so a
-//! violation mid-run surfaces immediately). A failing trial is shrunk to
-//! a minimal reproducer and can be written to / replayed from a serde
-//! repro file (`paper chaos --repro <file>`).
+//! violations on both runs (scenarios also run with in-band auditing
+//! enabled, so a violation mid-run surfaces immediately). A trial whose
+//! kill points never fire runs once. A failing trial is shrunk to a
+//! minimal reproducer and can be written to / replayed from a serde repro
+//! file (`paper chaos --repro <file>`).
 //!
 //! Trials are fully independent (each builds its own system from its own
 //! seeds and drives it without a checkpoint policy), so the harness fans
@@ -45,7 +52,7 @@ use uvm_workloads::workload::Workload;
 
 use crate::config::SystemConfig;
 use crate::runctl::RunCtx;
-use crate::snapshot::{run_key, SubsystemDigests, SystemSnapshot};
+use crate::snapshot::{run_key, SystemSnapshot};
 use crate::system::{Progress, RunHints, RunInProgress, UvmSystem};
 
 const MB: u64 = 1024 * 1024;
@@ -367,18 +374,6 @@ impl Scenario {
     }
 }
 
-/// What one scenario execution (reference or torture) produced when it
-/// completed: the final per-subsystem state digests and the serialized
-/// batch-record stream. Two executions of the same scenario must agree on
-/// both, byte for byte.
-#[derive(Debug, PartialEq)]
-struct ExecOutcome {
-    digests: SubsystemDigests,
-    records_json: String,
-    batches: u64,
-    audit_violations: Vec<String>,
-}
-
 /// Verdict of one chaos trial.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TrialVerdict {
@@ -387,13 +382,13 @@ pub enum TrialVerdict {
     /// with the identical typed error — also passes: chaos verifies
     /// bit-identity of behavior, including failure behavior.)
     Pass,
-    /// The torture run's final state or record stream differed from the
-    /// reference.
+    /// The torture run's state, progress or record stream differed from
+    /// the reference; the message names the kill interval where they split.
     Divergence(String),
     /// The cross-layer auditor reported violations (in-band or post-run).
     AuditFailure(String),
-    /// The run failed in a way that prevented comparison (e.g. the
-    /// batch-cap hang guard).
+    /// The trial could not be judged: the batch-cap hang guard fired, or
+    /// the batch records failed to serialize.
     RunError(String),
 }
 
@@ -404,107 +399,169 @@ impl TrialVerdict {
     }
 }
 
-/// Execute one scenario with the given kill/restore points and collect the
-/// comparison artifacts.
-fn execute(scenario: &Scenario, kills: &[u64]) -> Result<ExecOutcome, UvmError> {
-    let workload = scenario.workload.build();
-    let system = UvmSystem::new(scenario.config());
-    let mut pending: BTreeSet<u64> = kills.iter().copied().collect();
-    let mut run = system.start(&workload, &RunHints::default())?;
-    loop {
-        match run.advance_batch(&workload)? {
-            Progress::Finished => break,
-            Progress::Batch(n) => {
-                if n > MAX_BATCHES {
-                    return Err(UvmError::SnapshotInvalid {
-                        detail: format!("hang guard: exceeded {MAX_BATCHES} batches"),
-                    });
-                }
-                if pending.remove(&n) {
-                    // Kill + resume, in memory: serialize the checkpoint
-                    // to JSON, drop the live run, parse the bytes back,
-                    // and restore. This exercises the exact code path a
-                    // killed harness process takes on --resume.
-                    let snap = run.snapshot(&workload, 0);
-                    let json =
-                        serde_json::to_string(&snap).map_err(|e| UvmError::SnapshotInvalid {
-                            detail: format!("snapshot serialization failed: {e}"),
-                        })?;
-                    drop(run);
-                    let back: SystemSnapshot =
-                        serde_json::from_str(&json).map_err(|e| UvmError::SnapshotInvalid {
-                            detail: format!("snapshot re-parse failed: {e}"),
-                        })?;
-                    run = RunInProgress::restore(&back, &workload)?;
-                }
-            }
-        }
-    }
-    let digests = run.subsystem_digests();
-    let audit_violations: Vec<String> =
-        uvm_driver::audit::violations(run.driver(), run.gpu(), run.host())
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-    let batches = run.batches();
-    let result = run.into_result(&workload);
-    let records_json =
-        serde_json::to_string(&result.records).map_err(|e| UvmError::SnapshotInvalid {
-            detail: format!("record serialization failed: {e}"),
-        })?;
-    Ok(ExecOutcome { digests, records_json, batches, audit_violations })
+/// Run one trial: the reference and the torture run in lockstep, compared
+/// after every batch, at every kill and at completion, and both audited.
+pub fn run_trial(scenario: &Scenario) -> TrialVerdict {
+    lockstep(scenario, MAX_BATCHES, |_, _| {})
 }
 
-/// Run one trial: clean reference vs torture-mode execution, digest and
-/// record comparison, and a full audit pass.
-pub fn run_trial(scenario: &Scenario) -> TrialVerdict {
-    let reference = execute(scenario, &[]);
-    let torture = execute(scenario, &scenario.kill_batches);
-    match (reference, torture) {
-        (Ok(a), Ok(b)) => {
-            if !a.audit_violations.is_empty() || !b.audit_violations.is_empty() {
-                let all = a.audit_violations.iter().chain(&b.audit_violations);
-                return TrialVerdict::AuditFailure(
-                    all.cloned().collect::<Vec<_>>().join("; "),
-                );
-            }
-            if a.digests != b.digests {
-                return TrialVerdict::Divergence(format!(
-                    "final state digests disagree in [{}] after {} batches",
-                    a.digests.diff(&b.digests).join(", "),
-                    b.batches
-                ));
-            }
-            if a.records_json != b.records_json {
-                return TrialVerdict::Divergence(format!(
-                    "batch-record streams differ ({} vs {} batches)",
-                    a.batches, b.batches
-                ));
-            }
-            TrialVerdict::Pass
+/// [`run_trial`] with the hang guard at `max_batches`, calling
+/// `tamper(n, torture)` after each batch `n` the torture run services
+/// (from the fork on, after any kill at `n`).
+fn lockstep(
+    scenario: &Scenario,
+    max_batches: u64,
+    mut tamper: impl FnMut(u64, &mut RunInProgress),
+) -> TrialVerdict {
+    let workload = scenario.workload.build();
+    let mut reference =
+        match UvmSystem::new(scenario.config()).start(&workload, &RunHints::default()) {
+            Ok(run) => run,
+            Err(e) => return shared_error(e),
+        };
+    let mut kills: BTreeSet<u64> = scenario.kill_batches.iter().copied().collect();
+    // The torture run exists from the first kill on; `last_kill` is the
+    // batch of its latest kill.
+    let mut torture: Option<RunInProgress> = None;
+    let mut last_kill = 0;
+    loop {
+        let n = match step(&mut reference, torture.as_mut(), &workload, last_kill) {
+            Ok(Progress::Batch(n)) => n,
+            Ok(Progress::Finished) => break,
+            Err(verdict) => return verdict,
+        };
+        if n > max_batches {
+            return TrialVerdict::RunError(format!("hang guard: exceeded {max_batches} batches"));
         }
+        if kills.remove(&n) {
+            let snap = match torture.take() {
+                // The first kill forks the torture run off the reference.
+                None => reference.snapshot(&workload, 0),
+                Some(run) => {
+                    let snap = run.snapshot(&workload, 0);
+                    let want = reference.subsystem_digests();
+                    if snap.digests != want {
+                        return TrialVerdict::Divergence(format!(
+                            "state digests disagree in [{}] between the kills at batches \
+                             {last_kill} and {n}",
+                            want.diff(&snap.digests).join(", ")
+                        ));
+                    }
+                    snap
+                }
+            };
+            match round_trip(&snap, &workload) {
+                Ok(run) => torture = Some(run),
+                Err(e) => {
+                    return TrialVerdict::Divergence(format!(
+                        "the torture run failed to resume from the kill at batch {n}: {e}"
+                    ))
+                }
+            }
+            last_kill = n;
+        }
+        if let Some(run) = &mut torture {
+            tamper(n, run);
+        }
+    }
+    finish(reference, torture, &workload, last_kill)
+}
+
+/// Kill + resume, in memory: serialize the checkpoint to JSON, parse the
+/// bytes back, and restore. This exercises the exact code path a killed
+/// harness process takes on --resume.
+fn round_trip(snap: &SystemSnapshot, workload: &Workload) -> Result<RunInProgress, UvmError> {
+    let json = serde_json::to_string(snap).map_err(|e| UvmError::SnapshotInvalid {
+        detail: format!("snapshot serialization failed: {e}"),
+    })?;
+    let back: SystemSnapshot =
+        serde_json::from_str(&json).map_err(|e| UvmError::SnapshotInvalid {
+            detail: format!("snapshot re-parse failed: {e}"),
+        })?;
+    RunInProgress::restore(&back, workload)
+}
+
+/// Advance the reference and, after the fork, the torture run by one
+/// batch. Returns their common progress, or the verdict that ends the
+/// trial when either failed or the two fell out of step.
+fn step(
+    reference: &mut RunInProgress,
+    torture: Option<&mut RunInProgress>,
+    workload: &Workload,
+    last_kill: u64,
+) -> Result<Progress, TrialVerdict> {
+    let r = reference.advance_batch(workload);
+    let Some(torture) = torture else {
+        // Before the fork both runs are this one.
+        return r.map_err(shared_error);
+    };
+    let t = torture.advance_batch(workload);
+    let said = |side: &Result<Progress, UvmError>| match side {
+        Ok(Progress::Batch(n)) => format!("serviced batch {n}"),
+        Ok(Progress::Finished) => "finished".to_string(),
+        Err(e) => format!("failed with `{e}`"),
+    };
+    match (r, t) {
+        (Ok(a), Ok(b)) if a == b => Ok(a),
+        (Err(a), Err(b)) if a == b => Err(shared_error(a)),
         // An invariant violation anywhere is an audit failure (the in-band
         // auditor converts violations into typed errors mid-run).
         (Err(e @ UvmError::InvariantViolation { .. }), _)
         | (_, Err(e @ UvmError::InvariantViolation { .. })) => {
-            TrialVerdict::AuditFailure(e.to_string())
+            Err(TrialVerdict::AuditFailure(e.to_string()))
         }
-        (Err(ea), Err(eb)) => {
-            if ea == eb {
-                // Both runs exhausted the same recovery path identically:
-                // deterministic failure behavior is a pass.
-                TrialVerdict::Pass
-            } else {
-                TrialVerdict::Divergence(format!(
-                    "reference failed with `{ea}` but torture failed with `{eb}`"
-                ))
-            }
-        }
-        (Ok(_), Err(e)) => {
-            TrialVerdict::Divergence(format!("reference completed but torture failed: {e}"))
-        }
-        (Err(e), Ok(_)) => {
-            TrialVerdict::Divergence(format!("torture completed but reference failed: {e}"))
+        (r, t) => Err(TrialVerdict::Divergence(format!(
+            "after the kill at batch {last_kill} the reference {} but the torture run {}",
+            said(&r),
+            said(&t)
+        ))),
+    }
+}
+
+/// The verdict on an error that both runs hit identically.
+fn shared_error(e: UvmError) -> TrialVerdict {
+    match e {
+        UvmError::InvariantViolation { .. } => TrialVerdict::AuditFailure(e.to_string()),
+        // Both runs exhausted the same recovery path identically:
+        // deterministic failure behavior is a pass.
+        _ => TrialVerdict::Pass,
+    }
+}
+
+/// The checks at completion: audit both runs (the reference alone when no
+/// kill fired), then compare their final digests and batch records.
+fn finish(
+    reference: RunInProgress,
+    torture: Option<RunInProgress>,
+    workload: &Workload,
+    last_kill: u64,
+) -> TrialVerdict {
+    let violations: Vec<String> = std::iter::once(&reference)
+        .chain(&torture)
+        .flat_map(|run| uvm_driver::audit::violations(run.driver(), run.gpu(), run.host()))
+        .map(|v| v.to_string())
+        .collect();
+    if !violations.is_empty() {
+        return TrialVerdict::AuditFailure(violations.join("; "));
+    }
+    let Some(torture) = torture else {
+        return TrialVerdict::Pass;
+    };
+    let (want, got) = (reference.subsystem_digests(), torture.subsystem_digests());
+    if want != got {
+        return TrialVerdict::Divergence(format!(
+            "final state digests disagree in [{}] after the kill at batch {last_kill}",
+            want.diff(&got).join(", ")
+        ));
+    }
+    let records = |run: RunInProgress| serde_json::to_string(&run.into_result(workload).records);
+    match (records(reference), records(torture)) {
+        (Ok(a), Ok(b)) if a == b => TrialVerdict::Pass,
+        (Ok(_), Ok(_)) => TrialVerdict::Divergence(format!(
+            "batch-record streams differ after the kill at batch {last_kill}"
+        )),
+        (Err(e), _) | (_, Err(e)) => {
+            TrialVerdict::RunError(format!("record serialization failed: {e}"))
         }
     }
 }
@@ -720,11 +777,9 @@ mod tests {
         assert_eq!(s, back);
     }
 
-    #[test]
-    fn clean_trial_passes_with_and_without_kills() {
-        // A quiet scenario (no injection) with kill points: torture-mode
-        // snapshot/kill/restore must be invisible in the final state.
-        let scenario = Scenario {
+    /// A quiet stream scenario (no injection) killed at `kill_batches`.
+    fn quiet_stream(kill_batches: Vec<u64>) -> Scenario {
+        Scenario {
             seed: 0x5C21,
             workload: WorkloadSpec::Stream {
                 warps: 16,
@@ -734,10 +789,43 @@ mod tests {
             memory_mb: 16,
             policy: DriverPolicy::default().audited(true),
             plan: FaultPlan::none(),
-            kill_batches: vec![1, 3],
+            kill_batches,
             backend: BackendKind::CpuDriver,
+        }
+    }
+
+    #[test]
+    fn clean_trial_passes_with_and_without_kills() {
+        // Torture-mode snapshot/kill/restore must be invisible in the
+        // final state.
+        assert_eq!(run_trial(&quiet_stream(vec![1, 3])), TrialVerdict::Pass);
+        assert_eq!(run_trial(&quiet_stream(vec![])), TrialVerdict::Pass);
+    }
+
+    #[test]
+    fn perturbed_driver_rng_is_caught_between_the_kills() {
+        // A burned driver-RNG draw after the kill at batch 5 models a
+        // restore that loses state: the next kill must name the interval
+        // and the subsystem.
+        let verdict = lockstep(&quiet_stream(vec![2, 5, 9]), MAX_BATCHES, |n, run| {
+            if n == 5 {
+                run.perturb_driver_rng();
+            }
+        });
+        let TrialVerdict::Divergence(msg) = &verdict else {
+            panic!("a burned RNG draw must break lockstep, got {verdict:?}")
         };
-        assert_eq!(run_trial(&scenario), TrialVerdict::Pass);
+        assert!(msg.contains("between the kills at batches 5 and 9"), "got: {msg}");
+        assert!(msg.contains("driver"), "got: {msg}");
+    }
+
+    #[test]
+    fn hang_guard_is_a_run_error() {
+        // Before the fork (no kills) and after it (a kill at batch 1).
+        for kills in [vec![], vec![1]] {
+            let verdict = lockstep(&quiet_stream(kills), 2, |_, _| {});
+            assert_eq!(verdict, TrialVerdict::RunError("hang guard: exceeded 2 batches".into()));
+        }
     }
 
     #[test]

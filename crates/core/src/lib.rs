@@ -43,15 +43,16 @@
 //!   independent runs across threads with submission-order results), the
 //!   `--checkpoint-every` / `--resume` policy, and each run's
 //!   deterministic path, which keys its checkpoints.
-//! * [`divergence`] — lockstep execution of two instances, reporting the
-//!   first batch and subsystem whose state digests disagree.
+//! * [`chaos`] — seeded chaos trials: a torture run, killed and restored
+//!   at fuzzed batches, runs in lockstep with its never-killed reference,
+//!   and a divergence names the kill interval and the subsystems whose
+//!   state digests disagree.
 //! * [`tenancy`] — multi-tenant composition: several clients' workloads
 //!   packed into disjoint VABlock ranges of one shared space, with the
 //!   client table and fairness policy the driver ledger attributes under.
 
 pub mod chaos;
 pub mod config;
-pub mod divergence;
 pub mod experiments;
 mod parallel;
 pub mod report;

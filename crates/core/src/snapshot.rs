@@ -20,8 +20,9 @@
 //!
 //! The stored [`SubsystemDigests`] serve two purposes: restore recomputes
 //! them over the decoded state as an integrity check (a truncated or
-//! hand-edited file fails closed), and the divergence detector
-//! ([`crate::divergence`]) compares them per batch across two runs.
+//! hand-edited file fails closed), and a chaos trial ([`crate::chaos`])
+//! compares each torture snapshot's digests with its never-killed
+//! reference's, so a divergence is caught at the kill that follows it.
 
 use std::fs;
 use std::path::Path;
@@ -38,8 +39,9 @@ use crate::config::SystemConfig;
 use crate::system::RunState;
 
 /// FNV-1a digests of the four serialized state values of a run. Two runs in
-/// bit-identical states have equal digests in every field; the first field
-/// that disagrees names the subsystem that diverged.
+/// bit-identical states have equal digests in every field; a field that
+/// disagrees names a subsystem that diverged, which is how a chaos trial's
+/// verdict names the subsystems where its torture run left the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubsystemDigests {
     /// GPU state: μTLBs, GMMU, fault buffer, warp scoreboards, page map.
@@ -114,8 +116,8 @@ pub struct SystemSnapshot {
     pub host: HostMemory,
     /// Run-loop state.
     pub run: RunState,
-    /// Digests of the four state values, for integrity checking and
-    /// divergence comparison.
+    /// Digests of the four state values, for the restore's integrity check
+    /// and a chaos trial's comparison with its reference at each kill.
     pub digests: SubsystemDigests,
     /// Ring-tracer state when the run was captured with a ring tracer
     /// installed; `None` otherwise (and in snapshots written before

@@ -823,9 +823,10 @@ impl RunInProgress {
         })
     }
 
-    /// Divergence-demo hook: burn one draw from the driver's jitter RNG,
-    /// modelling a bug that consumes randomness on one side of a lockstep
-    /// pair. See [`uvm_driver::service::UvmDriver::perturb_rng`].
+    /// Burn one draw from the driver's jitter RNG, modelling a bug that
+    /// consumes randomness on one side of a lockstep pair. The chaos test
+    /// `perturbed_driver_rng_is_caught_between_the_kills` applies it to a
+    /// torture run. See [`uvm_driver::service::UvmDriver::perturb_rng`].
     pub fn perturb_driver_rng(&mut self) {
         self.system.driver.perturb_rng();
     }
@@ -1368,17 +1369,26 @@ mod tests {
         Ok(())
     }
 
+    /// `v`'s field `key`.
+    fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+        let serde::Value::Object(fields) = v else { panic!("`{key}`'s parent is an object") };
+        fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).expect("field present")
+    }
+
+    /// The `warps` array of a GPU's JSON tree.
+    fn warps(gpu: &mut serde::Value) -> &mut Vec<serde::Value> {
+        let serde::Value::Array(warps) = field(gpu, "warps") else {
+            panic!("warps are an array")
+        };
+        warps
+    }
+
     /// A mid-run snapshot of `w` with its GPU edited through the JSON tree
     /// by `edit`, and its digests recomputed so the integrity check passes.
     fn edited_snapshot(
         w: &Workload,
-        edit: impl FnOnce(&mut Vec<serde::Value>),
+        edit: impl FnOnce(&mut serde::Value),
     ) -> Result<SystemSnapshot, UvmError> {
-        use serde::Value;
-        fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-            let Value::Object(fields) = v else { panic!("`{key}`'s parent is an object") };
-            fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).expect("field present")
-        }
         let mut run =
             UvmSystem::new(SystemConfig::test_small(16 * MB)).start(w, &RunHints::default())?;
         run.advance_batch(w)?;
@@ -1386,10 +1396,7 @@ mod tests {
             &serde_json::to_string(&run.snapshot(w, 0)).expect("snapshot encodes"),
         )
         .expect("snapshot parses");
-        let Value::Array(warps) = field(field(&mut tree, "gpu"), "warps") else {
-            panic!("warps are an array")
-        };
-        edit(warps);
+        edit(field(&mut tree, "gpu"));
         let mut snap = SystemSnapshot::from_value(&tree).expect("edited snapshot decodes");
         snap.digests = SubsystemDigests::of(&snap.gpu, &snap.driver, &snap.host, &snap.run);
         snap.verify_integrity()?;
@@ -1407,19 +1414,31 @@ mod tests {
         };
         // One warp fewer than the launched kernel has programs.
         rejects(
-            edited_snapshot(&w, |warps| drop(warps.pop()))?,
+            edited_snapshot(&w, |gpu| drop(warps(gpu).pop()))?,
             &format!("{} warps launched, but the launched kernels have {} programs",
                 w.num_warps() - 1, w.num_warps()),
         );
+        // Warp 3 with one field set to `value`.
+        let warp_3 = |key: &'static str, value: u64| {
+            edited_snapshot(&w, move |gpu| *field(&mut warps(gpu)[3], key) = Value::NumU(value))
+        };
         // A program counter one past its program's end.
         let len = w.programs[3].instrs.len();
         rejects(
-            edited_snapshot(&w, |warps| {
-                let Value::Object(fields) = &mut warps[3] else { panic!("a warp is an object") };
-                let pc = fields.iter_mut().find(|(k, _)| k == "pc").expect("warp has a pc");
-                pc.1 = Value::NumU(len as u64 + 1);
-            })?,
+            warp_3("pc", len as u64 + 1)?,
             &format!("warp 3 is at instruction {} of a {len}-instruction program", len + 1),
+        );
+        // Warp 3 of the 8-SM test GPU runs as id 3 on SM 3, under μTLB 1.
+        // A μTLB that does not exist, an SM that μTLB 1 serves but launch
+        // did not pick, and another warp's id.
+        rejects(warp_3("utlb", 999)?, "warp 3 claims id 3, SM 3 and μTLB 999");
+        rejects(warp_3("sm", 2)?, "warp 3 claims id 3, SM 2 and μTLB 1");
+        rejects(warp_3("id", 4)?, "warp 3 claims id 4, SM 3 and μTLB 1");
+        // A spec with no SMs per μTLB places no warp (and divides by zero
+        // if unchecked).
+        rejects(
+            edited_snapshot(&w, |gpu| *field(field(gpu, "spec"), "sms_per_utlb") = Value::NumU(0))?,
+            "warp 0 claims id 0, SM 0 and μTLB 0",
         );
         // The unedited tree restores.
         RunInProgress::restore(&edited_snapshot(&w, |_| {})?, &w)?;

@@ -37,13 +37,12 @@ use crate::prefetch::compute_prefetch;
 
 /// Serde-configurable prefetcher selection (the
 /// [`crate::policy::DriverPolicy::prefetch_policy`] knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PrefetchPolicyKind {
     /// No expansion: migrate exactly the faulted pages.
     None,
     /// The stock tree-based density prefetcher
     /// ([`crate::prefetch::compute_prefetch`]).
-    #[default]
     TreeDensity,
     /// Prefetch the next `stride_pages` pages after the highest faulted
     /// page (a classic next-line/stream prefetcher at page granularity).
@@ -250,7 +249,6 @@ mod tests {
             let back: EvictionPolicyKind = serde_json::from_str(&json).expect("round trip");
             assert_eq!(back, k);
         }
-        assert_eq!(PrefetchPolicyKind::default(), PrefetchPolicyKind::TreeDensity);
         assert_eq!(EvictionPolicyKind::default(), EvictionPolicyKind::Lru);
     }
 

@@ -365,8 +365,8 @@ impl UvmDriver {
 
     /// Burn one draw from the driver's jitter RNG, silently knocking the
     /// stream out of phase with an identically-seeded driver. This is a
-    /// divergence-demo hook: it models the class of bug the lockstep
-    /// detector exists to catch (a code path consuming randomness it
+    /// test hook: it models the class of bug a chaos trial's lockstep
+    /// comparison exists to catch (a code path consuming randomness it
     /// shouldn't), and has no other effect on driver state.
     pub fn perturb_rng(&mut self) {
         let _ = self.rng.unit();

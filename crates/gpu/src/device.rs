@@ -155,8 +155,9 @@ impl Gpu {
     }
 
     /// Check that the warps fit `programs`, the programs of every kernel
-    /// launched so far: one warp per program, and no program counter past
-    /// its program's end. A device decoded from a snapshot must pass
+    /// launched so far: one warp per program, each warp at the id, SM and
+    /// μTLB that [`Self::launch`] gives its index, and no program counter
+    /// past its program's end. A device decoded from a snapshot must pass
     /// before it is stepped.
     pub fn check_programs(&self, programs: &[WarpProgram]) -> Result<(), String> {
         if self.warps.len() != programs.len() {
@@ -164,6 +165,18 @@ impl Gpu {
                 "{} warps launched, but the launched kernels have {} programs",
                 self.warps.len(),
                 programs.len()
+            ));
+        }
+        // Checked arithmetic: the spec is decoded from the snapshot too.
+        let misplaced = self.warps.iter().enumerate().find(|&(i, w)| {
+            let sm = (i as u32).checked_rem(self.spec.num_sms);
+            let utlb = sm.and_then(|sm| sm.checked_div(self.spec.sms_per_utlb));
+            w.id as usize != i || Some(w.sm) != sm || Some(w.utlb) != utlb
+        });
+        if let Some((i, w)) = misplaced {
+            return Err(format!(
+                "warp {i} claims id {}, SM {} and μTLB {}, which launch does not give it",
+                w.id, w.sm, w.utlb
             ));
         }
         match self.warps.iter().zip(programs).find(|(w, p)| w.pc() > p.instrs.len()) {

@@ -12,7 +12,6 @@
 //!   multi-tenant experiments.
 //! * [`regression`] — least-squares [`LinearFit`] with r².
 //! * [`histogram`] — fixed-width [`Histogram`] bucketing.
-//! * [`series`] — time-series binning and downsampling for figure data.
 //! * [`plot`] — terminal scatter plots ([`ScatterPlot`]) for figure shapes.
 //! * [`table`] — fixed-width text table rendering in the paper's style.
 
@@ -21,7 +20,6 @@ pub mod fairness;
 pub mod histogram;
 pub mod plot;
 pub mod regression;
-pub mod series;
 pub mod table;
 
 pub use descriptive::{percentile, Summary};
@@ -29,5 +27,4 @@ pub use fairness::{grouped_percentile, jain_index};
 pub use histogram::Histogram;
 pub use plot::ScatterPlot;
 pub use regression::{linear_fit, LinearFit};
-pub use series::bin_series;
 pub use table::Table;

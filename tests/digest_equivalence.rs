@@ -155,8 +155,8 @@ fn paused_run_state_streams_like_the_tree_under_every_backend() {
         assert_streams_like_the_tree(&format!("{name} gpu"), run.gpu());
         assert_streams_like_the_tree(&format!("{name} driver"), run.driver());
         assert_streams_like_the_tree(&format!("{name} host"), run.host());
-        // The snapshot digests every subsystem (run state included) from
-        // its Value tree; the divergence detector's digests are streamed.
+        // A chaos trial compares the digests a snapshot carries with the
+        // live run's, so the two must agree.
         let snap = run.snapshot(&workload, 0);
         assert_eq!(run.subsystem_digests(), snap.digests, "{name}");
         assert_eq!(
