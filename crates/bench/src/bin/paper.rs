@@ -29,8 +29,8 @@
 //! writes a machine-readable perf summary: per-experiment serial wall
 //! times, the suite-level serial-vs-parallel comparison, and hand-rolled
 //! hot-loop micro timings (dedup fast path vs reference, one full
-//! `service_batch_with`, event queue, radix lookups). `--quick` trims micro
-//! reps and skips the parallel suite pass (CI smoke).
+//! `service_batch_with`, event queue, sequential radix inserts). `--quick`
+//! trims micro reps and skips the parallel suite pass (CI smoke).
 //!
 //! ## Extension sweeps
 //!

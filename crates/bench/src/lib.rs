@@ -334,18 +334,10 @@ pub mod perf {
             sum
         });
 
-        let mut tree = RadixTree::new();
-        for k in 0..32_768u64 {
-            tree.insert(k * 7, k);
-        }
-        let radix_lookup = time_ns(reps, || {
-            let mut hits = 0u64;
-            for k in 0..32_768u64 {
-                if tree.get(k * 7).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
+        // DMA setup's pattern: reverse entries at sequential addresses.
+        let radix_insert = time_ns(reps, || {
+            let mut tree = RadixTree::new();
+            (0..32_768u64).map(|k| tree.insert(k, k).nodes_allocated).sum::<u64>()
         });
 
         obj(vec![
@@ -353,7 +345,7 @@ pub mod perf {
             ("dedup_fast_2048x8", Value::Float(dedup_fast)),
             ("service_batch_1024x4blocks", Value::Float(service)),
             ("event_queue_schedule_pop_10k", Value::Float(event_queue)),
-            ("radix_lookup_sweep_32768", Value::Float(radix_lookup)),
+            ("radix_insert_sweep_32768", Value::Float(radix_insert)),
         ])
     }
 
@@ -439,7 +431,7 @@ mod tests {
             "dedup_fast_2048x8",
             "service_batch_1024x4blocks",
             "event_queue_schedule_pop_10k",
-            "radix_lookup_sweep_32768",
+            "radix_insert_sweep_32768",
         ] {
             let v = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
             let Some(serde_json::Value::Float(ns)) = v else {

@@ -28,7 +28,7 @@ use uvm_workloads::workload::Workload;
 use crate::config::SystemConfig;
 use crate::parallel;
 use crate::snapshot::{run_key, SystemSnapshot};
-use crate::system::{RunHints, RunResult, UvmSystem};
+use crate::system::{RunHints, RunInProgress, RunResult, UvmSystem};
 
 /// Checkpoint/resume policy, set from CLI flags.
 #[derive(Debug, Clone, Default)]
@@ -151,13 +151,30 @@ impl RunCtx {
     /// Like [`Self::run`], after applying `hints`; an unrecoverable
     /// pipeline failure returns the typed [`UvmError`] instead of
     /// panicking.
+    ///
+    /// This is the run loop every checkpointed run takes: when
+    /// auto-checkpointing is configured the run's state is written out
+    /// every N batches, and when the pending resume snapshot's key matches
+    /// this run it restores from it instead of starting fresh — producing
+    /// output byte-identical to the uninterrupted run.
     pub fn try_run(
         &self,
         config: SystemConfig,
         workload: &Workload,
         hints: &RunHints,
     ) -> Result<RunResult, UvmError> {
-        UvmSystem::new(config).try_run_in(self, workload, hints)
+        let mut session = self.begin_run(|| (serde::digest(workload), serde::digest(&config)));
+        let run = match session.resume.take() {
+            Some(snap) => RunInProgress::restore(&snap, workload)?,
+            None => UvmSystem::new(config).start(workload, hints)?,
+        };
+        let result = run.run_to_end(workload, |n, run| {
+            if let Some(key) = session.checkpoint_due(n) {
+                session.write_checkpoint(&run.snapshot(workload, key));
+            }
+        })?;
+        session.finish();
+        Ok(result)
     }
 
     /// Report a checkpoint request that never took effect, once every run

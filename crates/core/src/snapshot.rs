@@ -2,10 +2,19 @@
 //!
 //! A [`SystemSnapshot`] is the captured state of a paused
 //! [`RunInProgress`](crate::system::RunInProgress), held as typed values:
-//! the system config, the three subsystem models (GPU, driver, host OS),
-//! and the run-loop state (event queue, virtual clock, worker state,
-//! kernel progress), plus a format version, the digest of the workload it
-//! was taken against, and FNV-1a digests of the four state values.
+//! the three subsystem models (GPU, driver, host OS) and the run-loop
+//! state (event queue, virtual clock, worker state, kernel progress), plus
+//! a format version, the digest of the workload it was taken against, and
+//! FNV-1a digests of the four state values.
+//!
+//! A snapshot holds each fact once, and nothing that restore cannot check
+//! or rebuild. It carries no copy of the [`SystemConfig`](crate::SystemConfig):
+//! the settings a resumed run reads (policy, cost model, backend, GPU
+//! spec) live in the driver and the GPU, where the digests cover them. A
+//! warp stores neither its program nor its id, SM and μTLB, which follow
+//! from the workload and the warp's index. The DMA space stores only its
+//! pages in address order, and decoding replays them to rebuild the
+//! reverse radix tree.
 //!
 //! ## Format and versioning
 //!
@@ -35,7 +44,6 @@ use uvm_sim::error::UvmError;
 pub use uvm_sim::snapshot::SNAPSHOT_VERSION;
 use uvm_trace::TraceState;
 
-use crate::config::SystemConfig;
 use crate::system::RunState;
 
 /// FNV-1a digests of the four serialized state values of a run. Two runs in
@@ -44,10 +52,11 @@ use crate::system::RunState;
 /// verdict names the subsystems where its torture run left the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubsystemDigests {
-    /// GPU state: μTLBs, GMMU, fault buffer, warp scoreboards, page map.
+    /// GPU state: spec, μTLBs, GMMU, fault buffer, warp scoreboards, page
+    /// map.
     pub gpu: u64,
-    /// Driver state: VA space, eviction LRU, DMA space, RNG, injectors,
-    /// batch log.
+    /// Driver state: policy, cost model, backend, VA space, eviction LRU,
+    /// DMA space, RNG, injectors, batch log.
     pub driver: u64,
     /// Host-OS state: page tables, reverse map, NUMA accounting.
     pub host: u64,
@@ -106,8 +115,6 @@ pub struct SystemSnapshot {
     pub workload_name: String,
     /// Digest of the serialized workload; restore refuses any other.
     pub workload_digest: u64,
-    /// The run's system configuration.
-    pub config: SystemConfig,
     /// GPU state.
     pub gpu: Gpu,
     /// Driver state.
@@ -276,7 +283,7 @@ mod tests {
             warps_per_page: 1,
             cpu_init: None,
         });
-        let mut run = UvmSystem::new(SystemConfig::test_small(4 << 20))
+        let mut run = UvmSystem::new(crate::SystemConfig::test_small(4 << 20))
             .start(&w, &RunHints::default())
             .expect("run starts");
         for _ in 0..3 {

@@ -27,9 +27,9 @@
 //! streams, injectors — can be captured as a versioned
 //! [`SystemSnapshot`] and later restored
 //! into a new `RunInProgress` that continues bit-identically.
-//! [`RunCtx::run`] and [`UvmSystem::run`] and friends are thin drivers over
-//! this interface, so batch-mode and checkpointed executions traverse
-//! exactly the same code path.
+//! [`RunCtx::run`](crate::runctl::RunCtx::run) and [`UvmSystem::run`] and
+//! friends are thin drivers over this interface, so batch-mode and
+//! checkpointed executions traverse exactly the same code path.
 
 use serde::{Deserialize, Serialize};
 use uvm_driver::advise::MemAdvise;
@@ -46,7 +46,6 @@ use uvm_sim::time::{SimDuration, SimTime};
 use uvm_workloads::workload::Workload;
 
 use crate::config::SystemConfig;
-use crate::runctl::RunCtx;
 use crate::snapshot::{check_version, SubsystemDigests, SystemSnapshot, SNAPSHOT_VERSION};
 
 /// Safety valve: a run that schedules more events than this is considered
@@ -140,10 +139,11 @@ pub struct RunHints {
     pub prefetch: Vec<Allocation>,
 }
 
-/// The assembled system: GPU + driver + host OS + event queue.
+/// The assembled system: GPU + driver + host OS. The config it was built
+/// from is not kept: each setting lives in the subsystem that owns it, and
+/// the run loop reads the policy, cost model and backend from the driver.
 #[derive(Debug)]
 pub struct UvmSystem {
-    config: SystemConfig,
     gpu: Gpu,
     driver: UvmDriver,
     host: HostMemory,
@@ -238,12 +238,7 @@ impl UvmSystem {
         // Servicing backend: stock CpuDriver is a no-op install; the peer
         // kinds additionally size the owner directory off device capacity.
         driver.install_backend(config.backend);
-        UvmSystem {
-            config,
-            gpu,
-            driver,
-            host,
-        }
+        UvmSystem { gpu, driver, host }
     }
 
     /// Run `workload` to completion and return the instrumentation.
@@ -279,45 +274,15 @@ impl UvmSystem {
     }
 
     /// Like [`Self::run_with_hints`], but an unrecoverable pipeline
-    /// failure returns the typed [`UvmError`] instead of panicking. Runs
-    /// under a policy-free [`RunCtx`], so it never checkpoints or resumes.
+    /// failure returns the typed [`UvmError`] instead of panicking. Never
+    /// checkpoints or resumes
+    /// ([`RunCtx::try_run`](crate::runctl::RunCtx::try_run) does).
     pub fn try_run_with_hints(
         self,
         workload: &Workload,
         hints: &RunHints,
     ) -> Result<RunResult, UvmError> {
-        self.try_run_in(&RunCtx::new(1), workload, hints)
-    }
-
-    /// The run loop every full run takes, under `ctx`'s checkpoint policy:
-    /// when auto-checkpointing is configured the run's state is written
-    /// out every N batches, and when the pending resume snapshot's key
-    /// matches this run it restores from it instead of starting fresh —
-    /// producing output byte-identical to the uninterrupted run.
-    pub(crate) fn try_run_in(
-        self,
-        ctx: &RunCtx,
-        workload: &Workload,
-        hints: &RunHints,
-    ) -> Result<RunResult, UvmError> {
-        let mut session =
-            ctx.begin_run(|| (serde::digest(workload), serde::digest(&self.config)));
-        let mut run = match session.resume.take() {
-            Some(snap) => RunInProgress::restore(&snap, workload)?,
-            None => self.start(workload, hints)?,
-        };
-        loop {
-            match run.advance_batch(workload)? {
-                Progress::Finished => break,
-                Progress::Batch(n) => {
-                    if let Some(key) = session.checkpoint_due(n) {
-                        session.write_checkpoint(&run.snapshot(workload, key));
-                    }
-                }
-            }
-        }
-        session.finish();
-        Ok(run.into_result(workload))
+        self.start(workload, hints)?.run_to_end(workload, |_, _| {})
     }
 
     /// Begin an incremental run: apply allocations, CPU initialization,
@@ -394,10 +359,10 @@ impl UvmSystem {
     /// management cannot oversubscribe).
     pub fn run_explicit(mut self, workload: &Workload) -> RunResult {
         assert!(
-            workload.footprint_bytes() <= self.config.gpu.memory_bytes,
+            workload.footprint_bytes() <= self.gpu.spec.memory_bytes,
             "explicit management cannot oversubscribe device memory"
         );
-        let copy_time = self.config.cost.h2d_time(workload.footprint_bytes());
+        let copy_time = self.driver.cost().h2d_time(workload.footprint_bytes());
         for alloc in &workload.allocations {
             self.gpu.map_pages((0..alloc.num_pages()).map(|i| alloc.page(i)));
         }
@@ -459,7 +424,7 @@ impl UvmSystem {
             .gpu
             .gmmu
             .earliest_request()
-            .map(|t| t + self.config.cost.fault_insert_latency);
+            .map(|t| t + self.driver.cost().fault_insert_latency);
         let buffered = self.gpu.fault_buffer.earliest_arrival();
         let earliest = match (pending, buffered) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -469,7 +434,7 @@ impl UvmSystem {
             // Wake latency is the backend's: the stock CPU driver pays the
             // host interrupt + worker wake path; a GPU-driven backend polls
             // its GPU-side queue instead and wakes in the poll interval.
-            let wake = arrival.max(now) + self.config.backend.wake_latency(&self.config.cost);
+            let wake = arrival.max(now) + self.driver.backend().wake_latency(self.driver.cost());
             // A new interrupt supersedes a later-scheduled check (the
             // hardware re-interrupts; the worker must not sleep through a
             // fresh fault because an old spurious one scheduled a far
@@ -560,7 +525,7 @@ impl RunInProgress {
                         // which more faults arrive. Model it as an iterative
                         // fetch whose deadline advances by the per-fault
                         // fetch cost.
-                        let limit = self.system.config.policy.batch_limit;
+                        let limit = self.system.driver.policy().batch_limit;
                         let batch = &mut self.batch_buf;
                         batch.clear();
                         let mut deadline = now;
@@ -573,7 +538,7 @@ impl RunInProgress {
                             if got == 0 {
                                 break;
                             }
-                            deadline += self.system.config.cost.fetch_per_fault * got as u64;
+                            deadline += self.system.driver.cost().fetch_per_fault * got as u64;
                             if batch.len() >= limit {
                                 break;
                             }
@@ -601,7 +566,7 @@ impl RunInProgress {
                                 // dropped accesses re-fault, exactly as they
                                 // do after drops during a serviced batch.
                                 let replay_done =
-                                    now + self.system.config.cost.replay_latency;
+                                    now + self.system.driver.cost().replay_latency;
                                 self.replay(replay_done);
                             }
                         } else {
@@ -631,13 +596,13 @@ impl RunInProgress {
                         // reaches the GPU. (Flushing is the stock policy;
                         // the ablation keeps stale entries, which later
                         // batches then fetch.)
-                        if self.system.config.policy.flush_on_replay {
+                        if self.system.driver.policy().flush_on_replay {
                             let dropped = self.system.gpu.flush();
                             uvm_trace::emit_instant(now.0, || {
                                 uvm_trace::TraceEvent::BufferFlush { dropped }
                             });
                         }
-                        let replay_done = now + self.system.config.cost.replay_latency;
+                        let replay_done = now + self.system.driver.cost().replay_latency;
                         self.replay(replay_done);
                     }
                 }
@@ -663,6 +628,19 @@ impl RunInProgress {
         for &(wid, wake) in &self.woken {
             self.queue.schedule(wake, Event::WarpStep(wid));
         }
+    }
+
+    /// Drive the run to completion and produce its [`RunResult`], calling
+    /// `after_batch(n, &self)` after serviced batch `n` (1-based).
+    pub(crate) fn run_to_end(
+        mut self,
+        workload: &Workload,
+        mut after_batch: impl FnMut(u64, &RunInProgress),
+    ) -> Result<RunResult, UvmError> {
+        while let Progress::Batch(n) = self.advance_batch(workload)? {
+            after_batch(n, &self);
+        }
+        Ok(self.into_result(workload))
     }
 
     /// Number of batches serviced so far.
@@ -740,7 +718,7 @@ impl RunInProgress {
     /// digests agree after every batch are in bit-identical states; the
     /// first disagreeing digest names the subsystem that diverged.
     pub fn subsystem_digests(&self) -> SubsystemDigests {
-        let UvmSystem { gpu, driver, host, .. } = &self.system;
+        let UvmSystem { gpu, driver, host } = &self.system;
         SubsystemDigests::of(gpu, driver, host, &self.run_state())
     }
 
@@ -748,7 +726,7 @@ impl RunInProgress {
     /// `run_key` identifies this run within its harness process (see
     /// [`crate::snapshot::run_key`]); pass 0 for standalone snapshots.
     pub fn snapshot(&self, workload: &Workload, run_key: u64) -> SystemSnapshot {
-        let UvmSystem { config, gpu, driver, host } = &self.system;
+        let UvmSystem { gpu, driver, host } = &self.system;
         let run = self.run_state();
         SystemSnapshot {
             version: SNAPSHOT_VERSION,
@@ -757,7 +735,6 @@ impl RunInProgress {
             workload_name: workload.name.clone(),
             workload_digest: serde::digest(workload),
             digests: SubsystemDigests::of(gpu, driver, host, &run),
-            config: config.clone(),
             gpu: gpu.clone(),
             driver: driver.clone(),
             host: host.clone(),
@@ -805,7 +782,6 @@ impl RunInProgress {
         let run = snap.run.clone();
         Ok(RunInProgress {
             system: UvmSystem {
-                config: snap.config.clone(),
                 gpu: snap.gpu.clone(),
                 driver: snap.driver.clone(),
                 host: snap.host.clone(),
@@ -1418,30 +1394,80 @@ mod tests {
             &format!("{} warps launched, but the launched kernels have {} programs",
                 w.num_warps() - 1, w.num_warps()),
         );
-        // Warp 3 with one field set to `value`.
-        let warp_3 = |key: &'static str, value: u64| {
-            edited_snapshot(&w, move |gpu| *field(&mut warps(gpu)[3], key) = Value::NumU(value))
-        };
         // A program counter one past its program's end.
         let len = w.programs[3].instrs.len();
         rejects(
-            warp_3("pc", len as u64 + 1)?,
+            edited_snapshot(&w, |gpu| {
+                *field(&mut warps(gpu)[3], "pc") = Value::NumU(len as u64 + 1);
+            })?,
             &format!("warp 3 is at instruction {} of a {len}-instruction program", len + 1),
         );
-        // Warp 3 of the 8-SM test GPU runs as id 3 on SM 3, under μTLB 1.
-        // A μTLB that does not exist, an SM that μTLB 1 serves but launch
-        // did not pick, and another warp's id.
-        rejects(warp_3("utlb", 999)?, "warp 3 claims id 3, SM 3 and μTLB 999");
-        rejects(warp_3("sm", 2)?, "warp 3 claims id 3, SM 2 and μTLB 1");
-        rejects(warp_3("id", 4)?, "warp 3 claims id 4, SM 3 and μTLB 1");
         // A spec with no SMs per μTLB places no warp (and divides by zero
         // if unchecked).
         rejects(
             edited_snapshot(&w, |gpu| *field(field(gpu, "spec"), "sms_per_utlb") = Value::NumU(0))?,
-            "warp 0 claims id 0, SM 0 and μTLB 0",
+            "the spec places warps on 8 SMs at 0 per μTLB, but the device has 8 SM queues and 4 μTLBs",
         );
         // The unedited tree restores.
         RunInProgress::restore(&edited_snapshot(&w, |_| {})?, &w)?;
+        Ok(())
+    }
+
+    /// A snapshot after `batches` batches of the checkpoint workload.
+    fn snapshot_after(batches: u64) -> Result<(Workload, SystemSnapshot), UvmError> {
+        let w = ckpt_workload();
+        let mut run =
+            UvmSystem::new(SystemConfig::test_small(16 * MB)).start(&w, &RunHints::default())?;
+        for _ in 0..batches {
+            run.advance_batch(&w)?;
+        }
+        let snap = run.snapshot(&w, 0);
+        Ok((w, snap))
+    }
+
+    #[test]
+    fn the_settings_a_resumed_run_reads_are_covered_by_the_digests() -> Result<(), UvmError> {
+        // The first batch limit in the snapshot must be the one the run
+        // loop reads, and editing it without recomputing the digests must
+        // not resume a run under another policy.
+        let (w, snap) = snapshot_after(3)?;
+        let json = serde_json::to_string(&snap).expect("snapshot encodes");
+        let key = "\"batch_limit\":";
+        let at = json.find(key).expect("the driver policy has a batch limit") + key.len();
+        let end = at + json[at..].find([',', '}']).expect("the value ends");
+        assert_eq!(&json[at..end], "256");
+        let edited = format!("{}7{}", &json[..at], &json[end..]);
+        let edited: SystemSnapshot = serde_json::from_str(&edited).expect("edited snapshot decodes");
+        let err = RunInProgress::restore(&edited, &w).expect_err("an edited policy must not restore");
+        assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+        assert!(err.to_string().contains("[driver]"), "got: {err}");
+        Ok(())
+    }
+
+    #[test]
+    fn a_dma_page_list_that_repeats_a_page_does_not_load() -> Result<(), UvmError> {
+        let (_, snap) = snapshot_after(3)?;
+        let mut tree =
+            serde_json::parse(&serde_json::to_string(&snap).expect("snapshot encodes"))
+                .expect("snapshot parses");
+        let serde::Value::Array(pages) = field(field(field(&mut tree, "driver"), "dma"), "pages")
+        else {
+            panic!("the DMA pages are an array")
+        };
+        assert!(pages.len() >= 512, "the run has mapped a block");
+        pages.push(pages[0].clone());
+        // The edit is refused while decoding, before any digest is read,
+        // so recomputing the digests could not make it restore.
+        let dir = std::env::temp_dir().join("uvm-system-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("dma-repeat-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&tree).expect("tree encodes"))
+            .expect("write snapshot");
+        let loaded = SystemSnapshot::load(&path);
+        std::fs::remove_file(&path).ok();
+        let err = loaded.expect_err("a repeated DMA page must not load");
+        assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+        assert!(err.to_string().contains("DMA page list repeats 1 page"), "got: {err}");
         Ok(())
     }
 }

@@ -195,10 +195,12 @@ enum Writeback {
 /// The driver is fully serializable: a snapshot captures the VA-space and
 /// VABlock trees, the eviction bookkeeping (including the evictor's own
 /// RNG stream and LFU counters), the oracle prefetcher's future-access
-/// table, the DMA space (including the reverse radix tree), the jitter RNG
-/// mid-stream, every driver-owned injector (transient and sustained), the
-/// health machine, and the complete batch log, so
-/// a restored driver continues bit-identically under any policy stack.
+/// table, the DMA space (as its page list, from which restore rebuilds the
+/// reverse radix tree), the jitter RNG mid-stream, every driver-owned
+/// injector (transient and sustained), the health machine, and the
+/// complete batch log, so a restored driver continues bit-identically
+/// under any policy stack. Its policy, cost model and backend are the
+/// run's only copies of those settings: the run loop reads them from here.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UvmDriver {
     policy: DriverPolicy,
@@ -346,6 +348,11 @@ impl UvmDriver {
     /// Driver policy.
     pub fn policy(&self) -> &DriverPolicy {
         &self.policy
+    }
+
+    /// Cost-model calibration.
+    pub fn cost(&self) -> &CostModel {
+        &self.cost
     }
 
     /// Cumulative VABlocks degraded to remote mappings over the run.

@@ -124,7 +124,15 @@ impl Gpu {
         Self::new_seeded(spec, cost, 0)
     }
 
-    /// Launch a kernel of `warps` warps, assigned to SMs round-robin. The
+    /// Where warp `wid` runs: `(SM, μTLB serving that SM)`. Warps are
+    /// dealt to SMs round-robin by id. Every use of a warp's SM or μTLB
+    /// derives it here, so the rule lives in one place.
+    pub fn placement(&self, wid: u32) -> (u32, u32) {
+        let sm = wid % self.spec.num_sms;
+        (sm, self.spec.utlb_of_sm(sm))
+    }
+
+    /// Launch a kernel of `warps` warps, placed by [`Self::placement`]. The
     /// new warps take the next ids, so warp `i` runs program `i` of the
     /// slice later passed to [`Self::step_warp`]. Returns the ids of warps
     /// activated immediately (the first wave); the rest queue behind them
@@ -132,9 +140,8 @@ impl Gpu {
     pub fn launch(&mut self, warps: usize) -> Vec<u32> {
         let base = self.warps.len() as u32;
         for id in base..base + warps as u32 {
-            let sm = id % self.spec.num_sms;
-            let utlb = self.spec.utlb_of_sm(sm);
-            self.warps.push(Warp::new(id, sm, utlb));
+            let (sm, _) = self.placement(id);
+            self.warps.push(Warp::new());
             self.sm_queues[sm as usize].push_back(id);
         }
         let mut activated = Vec::new();
@@ -154,12 +161,28 @@ impl Gpu {
         self.warps.len()
     }
 
-    /// Check that the warps fit `programs`, the programs of every kernel
-    /// launched so far: one warp per program, each warp at the id, SM and
-    /// μTLB that [`Self::launch`] gives its index, and no program counter
-    /// past its program's end. A device decoded from a snapshot must pass
+    /// Check that the device fits `programs`, the programs of every kernel
+    /// launched so far: a spec whose placement lands on the device's SM
+    /// queues and μTLBs, one warp per program, and no program counter past
+    /// its program's end. A device decoded from a snapshot must pass
     /// before it is stepped.
     pub fn check_programs(&self, programs: &[WarpProgram]) -> Result<(), String> {
+        // The spec is decoded from the snapshot too, and `placement` divides
+        // by both of these counts.
+        let (sms, per_utlb) = (self.spec.num_sms, self.spec.sms_per_utlb);
+        if sms == 0
+            || per_utlb == 0
+            || self.spec.num_utlbs() as usize != self.utlbs.len()
+            || self.sm_queues.len() != sms as usize
+            || self.sm_active.len() != sms as usize
+        {
+            return Err(format!(
+                "the spec places warps on {sms} SMs at {per_utlb} per μTLB, but the device has \
+                 {} SM queues and {} μTLBs",
+                self.sm_queues.len(),
+                self.utlbs.len()
+            ));
+        }
         if self.warps.len() != programs.len() {
             return Err(format!(
                 "{} warps launched, but the launched kernels have {} programs",
@@ -167,22 +190,10 @@ impl Gpu {
                 programs.len()
             ));
         }
-        // Checked arithmetic: the spec is decoded from the snapshot too.
-        let misplaced = self.warps.iter().enumerate().find(|&(i, w)| {
-            let sm = (i as u32).checked_rem(self.spec.num_sms);
-            let utlb = sm.and_then(|sm| sm.checked_div(self.spec.sms_per_utlb));
-            w.id as usize != i || Some(w.sm) != sm || Some(w.utlb) != utlb
-        });
-        if let Some((i, w)) = misplaced {
-            return Err(format!(
-                "warp {i} claims id {}, SM {} and μTLB {}, which launch does not give it",
-                w.id, w.sm, w.utlb
-            ));
-        }
-        match self.warps.iter().zip(programs).find(|(w, p)| w.pc() > p.instrs.len()) {
-            Some((w, p)) => Err(format!(
-                "warp {} is at instruction {} of a {}-instruction program",
-                w.id,
+        let mut warps = self.warps.iter().zip(programs).enumerate();
+        match warps.find(|(_, (w, p))| w.pc() > p.instrs.len()) {
+            Some((i, (w, p))) => Err(format!(
+                "warp {i} is at instruction {} of a {}-instruction program",
                 w.pc(),
                 p.instrs.len()
             )),
@@ -286,12 +297,12 @@ impl Gpu {
         }
         woken.clear();
         let page_table = &self.page_table;
-        for w in &mut self.warps {
+        for (wid, w) in (0..).zip(&mut self.warps) {
             if w.status == WarpStatus::Blocked {
                 w.apply_replay(|p| page_table.contains(&p));
                 w.status = WarpStatus::Ready;
                 w.ready_at = now;
-                woken.push((w.id, now));
+                woken.push((wid, now));
             }
         }
         uvm_trace::emit_instant(now.0, || uvm_trace::TraceEvent::Replay {
@@ -317,6 +328,7 @@ impl Gpu {
     /// has no program `wid`.
     pub fn step_warp(&mut self, programs: &[WarpProgram], wid: u32, now: SimTime) -> StepOutcome {
         let program = &programs[wid as usize];
+        let (sm, utlb) = self.placement(wid);
         let w = &mut self.warps[wid as usize];
         assert_eq!(w.status, WarpStatus::Ready, "stepping warp {wid} in state {:?}", w.status);
         let mut t = if now > w.ready_at { now } else { w.ready_at };
@@ -332,13 +344,13 @@ impl Gpu {
                 if kind == AccessKind::Prefetch {
                     // Prefetches bypass the scoreboard and μTLB slots: the
                     // fault is logged but the warp neither stalls nor waits.
-                    self.gmmu.deposit(w.utlb, page, kind, w.sm, w.id, t, false);
+                    self.gmmu.deposit(utlb, page, kind, sm, wid, t, false);
                     w.faults_generated += 1;
                     continue;
                 }
-                match self.utlbs[w.utlb as usize].try_insert(page) {
+                match self.utlbs[utlb as usize].try_insert(page) {
                     UtlbInsert::Inserted => {
-                        self.gmmu.deposit(w.utlb, page, kind, w.sm, w.id, t, false);
+                        self.gmmu.deposit(utlb, page, kind, sm, wid, t, false);
                         w.note_outstanding(page, kind);
                         w.faults_generated += 1;
                     }
@@ -349,7 +361,7 @@ impl Gpu {
                         // some probability the GMMU logs another entry —
                         // the same-μTLB (type 1) duplicates of Sec. 4.2.
                         if self.rng.chance(self.spec.same_utlb_dup_prob) {
-                            self.gmmu.deposit(w.utlb, page, kind, w.sm, w.id, t, true);
+                            self.gmmu.deposit(utlb, page, kind, sm, wid, t, true);
                             w.faults_generated += 1;
                         }
                         w.note_outstanding(page, kind);
@@ -372,12 +384,12 @@ impl Gpu {
                     // flight; the warp retires only when they land.
                     w.status = WarpStatus::Blocked;
                     w.ready_at = t;
-                    Self::spurious_reissue(w, &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
+                    Self::spurious_reissue(w, (wid, sm, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
                     return StepOutcome::Blocked;
                 }
                 w.status = WarpStatus::Done;
                 w.ready_at = t;
-                let sm = w.sm as usize;
+                let sm = sm as usize;
                 self.done_warps += 1;
                 if t > self.kernel_end {
                     self.kernel_end = t;
@@ -397,7 +409,7 @@ impl Gpu {
             if matches!(w.peek_instr(program), Some(Instr::Store { .. })) && w.has_outstanding() {
                 w.status = WarpStatus::Blocked;
                 w.ready_at = t;
-                Self::spurious_reissue(w, &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
+                Self::spurious_reissue(w, (wid, sm, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
                 return StepOutcome::Blocked;
             }
 
@@ -422,9 +434,11 @@ impl Gpu {
     /// instantaneous echo — so microbenchmark first batches keep their
     /// exact μTLB-limit size, and most re-issues land mid-service and are
     /// flushed, surfacing only occasionally as batch duplicates). The μTLB
-    /// entry already exists, so no slot is consumed.
+    /// entry already exists, so no slot is consumed. The warp is `w`, at
+    /// `(id, SM, μTLB)`.
     fn spurious_reissue(
         w: &mut Warp,
+        (wid, sm, utlb): (u32, u32, u32),
         gmmu: &mut Gmmu,
         rng: &mut DetRng,
         prob: f64,
@@ -439,7 +453,7 @@ impl Gpu {
             .collect();
         for (page, kind) in reissues {
             let wake_delay = SimDuration::from_nanos(10_000 + rng.below(50_000));
-            gmmu.deposit(w.utlb, page, kind, w.sm, w.id, now + wake_delay, true);
+            gmmu.deposit(utlb, page, kind, sm, wid, now + wake_delay, true);
             w.faults_generated += 1;
         }
     }
@@ -562,7 +576,7 @@ mod tests {
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 56);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
-        assert_eq!(gpu.utlb_occupancy(gpu.warp(activated[0]).utlb), 56);
+        assert_eq!(gpu.utlb_occupancy(gpu.placement(activated[0]).1), 56);
     }
 
     #[test]
@@ -816,7 +830,7 @@ mod tests {
         assert_eq!(gpu.resets, 1);
         assert_eq!(gpu.fault_buffer.reset_losses(), 32);
         assert_eq!(gpu.utlb_reset_losses(), 32);
-        assert_eq!(gpu.utlb_occupancy(gpu.warp(a[0]).utlb), 0);
+        assert_eq!(gpu.utlb_occupancy(gpu.placement(a[0]).1), 0);
         // Driver re-attaches and replays: the warp re-faults all 32 pages.
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
             let _ = gpu.step_warp(&programs, w, t);

@@ -33,18 +33,14 @@ pub enum WarpStatus {
 /// One warp.
 ///
 /// Hardware state only: the program counter indexes the warp's program,
-/// which stays with the workload. Fully serializable — program counter,
-/// partially issued instruction, scoreboard, and refault queue included —
-/// so a restored warp, given the same program, resumes mid-instruction
-/// exactly where the snapshot left it.
+/// which stays with the workload, and the warp's id, SM and μTLB follow
+/// from its index in the device (see
+/// [`Gpu::placement`](crate::device::Gpu::placement)). Fully serializable —
+/// program counter, partially issued instruction, scoreboard, and refault
+/// queue included — so a restored warp, given the same program, resumes
+/// mid-instruction exactly where the snapshot left it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Warp {
-    /// Global warp id.
-    pub id: u32,
-    /// Hosting SM.
-    pub sm: u32,
-    /// μTLB serving that SM.
-    pub utlb: u32,
     /// Scheduling status.
     pub status: WarpStatus,
     /// Time at which the warp may next issue.
@@ -68,13 +64,16 @@ pub struct Warp {
     pub faults_generated: u64,
 }
 
+impl Default for Warp {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Warp {
     /// Create a queued warp.
-    pub fn new(id: u32, sm: u32, utlb: u32) -> Self {
+    pub fn new() -> Self {
         Warp {
-            id,
-            sm,
-            utlb,
             status: WarpStatus::Queued,
             ready_at: SimTime::ZERO,
             pc: 0,
@@ -200,7 +199,7 @@ mod tests {
         let p = prog(vec![Instr::Load {
             pages: vec![PageNum(1), PageNum(2), PageNum(3)],
         }]);
-        let mut w = Warp::new(0, 0, 0);
+        let mut w = Warp::new();
         w.fetch_next_instr(&p).unwrap();
         assert_eq!(w.next_pending_access(), Some((PageNum(1), AccessKind::Read)));
         assert_eq!(w.next_pending_access(), Some((PageNum(2), AccessKind::Read)));
@@ -214,7 +213,7 @@ mod tests {
         let p = prog(vec![Instr::Load {
             pages: vec![PageNum(1), PageNum(2)],
         }]);
-        let mut w = Warp::new(0, 0, 0);
+        let mut w = Warp::new();
         w.fetch_next_instr(&p).unwrap();
         let (p, k) = w.next_pending_access().unwrap();
         w.push_back_access(p, k);
@@ -223,7 +222,7 @@ mod tests {
 
     #[test]
     fn replay_fulfills_resident_and_queues_refaults() {
-        let mut w = Warp::new(0, 0, 0);
+        let mut w = Warp::new();
         w.note_outstanding(PageNum(1), AccessKind::Read);
         w.note_outstanding(PageNum(2), AccessKind::Read);
         w.note_outstanding(PageNum(3), AccessKind::Write);
@@ -242,7 +241,7 @@ mod tests {
     #[test]
     fn delay_instruction_has_no_pages() {
         let p = prog(vec![Instr::Delay(uvm_sim::time::SimDuration::from_micros(1))]);
-        let mut w = Warp::new(0, 0, 0);
+        let mut w = Warp::new();
         let instr = w.fetch_next_instr(&p).unwrap();
         assert!(matches!(instr, Instr::Delay(_)));
         assert!(!w.has_pending_accesses());

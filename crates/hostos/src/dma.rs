@@ -8,8 +8,16 @@
 //! tree dominating. [`DmaSpace`] reproduces the structure: sequential DMA
 //! address assignment, a forward map, and reverse entries inserted into
 //! [`RadixTree`], reporting node-allocation work per block.
+//!
+//! Nothing tears a DMA mapping down, so the space only grows and its
+//! addresses are exactly `0..n`. Both directions are therefore fixed by
+//! one list: the mapped pages in DMA-address order. That list is all a
+//! snapshot stores; decoding replays it through [`DmaSpace::map_pages`],
+//! which rebuilds the forward map and the reverse tree node for node, so
+//! a restored space reports the same allocation work for every later
+//! mapping as the space it was taken from.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 use uvm_sim::error::UvmError;
 use uvm_sim::hash::FastMap;
 use uvm_sim::inject::PointInjector;
@@ -19,7 +27,7 @@ use uvm_sim::time::SimTime;
 use crate::radix_tree::RadixTree;
 
 /// A DMA (IO virtual) address, in pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DmaAddr(pub u64);
 
 /// Work report for mapping a set of pages.
@@ -34,12 +42,13 @@ pub struct DmaReport {
 }
 
 /// The DMA address space for one GPU: forward page→DMA map plus the
-/// kernel-side reverse radix tree.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// kernel-side reverse radix tree, whose keys are the addresses `0..n`.
+/// Serializes as `{"pages": [...], "injector": ...}`, the pages in
+/// DMA-address order.
+#[derive(Debug, Clone, Default)]
 pub struct DmaSpace {
     forward: FastMap<PageNum, DmaAddr>,
     reverse: RadixTree<PageNum>,
-    next_addr: u64,
     /// DMA-map failure injection (disabled by default).
     injector: PointInjector,
 }
@@ -60,11 +69,6 @@ impl DmaSpace {
     /// Number of live DMA mappings.
     pub fn mapped_pages(&self) -> u64 {
         self.forward.len() as u64
-    }
-
-    /// Total radix-tree nodes currently allocated (tree footprint).
-    pub fn radix_nodes(&self) -> u64 {
-        self.reverse.stats().nodes
     }
 
     /// Fallible variant of [`DmaSpace::map_pages`]: consults the failure
@@ -99,8 +103,7 @@ impl DmaSpace {
                 report.pages_already_mapped += 1;
                 continue;
             }
-            let addr = DmaAddr(self.next_addr);
-            self.next_addr += 1;
+            let addr = DmaAddr(self.reverse.len());
             self.forward.insert(page, addr);
             let ins = self.reverse.insert(addr.0, page);
             report.pages_mapped += 1;
@@ -118,19 +121,39 @@ impl DmaSpace {
     pub fn page_of(&self, addr: DmaAddr) -> Option<PageNum> {
         self.reverse.get(addr.0).copied()
     }
+}
 
-    /// Tear down mappings for `pages` (allocation teardown). Returns how
-    /// many mappings were removed.
-    pub fn unmap_pages<I: IntoIterator<Item = PageNum>>(&mut self, pages: I) -> u64 {
-        let mut removed = 0;
-        for page in pages {
-            if let Some(addr) = self.forward.remove(&page) {
-                let back = self.reverse.remove(addr.0);
-                debug_assert_eq!(back, Some(page));
-                removed += 1;
-            }
+impl Serialize for DmaSpace {
+    fn stream<S: Sink>(&self, s: &mut S) {
+        s.object(2);
+        s.key("pages");
+        s.array(self.forward.len());
+        for page in (0..self.reverse.len()).filter_map(|addr| self.reverse.get(addr)) {
+            page.stream(s);
         }
-        removed
+        s.end_array();
+        s.key("injector");
+        self.injector.stream(s);
+        s.end_object();
+    }
+}
+
+impl Deserialize for DmaSpace {
+    fn pull<S: Source>(src: &mut S) -> Result<Self, DeError> {
+        let (mut pages, mut injector) = (None, None);
+        serde::__pull_object(src, "DmaSpace", &["pages", "injector"], |src, i| match i {
+            0 => serde::__pull_field(src, &mut pages, "pages"),
+            _ => serde::__pull_field(src, &mut injector, "injector"),
+        })?;
+        let pages: Vec<PageNum> = serde::__take(src, pages, "pages")?;
+        let injector = serde::__take(src, injector, "injector")?;
+        let mut dma = DmaSpace { injector, ..Self::default() };
+        let repeats = dma.map_pages(pages).pages_already_mapped;
+        if repeats > 0 {
+            let e = DeError::custom(format!("DMA page list repeats {repeats} page(s)"));
+            return Err(src.locate(e));
+        }
+        Ok(dma)
     }
 }
 
@@ -208,13 +231,47 @@ mod tests {
     }
 
     #[test]
-    fn unmap_removes_both_directions() {
+    fn a_decoded_space_costs_what_the_original_does() {
+        // Eight blocks fill addresses 0..4096, a height-2 tree; the next
+        // page, address 4096, grows it to height 3.
+        let mut kept = DmaSpace::new();
+        for b in 0..8u64 {
+            kept.map_pages(VaBlockId(b * 3).pages());
+        }
+        assert_eq!(kept.mapped_pages(), 4096);
+        let json = serde_json::to_string(&kept).expect("encodes");
+        let mut decoded: DmaSpace = serde_json::from_str(&json).expect("decodes");
+        assert_eq!(decoded.reverse.stats(), kept.reverse.stats());
+        for pages in [vec![PageNum(1 << 30)], VaBlockId(1000).pages().collect()] {
+            let (a, b) = (kept.map_pages(pages.clone()), decoded.map_pages(pages));
+            assert_eq!(a, b);
+            assert!(a.radix_nodes_allocated > 0);
+            assert_eq!(decoded.reverse.stats(), kept.reverse.stats());
+        }
+        assert_eq!(kept.mapped_pages(), 4096 + 1 + 512);
+        for p in [PageNum(0), PageNum(1 << 30), VaBlockId(1000).first_page()] {
+            assert_eq!(decoded.dma_of(p), kept.dma_of(p));
+        }
+        assert_eq!(serde::digest(&decoded), serde::digest(&kept));
+    }
+
+    #[test]
+    fn a_page_list_that_is_not_a_mapping_is_a_typed_error() {
         let mut dma = DmaSpace::new();
-        dma.map_pages([PageNum(1), PageNum(2)]);
-        let addr1 = dma.dma_of(PageNum(1)).unwrap();
-        assert_eq!(dma.unmap_pages([PageNum(1), PageNum(7)]), 1);
-        assert_eq!(dma.dma_of(PageNum(1)), None);
-        assert_eq!(dma.page_of(addr1), None);
-        assert_eq!(dma.mapped_pages(), 1);
+        dma.map_pages([PageNum(7), PageNum(3)]);
+        let json = serde_json::to_string(&dma).expect("encodes");
+        assert!(json.starts_with(r#"{"pages":[7,3],"#), "{json}");
+        for (pages, want) in [
+            ("[7,3,7]", "repeats 1 page"),
+            ("[7,7,7]", "repeats 2 page"),
+            ("[7,\"3\"]", "expected u64, found string"),
+            ("[7,-3]", "out of range"),
+            ("[7,3.5]", "found float"),
+            ("7", "found number"),
+        ] {
+            let text = json.replacen("[7,3]", pages, 1);
+            let err = serde_json::from_str::<DmaSpace>(&text).expect_err(pages);
+            assert!(err.to_string().contains(want), "{pages}: {err}");
+        }
     }
 }

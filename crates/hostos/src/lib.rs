@@ -10,9 +10,9 @@
 //!
 //! * [`page_table`] — a sparse x86-style 4-level page table with work
 //!   accounting (PTEs written/cleared, intermediate tables allocated/freed).
-//! * [`radix_tree`] — a Linux-style radix tree (as used by the kernel for
-//!   reverse DMA address lookups), with per-insert node-allocation counts so
-//!   the cost model can charge for tree growth.
+//! * [`radix_tree`] — a grow-only Linux-style radix tree (as used by the
+//!   kernel for reverse DMA address lookups), with per-insert
+//!   node-allocation counts so the cost model can charge for tree growth.
 //! * [`rmap`] — reverse mappings: which CPU cores have a page mapped, the
 //!   state that makes multi-threaded first-touch expensive to unmap.
 //! * [`tlb`] — per-core TLB residency and shootdown-IPI accounting.
@@ -20,7 +20,9 @@
 //!   `cpu_touch()` for host-side first-touch and `unmap_mapping_range()` for
 //!   the fault-path unmap, returning [`UnmapReport`] work counts.
 //! * [`dma`] — [`DmaSpace`], the IOMMU mapping layer storing reverse
-//!   mappings in the radix tree and reporting allocation work.
+//!   mappings in the radix tree and reporting allocation work. It
+//!   serializes only its pages in DMA-address order and rebuilds both
+//!   maps from them.
 //! * [`numa`] — NUMA topology used by CPU-side initialization policies.
 
 pub mod dma;

@@ -36,8 +36,11 @@ use serde::Value;
 /// v5 — warps carry their program counter but not their program (the
 /// workload keeps the instruction streams), and the driver policy keeps
 /// one field per decision (`prefetch_enabled` and the fixed tunables
-/// are gone).
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// are gone); v6 — the DMA space stores only its pages in DMA-address
+/// order (decoding rebuilds the reverse radix tree), warps no longer
+/// store their id, SM and μTLB, and the snapshot drops its copy of the
+/// system config.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Stable FNV-1a digest of a serialized state tree.
 ///

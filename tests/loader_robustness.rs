@@ -6,9 +6,9 @@
 //! `Ok` or an error value: a panic fails the test, and a stack overflow or
 //! a runaway allocation would abort or stall it.
 //!
-//! The snapshot's DMA reverse map is a radix tree whose serialized
-//! `height` drives how many levels a reinserted key walks; one property
-//! sets it to hostile values and expects a typed error that names it.
+//! The snapshot's DMA space is a page list that decoding replays to
+//! rebuild both of its maps; one property repeats a page or puts a
+//! non-integer in the list and expects a typed error.
 //!
 //! Decoding pulls tokens straight from the text; decoding from a parsed
 //! `Value` tree is the reference it must agree with, on valid and broken
@@ -227,16 +227,35 @@ proptest! {
     }
 
     #[test]
-    fn hostile_radix_heights_are_typed_errors(height in 12u64..1 << 32) {
+    fn corrupt_dma_page_lists_are_typed_errors(at in 0usize..1 << 20, edit in 0usize..6) {
         let doc = &corpus().snapshot;
-        prop_assert_eq!(doc.matches("\"height\":2,").count(), 1);
-        let path = scratch("radix-height");
-        std::fs::write(&path, doc.replacen("\"height\":2,", &format!("\"height\":{height},"), 1))
+        let key = "\"dma\":{\"pages\":[";
+        prop_assert_eq!(doc.matches(key).count(), 1);
+        let start = doc.find(key).expect("snapshot has a DMA space") + key.len();
+        let end = start + doc[start..].find(']').expect("the list ends");
+        let mut pages: Vec<&str> = doc[start..end].split(',').collect();
+        prop_assert!(pages.len() >= 2, "the corpus run has mapped pages: {}", pages.len());
+        let at = at % pages.len();
+        let (bad, want) = [
+            (pages[(at + 1) % pages.len()], "DMA page list repeats 1 page"),
+            ("-1", "out of range"),
+            ("0.5", "found float"),
+            ("\"7\"", "found string"),
+            ("null", "found null"),
+            ("[]", "found array"),
+        ][edit];
+        if edit == 0 {
+            pages.insert(at, bad);
+        } else {
+            pages[at] = bad;
+        }
+        let path = scratch("dma-pages");
+        std::fs::write(&path, format!("{}{}{}", &doc[..start], pages.join(","), &doc[end..]))
             .expect("write scratch file");
         let loaded = SystemSnapshot::load(&path);
         std::fs::remove_file(&path).ok();
-        let err = loaded.expect_err("a height beyond 11 levels must not load");
-        prop_assert!(err.to_string().contains("height"), "{}", err);
+        let err = loaded.expect_err("a corrupt DMA page list must not load");
+        prop_assert!(err.to_string().contains(want), "{}", err);
     }
 }
 
