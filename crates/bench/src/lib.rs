@@ -264,9 +264,8 @@ pub mod perf {
     /// exercising fetch-side dedup, grouping, first-touch DMA setup, and
     /// page migration together.
     fn service_batch_once() -> u64 {
-        let cost = CostModel::titan_v();
-        let mut driver = UvmDriver::new(DriverPolicy::default(), cost.clone(), 16, 42);
-        let mut gpu = Gpu::new(GpuSpec::small(16 * VABLOCK_SIZE), cost);
+        let mut driver = UvmDriver::new(DriverPolicy::default(), CostModel::titan_v(), 16, 42);
+        let mut gpu = Gpu::new(GpuSpec::small(16 * VABLOCK_SIZE));
         let mut host = HostMemory::new();
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(4 * VABLOCK_SIZE);

@@ -58,7 +58,8 @@ pub struct SubsystemDigests {
     /// Driver state: policy, cost model, backend, VA space, eviction LRU,
     /// DMA space, RNG, injectors, batch log.
     pub driver: u64,
-    /// Host-OS state: page tables, reverse map, NUMA accounting.
+    /// Host-OS state: each VABlock's CPU-mapped and dirty pages and mapper
+    /// cores, the NUMA topology, and the unmap and writeback counters.
     pub host: u64,
     /// Run-loop state: event queue, virtual clock, worker, kernel spans.
     pub run: u64,

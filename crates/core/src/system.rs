@@ -214,7 +214,7 @@ impl UvmSystem {
     /// that own each injection point; a disabled plan wires nothing and
     /// adds no cost or RNG draws.
     pub fn new(config: SystemConfig) -> Self {
-        let mut gpu = Gpu::new_seeded(config.gpu.clone(), config.cost.clone(), config.seed);
+        let mut gpu = Gpu::new_seeded(config.gpu.clone(), config.seed);
         let mut driver = UvmDriver::new(
             config.policy.clone(),
             config.cost.clone(),
@@ -317,7 +317,7 @@ impl UvmSystem {
         // the oracle is configured (other policies never consult it), and
         // installed before the first batch so snapshots carry it.
         if self.driver.policy().prefetch_policy == uvm_driver::PrefetchPolicyKind::Oracle {
-            let mut future: std::collections::BTreeMap<_, uvm_driver::PageBitmap> =
+            let mut future: std::collections::BTreeMap<_, uvm_sim::PageBitmap> =
                 std::collections::BTreeMap::new();
             for page in workload.programs.iter().flat_map(|p| p.touched_pages()) {
                 future.entry(page.va_block()).or_default().set(page.index_in_block());
@@ -374,7 +374,7 @@ impl UvmSystem {
         }
         while let Some((now, event)) = queue.pop() {
             match event {
-                Event::WarpStep(wid) => match self.gpu.step_warp(&workload.programs, wid, now) {
+                Event::WarpStep(wid) => match self.gpu.step_warp(&workload.programs, wid, now, self.driver.cost()) {
                     StepOutcome::Continue { at } => queue.schedule(at, Event::WarpStep(wid)),
                     StepOutcome::Blocked => unreachable!("no faults under explicit management"),
                     StepOutcome::Finished { at, activated } => {
@@ -497,7 +497,12 @@ impl RunInProgress {
                 );
                 match event {
                     Event::WarpStep(wid) => {
-                        match self.system.gpu.step_warp(&workload.programs, wid, now) {
+                        match self.system.gpu.step_warp(
+                            &workload.programs,
+                            wid,
+                            now,
+                            self.system.driver.cost(),
+                        ) {
                             StepOutcome::Continue { at } => {
                                 self.queue.schedule(at, Event::WarpStep(wid))
                             }
@@ -517,7 +522,7 @@ impl RunInProgress {
                             continue;
                         }
                         self.worker = Worker::Idle;
-                        self.system.gpu.drain_faults();
+                        self.system.gpu.drain_faults(self.system.driver.cost());
                         // The driver's read loop races with fault insertion:
                         // it keeps reading "until the batch size limit is
                         // reached or no faults remain in the buffer"
@@ -624,7 +629,7 @@ impl RunInProgress {
     /// Issue a fault replay that reaches the GPU at `at`, and schedule a
     /// step for every warp it wakes.
     fn replay(&mut self, at: SimTime) {
-        self.system.gpu.replay(at, &mut self.woken);
+        self.system.gpu.replay(at, self.system.driver.cost(), &mut self.woken);
         for &(wid, wake) in &self.woken {
             self.queue.schedule(wake, Event::WarpStep(wid));
         }
@@ -749,8 +754,9 @@ impl RunInProgress {
     /// Rebuild a paused run from a checkpoint. Validates the format
     /// version, the stored per-subsystem digests against the decoded state
     /// (integrity), that `workload` is byte-identical to the one the
-    /// checkpoint was taken against, and that the GPU's warps fit the
-    /// programs of the kernels launched so far; the restored run then
+    /// checkpoint was taken against, that the GPU's warps fit the programs
+    /// of the kernels launched so far, and that the host state is well
+    /// formed ([`HostMemory::check`]); the restored run then
     /// continues exactly where the snapshotted one stopped, producing
     /// bit-identical results.
     pub fn restore(snap: &SystemSnapshot, workload: &Workload) -> Result<Self, UvmError> {
@@ -773,6 +779,9 @@ impl RunInProgress {
         snap.gpu
             .check_programs(&workload.programs[..launched.last().map_or(0, |k| k.end)])
             .map_err(|detail| UvmError::SnapshotInvalid { detail })?;
+        // Host state an unmap would panic on, or that no touch sequence
+        // produces, must fail here too.
+        snap.host.check().map_err(|detail| UvmError::SnapshotInvalid { detail })?;
         // Reinstate tracer state captured with the checkpoint. Restoring a
         // traced checkpoint with tracing disabled simply drops the buffered
         // events (the simulation itself is unaffected either way).
@@ -1359,20 +1368,25 @@ mod tests {
         warps
     }
 
-    /// A mid-run snapshot of `w` with its GPU edited through the JSON tree
-    /// by `edit`, and its digests recomputed so the integrity check passes.
+    /// A snapshot of `w` after `batches` batches with its `part` ("gpu" or
+    /// "host") edited through the JSON tree by `edit`, and its digests
+    /// recomputed so the integrity check passes.
     fn edited_snapshot(
         w: &Workload,
+        batches: u64,
+        part: &str,
         edit: impl FnOnce(&mut serde::Value),
     ) -> Result<SystemSnapshot, UvmError> {
         let mut run =
             UvmSystem::new(SystemConfig::test_small(16 * MB)).start(w, &RunHints::default())?;
-        run.advance_batch(w)?;
+        for _ in 0..batches {
+            run.advance_batch(w)?;
+        }
         let mut tree = serde_json::parse(
             &serde_json::to_string(&run.snapshot(w, 0)).expect("snapshot encodes"),
         )
         .expect("snapshot parses");
-        edit(field(&mut tree, "gpu"));
+        edit(field(&mut tree, part));
         let mut snap = SystemSnapshot::from_value(&tree).expect("edited snapshot decodes");
         snap.digests = SubsystemDigests::of(&snap.gpu, &snap.driver, &snap.host, &snap.run);
         snap.verify_integrity()?;
@@ -1390,14 +1404,14 @@ mod tests {
         };
         // One warp fewer than the launched kernel has programs.
         rejects(
-            edited_snapshot(&w, |gpu| drop(warps(gpu).pop()))?,
+            edited_snapshot(&w, 1, "gpu", |gpu| drop(warps(gpu).pop()))?,
             &format!("{} warps launched, but the launched kernels have {} programs",
                 w.num_warps() - 1, w.num_warps()),
         );
         // A program counter one past its program's end.
         let len = w.programs[3].instrs.len();
         rejects(
-            edited_snapshot(&w, |gpu| {
+            edited_snapshot(&w, 1, "gpu", |gpu| {
                 *field(&mut warps(gpu)[3], "pc") = Value::NumU(len as u64 + 1);
             })?,
             &format!("warp 3 is at instruction {} of a {len}-instruction program", len + 1),
@@ -1405,11 +1419,86 @@ mod tests {
         // A spec with no SMs per μTLB places no warp (and divides by zero
         // if unchecked).
         rejects(
-            edited_snapshot(&w, |gpu| *field(field(gpu, "spec"), "sms_per_utlb") = Value::NumU(0))?,
+            edited_snapshot(&w, 1, "gpu", |gpu| *field(field(gpu, "spec"), "sms_per_utlb") = Value::NumU(0))?,
             "the spec places warps on 8 SMs at 0 per μTLB, but the device has 8 SM queues and 4 μTLBs",
         );
         // The unedited tree restores.
-        RunInProgress::restore(&edited_snapshot(&w, |_| {})?, &w)?;
+        RunInProgress::restore(&edited_snapshot(&w, 1, "gpu", |_| {})?, &w)?;
+        Ok(())
+    }
+
+    /// The first `(id, record)` of a host tree's block list, which holds
+    /// `[id, record]` pairs in id order.
+    fn first_block(host: &mut serde::Value) -> (u64, &mut serde::Value) {
+        let serde::Value::Array(blocks) = field(host, "blocks") else { panic!("blocks are a list") };
+        let Some(serde::Value::Array(pair)) = blocks.first_mut() else {
+            panic!("the run has a CPU-mapped block")
+        };
+        let [serde::Value::NumU(id), record] = pair.as_mut_slice() else {
+            panic!("a block is an [id, record] pair")
+        };
+        (*id, record)
+    }
+
+    #[test]
+    fn restore_rejects_malformed_host_state() -> Result<(), UvmError> {
+        use serde::Value;
+        let w = ckpt_workload();
+        let rejects = |edit: &dyn Fn(&mut Value), want: &str| -> Result<(), UvmError> {
+            // Before the first batch, while the CPU still maps every block.
+            let snap = edited_snapshot(&w, 0, "host", edit)?;
+            let err = RunInProgress::restore(&snap, &w).expect_err("edited host must be rejected");
+            assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+            assert!(err.to_string().contains(want), "got: {err}");
+            Ok(())
+        };
+        // NUMA topologies that would divide by zero or index out of bounds
+        // at the first unmap with a mapper.
+        let numa = |json: &'static str| {
+            move |host: &mut Value| {
+                *field(host, "numa") = serde_json::parse(json).expect("topology parses");
+            }
+        };
+        rejects(&numa(r#"{"nodes":0,"cores_per_node":8,"distances":[]}"#), "0 node(s) of 8 core(s)")?;
+        rejects(&numa(r#"{"nodes":1,"cores_per_node":0,"distances":[10]}"#), "1 node(s) of 0 core(s)")?;
+        rejects(
+            &numa(r#"{"nodes":2,"cores_per_node":8,"distances":[10,16,10]}"#),
+            "3 distance(s); it needs at least one of each and 4 distances",
+        )?;
+        // Block records that no touch sequence produces.
+        let bitmap = |word0: u64| {
+            let mut words = vec![Value::NumU(0); 8];
+            words[0] = Value::NumU(word0);
+            Value::Object(vec![("words".into(), Value::Array(words))])
+        };
+        let mut id = 0;
+        RunInProgress::restore(&edited_snapshot(&w, 0, "host", |host| id = first_block(host).0)?, &w)?;
+        rejects(
+            &|host| {
+                let (_, record) = first_block(host);
+                *field(record, "mapped") = bitmap(0);
+                *field(record, "dirty") = bitmap(0);
+            },
+            &format!("host block {id} has no mapped page"),
+        )?;
+        rejects(
+            &|host| {
+                let (_, record) = first_block(host);
+                *field(record, "mapped") = bitmap(0b01);
+                *field(record, "dirty") = bitmap(0b11);
+            },
+            &format!("host block {id} has 1 dirty page(s) that are not mapped"),
+        )?;
+        rejects(
+            &|host| {
+                let (_, record) = first_block(host);
+                *field(record, "mapped") = bitmap(0b111);
+                *field(record, "dirty") = bitmap(0b111);
+                *field(field(record, "mappers"), "bits") =
+                    Value::Array(vec![Value::NumU(0), Value::NumU(0)]);
+            },
+            &format!("host block {id} maps 3 page(s) but has no mapper core"),
+        )?;
         Ok(())
     }
 

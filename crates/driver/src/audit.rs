@@ -337,9 +337,8 @@ mod tests {
     use uvm_sim::time::SimTime;
 
     fn setup() -> (UvmDriver, Gpu, HostMemory, ServiceScratch) {
-        let cost = CostModel::titan_v();
-        let driver = UvmDriver::new(DriverPolicy::default().audited(true), cost.clone(), 16, 42);
-        let gpu = Gpu::new(GpuSpec::small(16 * VABLOCK_SIZE), cost);
+        let driver = UvmDriver::new(DriverPolicy::default().audited(true), CostModel::titan_v(), 16, 42);
+        let gpu = Gpu::new(GpuSpec::small(16 * VABLOCK_SIZE));
         (driver, gpu, HostMemory::new(), ServiceScratch::default())
     }
 

@@ -39,11 +39,10 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::cost::CostModel;
 use uvm_sim::mem::VaBlockId;
 use uvm_sim::time::SimDuration;
-
-use crate::bitmap::PageBitmap;
 
 /// Serde-configurable servicing-backend selection (the
 /// `SystemConfig::backend` knob).

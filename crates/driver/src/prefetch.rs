@@ -10,7 +10,7 @@
 //! leaves are the smallest prefetch unit, this also implements the 4 KiB →
 //! 64 KiB page "upgrade" the driver performs on x86.
 
-use crate::bitmap::PageBitmap;
+use uvm_sim::bitmap::PageBitmap;
 
 /// Number of levels in the block tree: 16-page leaves (64 KiB), then 32,
 /// 64, 128, 256, 512-page subtrees.

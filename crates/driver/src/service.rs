@@ -37,6 +37,7 @@ use uvm_gpu::device::Gpu;
 use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_hostos::dma::DmaSpace;
 use uvm_hostos::host::HostMemory;
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::cost::CostModel;
 use uvm_sim::error::UvmError;
 use uvm_sim::hash::FastSet;
@@ -49,7 +50,6 @@ use uvm_trace::TraceEvent;
 use crate::advise::MemAdvise;
 use crate::backend::{BackendKind, PeerDirectory};
 use crate::batch::{BatchRecord, FaultMeta};
-use crate::bitmap::PageBitmap;
 use crate::clients::{ClientLedger, TenancyConfig};
 use crate::dedup::{classify_duplicates_with, DedupResult, DedupScratch};
 use crate::engine::{run_prefetch_policy, PrefetchContext};
@@ -1324,9 +1324,8 @@ mod tests {
         capacity_blocks: u64,
         policy: DriverPolicy,
     ) -> (UvmDriver, Gpu, HostMemory, ServiceScratch) {
-        let cost = CostModel::titan_v();
-        let driver = UvmDriver::new(policy, cost.clone(), capacity_blocks, 42);
-        let gpu = Gpu::new(GpuSpec::small(capacity_blocks * VABLOCK_SIZE), cost);
+        let driver = UvmDriver::new(policy, CostModel::titan_v(), capacity_blocks, 42);
+        let gpu = Gpu::new(GpuSpec::small(capacity_blocks * VABLOCK_SIZE));
         (driver, gpu, HostMemory::new(), ServiceScratch::default())
     }
 
@@ -2320,9 +2319,8 @@ mod tests {
                 .with(InjectionPoint::DeviceMemoryPressure, PointPlan::with_probability(0.3))
                 .with(InjectionPoint::GpuReset, PointPlan::with_probability(0.15));
             let policy = DriverPolicy::default().pressure_reserve(2);
-            let cost = CostModel::titan_v();
-            let mut driver = UvmDriver::new(policy, cost.clone(), 4, seed);
-            let mut gpu = Gpu::new(GpuSpec::small(4 * VABLOCK_SIZE), cost);
+            let mut driver = UvmDriver::new(policy, CostModel::titan_v(), 4, seed);
+            let mut gpu = Gpu::new(GpuSpec::small(4 * VABLOCK_SIZE));
             let mut host = HostMemory::new();
             let mut scratch = ServiceScratch::default();
             let mut inj = Injector::new(&plan, seed);
@@ -2392,9 +2390,8 @@ mod tests {
     fn identical_seeds_give_identical_record_streams_under_injection() {
         let run = |seed: u64| {
             let policy = DriverPolicy::default();
-            let cost = CostModel::titan_v();
-            let mut driver = UvmDriver::new(policy, cost.clone(), 4, seed);
-            let mut gpu = Gpu::new(GpuSpec::small(4 * VABLOCK_SIZE), cost);
+            let mut driver = UvmDriver::new(policy, CostModel::titan_v(), 4, seed);
+            let mut gpu = Gpu::new(GpuSpec::small(4 * VABLOCK_SIZE));
             let mut host = HostMemory::new();
             let mut scratch = ServiceScratch::default();
             let mut inj = Injector::new(&FaultPlan::uniform(0.2), seed);

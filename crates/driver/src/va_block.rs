@@ -13,10 +13,10 @@
 //!   updates.
 
 use serde::{Deserialize, Serialize};
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::mem::VaBlockId;
 
 use crate::advise::MemAdvise;
-use crate::bitmap::PageBitmap;
 
 /// Driver-side state of one 2 MiB VABlock.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -72,7 +72,6 @@ pub enum StepOutcome {
 pub struct Gpu {
     /// Hardware configuration.
     pub spec: GpuSpec,
-    cost: CostModel,
     /// GPU page table: pages currently resident and mapped on the device.
     page_table: FastSet<PageNum>,
     utlbs: Vec<Utlb>,
@@ -94,9 +93,9 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// A GPU with the given hardware spec and cost model, and a seed for
-    /// the hardware-timing jitter (warp wake staggering after replay).
-    pub fn new_seeded(spec: GpuSpec, cost: CostModel, seed: u64) -> Self {
+    /// A GPU with the given hardware spec, and a seed for the
+    /// hardware-timing jitter (warp wake staggering after replay).
+    pub fn new_seeded(spec: GpuSpec, seed: u64) -> Self {
         let num_utlbs = spec.num_utlbs();
         let num_sms = spec.num_sms;
         Gpu {
@@ -115,13 +114,12 @@ impl Gpu {
             resets: 0,
             page_table: FastSet::default(),
             spec,
-            cost,
         }
     }
 
-    /// A GPU with the given hardware spec and cost model (default seed).
-    pub fn new(spec: GpuSpec, cost: CostModel) -> Self {
-        Self::new_seeded(spec, cost, 0)
+    /// A GPU with the given hardware spec (default seed).
+    pub fn new(spec: GpuSpec) -> Self {
+        Self::new_seeded(spec, 0)
     }
 
     /// Where warp `wid` runs: `(SM, μTLB serving that SM)`. Warps are
@@ -244,9 +242,10 @@ impl Gpu {
     }
 
     /// Move pending GMMU faults into the fault buffer (round-robin
-    /// arbitration), returning how many were inserted.
-    pub fn drain_faults(&mut self) -> usize {
-        self.gmmu.drain(&mut self.fault_buffer, &self.cost)
+    /// arbitration, spaced and delayed by `cost`'s fault-insert gap and
+    /// latency), returning how many were inserted.
+    pub fn drain_faults(&mut self, cost: &CostModel) -> usize {
+        self.gmmu.drain(&mut self.fault_buffer, cost)
     }
 
     /// Driver pre-replay flush: drop all buffered and in-flight faults.
@@ -285,12 +284,12 @@ impl Gpu {
     /// Fault replay: clear μTLB waiting state and wake every blocked warp.
     /// Fills `woken` (cleared first, so the caller can reuse one buffer)
     /// with `(warp, wake_time)` pairs in warp order; wake times are
-    /// staggered over `replay_wake_spread` because μTLB replay processing
+    /// staggered over `cost.replay_wake_spread` because μTLB replay processing
     /// and warp re-scheduling resume warps at slightly different instants —
     /// except when a single warp is blocked (nothing to arbitrate against),
     /// which keeps the single-warp microbenchmarks (Figs. 3–5) exactly
     /// timed.
-    pub fn replay(&mut self, now: SimTime, woken: &mut Vec<(u32, SimTime)>) {
+    pub fn replay(&mut self, now: SimTime, cost: &CostModel, woken: &mut Vec<(u32, SimTime)>) {
         self.replays += 1;
         for u in &mut self.utlbs {
             u.replay();
@@ -309,7 +308,7 @@ impl Gpu {
             seq: self.replays,
             woken: woken.len() as u64,
         });
-        let spread = self.cost.replay_wake_spread.as_nanos();
+        let spread = cost.replay_wake_spread.as_nanos();
         if woken.len() > 1 && spread > 0 {
             // One jitter draw per woken warp, in warp order.
             for (wid, wake) in woken.iter_mut() {
@@ -320,13 +319,20 @@ impl Gpu {
     }
 
     /// Advance warp `wid`, running `programs[wid]`, from time `now` until it
-    /// blocks, finishes, or exhausts its step quantum.
+    /// blocks, finishes, or exhausts its step quantum. Each instruction
+    /// other than a delay takes `cost.warp_instr_latency`.
     ///
     /// # Panics
     ///
     /// Panics if the warp is not in the `Ready` state, or if `programs`
     /// has no program `wid`.
-    pub fn step_warp(&mut self, programs: &[WarpProgram], wid: u32, now: SimTime) -> StepOutcome {
+    pub fn step_warp(
+        &mut self,
+        programs: &[WarpProgram],
+        wid: u32,
+        now: SimTime,
+        cost: &CostModel,
+    ) -> StepOutcome {
         let program = &programs[wid as usize];
         let (sm, utlb) = self.placement(wid);
         let w = &mut self.warps[wid as usize];
@@ -417,7 +423,7 @@ impl Gpu {
             let instr = w.fetch_next_instr(program).expect("not at program end");
             t += match instr {
                 Instr::Delay(d) => *d,
-                _ => self.cost.warp_instr_latency,
+                _ => cost.warp_instr_latency,
             };
             instrs_executed += 1;
             if instrs_executed >= STEP_QUANTUM_INSTRS {
@@ -478,21 +484,26 @@ mod tests {
     use uvm_sim::mem::{VaBlockId, PAGES_PER_VABLOCK};
 
     fn small_gpu() -> Gpu {
-        Gpu::new(GpuSpec::small(1 << 30), CostModel::titan_v())
+        Gpu::new(GpuSpec::small(1 << 30))
     }
 
     /// Drain the GMMU into an empty fault buffer and return what landed.
     fn drain_records(gpu: &mut Gpu) -> Vec<FaultRecord> {
         assert!(gpu.fault_buffer.is_empty());
-        let inserted = gpu.drain_faults();
+        let inserted = gpu.drain_faults(&CostModel::titan_v());
         assert_eq!(inserted, gpu.fault_buffer.len());
         gpu.fault_buffer.iter().copied().collect()
+    }
+
+    /// Step warp `wid` under the Titan V cost model.
+    fn step(gpu: &mut Gpu, programs: &[WarpProgram], wid: u32, now: SimTime) -> StepOutcome {
+        gpu.step_warp(programs, wid, now, &CostModel::titan_v())
     }
 
     /// Issue a replay and return the woken `(warp, wake time)` pairs.
     fn replay(gpu: &mut Gpu, now: SimTime) -> Vec<(u32, SimTime)> {
         let mut woken = vec![(u32::MAX, SimTime::ZERO)];
-        gpu.replay(now, &mut woken);
+        gpu.replay(now, &CostModel::titan_v(), &mut woken);
         woken
     }
 
@@ -510,7 +521,7 @@ mod tests {
         for _round in 0..10_000 {
             // Step every ready warp to quiescence.
             while let Some(wid) = pending.pop() {
-                match gpu.step_warp(programs, wid, now) {
+                match step(gpu, programs, wid, now) {
                     StepOutcome::Continue { .. } => pending.push(wid),
                     StepOutcome::Blocked => {}
                     StepOutcome::Finished { activated, .. } => {
@@ -520,7 +531,7 @@ mod tests {
                     }
                 }
             }
-            gpu.drain_faults();
+            gpu.drain_faults(&CostModel::titan_v());
             if gpu.all_done() {
                 break;
             }
@@ -572,7 +583,7 @@ mod tests {
         let mut gpu = small_gpu();
         let programs = [vecadd_program()];
         let activated = gpu.launch(programs.len());
-        assert_eq!(gpu.step_warp(&programs, activated[0], SimTime::ZERO), StepOutcome::Blocked);
+        assert_eq!(step(&mut gpu, &programs, activated[0], SimTime::ZERO), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 56);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
@@ -587,9 +598,9 @@ mod tests {
         let programs = [vecadd_program()];
         let activated = gpu.launch(programs.len());
         let wid = activated[0];
-        assert_eq!(gpu.step_warp(&programs, wid, SimTime::ZERO), StepOutcome::Blocked);
+        assert_eq!(step(&mut gpu, &programs, wid, SimTime::ZERO), StepOutcome::Blocked);
         // Service batch 1 (56 reads).
-        gpu.drain_faults();
+        gpu.drain_faults(&CostModel::titan_v());
         let batch1 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch1.iter().map(|f| f.page));
         gpu.flush();
@@ -597,7 +608,7 @@ mod tests {
         assert_eq!(woken, vec![(wid, SimTime(1_000_000))]);
         // Batch 2: the remaining 8 B-reads; the store is still
         // scoreboard-blocked behind them.
-        assert_eq!(gpu.step_warp(&programs, wid, SimTime(1_000_000)), StepOutcome::Blocked);
+        assert_eq!(step(&mut gpu, &programs, wid, SimTime(1_000_000)), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 8);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
@@ -606,7 +617,7 @@ mod tests {
         gpu.map_pages(batch2.iter().map(|f| f.page));
         gpu.flush();
         replay(&mut gpu, SimTime(2_000_000));
-        assert_eq!(gpu.step_warp(&programs, wid, SimTime(2_000_000)), StepOutcome::Blocked);
+        assert_eq!(step(&mut gpu, &programs, wid, SimTime(2_000_000)), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert!(!recs.is_empty());
         assert!(recs.iter().any(|r| r.kind == AccessKind::Write), "writes fault now");
@@ -641,7 +652,7 @@ mod tests {
         let programs = [p];
         let activated = gpu.launch(programs.len());
         // The warp never blocks: prefetches are fire-and-forget.
-        match gpu.step_warp(&programs, activated[0], SimTime::ZERO) {
+        match step(&mut gpu, &programs, activated[0], SimTime::ZERO) {
             StepOutcome::Finished { .. } => {}
             other => panic!("prefetch warp should finish immediately, got {other:?}"),
         }
@@ -668,7 +679,7 @@ mod tests {
         let programs = [p0, p1];
         let activated = gpu.launch(programs.len());
         for wid in activated {
-            let _ = gpu.step_warp(&programs, wid, SimTime::ZERO);
+            let _ = step(&mut gpu, &programs, wid, SimTime::ZERO);
         }
         assert_eq!(gpu.utlb_occupancy(0), 56);
         assert_eq!(gpu.utlb_full_stalls(), 1);
@@ -687,7 +698,7 @@ mod tests {
         let programs = [prog.clone(), prog];
         let activated = gpu.launch(programs.len());
         for wid in activated {
-            let _ = gpu.step_warp(&programs, wid, SimTime::ZERO);
+            let _ = step(&mut gpu, &programs, wid, SimTime::ZERO);
         }
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 2);
@@ -709,7 +720,7 @@ mod tests {
         };
         let programs = [prog];
         let activated = gpu.launch(programs.len());
-        match gpu.step_warp(&programs, activated[0], SimTime::ZERO) {
+        match step(&mut gpu, &programs, activated[0], SimTime::ZERO) {
             StepOutcome::Finished { .. } => {}
             other => panic!("all-resident warp should finish, got {other:?}"),
         }
@@ -740,7 +751,7 @@ mod tests {
         };
         let programs = [prog];
         let activated = gpu.launch(programs.len());
-        match gpu.step_warp(&programs, activated[0], SimTime(1000)) {
+        match step(&mut gpu, &programs, activated[0], SimTime(1000)) {
             StepOutcome::Finished { at, .. } => {
                 assert_eq!(at, SimTime(1000 + 50_000));
                 assert_eq!(gpu.kernel_end, at);
@@ -756,17 +767,17 @@ mod tests {
         // Warp 0 runs the first kernel's program, warp 1 the second's.
         let programs = [prog.clone(), prog];
         let a1 = gpu.launch(1);
-        let _ = gpu.step_warp(&programs, a1[0], SimTime::ZERO);
+        let _ = step(&mut gpu, &programs, a1[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
         gpu.map_pages(recs.iter().map(|r| r.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(1000)) {
-            let _ = gpu.step_warp(&programs, w, t);
+            let _ = step(&mut gpu, &programs, w, t);
         }
         assert!(gpu.all_done());
         // Second kernel touching the same page: no fault.
         let a2 = gpu.launch(1);
-        match gpu.step_warp(&programs, a2[0], SimTime(2000)) {
+        match step(&mut gpu, &programs, a2[0], SimTime(2000)) {
             StepOutcome::Finished { .. } => {}
             other => panic!("warm page should not fault: {other:?}"),
         }
@@ -781,13 +792,13 @@ mod tests {
         // dropped by the hardware and the access re-faults after replay.
         let mut spec = GpuSpec::small(1 << 30);
         spec.fault_buffer_entries = 16;
-        let mut gpu = Gpu::new(spec, CostModel::titan_v());
+        let mut gpu = Gpu::new(spec);
         let prog = WarpProgram {
             instrs: vec![Instr::Load { pages: (0..32).map(PageNum).collect() }],
         };
         let programs = [prog];
         let a = gpu.launch(programs.len());
-        let _ = gpu.step_warp(&programs, a[0], SimTime::ZERO);
+        let _ = step(&mut gpu, &programs, a[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 16, "buffer capacity bounds insertions");
         assert_eq!(gpu.fault_buffer.overflow_drops(), 16);
@@ -796,7 +807,7 @@ mod tests {
         gpu.map_pages(batch.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
-            let _ = gpu.step_warp(&programs, w, t);
+            let _ = step(&mut gpu, &programs, w, t);
         }
         let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 16, "dropped accesses re-fault");
@@ -804,7 +815,7 @@ mod tests {
         gpu.map_pages(batch2.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
-            let _ = gpu.step_warp(&programs, w, t);
+            let _ = step(&mut gpu, &programs, w, t);
         }
         assert!(gpu.all_done());
         assert_eq!(gpu.resident_pages(), 32);
@@ -821,7 +832,7 @@ mod tests {
         };
         let programs = [prog];
         let a = gpu.launch(programs.len());
-        let _ = gpu.step_warp(&programs, a[0], SimTime::ZERO);
+        let _ = step(&mut gpu, &programs, a[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 32);
         // Hardware loses everything before the driver fetched a single one.
@@ -833,7 +844,7 @@ mod tests {
         assert_eq!(gpu.utlb_occupancy(gpu.placement(a[0]).1), 0);
         // Driver re-attaches and replays: the warp re-faults all 32 pages.
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
-            let _ = gpu.step_warp(&programs, w, t);
+            let _ = step(&mut gpu, &programs, w, t);
         }
         let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 32, "lost accesses re-fault after replay");
@@ -841,7 +852,7 @@ mod tests {
         gpu.map_pages(batch.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
-            let _ = gpu.step_warp(&programs, w, t);
+            let _ = step(&mut gpu, &programs, w, t);
         }
         assert!(gpu.all_done());
         assert_eq!(gpu.resident_pages(), 32);
@@ -861,14 +872,14 @@ mod tests {
         let a = gpu.launch(programs.len());
         // The load is non-blocking: both delays elapse, then the warp
         // blocks at program end waiting for its outstanding access.
-        assert_eq!(gpu.step_warp(&programs, a[0], SimTime::ZERO), StepOutcome::Blocked);
+        assert_eq!(step(&mut gpu, &programs, a[0], SimTime::ZERO), StepOutcome::Blocked);
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].arrival.as_nanos() >= 10_000, "first delay elapsed before the fault");
         gpu.map_pages([PageNum(1)]);
         gpu.flush();
         let woken = replay(&mut gpu, SimTime(100_000));
-        match gpu.step_warp(&programs, woken[0].0, woken[0].1) {
+        match step(&mut gpu, &programs, woken[0].0, woken[0].1) {
             StepOutcome::Finished { at, .. } => {
                 assert_eq!(at, SimTime(100_000), "all compute already ran pre-block")
             }
@@ -886,7 +897,7 @@ mod tests {
         let programs = [prog];
         let activated = gpu.launch(programs.len());
         // Warp blocks at end with outstanding fault.
-        let _ = gpu.step_warp(&programs, activated[0], SimTime::ZERO);
-        let _ = gpu.step_warp(&programs, activated[0], SimTime::ZERO);
+        let _ = step(&mut gpu, &programs, activated[0], SimTime::ZERO);
+        let _ = step(&mut gpu, &programs, activated[0], SimTime::ZERO);
     }
 }

@@ -1,18 +1,28 @@
 //! The host-memory façade the UVM driver calls into.
 //!
-//! [`HostMemory`] combines the page table, reverse mappings, and TLB
-//! directory into the two operations the fault path needs:
+//! The driver always unmaps a whole 2 MiB VABlock, so every host fact the
+//! model needs is per block: which of its pages the CPU has mapped, which
+//! of those are dirty, and which cores mapped them (the cores whose TLBs
+//! a teardown must shoot down). [`HostMemory`] keeps exactly that, one
+//! record per VABlock with a CPU mapping, and serves the two
+//! operations the fault path needs:
 //!
 //! * [`HostMemory::cpu_touch`] — a CPU thread first-touches (or writes) a
-//!   page: the page is mapped, the touching core is recorded as a mapper,
-//!   and its TLB caches the translation. This is what the workload
+//!   page: the page is mapped, a write dirties it, and the touching core
+//!   is recorded as a mapper of its block. This is what the workload
 //!   generators call during host-side initialization.
 //! * [`HostMemory::unmap_mapping_range`] — the fault-path teardown the UVM
 //!   driver performs when the GPU touches a VABlock partially resident on
-//!   the CPU. Returns an [`UnmapReport`] of the work done; the driver
-//!   converts it to time via `CostModel::unmap_time`.
+//!   the CPU. It drops the block's record and returns an [`UnmapReport`]
+//!   of the work done; the driver converts it to time via
+//!   `CostModel::unmap_time`.
+//!
+//! A core that maps any page of a block caches translations for that
+//! block, so the block's mapper set is both the reverse map's answer
+//! ("who has these pages mapped?") and the shootdown's IPI target set.
 
 use serde::{Deserialize, Serialize};
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::error::UvmError;
 use uvm_sim::hash::FastMap;
 use uvm_sim::inject::PointInjector;
@@ -20,9 +30,7 @@ use uvm_sim::mem::{PageNum, VaBlockId};
 use uvm_sim::time::SimTime;
 
 use crate::numa::NumaTopology;
-use crate::page_table::{PageTable, PteFlags};
 use crate::rmap::CoreSet;
-use crate::tlb::TlbDirectory;
 
 /// Work performed by one `unmap_mapping_range()` call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,10 +42,8 @@ pub struct UnmapReport {
     /// Distinct CPU cores that had the range mapped (drives the per-page
     /// inflation in the cost model).
     pub mapper_cores: u32,
-    /// TLB-shootdown IPI targets.
+    /// TLB-shootdown IPI targets: one per mapper core.
     pub ipis: u32,
-    /// Leaf page tables freed.
-    pub tables_freed: u64,
     /// NUMA inflation factor for the unmapping core's remote accesses to
     /// the mappers' PTE state: 1.0 when all mappers share the unmapper's
     /// node, up to the topology's worst node distance otherwise.
@@ -51,7 +57,6 @@ impl Default for UnmapReport {
             dirty_pages: 0,
             mapper_cores: 0,
             ipis: 0,
-            tables_freed: 0,
             numa_factor: 1.0,
         }
     }
@@ -64,16 +69,26 @@ impl UnmapReport {
     }
 }
 
+/// The host's record of one VABlock with at least one CPU-mapped page.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct HostBlock {
+    /// Pages with a CPU mapping (the block's leaf page table).
+    mapped: PageBitmap,
+    /// Mapped pages written by the CPU since they were mapped.
+    dirty: PageBitmap,
+    /// Cores that mapped any page of the block, and so hold translations
+    /// a teardown must shoot down.
+    mappers: CoreSet,
+}
+
 /// Host process memory state visible to the UVM driver.
 ///
-/// Serializable in full — page table, rmap, TLB directory, NUMA topology,
-/// and injector state — for whole-system snapshot/restore.
+/// Serializable in full — the per-block records, NUMA topology, worker
+/// core, counters and injector state — for whole-system snapshot/restore.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HostMemory {
-    page_table: PageTable,
-    /// Reverse map: which cores have each page mapped.
-    rmap: FastMap<PageNum, CoreSet>,
-    tlb: TlbDirectory,
+    /// One record per VABlock with a CPU mapping.
+    blocks: FastMap<VaBlockId, HostBlock>,
     /// NUMA topology, when modelled (None = uniform memory).
     numa: Option<NumaTopology>,
     /// The core the UVM worker thread (which performs the unmaps) runs on.
@@ -82,7 +97,7 @@ pub struct HostMemory {
     unmap_calls: u64,
     /// Pages written back into host memory by device evictions (normal
     /// and emergency). Pure accounting: the pages become CPU-touchable
-    /// again lazily, so no page-table state changes here.
+    /// again lazily, so no mapping changes here.
     writeback_pages: u64,
     /// Host page-table failure injection (disabled by default).
     injector: PointInjector,
@@ -95,8 +110,8 @@ impl HostMemory {
     }
 
     /// Host memory on a NUMA machine: the unmap work the UVM worker (on
-    /// `worker_core`) performs against PTE/rmap state homed on other
-    /// nodes is inflated by the node distance.
+    /// `worker_core`) performs against PTE state homed on other nodes is
+    /// inflated by the node distance.
     pub fn with_numa(topology: NumaTopology, worker_core: u32) -> Self {
         HostMemory {
             numa: Some(topology),
@@ -109,38 +124,30 @@ impl HostMemory {
     /// First touch maps the page; repeat touches accumulate mapper cores
     /// and dirty state.
     pub fn cpu_touch(&mut self, page: PageNum, core: u32, write: bool) {
-        if self.page_table.is_mapped(page) {
-            if write {
-                self.page_table.set_dirty(page);
-            }
-        } else {
-            self.page_table.map(
-                page,
-                PteFlags {
-                    dirty: write,
-                    writable: true,
-                },
-            );
+        let block = self.blocks.entry(page.va_block()).or_default();
+        let i = page.index_in_block();
+        block.mapped.set(i);
+        if write {
+            block.dirty.set(i);
         }
-        self.rmap.entry(page).or_default().insert(core);
-        self.tlb.touch(page.va_block(), core);
+        block.mappers.insert(core);
     }
 
     /// Whether `page` is currently CPU-mapped.
     pub fn is_cpu_mapped(&self, page: PageNum) -> bool {
-        self.page_table.is_mapped(page)
+        self.blocks
+            .get(&page.va_block())
+            .is_some_and(|b| b.mapped.get(page.index_in_block()))
     }
 
     /// Number of CPU-mapped pages in a VABlock.
     pub fn mapped_pages_in_block(&self, block: VaBlockId) -> u64 {
-        self.page_table
-            .mapped_in_range(block.first_page(), PageNum(block.first_page().0 + 512))
-            .len() as u64
+        self.blocks.get(&block).map_or(0, |b| u64::from(b.mapped.count()))
     }
 
     /// Total CPU-mapped pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.page_table.mapped_pages()
+        self.blocks.values().map(|b| u64::from(b.mapped.count())).sum()
     }
 
     /// Number of `unmap_mapping_range` calls made so far.
@@ -166,6 +173,35 @@ impl HostMemory {
     /// site).
     pub fn set_injector(&mut self, injector: PointInjector) {
         self.injector = injector;
+    }
+
+    /// Check decoded state that the calls above could not have produced
+    /// and that would make a later call panic: a NUMA topology without
+    /// nodes, cores or a full distance matrix, and a block record with no
+    /// mapped page, a dirty page that is not mapped, or mapped pages but
+    /// no mapper core. Restore calls this on every snapshot it resumes.
+    pub fn check(&self) -> Result<(), String> {
+        if let Some(numa) = &self.numa {
+            numa.check()?;
+        }
+        for (id, b) in &self.blocks {
+            let stray_dirty = b.dirty.and_not(&b.mapped).count();
+            if b.mapped.is_empty() {
+                return Err(format!("host block {} has no mapped page", id.0));
+            } else if stray_dirty > 0 {
+                return Err(format!(
+                    "host block {} has {stray_dirty} dirty page(s) that are not mapped",
+                    id.0
+                ));
+            } else if b.mappers.is_empty() {
+                return Err(format!(
+                    "host block {} maps {} page(s) but has no mapper core",
+                    id.0,
+                    b.mapped.count()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Fallible variant of [`HostMemory::unmap_mapping_range`]: consults the
@@ -194,41 +230,26 @@ impl HostMemory {
     }
 
     /// Fault-path unmap of every CPU-resident page in `block`
-    /// (the driver always unmaps at VABlock granularity).
+    /// (the driver always unmaps at VABlock granularity). Every mapper
+    /// core receives one shootdown IPI.
     pub fn unmap_mapping_range(&mut self, block: VaBlockId) -> UnmapReport {
         self.unmap_calls += 1;
-        let start = block.first_page();
-        let end = PageNum(start.0 + uvm_sim::mem::PAGES_PER_VABLOCK);
-
-        // Collect mapper cores for the pages being torn down.
-        let mut mappers = CoreSet::EMPTY;
-        for page in self.page_table.mapped_in_range(start, end) {
-            if let Some(set) = self.rmap.remove(&page) {
-                mappers = mappers.union(set);
-            }
-        }
-
-        let work = self.page_table.unmap_range(start, end);
-        let ipis = if work.ptes_cleared > 0 {
-            self.tlb.shootdown(block)
-        } else {
-            0
+        let Some(b) = self.blocks.remove(&block) else {
+            return UnmapReport::default();
         };
-
         let numa_factor = match &self.numa {
-            Some(topo) => mappers
+            Some(topo) => b
+                .mappers
                 .iter()
                 .map(|c| topo.core_distance_factor(self.worker_core, c))
                 .fold(1.0, f64::max),
             None => 1.0,
         };
-
         UnmapReport {
-            pages_unmapped: work.ptes_cleared,
-            dirty_pages: work.dirty_pages,
-            mapper_cores: mappers.len(),
-            ipis,
-            tables_freed: work.tables_freed,
+            pages_unmapped: u64::from(b.mapped.count()),
+            dirty_pages: u64::from(b.dirty.count()),
+            mapper_cores: b.mappers.len(),
+            ipis: b.mappers.len(),
             numa_factor,
         }
     }
@@ -354,6 +375,105 @@ mod tests {
         assert_eq!(hm.writeback_pages(), 524);
         // Accounting is orthogonal to the page table: nothing is mapped.
         assert_eq!(hm.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn dirty_pages_are_the_written_ones() {
+        let mut hm = HostMemory::new();
+        for i in 0..512u64 {
+            hm.cpu_touch(block_page(12, i), 0, i % 4 == 0);
+        }
+        let report = hm.unmap_mapping_range(VaBlockId(12));
+        assert_eq!((report.pages_unmapped, report.dirty_pages), (512, 128));
+        assert_eq!(hm.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn a_write_after_a_read_dirties_the_page() {
+        let mut hm = HostMemory::new();
+        // A page first read, then written, is dirty; a write stays dirty
+        // through later reads; a page only read stays clean.
+        hm.cpu_touch(block_page(13, 1), 0, false);
+        hm.cpu_touch(block_page(13, 1), 0, true);
+        hm.cpu_touch(block_page(13, 2), 0, true);
+        hm.cpu_touch(block_page(13, 2), 0, false);
+        hm.cpu_touch(block_page(13, 3), 0, false);
+        let report = hm.unmap_mapping_range(VaBlockId(13));
+        assert_eq!((report.pages_unmapped, report.dirty_pages), (3, 2));
+    }
+
+    #[test]
+    fn mapped_pages_in_block_counts_only_that_block() {
+        let mut hm = HostMemory::new();
+        for &i in &[5u64, 700, 3, 511, 512, 513, 1024] {
+            hm.cpu_touch(PageNum(i), 0, false);
+        }
+        assert_eq!(hm.mapped_pages_in_block(VaBlockId(0)), 3);
+        assert_eq!(hm.mapped_pages_in_block(VaBlockId(1)), 3);
+        assert_eq!(hm.mapped_pages_in_block(VaBlockId(2)), 1);
+        assert_eq!(hm.mapped_pages_in_block(VaBlockId(3)), 0);
+        assert_eq!(hm.mapped_pages(), 7);
+    }
+
+    #[test]
+    fn unmapping_one_block_leaves_the_rest_mapped() {
+        let mut hm = HostMemory::new();
+        for i in 0..1024u64 {
+            hm.cpu_touch(PageNum(i), 0, false);
+        }
+        assert_eq!(hm.unmap_mapping_range(VaBlockId(0)).pages_unmapped, 512);
+        assert_eq!(hm.mapped_pages(), 512);
+        assert!(!hm.is_cpu_mapped(PageNum(0)));
+        assert!(!hm.is_cpu_mapped(PageNum(511)));
+        assert!(hm.is_cpu_mapped(PageNum(512)));
+        assert!(hm.is_cpu_mapped(PageNum(1023)));
+    }
+
+    #[test]
+    fn pages_straddling_a_block_boundary_unmap_per_block() {
+        let mut hm = HostMemory::new();
+        // Pages 500..530 straddle the boundary of blocks 0 and 1.
+        for i in 500..530u64 {
+            hm.cpu_touch(PageNum(i), 1, false);
+        }
+        assert_eq!(hm.unmap_mapping_range(VaBlockId(0)).pages_unmapped, 12);
+        assert!(hm.is_cpu_mapped(PageNum(512)));
+        assert_eq!(hm.unmap_mapping_range(VaBlockId(1)).pages_unmapped, 18);
+        assert_eq!(hm.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn repeat_touches_count_each_core_once() {
+        let mut hm = HostMemory::new();
+        hm.cpu_touch(block_page(14, 0), 0, false);
+        hm.cpu_touch(block_page(14, 1), 5, false);
+        hm.cpu_touch(block_page(14, 1), 5, false);
+        let report = hm.unmap_mapping_range(VaBlockId(14));
+        assert_eq!((report.mapper_cores, report.ipis), (2, 2));
+        let untouched = hm.unmap_mapping_range(VaBlockId(9));
+        assert_eq!((untouched.mapper_cores, untouched.ipis), (0, 0));
+    }
+
+    #[test]
+    fn mapper_sets_are_per_block() {
+        let mut hm = HostMemory::new();
+        hm.cpu_touch(block_page(1, 0), 0, false);
+        hm.cpu_touch(block_page(2, 0), 1, false);
+        let first = hm.unmap_mapping_range(VaBlockId(1));
+        assert_eq!((first.mapper_cores, first.ipis), (1, 1));
+        // Block 2's mapper survives the teardown of block 1.
+        let second = hm.unmap_mapping_range(VaBlockId(2));
+        assert_eq!((second.mapper_cores, second.ipis), (1, 1));
+    }
+
+    #[test]
+    fn unmapping_an_untouched_block_changes_nothing() {
+        let mut hm = HostMemory::new();
+        hm.cpu_touch(block_page(16, 7), 0, true);
+        assert_eq!(hm.unmap_mapping_range(VaBlockId(17)), UnmapReport::default());
+        assert_eq!(hm.mapped_pages(), 1);
+        assert_eq!(hm.unmap_calls(), 1);
+        hm.check().expect("touched state is well formed");
     }
 
     #[test]

@@ -45,6 +45,23 @@ impl NumaTopology {
         }
     }
 
+    /// Check a decoded topology: at least one node and one core per node,
+    /// and a full `nodes x nodes` distance matrix. Without them
+    /// [`Self::node_of_core`] divides by zero and [`Self::distance`]
+    /// underflows or indexes out of bounds.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let (nodes, cores) = (self.nodes, self.cores_per_node);
+        let want = u64::from(nodes) * u64::from(nodes);
+        if nodes == 0 || cores == 0 || self.distances.len() as u64 != want {
+            return Err(format!(
+                "the host NUMA topology has {nodes} node(s) of {cores} core(s) and {} \
+                 distance(s); it needs at least one of each and {want} distances",
+                self.distances.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Number of NUMA nodes.
     pub fn num_nodes(&self) -> u32 {
         self.nodes
@@ -102,6 +119,20 @@ mod tests {
         assert_eq!(t.distance(0, 3), 16);
         assert_eq!(t.core_distance_factor(0, 1), 1.0);
         assert_eq!(t.core_distance_factor(0, 8), 1.6);
+    }
+
+    #[test]
+    fn check_refuses_topologies_that_cannot_place_a_core() {
+        assert_eq!(NumaTopology::epyc_7551p().check(), Ok(()));
+        assert_eq!(NumaTopology::flat(32).check(), Ok(()));
+        let bad = |nodes, cores_per_node, distances: Vec<u32>| {
+            NumaTopology { nodes, cores_per_node, distances }.check().expect_err("malformed")
+        };
+        assert!(bad(0, 8, vec![]).contains("0 node(s) of 8 core(s)"));
+        assert!(bad(1, 0, vec![10]).contains("1 node(s) of 0 core(s)"));
+        assert!(bad(2, 8, vec![10, 16, 10]).contains("3 distance(s); it needs at least one of each and 4"));
+        // Large node counts do not overflow the square.
+        assert!(bad(u32::MAX, 1, vec![10]).contains("18446744065119617025 distances"));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! unmap cost, what matters is *how many CPU cores* have live mappings/TLB
 //! entries for the pages being torn down — the paper's Fig. 11 shows that
 //! OpenMP-parallel initialization (many mapper cores) roughly doubles batch
-//! cost versus single-threaded initialization. We track mappers as a 128-bit
-//! core bitmask (the Epyc 7551P testbed exposes 64 logical cores; 128 gives
-//! headroom).
+//! cost versus single-threaded initialization. The driver tears down whole
+//! VABlocks, so [`HostMemory`](crate::HostMemory) keeps one mapper set per
+//! block, as a 128-bit core bitmask (the Epyc 7551P testbed exposes 64
+//! logical cores; 128 gives headroom).
 
 use serde::{Deserialize, Serialize};
 

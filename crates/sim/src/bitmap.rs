@@ -2,10 +2,12 @@
 //!
 //! Each VABlock tracks page state (GPU residency, faulted-this-batch, …)
 //! with one bit per 4 KiB page — 512 bits, eight `u64` words. The real
-//! driver uses the same representation (`uvm_page_mask_t`).
+//! driver uses the same representation (`uvm_page_mask_t`). The driver's
+//! VABlock state and the host's per-block page tables both use it.
 
 use serde::{Deserialize, Serialize};
-use uvm_sim::mem::PAGES_PER_VABLOCK;
+
+use crate::mem::PAGES_PER_VABLOCK;
 
 const WORDS: usize = (PAGES_PER_VABLOCK as usize) / 64;
 

@@ -10,6 +10,8 @@
 //!   stable FIFO ordering for simultaneous events.
 //! * [`rng`] — a seeded, reproducible random source ([`DetRng`]) so that every
 //!   simulation run with the same seed produces an identical trace.
+//! * [`bitmap`] — [`PageBitmap`], the 512-bit page bitmap of one VABlock,
+//!   shared by the driver's VABlock state and the host's per-block tables.
 //! * [`mem`] — the shared memory-layout vocabulary: virtual addresses, 4 KiB
 //!   pages, and 2 MiB VABlocks exactly as the NVIDIA UVM driver defines them.
 //! * [`cost`] — the analytic cost model ([`CostModel`]) that converts counted
@@ -29,6 +31,7 @@
 //! thread nondeterminism. Ties in the event queue are broken by insertion
 //! order, and all randomness flows from an explicit seed.
 
+pub mod bitmap;
 pub mod cost;
 pub mod error;
 pub mod event;
@@ -39,6 +42,7 @@ pub mod rng;
 pub mod snapshot;
 pub mod time;
 
+pub use bitmap::PageBitmap;
 pub use cost::CostModel;
 pub use error::{UvmError, UvmResult};
 pub use event::EventQueue;

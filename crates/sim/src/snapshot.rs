@@ -39,8 +39,11 @@ use serde::Value;
 /// are gone); v6 — the DMA space stores only its pages in DMA-address
 /// order (decoding rebuilds the reverse radix tree), warps no longer
 /// store their id, SM and μTLB, and the snapshot drops its copy of the
-/// system config.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// system config; v7 — host memory keeps one record per VABlock (mapped
+/// and dirty page bitmaps and the mapper cores) in place of the page
+/// table, the per-page reverse map and the TLB directory, and the GPU
+/// drops its copy of the cost model (the driver's is the only one).
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Stable FNV-1a digest of a serialized state tree.
 ///

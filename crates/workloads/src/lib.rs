@@ -19,7 +19,6 @@
 //! | [`fft`] | cuFFT | butterfly passes with power-of-two strides |
 //! | [`gauss_seidel`] | Gauss-Seidel | row-sweep 2-D stencil, multiple iterations |
 //! | [`hpgmg`] | HPGMG-FV | multigrid V-cycles over a level hierarchy |
-//! | [`spmv`] | (extension) CSR SpMV | banded + scattered gathers, the irregular class of EMOGI / adaptive-migration work |
 //! | [`graph_bfs`] | (extension) graph BFS | pointer-chasing level-synchronous traversal, one kernel per level |
 //! | [`attention`] | (extension) batched attention | sequential query streaming + skewed hot/cold KV-table gathers per batch |
 //!
@@ -38,7 +37,6 @@ pub mod prefetch_ub;
 pub mod random;
 pub mod regular;
 pub mod sgemm;
-pub mod spmv;
 pub mod stream;
 pub mod vecadd;
 pub mod workload;

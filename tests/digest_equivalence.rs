@@ -178,9 +178,9 @@ fn gpu_with_faults_in_flight_streams_like_the_tree() {
         let scenario = scenario_with(backend);
         let config = scenario.config();
         let workload = scenario.workload.build();
-        let mut gpu = Gpu::new_seeded(config.gpu.clone(), config.cost.clone(), config.seed);
+        let mut gpu = Gpu::new_seeded(config.gpu.clone(), config.seed);
         for wid in gpu.launch(workload.num_warps()) {
-            gpu.step_warp(&workload.programs, wid, SimTime::ZERO);
+            gpu.step_warp(&workload.programs, wid, SimTime::ZERO, &config.cost);
         }
         let name = backend.name();
         assert!(gpu.gmmu.pending() > 0, "{name}: no faults in flight");

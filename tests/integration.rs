@@ -4,7 +4,7 @@
 use uvm_core::{SystemConfig, UvmSystem};
 use uvm_driver::policy::DriverPolicy;
 use uvm_workloads::cpu_init::CpuInitPolicy;
-use uvm_workloads::{fft, gauss_seidel, hpgmg, random, regular, sgemm, spmv, stream, vecadd};
+use uvm_workloads::{fft, gauss_seidel, hpgmg, random, regular, sgemm, stream, vecadd};
 
 const MB: u64 = 1024 * 1024;
 
@@ -65,17 +65,6 @@ fn all_workloads_complete_in_core() {
             warps: 16,
             pages_per_instr: 8,
             compute_per_phase: uvm_sim::time::SimDuration::from_micros(5),
-            cpu_init: Some(CpuInitPolicy::SingleThread),
-        }),
-        spmv::build(spmv::SpmvParams {
-            rows: 1024,
-            row_pages_per_chunk: 2,
-            rows_per_warp: 32,
-            nnz_per_row: 4,
-            band_fraction: 0.6,
-            bandwidth: 64,
-            compute_per_row: uvm_sim::time::SimDuration::ZERO,
-            seed: 3,
             cpu_init: Some(CpuInitPolicy::SingleThread),
         }),
     ];

@@ -6,13 +6,15 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 use uvm_core::{SystemConfig, UvmSystem};
-use uvm_driver::bitmap::PageBitmap;
 use uvm_driver::dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
 use uvm_driver::evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
 use uvm_driver::prefetch::compute_prefetch;
 use uvm_gpu::fault::{AccessKind, FaultRecord};
-use uvm_hostos::page_table::{PageTable, PteFlags};
+use uvm_hostos::host::HostMemory;
+use uvm_hostos::numa::NumaTopology;
 use uvm_hostos::radix_tree::RadixTree;
+use uvm_hostos::rmap::CoreSet;
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::event::EventQueue;
 use uvm_sim::mem::{PageNum, VaBlockId};
 use uvm_sim::time::SimTime;
@@ -66,32 +68,53 @@ proptest! {
         prop_assert_eq!(bm.and_not(&bm2).iter_set().collect::<Vec<_>>(), diff.into_iter().collect::<Vec<_>>());
     }
 
-    /// The host page table agrees with a set model and its unmap work
-    /// counts are exact.
+    /// Host memory, which keeps one record per VABlock, agrees with a
+    /// per-page model (each mapped page's dirty bit and mapper cores) under
+    /// random touch/unmap sequences over four blocks, on a uniform host and
+    /// on the Epyc NUMA topology: every unmap report (pages, dirty pages,
+    /// mapper cores, IPIs to every core mapping a torn-down page, NUMA
+    /// factor) and every mapping query.
     #[test]
-    fn page_table_matches_model(
-        pages in vec(0u64..4096, 1..200),
-        range in (0u64..4096, 1u64..512),
+    fn host_memory_matches_per_page_model(
+        ops in vec((0u8..4, 0u64..4, 0u64..512, (0u32..32, any::<bool>())), 1..300),
+        epyc in any::<bool>(),
+        worker in 0u32..32,
     ) {
-        let mut pt = PageTable::new();
-        let mut model: BTreeSet<u64> = BTreeSet::new();
-        for &p in &pages {
-            pt.map(PageNum(p), PteFlags { dirty: p % 2 == 0, writable: true });
-            model.insert(p);
+        let topo = if epyc { NumaTopology::epyc_7551p() } else { NumaTopology::flat(32) };
+        let mut host = HostMemory::with_numa(topo.clone(), worker);
+        let mut model: BTreeMap<PageNum, (bool, CoreSet)> = BTreeMap::new();
+        let block_pages = |model: &BTreeMap<PageNum, (bool, CoreSet)>, b: VaBlockId| {
+            model.range(b.first_page()..b.page_at(511).offset(1)).count() as u64
+        };
+        for (op, block, idx, (core, write)) in ops {
+            let block = VaBlockId(block);
+            if op < 3 {
+                let page = block.page_at(idx as usize);
+                host.cpu_touch(page, core, write);
+                let (dirty, cores) = model.entry(page).or_insert((false, CoreSet::EMPTY));
+                *dirty |= write;
+                cores.insert(core);
+                prop_assert!(host.is_cpu_mapped(page));
+            } else {
+                let torn: Vec<(bool, CoreSet)> = block.pages().filter_map(|p| model.remove(&p)).collect();
+                let mappers = torn.iter().fold(CoreSet::EMPTY, |acc, (_, c)| acc.union(*c));
+                let report = host.unmap_mapping_range(block);
+                prop_assert_eq!(report.pages_unmapped, torn.len() as u64);
+                prop_assert_eq!(report.dirty_pages, torn.iter().filter(|(d, _)| *d).count() as u64);
+                prop_assert_eq!(report.mapper_cores, mappers.len());
+                prop_assert_eq!(report.ipis, mappers.len());
+                let numa = mappers.iter().map(|c| topo.core_distance_factor(worker, c)).fold(1.0, f64::max);
+                prop_assert_eq!(report.numa_factor, numa);
+            }
+            prop_assert_eq!(host.mapped_pages_in_block(block), block_pages(&model, block));
         }
-        prop_assert_eq!(pt.mapped_pages(), model.len() as u64);
-
-        let (start, len) = range;
-        let end = start + len;
-        let expect_cleared = model.iter().filter(|&&p| p >= start && p < end).count() as u64;
-        let expect_dirty = model.iter().filter(|&&p| p >= start && p < end && p % 2 == 0).count() as u64;
-        let work = pt.unmap_range(PageNum(start), PageNum(end));
-        prop_assert_eq!(work.ptes_cleared, expect_cleared);
-        prop_assert_eq!(work.dirty_pages, expect_dirty);
-        model.retain(|&p| p < start || p >= end);
-        prop_assert_eq!(pt.mapped_pages(), model.len() as u64);
-        let listed: Vec<u64> = pt.mapped_in_range(PageNum(0), PageNum(4096)).iter().map(|p| p.0).collect();
-        prop_assert_eq!(listed, model.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(host.mapped_pages(), model.len() as u64);
+        for block in (0..4).map(VaBlockId) {
+            prop_assert_eq!(host.mapped_pages_in_block(block), block_pages(&model, block));
+            for page in block.pages() {
+                prop_assert_eq!(host.is_cpu_mapped(page), model.contains_key(&page));
+            }
+        }
     }
 
     /// Dedup: unique pages partition the batch; counts are exact; order is
@@ -503,7 +526,7 @@ proptest! {
 
         let mut spec = GpuSpec::small(1 << 30);
         spec.fault_buffer_entries = buffer_slots;
-        let mut gpu = Gpu::new(spec, CostModel::titan_v());
+        let mut gpu = Gpu::new(spec);
         let utlbs = gpu.spec.num_utlbs();
         // Request times per μTLB queue, in deposit order.
         let mut model: Vec<Vec<u64>> = vec![Vec::new(); utlbs as usize];
@@ -517,7 +540,7 @@ proptest! {
                     model[utlb as usize].push(t);
                 }
                 5 | 6 => {
-                    let inserted = gpu.drain_faults();
+                    let inserted = gpu.drain_faults(&CostModel::titan_v());
                     prop_assert!(inserted <= model.iter().map(Vec::len).sum::<usize>());
                     model.iter_mut().for_each(Vec::clear);
                 }

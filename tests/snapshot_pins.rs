@@ -85,19 +85,19 @@ fn arch_workloads() -> [(&'static str, Workload); 2] {
 
 /// `(workload, backend, batches at the pause, FNV of the snapshot JSON)`.
 const ARCH_PINS: [(&str, &str, u64, u64); 8] = [
-    ("stream", "cpu-driver", 16, 5_496_727_457_528_772_019),
-    ("stream", "gpu-driven", 160, 3_043_829_624_019_991_511),
-    ("stream", "peer-2", 16, 1_748_553_711_078_484_885),
-    ("stream", "peer-4", 16, 2_358_051_270_425_779_724),
-    ("gauss-seidel", "cpu-driver", 700, 6_873_989_234_334_316_374),
-    ("gauss-seidel", "gpu-driven", 700, 11_510_316_502_708_891_515),
-    ("gauss-seidel", "peer-2", 700, 14_025_373_119_304_540_033),
-    ("gauss-seidel", "peer-4", 700, 12_428_700_689_808_343_988),
+    ("stream", "cpu-driver", 16, 15_925_687_788_851_571_141),
+    ("stream", "gpu-driven", 160, 2_989_620_216_260_524_973),
+    ("stream", "peer-2", 16, 17_292_221_382_626_043_617),
+    ("stream", "peer-4", 16, 11_822_401_555_966_407_286),
+    ("gauss-seidel", "cpu-driver", 700, 7_795_425_325_881_574_048),
+    ("gauss-seidel", "gpu-driven", 700, 6_861_230_246_138_927_959),
+    ("gauss-seidel", "peer-2", 700, 672_130_291_150_393_351),
+    ("gauss-seidel", "peer-4", 700, 8_370_039_777_072_830_310),
 ];
 
 #[test]
 fn arch_oversub_snapshots_keep_their_bytes() {
-    assert_eq!(SNAPSHOT_VERSION, 6, "re-record every pin for a new version");
+    assert_eq!(SNAPSHOT_VERSION, 7, "re-record every pin for a new version");
     let mut got = Vec::new();
     let mut blocked = 0;
     for (name, workload) in arch_workloads() {
@@ -117,7 +117,7 @@ fn arch_oversub_snapshots_keep_their_bytes() {
     }
     assert_eq!(
         got, ARCH_PINS,
-        "snapshot bytes changed under SNAPSHOT_VERSION 6"
+        "snapshot bytes changed under SNAPSHOT_VERSION 7"
     );
     // The pins cover warps paused with faulted accesses on their
     // scoreboards, not only idle devices.
@@ -144,7 +144,7 @@ fn chaos_snapshot_keeps_its_bytes() {
     let (batches, hash) = pin(&run, &workload);
     assert_eq!(
         (index, batches, hash),
-        (4, 12, 6_393_777_319_081_314_728),
-        "snapshot bytes changed under SNAPSHOT_VERSION 6"
+        (4, 12, 4_441_531_495_318_191_985),
+        "snapshot bytes changed under SNAPSHOT_VERSION 7"
     );
 }
