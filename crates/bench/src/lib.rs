@@ -275,8 +275,6 @@ pub mod perf {
             .map(|i| FaultRecord {
                 page: alloc.page((i / 2) * 7 % pages),
                 kind: AccessKind::Read,
-                sm: (i % 80) as u32,
-                utlb: (i % 40) as u32,
                 warp: i as u32,
                 arrival: SimTime(0),
                 dup_of_outstanding: false,
@@ -298,24 +296,23 @@ pub mod perf {
     /// uses this to average away scheduler noise when iterating on the
     /// substrate structures).
     pub fn micro_numbers_at(reps: u32) -> Value {
-        // 2048 faults, each page faulted by a run of eight.
+        // 2048 faults, each page faulted by a run of eight, from 40 μTLBs.
         let batch: Vec<FaultRecord> = (0..2048u32)
             .map(|i| FaultRecord {
                 page: PageNum(u64::from(i / 8)),
                 kind: AccessKind::Read,
-                sm: i % 80,
-                utlb: i % 40,
                 warp: i,
                 arrival: SimTime(u64::from(i)),
                 dup_of_outstanding: false,
             })
             .collect();
+        let utlbs: Vec<u32> = (0..2048u32).map(|i| i % 40).collect();
 
-        let dedup_ref = time_ns(reps, || classify_duplicates(&batch).unique.len());
+        let dedup_ref = time_ns(reps, || classify_duplicates(&batch, &utlbs).unique.len());
         let mut ds = DedupScratch::default();
         let mut dout = DedupResult::default();
         let dedup_fast = time_ns(reps, || {
-            classify_duplicates_with(&batch, &mut ds, &mut dout);
+            classify_duplicates_with(&batch, &utlbs, &mut ds, &mut dout);
             dout.unique.len()
         });
 

@@ -51,6 +51,8 @@
 //!   packed into disjoint VABlock ranges of one shared space, with the
 //!   client table and fairness policy the driver ledger attributes under.
 
+#[cfg(test)]
+mod audit_reference;
 pub mod chaos;
 pub mod config;
 pub mod experiments;

@@ -12,9 +12,11 @@
 //! the settings a resumed run reads (policy, cost model, backend, GPU
 //! spec) live in the driver and the GPU, where the digests cover them. A
 //! warp stores neither its program nor its id, SM and μTLB, which follow
-//! from the workload and the warp's index. The DMA space stores only its
-//! pages in address order, and decoding replays them to rebuild the
-//! reverse radix tree.
+//! from the workload and the warp's index, and a buffered fault names its
+//! warp but not its SM and μTLB. The GPU page table and the DMA space keep
+//! one record per VABlock: a page bitmap, and a `(block, pages)` run
+//! stored in address order, which decoding replays to rebuild the reverse
+//! radix tree.
 //!
 //! ## Format and versioning
 //!

@@ -38,10 +38,11 @@ use uvm_driver::service::{ServiceScratch, UvmDriver};
 use uvm_gpu::device::{Gpu, StepOutcome};
 use uvm_gpu::fault::FaultRecord;
 use uvm_hostos::host::HostMemory;
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::error::UvmError;
 use uvm_sim::event::EventQueue;
 use uvm_sim::inject::{InjectionPoint, Injector};
-use uvm_sim::mem::Allocation;
+use uvm_sim::mem::{Allocation, PAGES_PER_VABLOCK};
 use uvm_sim::time::{SimDuration, SimTime};
 use uvm_workloads::workload::Workload;
 
@@ -364,7 +365,13 @@ impl UvmSystem {
         );
         let copy_time = self.driver.cost().h2d_time(workload.footprint_bytes());
         for alloc in &workload.allocations {
-            self.gpu.map_pages((0..alloc.num_pages()).map(|i| alloc.page(i)));
+            let mut left = alloc.num_pages();
+            for block in alloc.va_blocks() {
+                let mut pages = PageBitmap::EMPTY;
+                pages.set_range(0, left.min(PAGES_PER_VABLOCK) as usize);
+                self.gpu.map_block(block, &pages);
+                left -= left.min(PAGES_PER_VABLOCK);
+            }
         }
 
         let mut queue: EventQueue<Event> = EventQueue::with_capacity(workload.num_warps() * 2);
@@ -1534,17 +1541,20 @@ mod tests {
     }
 
     #[test]
-    fn a_dma_page_list_that_repeats_a_page_does_not_load() -> Result<(), UvmError> {
+    fn a_dma_run_list_that_repeats_a_block_does_not_load() -> Result<(), UvmError> {
         let (_, snap) = snapshot_after(3)?;
         let mut tree =
             serde_json::parse(&serde_json::to_string(&snap).expect("snapshot encodes"))
                 .expect("snapshot parses");
-        let serde::Value::Array(pages) = field(field(field(&mut tree, "driver"), "dma"), "pages")
+        let serde::Value::Array(runs) = field(field(field(&mut tree, "driver"), "dma"), "runs")
         else {
-            panic!("the DMA pages are an array")
+            panic!("the DMA runs are an array")
         };
-        assert!(pages.len() >= 512, "the run has mapped a block");
-        pages.push(pages[0].clone());
+        let Some(serde::Value::Array(first)) = runs.first().cloned() else {
+            panic!("the run has mapped a block")
+        };
+        let serde::Value::NumU(block) = first[0] else { panic!("a run starts with its block") };
+        runs.push(serde::Value::Array(first));
         // The edit is refused while decoding, before any digest is read,
         // so recomputing the digests could not make it restore.
         let dir = std::env::temp_dir().join("uvm-system-test");
@@ -1554,9 +1564,10 @@ mod tests {
             .expect("write snapshot");
         let loaded = SystemSnapshot::load(&path);
         std::fs::remove_file(&path).ok();
-        let err = loaded.expect_err("a repeated DMA page must not load");
+        let err = loaded.expect_err("a repeated DMA run must not load");
         assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
-        assert!(err.to_string().contains("DMA page list repeats 1 page"), "got: {err}");
+        let want = format!("DMA run list repeats block {block}");
+        assert!(err.to_string().contains(&want), "got: {err}");
         Ok(())
     }
 }

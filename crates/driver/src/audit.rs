@@ -38,13 +38,22 @@
 //!     held-page total conserves its traffic counters
 //!     (`held == spilled − fetched − reclaimed`). With a non-peer backend
 //!     the directory is disabled and every `peer_pages` set is empty.
+//!
+//! Every state holder keeps one record per VABlock — the driver's block
+//! state, the GPU page table ([`Gpu::resident_in`]), the DMA space
+//! ([`DmaSpace::mapped_in`](uvm_hostos::dma::DmaSpace::mapped_in)) and
+//! the host tables ([`HostMemory::mapped_in`]) — so checks 2, 4, 5 and 6
+//! are bitmap operations on a block's records: one probe per holder and a
+//! few word-wise ANDs, whatever the block's page count. Only a non-empty
+//! difference is walked bit by bit, to name each offending page, in
+//! ascending page order as a per-page walk would.
 
 use uvm_gpu::device::Gpu;
 use uvm_hostos::host::HostMemory;
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::error::UvmError;
 
 use crate::service::UvmDriver;
-use crate::va_block::VaBlockState;
 
 /// Audit every invariant and return all violations found (empty when the
 /// system is consistent).
@@ -82,13 +91,15 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
         }
 
         // 6. No state beyond the valid page range.
+        let mut valid = PageBitmap::EMPTY;
+        valid.set_range(0, state.valid_pages as usize);
         for (name, bm) in [
             ("gpu_resident", &state.gpu_resident),
             ("remote_mapped", &state.remote_mapped),
             ("host_data", &state.host_data),
             ("peer_pages", &state.peer_pages),
         ] {
-            if let Some(bad) = bm.iter_set().find(|&i| i as u32 >= state.valid_pages) {
+            if let Some(bad) = bm.and_not(&valid).iter_set().next() {
                 out.push(v(
                     "va-block",
                     format!("{name} bit {bad} beyond valid_pages={}", state.valid_pages),
@@ -100,24 +111,30 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
         accounted_pages += u64::from(accessible.count());
 
         // 4. GPU-accessible pages require DMA mappings.
-        if !accessible.is_empty() && !state.dma_mapped {
+        let dma = driver.dma_space();
+        if !accessible.is_empty() && !dma.is_mapped(id) {
             out.push(v(
                 "dma",
-                format!("{} GPU-accessible pages but dma_mapped=false", accessible.count()),
+                format!(
+                    "{} GPU-accessible pages but the block has no DMA mappings",
+                    accessible.count()
+                ),
             ));
         }
 
-        for i in accessible.iter_set() {
+        // 2. GPU page table agreement, and 4 (cont.): a DMA address for
+        // every accessible page. Named page by page, in page order.
+        let not_in_gpu_pt = accessible.and_not(&gpu.resident_in(id));
+        let no_dma = accessible.and_not(&dma.mapped_in(id));
+        for i in not_in_gpu_pt.or(&no_dma).iter_set() {
             let page = id.page_at(i);
-            // 2. GPU page table agreement.
-            if !gpu.is_resident(page) {
+            if not_in_gpu_pt.get(i) {
                 out.push(v(
                     "gpu-pt",
                     format!("page {} driver-accessible but absent from GPU page table", page.0),
                 ));
             }
-            // 4 (cont). Per-page DMA address exists.
-            if driver.dma_space().dma_of(page).is_none() {
+            if no_dma.get(i) {
                 out.push(v("dma", format!("page {} has no DMA mapping", page.0)));
             }
         }
@@ -146,8 +163,16 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
             ));
         }
 
-        // 5. Migration implies the CPU mapping was torn down.
-        out.extend(cpu_mapping_violations(state, host));
+        // 5. Migration implies the CPU mapping was torn down, unless the
+        // block is read-duplicated.
+        if !state.read_duplicated {
+            for i in state.gpu_resident.and(&host.mapped_in(id)).iter_set() {
+                out.push(v(
+                    "host-pt",
+                    format!("page {} migrated to GPU but still CPU-mapped", id.page_at(i).0),
+                ));
+            }
+        }
     }
 
     // 7. Global page accounting.
@@ -296,27 +321,6 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
     out
 }
 
-/// Invariant 5: unless read-duplicated, a GPU-resident page must not stay
-/// CPU-mapped.
-fn cpu_mapping_violations(state: &VaBlockState, host: &HostMemory) -> Vec<UvmError> {
-    if state.read_duplicated {
-        return Vec::new();
-    }
-    state
-        .gpu_resident
-        .iter_set()
-        .filter(|&i| host.is_cpu_mapped(state.id.page_at(i)))
-        .map(|i| UvmError::InvariantViolation {
-            subsystem: "host-pt",
-            block: state.id.0,
-            detail: format!(
-                "page {} migrated to GPU but still CPU-mapped",
-                state.id.page_at(i).0
-            ),
-        })
-        .collect()
-}
-
 /// Audit and fail fast: `Err` carries the first violation found.
 pub fn audit(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Result<(), UvmError> {
     match violations(driver, gpu, host).into_iter().next() {
@@ -346,8 +350,6 @@ mod tests {
         FaultRecord {
             page,
             kind: AccessKind::Read,
-            sm: 0,
-            utlb: 0,
             warp: 0,
             arrival: SimTime(0),
             dup_of_outstanding: false,
@@ -386,7 +388,8 @@ mod tests {
         )?;
         // Corrupt: drop the page from the GPU page table behind the
         // driver's back.
-        gpu.unmap_pages([alloc.page(0)]);
+        let page = alloc.page(0);
+        gpu.unmap_block(page.va_block(), &[page.index_in_block()].into_iter().collect());
         let vs = violations(&driver, &gpu, &host);
         assert!(!vs.is_empty());
         assert!(vs.iter().any(|e| matches!(

@@ -381,8 +381,6 @@ mod tests {
         FaultRecord {
             page: PageNum(block * PAGES_PER_VABLOCK + i),
             kind: AccessKind::Read,
-            sm: 0,
-            utlb: 0,
             warp: 0,
             arrival: SimTime(i),
             dup_of_outstanding: false,

@@ -11,6 +11,10 @@
 //! Duplicates contribute no migrated bytes but are fetched, parsed, and
 //! compared — pure overhead, which is why Fig. 8's deduplicated batch sizes
 //! differ so much from the raw ones.
+//!
+//! A fault record names its warp, not its μTLB, so both classifiers take
+//! the batch's μTLB column beside it: `utlbs[i]` is the μTLB of `batch[i]`
+//! (`Gpu::placement` of its warp).
 
 use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_sim::hash::FastMap;
@@ -57,9 +61,11 @@ pub struct DedupScratch {
 /// output order.
 pub fn classify_duplicates_with(
     batch: &[FaultRecord],
+    utlbs: &[u32],
     scratch: &mut DedupScratch,
     out: &mut DedupResult,
 ) {
+    assert_eq!(batch.len(), utlbs.len(), "one μTLB per fault");
     out.unique.clear();
     out.dup_same_utlb = 0;
     out.dup_cross_utlb = 0;
@@ -67,7 +73,7 @@ pub fn classify_duplicates_with(
     scratch.reps.clear();
     scratch
         .keys
-        .extend(batch.iter().enumerate().map(|(i, f)| (f.page.0, f.utlb, i as u32)));
+        .extend((0..).zip(batch.iter().zip(utlbs)).map(|(i, (f, &u))| (f.page.0, u, i)));
     scratch.keys.sort_unstable();
 
     let keys = &scratch.keys;
@@ -110,7 +116,8 @@ pub fn classify_duplicates_with(
 /// This is the allocating reference implementation; the service loop uses
 /// the scratch-reusing [`classify_duplicates_with`], which is checked
 /// against this one by unit tests and a property test.
-pub fn classify_duplicates(batch: &[FaultRecord]) -> DedupResult {
+pub fn classify_duplicates(batch: &[FaultRecord], utlbs: &[u32]) -> DedupResult {
+    assert_eq!(batch.len(), utlbs.len(), "one μTLB per fault");
     // page -> (index into unique, set of utlbs seen)
     let mut seen: FastMap<PageNum, (usize, Vec<u32>)> =
         FastMap::with_capacity_and_hasher(batch.len(), Default::default());
@@ -118,18 +125,18 @@ pub fn classify_duplicates(batch: &[FaultRecord]) -> DedupResult {
     let mut dup_same_utlb = 0u64;
     let mut dup_cross_utlb = 0u64;
 
-    for fault in batch {
+    for (fault, &utlb) in batch.iter().zip(utlbs) {
         match seen.get_mut(&fault.page) {
             None => {
-                seen.insert(fault.page, (unique.len(), vec![fault.utlb]));
+                seen.insert(fault.page, (unique.len(), vec![utlb]));
                 unique.push(*fault);
             }
-            Some((idx, utlbs)) => {
-                if utlbs.contains(&fault.utlb) {
+            Some((idx, seen_utlbs)) => {
+                if seen_utlbs.contains(&utlb) {
                     dup_same_utlb += 1;
                 } else {
                     dup_cross_utlb += 1;
-                    utlbs.push(fault.utlb);
+                    seen_utlbs.push(utlb);
                 }
                 if fault.kind == AccessKind::Write {
                     unique[*idx].kind = AccessKind::Write;
@@ -150,16 +157,24 @@ mod tests {
     use super::*;
     use uvm_sim::time::SimTime;
 
+    /// A fault from warp `utlb`, which these tests place on μTLB `utlb`.
     fn fault(page: u64, utlb: u32, kind: AccessKind) -> FaultRecord {
         FaultRecord {
             page: PageNum(page),
             kind,
-            sm: utlb * 2,
-            utlb,
-            warp: 0,
+            warp: utlb,
             arrival: SimTime(0),
             dup_of_outstanding: false,
         }
+    }
+
+    /// The batch's μTLB column under the placement of [`fault`].
+    fn utlbs(batch: &[FaultRecord]) -> Vec<u32> {
+        batch.iter().map(|f| f.warp).collect()
+    }
+
+    fn classify_duplicates(batch: &[FaultRecord]) -> DedupResult {
+        super::classify_duplicates(batch, &utlbs(batch))
     }
 
     #[test]
@@ -240,7 +255,7 @@ mod tests {
             dup_same_utlb: 0,
             dup_cross_utlb: 0,
         };
-        classify_duplicates_with(batch, &mut scratch, &mut out);
+        classify_duplicates_with(batch, &utlbs(batch), &mut scratch, &mut out);
         out
     }
 
@@ -251,7 +266,7 @@ mod tests {
         assert_eq!(a.dup_cross_utlb, b.dup_cross_utlb);
         assert_eq!(a.unique.len(), b.unique.len());
         for (x, y) in a.unique.iter().zip(&b.unique) {
-            assert_eq!((x.page, x.utlb, x.sm, x.kind), (y.page, y.utlb, y.sm, y.kind));
+            assert_eq!((x.page, x.warp, x.kind), (y.page, y.warp, y.kind));
         }
     }
 
@@ -279,12 +294,12 @@ mod tests {
             dup_cross_utlb: 0,
         };
         let b1 = vec![fault(1, 0, AccessKind::Read), fault(1, 1, AccessKind::Read)];
-        classify_duplicates_with(&b1, &mut scratch, &mut out);
+        classify_duplicates_with(&b1, &utlbs(&b1), &mut scratch, &mut out);
         assert_eq!(out.dup_cross_utlb, 1);
         // A second, unrelated batch through the same scratch must not see
         // any state from the first.
         let b2 = vec![fault(7, 3, AccessKind::Write)];
-        classify_duplicates_with(&b2, &mut scratch, &mut out);
+        classify_duplicates_with(&b2, &utlbs(&b2), &mut scratch, &mut out);
         assert_eq!(out.unique.len(), 1);
         assert_eq!(out.unique[0].page.0, 7);
         assert_eq!(out.total_dups(), 0);

@@ -165,9 +165,10 @@ struct DedupBuffers {
     scratch: DedupScratch,
     /// Dedup output (reused `unique` vector).
     out: DedupResult,
-    /// Distinct-SM attribution buffer.
+    /// Each fault's SM, then (sorted and deduplicated) the distinct SMs.
     sms: Vec<u32>,
-    /// Distinct-μTLB attribution buffer.
+    /// Each fault's μTLB, then (sorted and deduplicated) the distinct
+    /// μTLBs.
     utlbs: Vec<u32>,
     /// First-occurrence tracking for the per-fault metadata log.
     seen_pages: FastSet<PageNum>,
@@ -195,8 +196,8 @@ enum Writeback {
 /// The driver is fully serializable: a snapshot captures the VA-space and
 /// VABlock trees, the eviction bookkeeping (including the evictor's own
 /// RNG stream and LFU counters), the oracle prefetcher's future-access
-/// table, the DMA space (as its page list, from which restore rebuilds the
-/// reverse radix tree), the jitter RNG mid-stream, every driver-owned
+/// table, the DMA space (as its per-block runs, from which restore rebuilds
+/// the reverse radix tree), the jitter RNG mid-stream, every driver-owned
 /// injector (transient and sustained), the health machine, and the
 /// complete batch log, so a restored driver continues bit-identically
 /// under any policy stack. Its policy, cost model and backend are the
@@ -507,7 +508,7 @@ impl UvmDriver {
         self.evaluate_health(reset_absorbed, &mut rec);
         self.fetch(gpu, &mut rec)?;
         let faults = self.admit(faults, &mut rec, admitted);
-        self.dedup(faults, &mut rec, dedup);
+        self.dedup(faults, gpu, &mut rec, dedup);
         group_by_block(&dedup.out.unique, groups);
         for group in groups.chunk_by(|a, b| a.0 == b.0) {
             self.service_block(group, &dedup.out.unique, gpu, host, &mut rec, evict)?;
@@ -662,43 +663,51 @@ impl UvmDriver {
 
     /// Stage: composition accounting, the per-fault metadata log (the
     /// paper's first driver variant), and duplicate classification,
-    /// charged as preprocessing.
-    fn dedup(&mut self, faults: &[FaultRecord], rec: &mut BatchRecord, bufs: &mut DedupBuffers) {
+    /// charged as preprocessing. Each fault's SM and μTLB are its warp's
+    /// placement on `gpu`, derived once here.
+    fn dedup(
+        &mut self,
+        faults: &[FaultRecord],
+        gpu: &Gpu,
+        rec: &mut BatchRecord,
+        bufs: &mut DedupBuffers,
+    ) {
         bufs.sms.clear();
         bufs.utlbs.clear();
         for f in faults {
-            bufs.sms.push(f.sm);
-            bufs.utlbs.push(f.utlb);
+            let (sm, utlb) = gpu.placement(f.warp);
+            bufs.sms.push(sm);
+            bufs.utlbs.push(utlb);
             match f.kind {
                 AccessKind::Read => rec.read_faults += 1,
                 AccessKind::Write => rec.write_faults += 1,
                 AccessKind::Prefetch => rec.prefetch_faults += 1,
             }
         }
-        bufs.sms.sort_unstable();
-        bufs.sms.dedup();
-        bufs.utlbs.sort_unstable();
-        bufs.utlbs.dedup();
-        rec.distinct_sms = bufs.sms.len() as u32;
-        rec.distinct_utlbs = bufs.utlbs.len() as u32;
 
         if self.policy.log_fault_metadata {
             bufs.seen_pages.clear();
-            for f in faults {
+            for (f, (&sm, &utlb)) in faults.iter().zip(bufs.sms.iter().zip(&bufs.utlbs)) {
                 let was_duplicate = !bufs.seen_pages.insert(f.page);
                 self.fault_log.push(FaultMeta {
                     batch_seq: rec.seq,
                     page: f.page.0,
                     kind: f.kind.into(),
-                    sm: f.sm,
-                    utlb: f.utlb,
+                    sm,
+                    utlb,
                     arrival: f.arrival,
                     was_duplicate,
                 });
             }
         }
 
-        classify_duplicates_with(faults, &mut bufs.scratch, &mut bufs.out);
+        classify_duplicates_with(faults, &bufs.utlbs, &mut bufs.scratch, &mut bufs.out);
+        bufs.sms.sort_unstable();
+        bufs.sms.dedup();
+        bufs.utlbs.sort_unstable();
+        bufs.utlbs.dedup();
+        rec.distinct_sms = bufs.sms.len() as u32;
+        rec.distinct_utlbs = bufs.utlbs.len() as u32;
         let dedup = &bufs.out;
         rec.dup_same_utlb = dedup.dup_same_utlb;
         rec.dup_cross_utlb = dedup.dup_cross_utlb;
@@ -728,11 +737,12 @@ impl UvmDriver {
             // its buffer-arrival time (joined to this batch's close by the
             // fault-lifetime exporter).
             for f in &dedup.unique {
+                let (sm, utlb) = gpu.placement(f.warp);
                 uvm_trace::emit_instant(rec.start.0, || TraceEvent::FaultServiced {
                     batch: rec.seq,
                     page: f.page.0,
-                    sm: f.sm,
-                    utlb: f.utlb,
+                    sm,
+                    utlb,
                     arrival_ns: f.arrival.0,
                 });
             }
@@ -851,7 +861,7 @@ impl UvmDriver {
                     let before = state.accessible_pages();
                     state.remote_mapped.reset();
                     let after = state.accessible_pages();
-                    gpu.unmap_pages(remote.iter_set().map(|i| block_id.page_at(i)));
+                    gpu.unmap_block(block_id, &remote);
                     self.clients.residency_changed(block_id, before, after);
                 }
             }
@@ -882,7 +892,7 @@ impl UvmDriver {
         let before = state.accessible_pages();
         state.remote_mapped.merge(pages);
         let after = state.accessible_pages();
-        gpu.map_pages(pages.iter_set().map(|i| block_id.page_at(i)));
+        gpu.map_block(block_id, pages);
         self.clients.residency_changed(block_id, before, after);
         Ok(())
     }
@@ -1018,7 +1028,7 @@ impl UvmDriver {
             victim: Some(victim.0),
             bytes,
         });
-        gpu.unmap_pages(resident.iter_set().map(|i| victim.page_at(i)));
+        gpu.unmap_block(victim, &resident);
         self.clients.note_eviction(victim);
         if how == Writeback::Degrade {
             // The block's own state transition is the degradation's.
@@ -1047,15 +1057,12 @@ impl UvmDriver {
     /// DMA-map failure is retried with backoff; exhaustion is fatal for
     /// the batch (the block cannot be serviced at all without mappings).
     fn setup_block_dma(&mut self, block_id: VaBlockId, rec: &mut BatchRecord) -> Result<(), UvmError> {
-        let state = self.va_space.try_block(block_id)?;
-        if state.dma_mapped {
+        let valid = self.va_space.try_block(block_id)?.valid_pages;
+        if self.dma.is_mapped(block_id) {
             return Ok(());
         }
-        let (valid, start) = (state.valid_pages as usize, rec.start);
-        let dma = &mut self.dma;
-        let report = retry(&self.policy, rec, "dma", || {
-            dma.try_map_pages(block_id, (0..valid).map(|i| block_id.page_at(i)), start)
-        })?;
+        let (dma, start) = (&mut self.dma, rec.start);
+        let report = retry(&self.policy, rec, "dma", || dma.try_map_block(block_id, valid, start))?;
         let base = self
             .cost
             .dma_setup_time(report.pages_mapped, report.radix_nodes_allocated);
@@ -1067,7 +1074,6 @@ impl UvmDriver {
         let d = base.mul_f64(tail);
         rec.t_dma_setup += d;
         span(rec, d, || TraceEvent::DmaSetup { batch: rec.seq, block: block_id.0 });
-        self.va_space.try_block_mut(block_id)?.dma_mapped = true;
         rec.new_va_blocks += 1;
         Ok(())
     }
@@ -1235,7 +1241,7 @@ impl UvmDriver {
         state.gpu_resident.merge(migrate);
         let after = state.accessible_pages();
         state.last_migrate_seq = rec.seq;
-        gpu.map_pages(migrate.iter_set().map(|i| block_id.page_at(i)));
+        gpu.map_block(block_id, migrate);
         self.clients.residency_changed(block_id, before, after);
         Ok(())
     }
@@ -1329,13 +1335,13 @@ mod tests {
         (driver, gpu, HostMemory::new(), ServiceScratch::default())
     }
 
+    /// A fault from the warp that `GpuSpec::small` places on SM
+    /// `2 * utlb`, the first SM of μTLB `utlb`.
     fn fault(page: uvm_sim::mem::PageNum, utlb: u32, kind: AccessKind) -> FaultRecord {
         FaultRecord {
             page,
             kind,
-            sm: utlb * 2,
-            utlb,
-            warp: 0,
+            warp: utlb * 2,
             arrival: SimTime(0),
             dup_of_outstanding: false,
         }
@@ -1568,6 +1574,8 @@ mod tests {
         assert_eq!(r1.evictions, 1);
         assert_eq!(r2.evictions, 1);
         assert_eq!(r2.t_unmap, SimDuration::ZERO, "re-migration skips unmap");
+        assert_eq!((r0.new_va_blocks, r2.new_va_blocks), (1, 0), "DMA mappings survive eviction");
+        assert_eq!(r2.t_dma_setup, SimDuration::ZERO);
         Ok(())
     }
 

@@ -30,9 +30,6 @@ pub struct VaBlockState {
     /// a host→device transfer; migrating a never-touched page is
     /// populate-only (the driver zero-fills it directly on the GPU).
     pub host_data: PageBitmap,
-    /// Whether DMA mappings (and reverse radix-tree entries) exist for this
-    /// block. Created once, on first GPU touch, for all 512 pages.
-    pub dma_mapped: bool,
     /// Whether the block currently holds a GPU physical 2 MiB allocation.
     pub gpu_allocated: bool,
     /// Monotone sequence number of the last batch that migrated pages into
@@ -83,7 +80,6 @@ impl VaBlockState {
             id,
             gpu_resident: PageBitmap::EMPTY,
             host_data: PageBitmap::EMPTY,
-            dma_mapped: false,
             gpu_allocated: false,
             last_migrate_seq: 0,
             evict_count: 0,
@@ -149,21 +145,18 @@ mod tests {
     fn new_block_is_cold() {
         let b = VaBlockState::new(VaBlockId(5), 512);
         assert_eq!(b.resident_count(), 0);
-        assert!(!b.dma_mapped);
         assert!(!b.gpu_allocated);
         assert_eq!(b.evict_count, 0);
     }
 
     #[test]
-    fn evict_resets_residency_but_keeps_dma() {
+    fn evict_resets_residency_and_writes_back() {
         let mut b = VaBlockState::new(VaBlockId(1), 512);
-        b.dma_mapped = true;
         b.gpu_allocated = true;
         b.gpu_resident.set_range(0, 100);
         b.evict();
         assert_eq!(b.resident_count(), 0);
         assert!(!b.gpu_allocated);
-        assert!(b.dma_mapped, "DMA mappings survive eviction");
         assert_eq!(b.evict_count, 1);
         assert_eq!(b.host_data.count(), 100, "evicted pages now have host data");
     }
@@ -171,7 +164,6 @@ mod tests {
     #[test]
     fn evict_to_peer_moves_pages_without_host_writeback() {
         let mut b = VaBlockState::new(VaBlockId(2), 512);
-        b.dma_mapped = true;
         b.gpu_allocated = true;
         b.gpu_resident.set_range(0, 64);
         b.evict_to_peer();

@@ -5,12 +5,16 @@
 //! the way the real UVM driver interacts with the hardware:
 //!
 //! * fetch faults from [`Gpu::fault_buffer`],
-//! * map migrated pages with [`Gpu::map_pages`] (updating the GPU page
+//! * map migrated pages with [`Gpu::map_block`] (updating the GPU page
 //!   table via the push-buffer),
 //! * flush the buffer and issue a replay with [`Gpu::flush`] +
 //!   [`Gpu::replay`], which clears μTLB waiting state and wakes stalled
 //!   warps,
-//! * unmap pages on eviction with [`Gpu::unmap_pages`].
+//! * unmap pages on eviction with [`Gpu::unmap_block`].
+//!
+//! The driver maps and unmaps pages one VABlock at a time, so the page
+//! table keeps one page bitmap per VABlock with a mapped page; a block
+//! whose last page is unmapped has no record.
 //!
 //! Warps are driven by [`Gpu::step_warp`], which advances one warp until it
 //! faults to a stall, finishes, or exhausts its step quantum — the engine
@@ -22,9 +26,9 @@
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::cost::CostModel;
-use uvm_sim::hash::FastSet;
-use uvm_sim::mem::PageNum;
+use uvm_sim::mem::{PageNum, VaBlockId};
 use uvm_sim::rng::DetRng;
 use uvm_sim::time::{SimDuration, SimTime};
 
@@ -32,6 +36,7 @@ use crate::fault::AccessKind;
 use crate::fault_buffer::FaultBuffer;
 use crate::gmmu::Gmmu;
 use crate::isa::{Instr, WarpProgram};
+use crate::page_table::PageTable;
 use crate::spec::GpuSpec;
 use crate::utlb::{Utlb, UtlbInsert};
 use crate::warp::{Warp, WarpStatus};
@@ -72,8 +77,8 @@ pub enum StepOutcome {
 pub struct Gpu {
     /// Hardware configuration.
     pub spec: GpuSpec,
-    /// GPU page table: pages currently resident and mapped on the device.
-    page_table: FastSet<PageNum>,
+    /// GPU page table: per VABlock, the pages mapped on the device.
+    page_table: PageTable,
     utlbs: Vec<Utlb>,
     /// Fault arbitration stage.
     pub gmmu: Gmmu,
@@ -112,7 +117,7 @@ impl Gpu {
             kernel_end: SimTime::ZERO,
             replays: 0,
             resets: 0,
-            page_table: FastSet::default(),
+            page_table: PageTable::default(),
             spec,
         }
     }
@@ -221,24 +226,29 @@ impl Gpu {
 
     /// Whether `page` is resident on the device.
     pub fn is_resident(&self, page: PageNum) -> bool {
-        self.page_table.contains(&page)
+        self.page_table.is_mapped(page)
     }
 
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.page_table.len()
+        self.page_table.pages()
     }
 
-    /// Map pages after migration (driver push-buffer operation).
-    pub fn map_pages<I: IntoIterator<Item = PageNum>>(&mut self, pages: I) {
-        self.page_table.extend(pages);
+    /// The pages of `block` resident on the device.
+    pub fn resident_in(&self, block: VaBlockId) -> PageBitmap {
+        self.page_table.mapped_in(block)
     }
 
-    /// Unmap pages on eviction.
-    pub fn unmap_pages<I: IntoIterator<Item = PageNum>>(&mut self, pages: I) {
-        for p in pages {
-            self.page_table.remove(&p);
-        }
+    /// Map `pages` of `block` after migration (driver push-buffer
+    /// operation).
+    pub fn map_block(&mut self, block: VaBlockId, pages: &PageBitmap) {
+        self.page_table.map(block, pages);
+    }
+
+    /// Unmap `pages` of `block` on eviction. A block left with no mapped
+    /// page loses its record.
+    pub fn unmap_block(&mut self, block: VaBlockId, pages: &PageBitmap) {
+        self.page_table.unmap(block, pages);
     }
 
     /// Move pending GMMU faults into the fault buffer (round-robin
@@ -298,7 +308,7 @@ impl Gpu {
         let page_table = &self.page_table;
         for (wid, w) in (0..).zip(&mut self.warps) {
             if w.status == WarpStatus::Blocked {
-                w.apply_replay(|p| page_table.contains(&p));
+                w.apply_replay(|p| page_table.is_mapped(p));
                 w.status = WarpStatus::Ready;
                 w.ready_at = now;
                 woken.push((wid, now));
@@ -344,7 +354,7 @@ impl Gpu {
             // Issue any pending accesses of the current instruction (plus
             // queued refaults).
             while let Some((page, kind)) = w.next_pending_access() {
-                if self.page_table.contains(&page) {
+                if self.page_table.is_mapped(page) {
                     continue; // hit
                 }
                 if kind == AccessKind::Prefetch {
@@ -500,6 +510,13 @@ mod tests {
         gpu.step_warp(programs, wid, now, &CostModel::titan_v())
     }
 
+    /// Map each of `pages` on the device, one block record at a time.
+    fn map(gpu: &mut Gpu, pages: impl IntoIterator<Item = PageNum>) {
+        for page in pages {
+            gpu.map_block(page.va_block(), &[page.index_in_block()].into_iter().collect());
+        }
+    }
+
     /// Issue a replay and return the woken `(warp, wake time)` pairs.
     fn replay(gpu: &mut Gpu, now: SimTime) -> Vec<(u32, SimTime)> {
         let mut woken = vec![(u32::MAX, SimTime::ZERO)];
@@ -546,7 +563,7 @@ mod tests {
             }
             batches.push(batch.len());
             let pages: HashSet<PageNum> = batch.iter().map(|f| f.page).collect();
-            gpu.map_pages(pages);
+            map(gpu, pages);
             gpu.flush();
             now = SimTime(now.0 + 10_000);
             pending = replay(gpu, now).into_iter().map(|(w, _)| w).collect();
@@ -602,7 +619,7 @@ mod tests {
         // Service batch 1 (56 reads).
         gpu.drain_faults(&CostModel::titan_v());
         let batch1 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
-        gpu.map_pages(batch1.iter().map(|f| f.page));
+        map(&mut gpu, batch1.iter().map(|f| f.page));
         gpu.flush();
         let woken = replay(&mut gpu, SimTime(1_000_000));
         assert_eq!(woken, vec![(wid, SimTime(1_000_000))]);
@@ -614,7 +631,7 @@ mod tests {
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
         // Service batch 2; only now can writes fault.
         let batch2 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
-        gpu.map_pages(batch2.iter().map(|f| f.page));
+        map(&mut gpu, batch2.iter().map(|f| f.page));
         gpu.flush();
         replay(&mut gpu, SimTime(2_000_000));
         assert_eq!(step(&mut gpu, &programs, wid, SimTime(2_000_000)), StepOutcome::Blocked);
@@ -710,7 +727,7 @@ mod tests {
     fn resident_pages_do_not_fault() {
         let mut gpu = small_gpu();
         let block = VaBlockId(3);
-        gpu.map_pages(block.pages());
+        gpu.map_block(block, &PageBitmap::FULL);
         assert_eq!(gpu.resident_pages() as u64, PAGES_PER_VABLOCK);
         let prog = WarpProgram {
             instrs: vec![
@@ -769,7 +786,7 @@ mod tests {
         let a1 = gpu.launch(1);
         let _ = step(&mut gpu, &programs, a1[0], SimTime::ZERO);
         let recs = drain_records(&mut gpu);
-        gpu.map_pages(recs.iter().map(|r| r.page));
+        map(&mut gpu, recs.iter().map(|r| r.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(1000)) {
             let _ = step(&mut gpu, &programs, w, t);
@@ -804,7 +821,7 @@ mod tests {
         assert_eq!(gpu.fault_buffer.overflow_drops(), 16);
         // Service what arrived, replay, and let the rest re-fault.
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
-        gpu.map_pages(batch.iter().map(|f| f.page));
+        map(&mut gpu, batch.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
             let _ = step(&mut gpu, &programs, w, t);
@@ -812,7 +829,7 @@ mod tests {
         let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 16, "dropped accesses re-fault");
         let batch2 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
-        gpu.map_pages(batch2.iter().map(|f| f.page));
+        map(&mut gpu, batch2.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
             let _ = step(&mut gpu, &programs, w, t);
@@ -849,7 +866,7 @@ mod tests {
         let recs2 = drain_records(&mut gpu);
         assert_eq!(recs2.len(), 32, "lost accesses re-fault after replay");
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
-        gpu.map_pages(batch.iter().map(|f| f.page));
+        map(&mut gpu, batch.iter().map(|f| f.page));
         gpu.flush();
         for (w, t) in replay(&mut gpu, SimTime(2_000_000)) {
             let _ = step(&mut gpu, &programs, w, t);
@@ -876,7 +893,7 @@ mod tests {
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].arrival.as_nanos() >= 10_000, "first delay elapsed before the fault");
-        gpu.map_pages([PageNum(1)]);
+        map(&mut gpu, [PageNum(1)]);
         gpu.flush();
         let woken = replay(&mut gpu, SimTime(100_000));
         match step(&mut gpu, &programs, woken[0].0, woken[0].1) {

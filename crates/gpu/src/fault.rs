@@ -2,9 +2,10 @@
 //!
 //! One [`FaultRecord`] corresponds to one entry the GMMU writes into the GPU
 //! fault buffer. The fields mirror the metadata the paper's per-fault
-//! instrumented driver logs: faulting page, access type, originating SM and
-//! μTLB, and the arrival timestamp in the buffer (Fig. 4 plots exactly
-//! these timestamps).
+//! instrumented driver logs: faulting page, access type, originating warp,
+//! and the arrival timestamp in the buffer (Fig. 4 plots exactly these
+//! timestamps). The originating SM and μTLB are the warp's placement
+//! (`Gpu::placement`), so a record does not store them.
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::mem::PageNum;
@@ -45,11 +46,8 @@ pub struct FaultRecord {
     pub page: PageNum,
     /// Access type.
     pub kind: AccessKind,
-    /// Originating SM.
-    pub sm: u32,
-    /// Originating μTLB.
-    pub utlb: u32,
-    /// Originating warp (global warp id).
+    /// Originating warp (global warp id); its SM and μTLB are
+    /// `Gpu::placement(warp)`.
     pub warp: u32,
     /// Arrival time in the GPU fault buffer.
     pub arrival: SimTime,
@@ -74,8 +72,6 @@ mod tests {
         let r = FaultRecord {
             page: PageNum(42),
             kind: AccessKind::Write,
-            sm: 3,
-            utlb: 1,
             warp: 9,
             arrival: SimTime(12345),
             dup_of_outstanding: true,

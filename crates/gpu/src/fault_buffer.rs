@@ -175,8 +175,6 @@ mod tests {
         FaultRecord {
             page: PageNum(page),
             kind: AccessKind::Read,
-            sm: 0,
-            utlb: 0,
             warp: 0,
             arrival: SimTime(arrival),
             dup_of_outstanding: false,

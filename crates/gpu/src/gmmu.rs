@@ -153,8 +153,6 @@ impl Gmmu {
             let record = FaultRecord {
                 page: pf.page,
                 kind: pf.kind,
-                sm: pf.sm,
-                utlb,
                 warp: pf.warp,
                 arrival: slot + cost.fault_insert_latency,
                 dup_of_outstanding: pf.dup_of_outstanding,
@@ -163,8 +161,8 @@ impl Gmmu {
                 uvm_trace::emit_instant(record.arrival.0, || uvm_trace::TraceEvent::FaultGenerated {
                     page: record.page.0,
                     kind: record.kind.trace(),
-                    sm: record.sm,
-                    utlb: record.utlb,
+                    sm: pf.sm,
+                    utlb,
                     warp: record.warp,
                     dup: record.dup_of_outstanding,
                 });
@@ -172,8 +170,8 @@ impl Gmmu {
             } else {
                 uvm_trace::emit_instant(record.arrival.0, || uvm_trace::TraceEvent::FaultDropped {
                     page: record.page.0,
-                    sm: record.sm,
-                    utlb: record.utlb,
+                    sm: pf.sm,
+                    utlb,
                 });
             }
         }
@@ -295,9 +293,10 @@ mod tests {
             g.deposit(0, PageNum(i), AccessKind::Read, 0, 0, SimTime(0), false);
             g.deposit(1, PageNum(100 + i), AccessKind::Read, 2, 1, SimTime(0), false);
         }
+        // Each queue's deposits come from the warp of the same number.
         let recs = drain_all(&mut g);
-        let utlbs: Vec<u32> = recs.iter().map(|r| r.utlb).collect();
-        assert_eq!(utlbs, vec![0, 1, 0, 1, 0, 1, 0, 1]);
+        let warps: Vec<u32> = recs.iter().map(|r| r.warp).collect();
+        assert_eq!(warps, vec![0, 1, 0, 1, 0, 1, 0, 1]);
     }
 
     #[test]
@@ -322,8 +321,9 @@ mod tests {
         let recs = drain_all(&mut g);
         let first_batch = &recs[..256];
         let mut per_utlb = [0u32; 40];
+        // Warp `u` deposits into queue `u`.
         for r in first_batch {
-            per_utlb[r.utlb as usize] += 1;
+            per_utlb[r.warp as usize] += 1;
         }
         assert!(per_utlb.iter().all(|&c| (6..=7).contains(&c)), "{per_utlb:?}");
     }

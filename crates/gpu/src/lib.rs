@@ -35,6 +35,7 @@ pub mod fault;
 pub mod fault_buffer;
 pub mod gmmu;
 pub mod isa;
+mod page_table;
 pub mod spec;
 pub mod utlb;
 pub mod warp;

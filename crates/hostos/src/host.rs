@@ -140,6 +140,11 @@ impl HostMemory {
             .is_some_and(|b| b.mapped.get(page.index_in_block()))
     }
 
+    /// The CPU-mapped pages of a VABlock.
+    pub fn mapped_in(&self, block: VaBlockId) -> PageBitmap {
+        self.blocks.get(&block).map_or(PageBitmap::EMPTY, |b| b.mapped)
+    }
+
     /// Number of CPU-mapped pages in a VABlock.
     pub fn mapped_pages_in_block(&self, block: VaBlockId) -> u64 {
         self.blocks.get(&block).map_or(0, |b| u64::from(b.mapped.count()))

@@ -20,9 +20,9 @@
 //! * [`rmap`] — [`CoreSet`], the set of mapper cores: the state that makes
 //!   multi-threaded first-touch expensive to unmap.
 //! * [`dma`] — [`DmaSpace`], the IOMMU mapping layer storing reverse
-//!   mappings in the radix tree and reporting allocation work. It
-//!   serializes only its pages in DMA-address order and rebuilds both
-//!   maps from them.
+//!   mappings in the radix tree and reporting allocation work. It keeps
+//!   one record per mapped VABlock, serializes them as `(block, pages)`
+//!   runs in DMA-address order, and rebuilds both maps from them.
 //! * [`numa`] — NUMA topology used by CPU-side initialization policies.
 
 pub mod dma;

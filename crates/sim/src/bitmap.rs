@@ -128,10 +128,16 @@ impl PageBitmap {
         self.iter_set().filter(|&i| i >= lo && i < hi).count() as u32
     }
 
-    /// Set every bit in `[lo, hi)`.
+    /// Set every bit in `[lo, hi)`, a word at a time.
     pub fn set_range(&mut self, lo: usize, hi: usize) {
-        for i in lo..hi {
-            self.set(i);
+        debug_assert!(lo <= hi && hi <= 512);
+        for (wi, w) in self.words.iter_mut().enumerate() {
+            let (start, end) = (lo.clamp(wi * 64, wi * 64 + 64), hi.clamp(wi * 64, wi * 64 + 64));
+            if start < end {
+                let bits = end - start;
+                let mask = if bits == 64 { u64::MAX } else { ((1u64 << bits) - 1) << (start % 64) };
+                *w |= mask;
+            }
         }
     }
 }
@@ -193,6 +199,17 @@ mod tests {
         assert_eq!(c.count(), 4);
         c.reset();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn set_range_matches_bit_by_bit() {
+        let ranges = [(0, 0), (0, 1), (3, 64), (0, 64), (63, 65), (5, 300), (0, 512), (511, 512)];
+        for (lo, hi) in ranges {
+            let mut bm = PageBitmap::EMPTY;
+            bm.set_range(lo, hi);
+            let set: Vec<usize> = bm.iter_set().collect();
+            assert_eq!(set, (lo..hi).collect::<Vec<_>>(), "{lo}..{hi}");
+        }
     }
 
     #[test]

@@ -42,8 +42,13 @@ use serde::Value;
 /// system config; v7 — host memory keeps one record per VABlock (mapped
 /// and dirty page bitmaps and the mapper cores) in place of the page
 /// table, the per-page reverse map and the TLB directory, and the GPU
-/// drops its copy of the cost model (the driver's is the only one).
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// drops its copy of the cost model (the driver's is the only one);
+/// v8 — the GPU page table keeps one page bitmap per VABlock, the DMA
+/// space stores one `(block, pages)` run per VABlock in DMA-address order
+/// (the driver's per-block `dma_mapped` flag is gone), and fault-buffer
+/// entries no longer store their SM and μTLB (the warp's placement gives
+/// both).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Stable FNV-1a digest of a serialized state tree.
 ///

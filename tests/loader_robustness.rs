@@ -6,9 +6,11 @@
 //! `Ok` or an error value: a panic fails the test, and a stack overflow or
 //! a runaway allocation would abort or stall it.
 //!
-//! The snapshot's DMA space is a page list that decoding replays to
-//! rebuild both of its maps; one property repeats a page or puts a
-//! non-integer in the list and expects a typed error.
+//! The snapshot's DMA space is a list of `(block, pages)` runs that
+//! decoding replays to rebuild both of its maps, and its GPU page table is
+//! a list of per-block page bitmaps. Two properties corrupt one entry of
+//! each (a repeated block, an out-of-range run length, a non-integer, an
+//! empty bitmap) and expect a typed error naming the fault.
 //!
 //! Decoding pulls tokens straight from the text; decoding from a parsed
 //! `Value` tree is the reference it must agree with, on valid and broken
@@ -18,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use uvm_core::{ReproFile, RunHints, Scenario, SystemConfig, SystemSnapshot, UvmSystem};
 use uvm_sim::inject::FaultPlan;
 use uvm_workloads::stream::{self, StreamParams};
@@ -116,6 +118,34 @@ fn decoders_agree<T: Serialize + Deserialize>(text: &str) -> Result<(), String> 
         (a, b) => return Err(format!("from_str: {:?}, from_value: {:?}", a.err(), b.err())),
     }
     Ok(())
+}
+
+/// The corpus snapshot as a JSON tree.
+fn corpus_tree() -> Value {
+    serde_json::parse(&corpus().snapshot).expect("the corpus snapshot parses")
+}
+
+/// The value of `key` in the object `v`.
+fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = v else { panic!("`{key}` is looked up in an object") };
+    fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).expect("the field is present")
+}
+
+/// Replace `slot` with `value`; returns `want`, the error the edit must
+/// cause.
+fn set(slot: &mut Value, value: Value, want: &str) -> String {
+    *slot = value;
+    want.to_string()
+}
+
+/// Write `tree` to a scratch file tagged `tag` and load it as a snapshot.
+fn load_tree(tree: &Value, tag: &str) -> Result<SystemSnapshot, uvm_sim::error::UvmError> {
+    let path = scratch(tag);
+    let text = serde_json::to_string(tree).expect("tree encodes");
+    std::fs::write(&path, text).expect("write scratch file");
+    let loaded = SystemSnapshot::load(&path);
+    std::fs::remove_file(&path).ok();
+    loaded
 }
 
 /// [`decoders_agree`] for the document type of `kind`.
@@ -227,35 +257,57 @@ proptest! {
     }
 
     #[test]
-    fn corrupt_dma_page_lists_are_typed_errors(at in 0usize..1 << 20, edit in 0usize..6) {
-        let doc = &corpus().snapshot;
-        let key = "\"dma\":{\"pages\":[";
-        prop_assert_eq!(doc.matches(key).count(), 1);
-        let start = doc.find(key).expect("snapshot has a DMA space") + key.len();
-        let end = start + doc[start..].find(']').expect("the list ends");
-        let mut pages: Vec<&str> = doc[start..end].split(',').collect();
-        prop_assert!(pages.len() >= 2, "the corpus run has mapped pages: {}", pages.len());
-        let at = at % pages.len();
-        let (bad, want) = [
-            (pages[(at + 1) % pages.len()], "DMA page list repeats 1 page"),
-            ("-1", "out of range"),
-            ("0.5", "found float"),
-            ("\"7\"", "found string"),
-            ("null", "found null"),
-            ("[]", "found array"),
-        ][edit];
-        if edit == 0 {
-            pages.insert(at, bad);
+    fn corrupt_dma_run_lists_are_typed_errors(at in 0usize..1 << 20, edit in 0usize..8) {
+        let mut tree = corpus_tree();
+        let Value::Array(runs) = field(field(field(&mut tree, "driver"), "dma"), "runs") else {
+            panic!("the DMA runs are a list")
+        };
+        prop_assert!(!runs.is_empty(), "the corpus run has mapped a block");
+        let at = at % runs.len();
+        let other = runs[(at + 1) % runs.len()].clone();
+        let Value::Array(run) = &mut runs[at] else { panic!("a run is a [block, pages] pair") };
+        let want = match edit {
+            0 => {
+                let Value::Array(pair) = &other else { panic!("a run is a pair") };
+                let Value::NumU(block) = pair[0] else { panic!("a run starts with its block") };
+                runs.insert(at, other);
+                format!("DMA run list repeats block {block}")
+            }
+            1 => set(&mut run[1], Value::NumU(513), "maps 513 pages, not 1 to 512"),
+            2 => set(&mut run[1], Value::NumU(0), "maps 0 pages, not 1 to 512"),
+            3 => set(&mut run[0], Value::NumI(-1), "out of range"),
+            4 => set(&mut run[1], Value::Float(0.5), "found float"),
+            5 => set(&mut run[0], Value::Str("7".into()), "found string"),
+            6 => set(&mut runs[at], Value::Null, "found null"),
+            _ => set(&mut runs[at], Value::Array(Vec::new()), "shorter array"),
+        };
+        let err = load_tree(&tree, "dma-runs").expect_err("a corrupt DMA run list must not load");
+        prop_assert!(err.to_string().contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn corrupt_gpu_page_tables_are_typed_errors(at in 0usize..1 << 20, repeat in any::<bool>()) {
+        let mut tree = corpus_tree();
+        let Value::Array(records) = field(field(&mut tree, "gpu"), "page_table") else {
+            panic!("the GPU page table is a list")
+        };
+        prop_assert!(!records.is_empty(), "the corpus run has mapped a page");
+        let at = at % records.len();
+        let Value::Array(pair) = &mut records[at] else {
+            panic!("a record is a [block, bitmap] pair")
+        };
+        let Value::NumU(block) = pair[0] else { panic!("a record starts with its block") };
+        let want = if repeat {
+            let copy = Value::Array(pair.clone());
+            records.insert(at, copy);
+            format!("GPU page table repeats block {block}")
         } else {
-            pages[at] = bad;
-        }
-        let path = scratch("dma-pages");
-        std::fs::write(&path, format!("{}{}{}", &doc[..start], pages.join(","), &doc[end..]))
-            .expect("write scratch file");
-        let loaded = SystemSnapshot::load(&path);
-        std::fs::remove_file(&path).ok();
-        let err = loaded.expect_err("a corrupt DMA page list must not load");
-        prop_assert!(err.to_string().contains(want), "{}", err);
+            let Value::Array(words) = field(&mut pair[1], "words") else { panic!("bitmap words") };
+            words.iter_mut().for_each(|w| *w = Value::NumU(0));
+            format!("GPU page-table record of block {block} is empty")
+        };
+        let err = load_tree(&tree, "gpu-pt").expect_err("a corrupt GPU page table must not load");
+        prop_assert!(err.to_string().contains(&want), "{}", err);
     }
 }
 

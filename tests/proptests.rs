@@ -9,7 +9,9 @@ use uvm_core::{SystemConfig, UvmSystem};
 use uvm_driver::dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
 use uvm_driver::evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
 use uvm_driver::prefetch::compute_prefetch;
+use uvm_gpu::device::Gpu;
 use uvm_gpu::fault::{AccessKind, FaultRecord};
+use uvm_gpu::spec::GpuSpec;
 use uvm_hostos::host::HostMemory;
 use uvm_hostos::numa::NumaTopology;
 use uvm_hostos::radix_tree::RadixTree;
@@ -111,8 +113,51 @@ proptest! {
         prop_assert_eq!(host.mapped_pages(), model.len() as u64);
         for block in (0..4).map(VaBlockId) {
             prop_assert_eq!(host.mapped_pages_in_block(block), block_pages(&model, block));
+            let mapped: Vec<PageNum> =
+                host.mapped_in(block).iter_set().map(|i| block.page_at(i)).collect();
+            let want: Vec<PageNum> = model
+                .range(block.first_page()..=block.page_at(511))
+                .map(|(p, _)| *p)
+                .collect();
+            prop_assert_eq!(mapped, want);
             for page in block.pages() {
                 prop_assert_eq!(host.is_cpu_mapped(page), model.contains_key(&page));
+            }
+        }
+    }
+
+    /// The GPU page table, which keeps one bitmap per VABlock, agrees with
+    /// a per-page set under random block map/unmap sequences over four
+    /// blocks: residency of every page, the resident-page count, and each
+    /// block's resident bitmap.
+    #[test]
+    fn gpu_page_table_matches_per_page_model(
+        ops in vec((any::<bool>(), 0u64..4, vec(0usize..512, 0..40)), 1..200),
+    ) {
+        let mut gpu = Gpu::new(GpuSpec::small(1 << 30));
+        let mut model: BTreeSet<PageNum> = BTreeSet::new();
+        for (map, block, indices) in ops {
+            let block = VaBlockId(block);
+            let pages: PageBitmap = indices.iter().copied().collect();
+            if map {
+                gpu.map_block(block, &pages);
+                model.extend(indices.iter().map(|&i| block.page_at(i)));
+            } else {
+                gpu.unmap_block(block, &pages);
+                for &i in &indices {
+                    model.remove(&block.page_at(i));
+                }
+            }
+            prop_assert_eq!(gpu.resident_pages(), model.len());
+        }
+        for block in (0..5).map(VaBlockId) {
+            let resident: BTreeSet<PageNum> =
+                gpu.resident_in(block).iter_set().map(|i| block.page_at(i)).collect();
+            let want: BTreeSet<PageNum> =
+                model.range(block.first_page()..=block.page_at(511)).copied().collect();
+            prop_assert_eq!(resident, want);
+            for page in block.pages() {
+                prop_assert_eq!(gpu.is_resident(page), model.contains(&page));
             }
         }
     }
@@ -126,14 +171,13 @@ proptest! {
             .map(|&(p, u)| FaultRecord {
                 page: PageNum(p),
                 kind: AccessKind::Read,
-                sm: u * 2,
-                utlb: u,
-                warp: 0,
+                warp: u * 2,
                 arrival: SimTime(0),
                 dup_of_outstanding: false,
             })
             .collect();
-        let result = classify_duplicates(&batch);
+        let utlbs: Vec<u32> = pages.iter().map(|&(_, u)| u).collect();
+        let result = classify_duplicates(&batch, &utlbs);
         let distinct: BTreeSet<u64> = pages.iter().map(|&(p, _)| p).collect();
         prop_assert_eq!(result.unique.len(), distinct.len());
         prop_assert_eq!(
@@ -152,7 +196,7 @@ proptest! {
 
     /// The sort-based scratch-reusing dedup fast path is an exact drop-in
     /// for the reference: identical representatives (page order, upgraded
-    /// access kind, and full per-fault attribution fields) and identical
+    /// access kind, warp and arrival) and identical
     /// same-μTLB vs cross-μTLB duplicate counts, on arbitrary batches with
     /// mixed read/write kinds — and across scratch reuse.
     #[test]
@@ -163,11 +207,9 @@ proptest! {
         let build = |spec: &[(u64, u32, bool)]| -> Vec<FaultRecord> {
             spec.iter()
                 .enumerate()
-                .map(|(i, &(p, u, w))| FaultRecord {
+                .map(|(i, &(p, _, w))| FaultRecord {
                     page: PageNum(p),
                     kind: if w { AccessKind::Write } else { AccessKind::Read },
-                    sm: u * 2 + (i as u32 % 2),
-                    utlb: u,
                     warp: i as u32,
                     arrival: SimTime(i as u64),
                     dup_of_outstanding: false,
@@ -180,16 +222,15 @@ proptest! {
         // leak state from the first classification into the second.
         for spec in [&faults, &second] {
             let batch = build(spec);
-            let reference = classify_duplicates(&batch);
-            classify_duplicates_with(&batch, &mut scratch, &mut fast);
+            let utlbs: Vec<u32> = spec.iter().map(|&(_, u, _)| u).collect();
+            let reference = classify_duplicates(&batch, &utlbs);
+            classify_duplicates_with(&batch, &utlbs, &mut scratch, &mut fast);
             prop_assert_eq!(fast.dup_same_utlb, reference.dup_same_utlb);
             prop_assert_eq!(fast.dup_cross_utlb, reference.dup_cross_utlb);
             prop_assert_eq!(fast.unique.len(), reference.unique.len());
             for (f, r) in fast.unique.iter().zip(&reference.unique) {
                 prop_assert_eq!(f.page, r.page);
                 prop_assert_eq!(f.kind, r.kind);
-                prop_assert_eq!(f.sm, r.sm);
-                prop_assert_eq!(f.utlb, r.utlb);
                 prop_assert_eq!(f.warp, r.warp);
                 prop_assert_eq!(f.arrival, r.arrival);
             }
@@ -485,9 +526,7 @@ proptest! {
                     fb.push(FaultRecord {
                         page: PageNum(arg),
                         kind: AccessKind::Read,
-                        sm: 0,
-                        utlb: (arg % 8) as u32,
-                        warp: 0,
+                        warp: (arg % 8) as u32,
                         arrival: SimTime(now),
                         dup_of_outstanding: false,
                     });

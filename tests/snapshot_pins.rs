@@ -4,9 +4,9 @@
 //! together with the version number. The digest and restore tests check
 //! that a snapshot round-trips, not that its bytes stay put, so a change of
 //! container type or a hand-written serializer could silently re-encode
-//! the state. This test pauses runs mid-way and pins the FNV-1a hash of
-//! `serde_json::to_string(&snapshot)` to constants recorded from the
-//! format as it stands:
+//! the state. This test pauses runs mid-way and pins the byte length and
+//! the FNV-1a hash of `serde_json::to_string(&snapshot)` to constants
+//! recorded from the format as it stands:
 //!
 //! * stream and gauss-seidel at the `ext-architectures` quick sizes, with
 //!   device memory at 80 % of the footprint, under every servicing
@@ -15,7 +15,9 @@
 //!
 //! A mismatch means the snapshot bytes changed: either the change is a
 //! bug, or it is a format change that must bump `SNAPSHOT_VERSION` and
-//! re-record these constants.
+//! re-record these constants. The pinned lengths make a size regression
+//! fail on its own, showing the recorded and the new byte counts side by
+//! side.
 
 use uvm_core::experiments::suite::experiment_config;
 use uvm_core::{Progress, RunHints, RunInProgress, Scenario, UvmSystem};
@@ -49,10 +51,11 @@ fn advance(run: &mut RunInProgress, workload: &Workload, batches: u64) {
     }
 }
 
-/// `(batches serviced, FNV of the snapshot JSON)` at the pause point.
-fn pin(run: &RunInProgress, workload: &Workload) -> (u64, u64) {
+/// `(batches serviced, bytes of the snapshot JSON, FNV of those bytes)`
+/// at the pause point.
+fn pin(run: &RunInProgress, workload: &Workload) -> (u64, usize, u64) {
     let json = serde_json::to_string(&run.snapshot(workload, 0)).expect("snapshot encodes");
-    (run.batches(), fnv(json.as_bytes()))
+    (run.batches(), json.len(), fnv(json.as_bytes()))
 }
 
 /// The stream and gauss-seidel cells of the `ext-architectures` quick grid.
@@ -83,21 +86,22 @@ fn arch_workloads() -> [(&'static str, Workload); 2] {
     ]
 }
 
-/// `(workload, backend, batches at the pause, FNV of the snapshot JSON)`.
-const ARCH_PINS: [(&str, &str, u64, u64); 8] = [
-    ("stream", "cpu-driver", 16, 15_925_687_788_851_571_141),
-    ("stream", "gpu-driven", 160, 2_989_620_216_260_524_973),
-    ("stream", "peer-2", 16, 17_292_221_382_626_043_617),
-    ("stream", "peer-4", 16, 11_822_401_555_966_407_286),
-    ("gauss-seidel", "cpu-driver", 700, 7_795_425_325_881_574_048),
-    ("gauss-seidel", "gpu-driven", 700, 6_861_230_246_138_927_959),
-    ("gauss-seidel", "peer-2", 700, 672_130_291_150_393_351),
-    ("gauss-seidel", "peer-4", 700, 8_370_039_777_072_830_310),
+/// `(workload, backend, batches at the pause, bytes of the snapshot JSON,
+/// FNV of those bytes)`.
+const ARCH_PINS: [(&str, &str, u64, usize, u64); 8] = [
+    ("stream", "cpu-driver", 16, 33_509, 1_307_146_379_216_994_551),
+    ("stream", "gpu-driven", 160, 169_642, 8_757_524_583_825_103_418),
+    ("stream", "peer-2", 16, 33_861, 12_223_001_460_078_751_664),
+    ("stream", "peer-4", 16, 33_863, 9_050_683_044_204_778_598),
+    ("gauss-seidel", "cpu-driver", 700, 706_957, 16_589_620_164_799_307_822),
+    ("gauss-seidel", "gpu-driven", 700, 697_320, 13_725_962_300_347_862_526),
+    ("gauss-seidel", "peer-2", 700, 706_966, 5_319_386_239_753_640_877),
+    ("gauss-seidel", "peer-4", 700, 706_970, 340_196_192_348_570_292),
 ];
 
 #[test]
 fn arch_oversub_snapshots_keep_their_bytes() {
-    assert_eq!(SNAPSHOT_VERSION, 7, "re-record every pin for a new version");
+    assert_eq!(SNAPSHOT_VERSION, 8, "re-record every pin for a new version");
     let mut got = Vec::new();
     let mut blocked = 0;
     for (name, workload) in arch_workloads() {
@@ -111,13 +115,13 @@ fn arch_oversub_snapshots_keep_their_bytes() {
                 .expect("run starts");
             advance(&mut run, &workload, PAUSE_AT);
             blocked += run.gpu().blocked_warps();
-            let (batches, hash) = pin(&run, &workload);
-            got.push((name, backend.name(), batches, hash));
+            let (batches, bytes, hash) = pin(&run, &workload);
+            got.push((name, backend.name(), batches, bytes, hash));
         }
     }
     assert_eq!(
         got, ARCH_PINS,
-        "snapshot bytes changed under SNAPSHOT_VERSION 7"
+        "snapshot bytes changed under SNAPSHOT_VERSION 8"
     );
     // The pins cover warps paused with faulted accesses on their
     // scoreboards, not only idle devices.
@@ -141,10 +145,10 @@ fn chaos_snapshot_keeps_its_bytes() {
         .start(&workload, &RunHints::default())
         .expect("run starts");
     advance(&mut run, &workload, 12);
-    let (batches, hash) = pin(&run, &workload);
+    let (batches, bytes, hash) = pin(&run, &workload);
     assert_eq!(
-        (index, batches, hash),
-        (4, 12, 4_441_531_495_318_191_985),
-        "snapshot bytes changed under SNAPSHOT_VERSION 7"
+        (index, batches, bytes, hash),
+        (4, 12, 34_676, 475_151_544_703_107_558),
+        "snapshot bytes changed under SNAPSHOT_VERSION 8"
     );
 }
