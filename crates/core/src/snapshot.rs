@@ -5,7 +5,7 @@
 //! the three subsystem models (GPU, driver, host OS) and the run-loop
 //! state (event queue, virtual clock, worker state, kernel progress), plus
 //! a format version, the digest of the workload it was taken against, and
-//! FNV-1a digests of the four state values.
+//! digests of the four state values.
 //!
 //! A snapshot holds each fact once, and nothing that restore cannot check
 //! or rebuild. It carries no copy of the [`SystemConfig`](crate::SystemConfig):
@@ -48,7 +48,7 @@ use uvm_trace::TraceState;
 
 use crate::system::RunState;
 
-/// FNV-1a digests of the four serialized state values of a run. Two runs in
+/// Digests of the four serialized state values of a run. Two runs in
 /// bit-identical states have equal digests in every field; a field that
 /// disagrees names a subsystem that diverged, which is how a chaos trial's
 /// verdict names the subsystems where its torture run left the reference.
@@ -232,26 +232,16 @@ impl SystemSnapshot {
     }
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// The identity of one system run within a harness invocation: FNV-1a over
-/// the digest of the run's path (experiment id, map item indices, sequence
-/// number in its [`RunCtx`](crate::runctl::RunCtx)), the workload digest,
-/// and the config digest.
+/// The identity of one system run within a harness invocation: the digest
+/// of the run's path (experiment id, map item indices, sequence number in
+/// its [`RunCtx`](crate::runctl::RunCtx)), the workload digest, and the
+/// config digest.
 ///
 /// Because the harness is deterministic, re-executing it reproduces the
 /// same run keys; a resume replays runs until the key stored in the
 /// checkpoint comes up, then restores mid-run.
 pub fn run_key(path: u64, workload_digest: u64, config_digest: u64) -> u64 {
-    let mut h = FNV_OFFSET;
-    for word in [path, workload_digest, config_digest] {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    serde::digest(&(path, workload_digest, config_digest))
 }
 
 #[cfg(test)]

@@ -726,7 +726,7 @@ impl RunInProgress {
         }
     }
 
-    /// FNV-1a digests of the four serialized state values. Two runs whose
+    /// Digests of the four serialized state values. Two runs whose
     /// digests agree after every batch are in bit-identical states; the
     /// first disagreeing digest names the subsystem that diverged.
     pub fn subsystem_digests(&self) -> SubsystemDigests {
@@ -1247,6 +1247,15 @@ mod tests {
         let err =
             RunInProgress::restore(&wrong, &w).expect_err("future version must be rejected");
         assert!(matches!(err, UvmError::SnapshotInvalid { .. }));
+
+        // So must a previous one, by its version and not by the integrity
+        // check: its stored digests came from that version's digest.
+        let mut old = snap.clone();
+        old.version = SNAPSHOT_VERSION - 1;
+        old.digests.gpu ^= 1;
+        let err = RunInProgress::restore(&old, &w).expect_err("old version must be rejected");
+        let want = format!("format version {}", SNAPSHOT_VERSION - 1);
+        assert!(err.to_string().contains(&want), "got: {err}");
 
         // A snapshot whose GPU JSON was edited still decodes, but must fail
         // the integrity check and name the subsystem.

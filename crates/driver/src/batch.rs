@@ -13,7 +13,7 @@ use uvm_sim::time::{SimDuration, SimTime};
 use crate::health::HealthState;
 
 /// Instrumentation for one serviced batch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchRecord {
     /// Batch sequence number (0-based).
     pub seq: u64,

@@ -14,7 +14,7 @@
 //!
 //! A fault record names its warp, not its μTLB, so both classifiers take
 //! the batch's μTLB column beside it: `utlbs[i]` is the μTLB of `batch[i]`
-//! (`Gpu::placement` of its warp).
+//! (`GpuSpec::placement` of its warp).
 
 use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_sim::hash::FastMap;

@@ -664,7 +664,7 @@ impl UvmDriver {
     /// Stage: composition accounting, the per-fault metadata log (the
     /// paper's first driver variant), and duplicate classification,
     /// charged as preprocessing. Each fault's SM and μTLB are its warp's
-    /// placement on `gpu`, derived once here.
+    /// placement on `gpu`'s spec, derived once here.
     fn dedup(
         &mut self,
         faults: &[FaultRecord],
@@ -675,7 +675,7 @@ impl UvmDriver {
         bufs.sms.clear();
         bufs.utlbs.clear();
         for f in faults {
-            let (sm, utlb) = gpu.placement(f.warp);
+            let (sm, utlb) = gpu.spec.placement(f.warp);
             bufs.sms.push(sm);
             bufs.utlbs.push(utlb);
             match f.kind {
@@ -737,7 +737,7 @@ impl UvmDriver {
             // its buffer-arrival time (joined to this batch's close by the
             // fault-lifetime exporter).
             for f in &dedup.unique {
-                let (sm, utlb) = gpu.placement(f.warp);
+                let (sm, utlb) = gpu.spec.placement(f.warp);
                 uvm_trace::emit_instant(rec.start.0, || TraceEvent::FaultServiced {
                     batch: rec.seq,
                     page: f.page.0,

@@ -127,23 +127,15 @@ impl Gpu {
         Self::new_seeded(spec, 0)
     }
 
-    /// Where warp `wid` runs: `(SM, μTLB serving that SM)`. Warps are
-    /// dealt to SMs round-robin by id. Every use of a warp's SM or μTLB
-    /// derives it here, so the rule lives in one place.
-    pub fn placement(&self, wid: u32) -> (u32, u32) {
-        let sm = wid % self.spec.num_sms;
-        (sm, self.spec.utlb_of_sm(sm))
-    }
-
-    /// Launch a kernel of `warps` warps, placed by [`Self::placement`]. The
-    /// new warps take the next ids, so warp `i` runs program `i` of the
+    /// Launch a kernel of `warps` warps, placed by [`GpuSpec::placement`].
+    /// The new warps take the next ids, so warp `i` runs program `i` of the
     /// slice later passed to [`Self::step_warp`]. Returns the ids of warps
     /// activated immediately (the first wave); the rest queue behind them
     /// and activate as slots free up.
     pub fn launch(&mut self, warps: usize) -> Vec<u32> {
         let base = self.warps.len() as u32;
         for id in base..base + warps as u32 {
-            let (sm, _) = self.placement(id);
+            let (sm, _) = self.spec.placement(id);
             self.warps.push(Warp::new());
             self.sm_queues[sm as usize].push_back(id);
         }
@@ -255,7 +247,7 @@ impl Gpu {
     /// arbitration, spaced and delayed by `cost`'s fault-insert gap and
     /// latency), returning how many were inserted.
     pub fn drain_faults(&mut self, cost: &CostModel) -> usize {
-        self.gmmu.drain(&mut self.fault_buffer, cost)
+        self.gmmu.drain(&mut self.fault_buffer, &self.spec, cost)
     }
 
     /// Driver pre-replay flush: drop all buffered and in-flight faults.
@@ -344,7 +336,7 @@ impl Gpu {
         cost: &CostModel,
     ) -> StepOutcome {
         let program = &programs[wid as usize];
-        let (sm, utlb) = self.placement(wid);
+        let (sm, utlb) = self.spec.placement(wid);
         let w = &mut self.warps[wid as usize];
         assert_eq!(w.status, WarpStatus::Ready, "stepping warp {wid} in state {:?}", w.status);
         let mut t = if now > w.ready_at { now } else { w.ready_at };
@@ -360,13 +352,13 @@ impl Gpu {
                 if kind == AccessKind::Prefetch {
                     // Prefetches bypass the scoreboard and μTLB slots: the
                     // fault is logged but the warp neither stalls nor waits.
-                    self.gmmu.deposit(utlb, page, kind, sm, wid, t, false);
+                    self.gmmu.deposit(utlb, page, kind, wid, t, false);
                     w.faults_generated += 1;
                     continue;
                 }
                 match self.utlbs[utlb as usize].try_insert(page) {
                     UtlbInsert::Inserted => {
-                        self.gmmu.deposit(utlb, page, kind, sm, wid, t, false);
+                        self.gmmu.deposit(utlb, page, kind, wid, t, false);
                         w.note_outstanding(page, kind);
                         w.faults_generated += 1;
                     }
@@ -377,7 +369,7 @@ impl Gpu {
                         // some probability the GMMU logs another entry —
                         // the same-μTLB (type 1) duplicates of Sec. 4.2.
                         if self.rng.chance(self.spec.same_utlb_dup_prob) {
-                            self.gmmu.deposit(utlb, page, kind, sm, wid, t, true);
+                            self.gmmu.deposit(utlb, page, kind, wid, t, true);
                             w.faults_generated += 1;
                         }
                         w.note_outstanding(page, kind);
@@ -400,7 +392,7 @@ impl Gpu {
                     // flight; the warp retires only when they land.
                     w.status = WarpStatus::Blocked;
                     w.ready_at = t;
-                    Self::spurious_reissue(w, (wid, sm, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
+                    Self::spurious_reissue(w, (wid, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
                     return StepOutcome::Blocked;
                 }
                 w.status = WarpStatus::Done;
@@ -425,7 +417,7 @@ impl Gpu {
             if matches!(w.peek_instr(program), Some(Instr::Store { .. })) && w.has_outstanding() {
                 w.status = WarpStatus::Blocked;
                 w.ready_at = t;
-                Self::spurious_reissue(w, (wid, sm, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
+                Self::spurious_reissue(w, (wid, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
                 return StepOutcome::Blocked;
             }
 
@@ -450,11 +442,11 @@ impl Gpu {
     /// instantaneous echo — so microbenchmark first batches keep their
     /// exact μTLB-limit size, and most re-issues land mid-service and are
     /// flushed, surfacing only occasionally as batch duplicates). The μTLB
-    /// entry already exists, so no slot is consumed. The warp is `w`, at
-    /// `(id, SM, μTLB)`.
+    /// entry already exists, so no slot is consumed. The warp is `w`, with
+    /// `(id, μTLB)`.
     fn spurious_reissue(
         w: &mut Warp,
-        (wid, sm, utlb): (u32, u32, u32),
+        (wid, utlb): (u32, u32),
         gmmu: &mut Gmmu,
         rng: &mut DetRng,
         prob: f64,
@@ -469,7 +461,7 @@ impl Gpu {
             .collect();
         for (page, kind) in reissues {
             let wake_delay = SimDuration::from_nanos(10_000 + rng.below(50_000));
-            gmmu.deposit(utlb, page, kind, sm, wid, now + wake_delay, true);
+            gmmu.deposit(utlb, page, kind, wid, now + wake_delay, true);
             w.faults_generated += 1;
         }
     }
@@ -604,7 +596,7 @@ mod tests {
         let recs = drain_records(&mut gpu);
         assert_eq!(recs.len(), 56);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
-        assert_eq!(gpu.utlb_occupancy(gpu.placement(activated[0]).1), 56);
+        assert_eq!(gpu.utlb_occupancy(gpu.spec.placement(activated[0]).1), 56);
     }
 
     #[test]
@@ -858,7 +850,7 @@ mod tests {
         assert_eq!(gpu.resets, 1);
         assert_eq!(gpu.fault_buffer.reset_losses(), 32);
         assert_eq!(gpu.utlb_reset_losses(), 32);
-        assert_eq!(gpu.utlb_occupancy(gpu.placement(a[0]).1), 0);
+        assert_eq!(gpu.utlb_occupancy(gpu.spec.placement(a[0]).1), 0);
         // Driver re-attaches and replays: the warp re-faults all 32 pages.
         for (w, t) in replay(&mut gpu, SimTime(1_000_000)) {
             let _ = step(&mut gpu, &programs, w, t);

@@ -5,7 +5,7 @@
 //! instrumented driver logs: faulting page, access type, originating warp,
 //! and the arrival timestamp in the buffer (Fig. 4 plots exactly these
 //! timestamps). The originating SM and μTLB are the warp's placement
-//! (`Gpu::placement`), so a record does not store them.
+//! (`GpuSpec::placement`), so a record does not store them.
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::mem::PageNum;
@@ -47,7 +47,7 @@ pub struct FaultRecord {
     /// Access type.
     pub kind: AccessKind,
     /// Originating warp (global warp id); its SM and μTLB are
-    /// `Gpu::placement(warp)`.
+    /// `GpuSpec::placement(warp)`.
     pub warp: u32,
     /// Arrival time in the GPU fault buffer.
     pub arrival: SimTime,

@@ -24,13 +24,13 @@ use uvm_sim::time::SimTime;
 
 use crate::fault::{AccessKind, FaultRecord};
 use crate::fault_buffer::FaultBuffer;
+use crate::spec::GpuSpec;
 
 /// A fault awaiting GMMU insertion into the fault buffer.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct PendingFault {
     page: PageNum,
     kind: AccessKind,
-    sm: u32,
     warp: u32,
     requested: SimTime,
     dup_of_outstanding: bool,
@@ -95,14 +95,12 @@ impl Gmmu {
         self.earliest
     }
 
-    /// Deposit a fault request from `utlb` at time `requested`.
-    #[allow(clippy::too_many_arguments)]
+    /// Deposit a fault request of `warp` from `utlb` at time `requested`.
     pub fn deposit(
         &mut self,
         utlb: u32,
         page: PageNum,
         kind: AccessKind,
-        sm: u32,
         warp: u32,
         requested: SimTime,
         dup_of_outstanding: bool,
@@ -115,7 +113,6 @@ impl Gmmu {
         queue.push_back(PendingFault {
             page,
             kind,
-            sm,
             warp,
             requested,
             dup_of_outstanding,
@@ -128,8 +125,9 @@ impl Gmmu {
     /// arrival timestamps no earlier than each fault's request time and
     /// serialized at the write port. Returns how many were inserted.
     /// Entries that find the buffer full are discarded — the hardware drops
-    /// them and the access re-faults after the next replay.
-    pub fn drain(&mut self, buffer: &mut FaultBuffer, cost: &CostModel) -> usize {
+    /// them and the access re-faults after the next replay. `spec` places
+    /// each fault's warp on its SM for the trace events.
+    pub fn drain(&mut self, buffer: &mut FaultBuffer, spec: &GpuSpec, cost: &CostModel) -> usize {
         let n_queues = self.queues.len();
         let mut inserted = 0;
         for _ in 0..self.pending {
@@ -161,7 +159,7 @@ impl Gmmu {
                 uvm_trace::emit_instant(record.arrival.0, || uvm_trace::TraceEvent::FaultGenerated {
                     page: record.page.0,
                     kind: record.kind.trace(),
-                    sm: pf.sm,
+                    sm: spec.placement(record.warp).0,
                     utlb,
                     warp: record.warp,
                     dup: record.dup_of_outstanding,
@@ -170,7 +168,7 @@ impl Gmmu {
             } else {
                 uvm_trace::emit_instant(record.arrival.0, || uvm_trace::TraceEvent::FaultDropped {
                     page: record.page.0,
-                    sm: pf.sm,
+                    sm: spec.placement(record.warp).0,
                     utlb,
                 });
             }
@@ -266,7 +264,7 @@ mod tests {
     fn drain_all(g: &mut Gmmu) -> Vec<FaultRecord> {
         let mut buf = FaultBuffer::new(4096);
         let cost = CostModel::titan_v();
-        let inserted = g.drain(&mut buf, &cost);
+        let inserted = g.drain(&mut buf, &GpuSpec::titan_v(), &cost);
         assert_eq!(inserted, buf.len());
         buf.fetch(inserted, SimTime(u64::MAX))
     }
@@ -275,7 +273,7 @@ mod tests {
     fn single_queue_drains_fifo() {
         let mut g = Gmmu::new(4);
         for i in 0..10u64 {
-            g.deposit(2, PageNum(i), AccessKind::Read, 4, 0, SimTime(100), false);
+            g.deposit(2, PageNum(i), AccessKind::Read, 0, SimTime(100), false);
         }
         let recs = drain_all(&mut g);
         let pages: Vec<u64> = recs.iter().map(|r| r.page.0).collect();
@@ -290,8 +288,8 @@ mod tests {
     fn multiple_queues_interleave_round_robin() {
         let mut g = Gmmu::new(2);
         for i in 0..4u64 {
-            g.deposit(0, PageNum(i), AccessKind::Read, 0, 0, SimTime(0), false);
-            g.deposit(1, PageNum(100 + i), AccessKind::Read, 2, 1, SimTime(0), false);
+            g.deposit(0, PageNum(i), AccessKind::Read, 0, SimTime(0), false);
+            g.deposit(1, PageNum(100 + i), AccessKind::Read, 1, SimTime(0), false);
         }
         // Each queue's deposits come from the warp of the same number.
         let recs = drain_all(&mut g);
@@ -307,15 +305,8 @@ mod tests {
         let mut g = Gmmu::new(40);
         for u in 0..40u32 {
             for i in 0..56u64 {
-                g.deposit(
-                    u,
-                    PageNum(u64::from(u) * 1000 + i),
-                    AccessKind::Read,
-                    u * 2,
-                    u,
-                    SimTime(0),
-                    false,
-                );
+                let page = PageNum(u64::from(u) * 1000 + i);
+                g.deposit(u, page, AccessKind::Read, u, SimTime(0), false);
             }
         }
         let recs = drain_all(&mut g);
@@ -331,7 +322,7 @@ mod tests {
     #[test]
     fn arrival_respects_request_time() {
         let mut g = Gmmu::new(1);
-        g.deposit(0, PageNum(1), AccessKind::Read, 0, 0, SimTime(1_000_000), false);
+        g.deposit(0, PageNum(1), AccessKind::Read, 0, SimTime(1_000_000), false);
         let recs = drain_all(&mut g);
         assert!(recs[0].arrival >= SimTime(1_000_000));
     }
@@ -339,8 +330,8 @@ mod tests {
     #[test]
     fn flush_discards_pending() {
         let mut g = Gmmu::new(2);
-        g.deposit(0, PageNum(1), AccessKind::Read, 0, 0, SimTime(0), false);
-        g.deposit(1, PageNum(2), AccessKind::Read, 2, 1, SimTime(0), false);
+        g.deposit(0, PageNum(1), AccessKind::Read, 0, SimTime(0), false);
+        g.deposit(1, PageNum(2), AccessKind::Read, 1, SimTime(0), false);
         assert_eq!(g.flush(), 2);
         assert_eq!(g.pending(), 0);
         assert!(drain_all(&mut g).is_empty());
@@ -350,11 +341,11 @@ mod tests {
     fn full_buffer_discards_overflow() {
         let mut g = Gmmu::new(1);
         for i in 0..10u64 {
-            g.deposit(0, PageNum(i), AccessKind::Read, 0, 0, SimTime(0), false);
+            g.deposit(0, PageNum(i), AccessKind::Read, 0, SimTime(0), false);
         }
         let mut buf = FaultBuffer::new(4);
         let cost = CostModel::titan_v();
-        assert_eq!(g.drain(&mut buf, &cost), 4);
+        assert_eq!(g.drain(&mut buf, &GpuSpec::titan_v(), &cost), 4);
         assert_eq!(buf.overflow_drops(), 6);
         assert_eq!(g.pending(), 0);
     }
@@ -363,11 +354,11 @@ mod tests {
     fn maintained_values_track_deposits_and_drains() {
         let mut g = Gmmu::new(3);
         assert_eq!((g.pending(), g.earliest_request()), (0, None));
-        g.deposit(1, PageNum(1), AccessKind::Read, 2, 0, SimTime(50), false);
-        g.deposit(1, PageNum(2), AccessKind::Read, 2, 0, SimTime(10), false);
+        g.deposit(1, PageNum(1), AccessKind::Read, 0, SimTime(50), false);
+        g.deposit(1, PageNum(2), AccessKind::Read, 0, SimTime(10), false);
         // Behind a front: the earliest *front* is still 50.
         assert_eq!((g.pending(), g.earliest_request()), (2, Some(SimTime(50))));
-        g.deposit(2, PageNum(3), AccessKind::Write, 4, 1, SimTime(30), true);
+        g.deposit(2, PageNum(3), AccessKind::Write, 1, SimTime(30), true);
         assert_eq!((g.pending(), g.earliest_request()), (3, Some(SimTime(30))));
         assert_eq!(drain_all(&mut g).len(), 3);
         assert_eq!((g.pending(), g.earliest_request()), (0, None));
@@ -376,8 +367,8 @@ mod tests {
     #[test]
     fn serializes_only_the_stored_fields_and_rebuilds_the_rest() {
         let mut g = Gmmu::new(2);
-        g.deposit(1, PageNum(7), AccessKind::Read, 2, 3, SimTime(40), false);
-        g.deposit(0, PageNum(8), AccessKind::Write, 0, 1, SimTime(90), true);
+        g.deposit(1, PageNum(7), AccessKind::Read, 3, SimTime(40), false);
+        g.deposit(0, PageNum(8), AccessKind::Write, 1, SimTime(90), true);
         let v = g.to_value();
         let Value::Object(fields) = &v else {
             panic!("an object")

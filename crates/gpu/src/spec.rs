@@ -65,6 +65,14 @@ impl GpuSpec {
         self.num_sms.div_ceil(self.sms_per_utlb)
     }
 
+    /// Where warp `wid` runs: `(SM, μTLB serving that SM)`. Warps are
+    /// dealt to SMs round-robin by id. Every use of a warp's SM or μTLB
+    /// derives it here, so the rule lives in one place.
+    pub fn placement(&self, wid: u32) -> (u32, u32) {
+        let sm = wid % self.num_sms;
+        (sm, self.utlb_of_sm(sm))
+    }
+
     /// The μTLB serving a given SM.
     pub fn utlb_of_sm(&self, sm: u32) -> u32 {
         sm / self.sms_per_utlb

@@ -35,10 +35,11 @@ pub enum WarpStatus {
 /// Hardware state only: the program counter indexes the warp's program,
 /// which stays with the workload, and the warp's id, SM and μTLB follow
 /// from its index in the device (see
-/// [`Gpu::placement`](crate::device::Gpu::placement)). Fully serializable —
-/// program counter, partially issued instruction, scoreboard, and refault
-/// queue included — so a restored warp, given the same program, resumes
-/// mid-instruction exactly where the snapshot left it.
+/// [`GpuSpec::placement`](crate::spec::GpuSpec::placement)). Fully
+/// serializable — program counter, partially issued instruction,
+/// scoreboard, and refault queue included — so a restored warp, given the
+/// same program, resumes mid-instruction exactly where the snapshot left
+/// it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Warp {
     /// Scheduling status.

@@ -13,8 +13,10 @@
 //!   the first digest that differs names the subsystem that broke
 //!   determinism.
 //!
-//! The digest is FNV-1a over a type-tagged preorder walk. It is a pure
-//! function of the walk's structure — independent of JSON rendering,
+//! The digest hashes a type-tagged preorder walk one 64-bit word at a
+//! time: a tag word per node, one word per scalar, and strings as a length
+//! word and their bytes packed eight to a word. It is a pure function of
+//! the walk's structure — independent of JSON rendering,
 //! whitespace, or float formatting — and because the serde facade
 //! serializes hash maps and sets in sorted key order, it is also
 //! independent of hash iteration order. [`serde::digest`] computes the same
@@ -47,10 +49,12 @@ use serde::Value;
 /// space stores one `(block, pages)` run per VABlock in DMA-address order
 /// (the driver's per-block `dma_mapped` flag is gone), and fault-buffer
 /// entries no longer store their SM and μTLB (the warp's placement gives
-/// both).
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// both); v9 — the stored digests hash the walk a 64-bit word at a time
+/// (they were a bytewise FNV-1a), and GMMU queue entries no longer store
+/// their SM (the warp's placement gives it).
+pub const SNAPSHOT_VERSION: u32 = 9;
 
-/// Stable FNV-1a digest of a serialized state tree.
+/// Stable digest of a serialized state tree.
 ///
 /// Equal trees always digest equally; the digest depends only on the tree
 /// (not on any textual rendering of it), so it can be compared across

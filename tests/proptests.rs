@@ -575,7 +575,7 @@ proptest! {
                 0..=4 => {
                     // Request times are not monotone per queue: spurious
                     // re-issues land 10-60 µs after their stall.
-                    gpu.gmmu.deposit(utlb, PageNum(t), AccessKind::Read, 0, 0, SimTime(t), op == 4);
+                    gpu.gmmu.deposit(utlb, PageNum(t), AccessKind::Read, 0, SimTime(t), op == 4);
                     model[utlb as usize].push(t);
                 }
                 5 | 6 => {

@@ -89,19 +89,19 @@ fn arch_workloads() -> [(&'static str, Workload); 2] {
 /// `(workload, backend, batches at the pause, bytes of the snapshot JSON,
 /// FNV of those bytes)`.
 const ARCH_PINS: [(&str, &str, u64, usize, u64); 8] = [
-    ("stream", "cpu-driver", 16, 33_509, 1_307_146_379_216_994_551),
-    ("stream", "gpu-driven", 160, 169_642, 8_757_524_583_825_103_418),
-    ("stream", "peer-2", 16, 33_861, 12_223_001_460_078_751_664),
-    ("stream", "peer-4", 16, 33_863, 9_050_683_044_204_778_598),
-    ("gauss-seidel", "cpu-driver", 700, 706_957, 16_589_620_164_799_307_822),
-    ("gauss-seidel", "gpu-driven", 700, 697_320, 13_725_962_300_347_862_526),
-    ("gauss-seidel", "peer-2", 700, 706_966, 5_319_386_239_753_640_877),
-    ("gauss-seidel", "peer-4", 700, 706_970, 340_196_192_348_570_292),
+    ("stream", "cpu-driver", 16, 33_510, 6_633_341_421_967_260_206),
+    ("stream", "gpu-driven", 160, 169_644, 15_120_245_924_599_050_508),
+    ("stream", "peer-2", 16, 33_863, 16_673_223_902_525_953_411),
+    ("stream", "peer-4", 16, 33_867, 1_764_009_760_368_638_632),
+    ("gauss-seidel", "cpu-driver", 700, 706_955, 9_085_924_745_763_169_073),
+    ("gauss-seidel", "gpu-driven", 700, 697_317, 5_199_197_291_596_306_163),
+    ("gauss-seidel", "peer-2", 700, 706_964, 10_841_637_627_533_791_440),
+    ("gauss-seidel", "peer-4", 700, 706_967, 4_362_514_141_531_471_267),
 ];
 
 #[test]
 fn arch_oversub_snapshots_keep_their_bytes() {
-    assert_eq!(SNAPSHOT_VERSION, 8, "re-record every pin for a new version");
+    assert_eq!(SNAPSHOT_VERSION, 9, "re-record every pin for a new version");
     let mut got = Vec::new();
     let mut blocked = 0;
     for (name, workload) in arch_workloads() {
@@ -121,7 +121,7 @@ fn arch_oversub_snapshots_keep_their_bytes() {
     }
     assert_eq!(
         got, ARCH_PINS,
-        "snapshot bytes changed under SNAPSHOT_VERSION 8"
+        "snapshot bytes changed under SNAPSHOT_VERSION 9"
     );
     // The pins cover warps paused with faulted accesses on their
     // scoreboards, not only idle devices.
@@ -148,7 +148,7 @@ fn chaos_snapshot_keeps_its_bytes() {
     let (batches, bytes, hash) = pin(&run, &workload);
     assert_eq!(
         (index, batches, bytes, hash),
-        (4, 12, 34_676, 475_151_544_703_107_558),
-        "snapshot bytes changed under SNAPSHOT_VERSION 8"
+        (4, 12, 34_675, 13_255_984_704_006_633_859),
+        "snapshot bytes changed under SNAPSHOT_VERSION 9"
     );
 }
