@@ -243,7 +243,6 @@ pub mod perf {
     use uvm_core::gpu::fault::{AccessKind, FaultRecord};
     use uvm_core::gpu::spec::GpuSpec;
     use uvm_core::hostos::host::HostMemory;
-    use uvm_core::hostos::radix_tree::RadixTree;
     use uvm_core::sim::cost::CostModel;
     use uvm_core::sim::event::EventQueue;
     use uvm_core::sim::mem::{AddressSpaceAllocator, PageNum, VABLOCK_SIZE};
@@ -330,18 +329,11 @@ pub mod perf {
             sum
         });
 
-        // DMA setup's pattern: reverse entries at sequential addresses.
-        let radix_insert = time_ns(reps, || {
-            let mut tree = RadixTree::new();
-            (0..32_768u64).map(|k| tree.insert(k, k).nodes_allocated).sum::<u64>()
-        });
-
         obj(vec![
             ("dedup_reference_2048x8", Value::Float(dedup_ref)),
             ("dedup_fast_2048x8", Value::Float(dedup_fast)),
             ("service_batch_1024x4blocks", Value::Float(service)),
             ("event_queue_schedule_pop_10k", Value::Float(event_queue)),
-            ("radix_insert_sweep_32768", Value::Float(radix_insert)),
         ])
     }
 
@@ -427,7 +419,6 @@ mod tests {
             "dedup_fast_2048x8",
             "service_batch_1024x4blocks",
             "event_queue_schedule_pop_10k",
-            "radix_insert_sweep_32768",
         ] {
             let v = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
             let Some(serde_json::Value::Float(ns)) = v else {

@@ -762,8 +762,10 @@ impl RunInProgress {
     /// version, the stored per-subsystem digests against the decoded state
     /// (integrity), that `workload` is byte-identical to the one the
     /// checkpoint was taken against, that the GPU's warps fit the programs
-    /// of the kernels launched so far, and that the host state is well
-    /// formed ([`HostMemory::check`]); the restored run then
+    /// of the kernels launched so far, that the host state is well formed
+    /// ([`HostMemory::check`]), and that the pending events fire no earlier
+    /// than the clock, carry distinct sequence numbers below the queue's
+    /// counter and step only launched warps; the restored run then
     /// continues exactly where the snapshotted one stopped, producing
     /// bit-identical results.
     pub fn restore(snap: &SystemSnapshot, workload: &Workload) -> Result<Self, UvmError> {
@@ -789,20 +791,33 @@ impl RunInProgress {
         // Host state an unmap would panic on, or that no touch sequence
         // produces, must fail here too.
         snap.host.check().map_err(|detail| UvmError::SnapshotInvalid { detail })?;
+        // Pending events: a warp step past the launched warps would index
+        // out of bounds when it fires.
+        let warps = snap.gpu.num_warps();
+        if let Some(wid) = snap.run.entries.iter().find_map(|&(_, _, event)| match event {
+            Event::WarpStep(wid) if wid as usize >= warps => Some(wid),
+            _ => None,
+        }) {
+            return Err(UvmError::SnapshotInvalid {
+                detail: format!("a pending event steps warp {wid}, but {warps} warps are launched"),
+            });
+        }
+        let run = snap.run.clone();
+        let queue = EventQueue::restore(run.now, run.seq, run.entries)
+            .map_err(|detail| UvmError::SnapshotInvalid { detail })?;
         // Reinstate tracer state captured with the checkpoint. Restoring a
         // traced checkpoint with tracing disabled simply drops the buffered
         // events (the simulation itself is unaffected either way).
         if let Some(state) = &snap.trace {
             uvm_trace::restore_state(state.clone());
         }
-        let run = snap.run.clone();
         Ok(RunInProgress {
             system: UvmSystem {
                 gpu: snap.gpu.clone(),
                 driver: snap.driver.clone(),
                 host: snap.host.clone(),
             },
-            queue: EventQueue::restore(run.now, run.seq, run.entries),
+            queue,
             worker: run.worker,
             kernel_spans: run.kernel_spans,
             events: run.events,
@@ -1384,9 +1399,9 @@ mod tests {
         warps
     }
 
-    /// A snapshot of `w` after `batches` batches with its `part` ("gpu" or
-    /// "host") edited through the JSON tree by `edit`, and its digests
-    /// recomputed so the integrity check passes.
+    /// A snapshot of `w` after `batches` batches with its `part` ("gpu",
+    /// "host" or "run") edited through the JSON tree by `edit`, and its
+    /// digests recomputed so the integrity check passes.
     fn edited_snapshot(
         w: &Workload,
         batches: u64,
@@ -1515,6 +1530,56 @@ mod tests {
             },
             &format!("host block {id} maps 3 page(s) but has no mapper core"),
         )?;
+        Ok(())
+    }
+
+    /// The pending `(time, seq, event)` entries of a run-state tree.
+    fn entries(run: &mut serde::Value) -> &mut Vec<serde::Value> {
+        let serde::Value::Array(entries) = field(run, "entries") else {
+            panic!("entries are an array")
+        };
+        entries
+    }
+
+    #[test]
+    fn restore_rejects_malformed_run_state() -> Result<(), UvmError> {
+        use serde::Value;
+        let w = ckpt_workload();
+        // After the first batch the clock has moved and the batch's end is
+        // pending.
+        let (_, snap) = snapshot_after(1)?;
+        let (now, seq) = (snap.run.now.as_nanos(), snap.run.seq);
+        let pending = snap.run.entries.first().expect("a pending event").1;
+        assert!(now > 0, "{:?}", snap.run);
+        let rejects = |edit: &dyn Fn(&mut Value), want: &str| -> Result<(), UvmError> {
+            let snap = edited_snapshot(&w, 1, "run", edit)?;
+            let err = RunInProgress::restore(&snap, &w).expect_err("edited run state must be rejected");
+            assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+            assert!(err.to_string().contains(want), "got: {err}");
+            Ok(())
+        };
+        // Element `j` of the first entry: 0 is its time, 1 its seq, 2 its
+        // event.
+        let set = |j: usize, v: Value| {
+            move |run: &mut Value| {
+                let Value::Array(entry) = &mut entries(run)[0] else { panic!("an entry is a triple") };
+                entry[j] = v.clone();
+            }
+        };
+        rejects(&set(0, Value::NumU(0)), &format!("at 0 ns lies before the queue's clock {now} ns"))?;
+        rejects(&set(1, Value::NumU(seq)), &format!("seq {seq} is not below the queue's seq {seq}"))?;
+        rejects(
+            &|run| {
+                let first = entries(run)[0].clone();
+                entries(run).push(first);
+            },
+            &format!("two pending events share seq {pending}"),
+        )?;
+        let warps = w.num_warps();
+        let step = serde_json::to_value(Event::WarpStep(warps as u32)).expect("an event encodes");
+        rejects(&set(2, step), &format!("steps warp {warps}, but {warps} warps are launched"))?;
+        // The unedited tree restores.
+        RunInProgress::restore(&edited_snapshot(&w, 1, "run", |_| {})?, &w)?;
         Ok(())
     }
 

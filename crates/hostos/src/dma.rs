@@ -5,9 +5,9 @@
 //! mappings (DMA address → page) in a radix tree "implemented in the
 //! mainline Linux kernel" (paper, Sec. 5.2). The paper traces the
 //! highest-cost prefetching batches to exactly this step, with the radix
-//! tree dominating. [`DmaSpace`] reproduces the structure: sequential DMA
-//! address assignment, a forward map, and reverse entries inserted into
-//! [`RadixTree`], one per page, reporting node-allocation work per block.
+//! tree dominating. [`DmaSpace`] reproduces its cost: sequential DMA
+//! address assignment, a forward map, and for each mapped block the number
+//! of radix-tree nodes its reverse entries allocate.
 //!
 //! The driver maps a block's whole valid range at once, on its first GPU
 //! touch, and nothing tears a DMA mapping down. So the space only grows,
@@ -15,10 +15,12 @@
 //! consecutive addresses: the forward map keeps one record per VABlock,
 //! its first address and its page count. Both directions are fixed by the
 //! blocks' `(block, pages)` runs in DMA-address order. Those runs are all a
-//! snapshot stores; decoding replays them through [`DmaSpace::map_block`],
-//! which rebuilds the forward map and the reverse tree node for node, so a
-//! restored space reports the same allocation work for every later mapping
-//! as the space it was taken from.
+//! snapshot stores; decoding replays them through [`DmaSpace::map_block`].
+//!
+//! The reverse tree is not stored either. A Linux radix tree of 64-slot
+//! nodes holding the keys `0..n` has one node per distinct key prefix at
+//! each level below its root, so its shape, and with it every insert's
+//! node-allocation count, is a function of `n` alone (`radix_nodes`).
 
 use serde::{DeError, Deserialize, Serialize, Sink, Source};
 use uvm_sim::bitmap::PageBitmap;
@@ -27,8 +29,6 @@ use uvm_sim::hash::FastMap;
 use uvm_sim::inject::PointInjector;
 use uvm_sim::mem::{PageNum, VaBlockId, PAGES_PER_VABLOCK};
 use uvm_sim::time::SimTime;
-
-use crate::radix_tree::RadixTree;
 
 /// A DMA (IO virtual) address, in pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,14 +53,31 @@ struct DmaRun {
     pages: u32,
 }
 
+/// Nodes of a 64-way radix tree holding the keys `0..n`: level `j` (leaves
+/// at 0) has one node per distinct `key >> 6·(j+1)`, that is `⌈n / 64^(j+1)⌉`
+/// nodes, and the tree is as tall as the fewest levels whose top holds one
+/// node. The kernel grows a tree upward one root at a time, so this counts
+/// every node sequential inserts have allocated.
+fn radix_nodes(n: u64) -> u64 {
+    let (n, mut span, mut nodes) = (u128::from(n), 1u128, 0);
+    loop {
+        span *= 64;
+        nodes += n.div_ceil(span);
+        if span >= n {
+            return nodes as u64;
+        }
+    }
+}
+
 /// The DMA address space for one GPU: one forward record per mapped
-/// VABlock plus the kernel-side reverse radix tree, whose keys are the
-/// addresses `0..n`. Serializes as `{"runs": [[block, pages], ...],
-/// "injector": ...}`, the runs in DMA-address order.
+/// VABlock, and the count of mapped pages, which are the keys `0..n` of
+/// the kernel-side reverse radix tree. Serializes as `{"runs": [[block,
+/// pages], ...], "injector": ...}`, the runs in DMA-address order.
 #[derive(Debug, Clone, Default)]
 pub struct DmaSpace {
     forward: FastMap<VaBlockId, DmaRun>,
-    reverse: RadixTree<PageNum>,
+    /// Pages mapped so far: the next free DMA address.
+    mapped: u64,
     /// DMA-map failure injection (disabled by default).
     injector: PointInjector,
 }
@@ -80,7 +97,7 @@ impl DmaSpace {
 
     /// Number of live DMA mappings.
     pub fn mapped_pages(&self) -> u64 {
-        self.reverse.len()
+        self.mapped
     }
 
     /// Whether `block` has its DMA mappings.
@@ -128,15 +145,14 @@ impl DmaSpace {
         if self.forward.contains_key(&block) {
             return DmaReport { pages_already_mapped: u64::from(pages), ..DmaReport::default() };
         }
-        let first = DmaAddr(self.reverse.len());
-        self.forward.insert(block, DmaRun { first, pages });
-        let mut report = DmaReport::default();
-        for i in 0..pages as usize {
-            let ins = self.reverse.insert(first.0 + i as u64, block.page_at(i));
-            report.pages_mapped += 1;
-            report.radix_nodes_allocated += ins.nodes_allocated;
+        let first = self.mapped;
+        self.mapped += u64::from(pages);
+        self.forward.insert(block, DmaRun { first: DmaAddr(first), pages });
+        DmaReport {
+            pages_mapped: u64::from(pages),
+            pages_already_mapped: 0,
+            radix_nodes_allocated: radix_nodes(self.mapped) - radix_nodes(first),
         }
-        report
     }
 
     /// Look up the DMA address of a page.
@@ -144,11 +160,6 @@ impl DmaSpace {
         let run = self.forward.get(&page.va_block())?;
         let i = page.index_in_block() as u64;
         (i < u64::from(run.pages)).then_some(DmaAddr(run.first.0 + i))
-    }
-
-    /// Reverse lookup: the page behind a DMA address.
-    pub fn page_of(&self, addr: DmaAddr) -> Option<PageNum> {
-        self.reverse.get(addr.0).copied()
     }
 }
 
@@ -210,10 +221,22 @@ mod tests {
         let report = dma.map_block(block, 512);
         assert_eq!(report.pages_mapped, 512);
         assert_eq!(report.pages_already_mapped, 0);
-        assert!(report.radix_nodes_allocated >= 8, "512 entries span >=8 leaf nodes");
+        // Eight leaves of 64 entries under one root.
+        assert_eq!(report.radix_nodes_allocated, 9);
         assert_eq!(dma.mapped_pages(), 512);
         assert!(dma.is_mapped(block) && !dma.is_mapped(VaBlockId(5)));
         assert!(dma.mapped_in(block).is_full());
+    }
+
+    #[test]
+    fn node_counts_follow_the_tree_shape() {
+        // (keys, nodes): one leaf holds 64 keys; the 65th needs a second
+        // leaf and a root; the 4097th a third level.
+        let pins = [(0, 0), (1, 1), (64, 1), (65, 3), (4096, 65), (4097, 68), (1 << 18, 4161)];
+        for (n, nodes) in pins {
+            assert_eq!(radix_nodes(n), nodes, "{n} keys");
+        }
+        assert_eq!(radix_nodes(u64::MAX), radix_nodes(u64::MAX - 1));
     }
 
     #[test]
@@ -235,11 +258,14 @@ mod tests {
         dma.map_block(VaBlockId(9), 3);
         dma.map_block(VaBlockId(0), 512);
         dma.map_block(VaBlockId(7), 512);
-        let pages = [VaBlockId(9).page_at(2), PageNum(10), PageNum(99), VaBlockId(7).page_at(511)];
-        for p in pages {
-            let addr = dma.dma_of(p).expect("mapped");
-            assert_eq!(dma.page_of(addr), Some(p));
-        }
+        // Every address in 0..n lies behind exactly one mapped page.
+        let mut addrs: Vec<u64> = [(VaBlockId(9), 3), (VaBlockId(0), 512), (VaBlockId(7), 512)]
+            .into_iter()
+            .flat_map(|(b, pages)| (0..pages).map(move |i| b.page_at(i)))
+            .map(|p| dma.dma_of(p).expect("mapped").0)
+            .collect();
+        addrs.sort_unstable();
+        assert_eq!(addrs, (0..dma.mapped_pages()).collect::<Vec<_>>());
         assert_eq!(dma.dma_of(VaBlockId(9).page_at(0)), Some(DmaAddr(0)));
         assert_eq!(dma.dma_of(PageNum(0)), Some(DmaAddr(3)));
         assert_eq!(dma.dma_of(VaBlockId(9).page_at(3)), None, "beyond the block's run");
@@ -295,12 +321,13 @@ mod tests {
         assert_eq!(kept.mapped_pages(), 4096);
         let json = serde_json::to_string(&kept).expect("encodes");
         let mut decoded: DmaSpace = serde_json::from_str(&json).expect("decodes");
-        assert_eq!(decoded.reverse.stats(), kept.reverse.stats());
-        for (block, pages) in [(VaBlockId(1 << 21), 1), (VaBlockId(1000), 512)] {
+        assert_eq!(decoded.mapped_pages(), kept.mapped_pages());
+        // A new root, a level-1 node and a leaf; then eight more leaves.
+        for (block, pages, nodes) in [(VaBlockId(1 << 21), 1, 3), (VaBlockId(1000), 512, 8)] {
             let (a, b) = (kept.map_block(block, pages), decoded.map_block(block, pages));
             assert_eq!(a, b);
-            assert!(a.radix_nodes_allocated > 0);
-            assert_eq!(decoded.reverse.stats(), kept.reverse.stats());
+            assert_eq!(a.radix_nodes_allocated, nodes);
+            assert_eq!(decoded.mapped_pages(), kept.mapped_pages());
         }
         assert_eq!(kept.mapped_pages(), 4096 + 1 + 512);
         for p in [PageNum(0), PageNum(1 << 30), VaBlockId(1000).first_page()] {

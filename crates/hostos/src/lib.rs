@@ -8,9 +8,6 @@
 //! DMA reverse-mapping storage in a radix tree — are among the dominant costs
 //! of fault servicing. This crate implements that substrate:
 //!
-//! * [`radix_tree`] — a grow-only Linux-style radix tree (as used by the
-//!   kernel for reverse DMA address lookups), with per-insert
-//!   node-allocation counts so the cost model can charge for tree growth.
 //! * [`host`] — [`HostMemory`], the façade the UVM driver calls:
 //!   `cpu_touch()` for host-side first-touch and `unmap_mapping_range()` for
 //!   the fault-path unmap, returning [`UnmapReport`] work counts. The
@@ -19,20 +16,19 @@
 //!   the cores that mapped it, which are also the TLB-shootdown targets.
 //! * [`rmap`] — [`CoreSet`], the set of mapper cores: the state that makes
 //!   multi-threaded first-touch expensive to unmap.
-//! * [`dma`] — [`DmaSpace`], the IOMMU mapping layer storing reverse
-//!   mappings in the radix tree and reporting allocation work. It keeps
-//!   one record per mapped VABlock, serializes them as `(block, pages)`
-//!   runs in DMA-address order, and rebuilds both maps from them.
+//! * [`dma`] — [`DmaSpace`], the IOMMU mapping layer. It keeps one record
+//!   per mapped VABlock, serializes them as `(block, pages)` runs in
+//!   DMA-address order, and reports the radix-tree nodes each mapping's
+//!   reverse entries allocate. Addresses are assigned `0..n` in order, so
+//!   that count is a closed form of `n`, and no tree is built.
 //! * [`numa`] — NUMA topology used by CPU-side initialization policies.
 
 pub mod dma;
 pub mod host;
 pub mod numa;
-pub mod radix_tree;
 pub mod rmap;
 
 pub use dma::{DmaReport, DmaSpace};
 pub use host::{HostMemory, UnmapReport};
 pub use numa::NumaTopology;
-pub use radix_tree::RadixTree;
 pub use rmap::CoreSet;

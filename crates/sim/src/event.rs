@@ -1,69 +1,16 @@
 //! Deterministic discrete-event queue.
 //!
-//! A hierarchical timing wheel keyed by [`SimTime`] with a monotonically
-//! increasing sequence number breaking ties, so that events scheduled for the
-//! same instant pop in FIFO order. This is what makes whole-system runs
-//! exactly reproducible across machines and runs.
-//!
-//! # Why a wheel and not a heap
-//!
-//! The original implementation was a `BinaryHeap<(SimTime, seq)>`; every
-//! schedule and pop paid an `O(log n)` sift with a comparison per level.
-//! The wheel replaces that with `O(1)` digit arithmetic: an event lands in
-//! the slot named by the highest 10-bit digit in which its deadline differs
-//! from the current clock (`at ^ now`), and popping drains the lowest
-//! occupied slot of the lowest occupied level into a sorted *run*, lazily
-//! re-spreading oversized coarse slots into finer levels as the clock
-//! reaches them. The wide fan-out (1024 slots per level) keeps typical
-//! simulator horizons — micro- to millisecond deadline spreads — inside a
-//! single level, so most events are scattered once and drained once, never
-//! re-spread.
-//!
-//! Layout: 7 levels x 1024 slots (10 bits per level, 70 bits ≥ the full
-//! `u64` nanosecond range, so there is no overflow list). A two-tier
-//! occupancy bitmap (per-level word mask over sixteen 64-bit slot words)
-//! makes "lowest occupied slot" a couple of `trailing_zeros`. Slots are
-//! intrusive singly-linked lists threaded through one node pool, so
-//! scheduling never allocates beyond the pool's amortized growth — a queue
-//! costs a handful of allocations over its whole lifetime, however
-//! fragmented the surrounding heap is.
-//!
-//! Ordering correctness leans on these invariants, `debug_assert`ed where
-//! cheap:
-//!
-//! 1. every pending event's deadline is `>= now` (schedule panics
-//!    otherwise, and cascades only advance `now` to slot starts, which
-//!    lower-bound every deadline stored in the slot);
-//! 2. within a level, every event in a lower slot fires before any event
-//!    in a higher slot, and every event at a lower level fires before any
-//!    event at a higher level — so the lowest occupied slot of the lowest
-//!    occupied level bounds the whole wheel from below;
-//! 3. the drain run (`run`, kept in *descending* `(at, seq)` order so pops
-//!    are `Vec::pop`) is globally earliest: everything still in the wheel
-//!    fires after everything in the run. New events scheduled inside the
-//!    run's range splice into it by binary search, so FIFO ties survive
-//!    any schedule/pop interleaving.
+//! A binary min-heap keyed by [`SimTime`], with a monotonically increasing
+//! sequence number breaking ties, so that events scheduled for the same
+//! instant pop in FIFO order. This is what makes whole-system runs exactly
+//! reproducible across machines and runs. The run loop keeps about one
+//! event pending per running warp, plus the driver's, so the heap stays
+//! small and its `O(log n)` sifts are cheap.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// log2 of the wheel fan-out: 10 bits / 1024 slots per level.
-const SLOT_BITS: u32 = 10;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Slot-index mask.
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-/// Wheel levels: `7 * 10 = 70` bits covers every `u64` deadline, so no
-/// separate overflow list is needed.
-const LEVELS: usize = 7;
-/// 64-bit words per level in the slot-occupancy bitmap.
-const OCC_WORDS: usize = SLOTS / 64;
-/// A coarse slot holding at most this many events is drained straight into
-/// the sorted run instead of being re-spread across finer levels — sorting
-/// a small batch beats another scatter pass, and it bounds the `O(n)`
-/// splice cost of schedules that land inside the active run.
-const DRAIN_CAP: usize = 64;
-/// Null link in the slot lists / node free list.
-const NIL: u32 = u32::MAX;
 
 /// An event queue over an arbitrary payload type `E`.
 ///
@@ -81,39 +28,14 @@ const NIL: u32 = u32::MAX;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Flattened `LEVELS x SLOTS` wheel: `heads[level * SLOTS + slot]` is
-    /// the head of that slot's singly-linked list through `pool`, or
-    /// [`NIL`].
-    heads: Box<[u32; LEVELS * SLOTS]>,
-    /// One shared node arena for every slot list. Nodes whose `payload` is
-    /// `None` sit on the free list threaded through `free_head`, so a
-    /// queue's slot storage is a single allocation that grows amortized
-    /// and never shrinks — pushes never hit the allocator.
-    pool: Vec<PoolNode<E>>,
-    /// Head of the free-node list through `pool`, or [`NIL`].
-    free_head: u32,
-    /// Slot-occupancy bitmap: bit `s % 64` of `occupied[level][s / 64]` is
-    /// set iff `heads[level * SLOTS + s]` is non-[`NIL`].
-    occupied: [[u64; OCC_WORDS]; LEVELS],
-    /// Middle bitmap tier: bit `w` of `occ_words[level]` is set iff
-    /// `occupied[level][w] != 0`.
-    occ_words: [u16; LEVELS],
-    /// Top bitmap tier: bit `level` is set iff the level has any occupied
-    /// slot.
-    occ_levels: u8,
-    /// The sorted drain run: the globally earliest pending events, kept in
-    /// *descending* `(at, seq)` order so the earliest is `run.last()` and a
-    /// pop is `Vec::pop`. Schedules whose deadline falls inside the run
-    /// splice in by binary search. Doubles as the unlink scratch when a
-    /// slot opens (the run is always empty at that point), so one reusable
-    /// allocation serves both roles.
-    run: Vec<Entry<E>>,
-    /// Pending events across the wheel and `run`.
-    len: usize,
+    /// Pending events, earliest `(at, seq)` on top.
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
 }
 
+/// A pending event, ordered by `(at, seq)` alone: `seq` is unique within a
+/// queue, so the payload never takes part in a comparison.
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
@@ -121,14 +43,33 @@ struct Entry<E> {
     payload: E,
 }
 
-#[derive(Debug)]
-struct PoolNode<E> {
-    /// Next node in this slot list (or in the free list), or [`NIL`].
-    next: u32,
-    at: SimTime,
-    seq: u64,
-    /// `None` marks a free-listed node (`at`/`seq` are then stale).
-    payload: Option<E>,
+impl<E> Entry<E> {
+    /// `(at, seq)` as one integer: comparing it takes no branch, which
+    /// keeps the heap's sifts as fast as the run loop needs.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.0) << 64) | u128::from(self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -140,26 +81,13 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at zero.
     pub fn new() -> Self {
-        EventQueue {
-            heads: Box::new([NIL; LEVELS * SLOTS]),
-            pool: Vec::new(),
-            free_head: NIL,
-            occupied: [[0; OCC_WORDS]; LEVELS],
-            occ_words: [0; LEVELS],
-            occ_levels: 0,
-            run: Vec::new(),
-            len: 0,
-            seq: 0,
-            now: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Create an empty queue with room for `cap` pending events before the
-    /// node pool has to grow.
+    /// Create an empty queue with room for `cap` pending events before it
+    /// has to grow.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.pool.reserve(cap);
-        q
+        EventQueue { heap: BinaryHeap::with_capacity(cap), seq: 0, now: SimTime::ZERO }
     }
 
     /// The current simulated time: the timestamp of the most recently popped
@@ -172,100 +100,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The wheel coordinate of a deadline, relative to the current clock:
-    /// the level is the highest 10-bit digit in which `at` differs from
-    /// `now` (level 0 when equal), the slot is `at`'s digit at that level.
-    #[inline]
-    fn level_slot(&self, at: SimTime) -> (usize, usize) {
-        // `| SLOT_MASK` pins the significant bit into level 0 when
-        // `at == now` (and avoids `leading_zeros() == 64`).
-        let sig = 63 - ((at.0 ^ self.now.0) | SLOT_MASK).leading_zeros();
-        let level = sig / SLOT_BITS;
-        let slot = (at.0 >> (level * SLOT_BITS)) & SLOT_MASK;
-        (level as usize, slot as usize)
-    }
-
-    #[inline]
-    fn mark_occupied(&mut self, level: usize, slot: usize) {
-        self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
-        self.occ_words[level] |= 1u16 << (slot / 64);
-        self.occ_levels |= 1u8 << level;
-    }
-
-    #[inline]
-    fn clear_occupied(&mut self, level: usize, slot: usize) {
-        let word = slot / 64;
-        self.occupied[level][word] &= !(1u64 << (slot % 64));
-        if self.occupied[level][word] == 0 {
-            self.occ_words[level] &= !(1u16 << word);
-            if self.occ_words[level] == 0 {
-                self.occ_levels &= !(1u8 << level);
-            }
-        }
-    }
-
-    /// The lowest occupied `(level, slot)`, which holds the earliest
-    /// pending event outside the run (invariant 2 in the module docs).
-    #[inline]
-    fn lowest_occupied(&self) -> Option<(usize, usize)> {
-        if self.occ_levels == 0 {
-            return None;
-        }
-        let level = self.occ_levels.trailing_zeros() as usize;
-        let word = self.occ_words[level].trailing_zeros() as usize;
-        let slot = word * 64 + self.occupied[level][word].trailing_zeros() as usize;
-        Some((level, slot))
-    }
-
-    #[inline]
-    fn push_entry(&mut self, entry: Entry<E>) {
-        let (level, slot) = self.level_slot(entry.at);
-        self.mark_occupied(level, slot);
-        let idx = level * SLOTS + slot;
-        let node = PoolNode {
-            next: self.heads[idx],
-            at: entry.at,
-            seq: entry.seq,
-            payload: Some(entry.payload),
-        };
-        let pos = if self.free_head == NIL {
-            let pos = u32::try_from(self.pool.len()).expect("event pool exceeds u32 indexing");
-            self.pool.push(node);
-            pos
-        } else {
-            let pos = self.free_head;
-            let free = &mut self.pool[pos as usize];
-            debug_assert!(free.payload.is_none(), "free list holds a live node");
-            self.free_head = free.next;
-            *free = node;
-            pos
-        };
-        self.heads[idx] = pos;
-    }
-
-    /// Unlink every node of slot list `idx` into the `run` scratch,
-    /// returning the nodes to the free list. Entries come out in reverse
-    /// insertion order; callers sort (or re-spread) as needed.
-    fn unlink_slot(&mut self, idx: usize) {
-        let mut node = std::mem::replace(&mut self.heads[idx], NIL);
-        while node != NIL {
-            let cell = &mut self.pool[node as usize];
-            let next = cell.next;
-            let payload = cell.payload.take().expect("slot list holds a free node");
-            self.run.push(Entry { at: cell.at, seq: cell.seq, payload });
-            cell.next = self.free_head;
-            self.free_head = node;
-            node = next;
-        }
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
@@ -282,87 +123,21 @@ impl<E> EventQueue<E> {
             at = at.as_nanos(),
             now = self.now.as_nanos()
         );
-        let seq = self.seq;
+        self.heap.push(Reverse(Entry { at, seq: self.seq, payload }));
         self.seq += 1;
-        self.len += 1;
-        let entry = Entry { at, seq, payload };
-        // The drain run is globally earliest, so a deadline not beyond its
-        // latest entry (`run[0]`, descending order) belongs *inside* it —
-        // splice by binary search (FIFO ties land after existing
-        // same-instant entries on pop, i.e. *before* them in the descending
-        // run, because `seq` is the largest yet issued).
-        if self.run.first().is_some_and(|latest| at <= latest.at) {
-            let pos = self.run.partition_point(|e| (e.at, e.seq) > (at, seq));
-            self.run.insert(pos, entry);
-        } else {
-            self.push_entry(entry);
-        }
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if let Some(entry) = self.run.pop() {
-                debug_assert!(entry.at >= self.now, "event queue went back in time");
-                self.now = entry.at;
-                self.len -= 1;
-                return Some((entry.at, entry.payload));
-            }
-            if self.len == 0 {
-                return None;
-            }
-            let (level, slot) = self.lowest_occupied().expect("len > 0 but wheel empty");
-            self.clear_occupied(level, slot);
-            // The run is empty here, so it doubles as the unlink scratch.
-            self.unlink_slot(level * SLOTS + slot);
-            if level == 0 || self.run.len() <= DRAIN_CAP {
-                // This slot bounds the whole wheel from below (invariant 2),
-                // so its contents — sorted — are the next run of pops.
-                // (A level-0 slot is always drained whole: all its entries
-                // share one deadline, so there is nothing to re-spread.)
-                self.run.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-            } else {
-                // Advance the clock to the start of this coarse slot —
-                // still a lower bound on every pending deadline, because
-                // this is the lowest occupied slot — then re-spread its
-                // entries, which now land strictly below `level`.
-                let shift = level as u32 * SLOT_BITS;
-                let keep_above = match shift + SLOT_BITS {
-                    64.. => 0,
-                    s => u64::MAX << s,
-                };
-                let base = (self.now.0 & keep_above) | ((slot as u64) << shift);
-                debug_assert!(base >= self.now.0, "cascade moved the clock backwards");
-                self.now = SimTime(base);
-                let mut pending = std::mem::take(&mut self.run);
-                for entry in pending.drain(..) {
-                    debug_assert!(entry.at.0 >= base, "cascade skipped past an event");
-                    self.push_entry(entry);
-                }
-                // Hand the scratch its allocation back.
-                self.run = pending;
-            }
-        }
+        let Reverse(entry) = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now, "event queue went back in time");
+        self.now = entry.at;
+        Some((entry.at, entry.payload))
     }
 
     /// Peek at the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The run's tail is always next; otherwise the lowest occupied
-        // slot holds the minimum, but coarse slots mix deadlines, so scan
-        // it.
-        if let Some(e) = self.run.last() {
-            return Some(e.at);
-        }
-        let (level, slot) = self.lowest_occupied()?;
-        let mut node = self.heads[level * SLOTS + slot];
-        let mut min: Option<SimTime> = None;
-        while node != NIL {
-            let cell = &self.pool[node as usize];
-            debug_assert!(cell.payload.is_some(), "slot list holds a free node");
-            min = Some(min.map_or(cell.at, |m| m.min(cell.at)));
-            node = cell.next;
-        }
-        min
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// The next sequence number this queue would assign.
@@ -381,22 +156,43 @@ impl<E> EventQueue<E> {
     /// pre-snapshot and post-restore events resolve exactly as they would
     /// have in the uninterrupted run.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an entry lies in the past of `now` or carries a sequence
-    /// number the restored counter would hand out again — either means the
-    /// snapshot is corrupt.
-    pub fn restore(now: SimTime, seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self {
-        let mut q = Self::new();
-        q.now = now;
-        q.seq = seq;
-        for (at, entry_seq, payload) in entries {
-            assert!(at >= now, "restored event at {} before clock {}", at.as_nanos(), now.as_nanos());
-            assert!(entry_seq < seq, "restored event seq {entry_seq} >= queue seq {seq}");
-            q.len += 1;
-            q.push_entry(Entry { at, seq: entry_seq, payload });
+    /// Describes the first entry that lies in the past of `now`, carries a
+    /// sequence number the restored counter would hand out again, or
+    /// repeats another entry's sequence number: each means the snapshot is
+    /// corrupt, and two entries with one sequence number would pop in an
+    /// unspecified order.
+    pub fn restore(
+        now: SimTime,
+        seq: u64,
+        entries: Vec<(SimTime, u64, E)>,
+    ) -> Result<Self, String> {
+        let mut seqs = Vec::with_capacity(entries.len());
+        for &(at, entry_seq, _) in &entries {
+            if at < now {
+                return Err(format!(
+                    "pending event {entry_seq} at {} ns lies before the queue's clock {} ns",
+                    at.as_nanos(),
+                    now.as_nanos()
+                ));
+            }
+            if entry_seq >= seq {
+                return Err(format!(
+                    "pending event seq {entry_seq} is not below the queue's seq {seq}"
+                ));
+            }
+            seqs.push(entry_seq);
         }
-        q
+        seqs.sort_unstable();
+        if let Some(w) = seqs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("two pending events share seq {}", w[0]));
+        }
+        let heap = entries
+            .into_iter()
+            .map(|(at, seq, payload)| Reverse(Entry { at, seq, payload }))
+            .collect();
+        Ok(EventQueue { heap, seq, now })
     }
 }
 
@@ -406,16 +202,8 @@ impl<E: Clone> EventQueue<E> {
     /// [`EventQueue::restore`] together with [`EventQueue::now`] and
     /// [`EventQueue::seq`].
     pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, E)> {
-        let mut out: Vec<(SimTime, u64, E)> = self
-            .run
-            .iter()
-            .map(|e| (e.at, e.seq, e.payload.clone()))
-            .chain(
-                self.pool
-                    .iter()
-                    .filter_map(|n| n.payload.as_ref().map(|p| (n.at, n.seq, p.clone()))),
-            )
-            .collect();
+        let mut out: Vec<(SimTime, u64, E)> =
+            self.heap.iter().map(|Reverse(e)| (e.at, e.seq, e.payload.clone())).collect();
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         out
     }
@@ -475,7 +263,7 @@ mod tests {
         q.schedule(SimTime(30), 3);
         q.pop(); // clock at 10, three pending
 
-        let mut r = EventQueue::restore(q.now(), q.seq(), q.snapshot_entries());
+        let mut r = EventQueue::restore(q.now(), q.seq(), q.snapshot_entries()).expect("restores");
         assert_eq!(r.now(), SimTime(10));
         assert_eq!(r.seq(), 4);
         // A post-restore event at the same instant as pre-snapshot ties must
@@ -502,8 +290,8 @@ mod tests {
 
     #[test]
     fn long_horizon_deadlines_cross_every_level() {
-        // Deadlines spanning the full u64 range exercise cascades at every
-        // wheel level, including the truncated top level (bits 60..63).
+        // Deadlines spanning the full u64 range, from one nanosecond to the
+        // top bit, pop in order: the queue has no horizon.
         let mut q = EventQueue::new();
         let times = [
             0u64,
@@ -537,8 +325,8 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_pop_keeps_fifo_within_instants() {
-        // Schedule more events at the *current* instant while its slot is
-        // mid-drain: they must pop after the earlier same-instant events.
+        // Schedule more events at the *current* instant while earlier ones
+        // at that instant are still pending: they must pop after them.
         let mut q = EventQueue::new();
         q.schedule(SimTime(50), 0);
         q.schedule(SimTime(50), 1);
@@ -560,22 +348,37 @@ mod tests {
         }
         q.schedule(SimTime(1 << 40), 99);
         assert_eq!(q.len(), 11);
-        q.pop(); // opens the tie bucket
+        q.pop(); // one of the ten ties
         assert_eq!(q.len(), 10);
-        // Snapshot mid-drain still sees every pending event.
+        // A snapshot between ties still sees every pending event.
         assert_eq!(q.snapshot_entries().len(), 10);
-        let restored = EventQueue::restore(q.now(), q.seq(), q.snapshot_entries());
+        let restored =
+            EventQueue::restore(q.now(), q.seq(), q.snapshot_entries()).expect("restores");
         assert_eq!(restored.len(), 10);
     }
 
     #[test]
     fn restore_at_late_clock_accepts_only_future() {
-        let q = EventQueue::restore(
-            SimTime(1_000_000),
-            7,
-            vec![(SimTime(1_000_000), 3, "now"), (SimTime(1 << 45), 5, "far")],
-        );
+        let clock = SimTime(1_000_000);
+        let far = vec![(clock, 3, "now"), (SimTime(1 << 45), 5, "far")];
+        let q = EventQueue::restore(clock, 7, far).expect("restores");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(1_000_000)));
+        assert_eq!(q.peek_time(), Some(clock));
+        let past = vec![(clock, 3, "now"), (SimTime(999_999), 5, "past")];
+        let err = EventQueue::restore(clock, 7, past).expect_err("an event before the clock");
+        assert_eq!(err, "pending event 5 at 999999 ns lies before the queue's clock 1000000 ns");
+    }
+
+    #[test]
+    fn restore_refuses_seqs_the_queue_would_reuse_or_repeat() {
+        let (at, later) = (SimTime(10), SimTime(20));
+        for (entries, want) in [
+            (vec![(at, 3, ()), (at, 7, ())], "pending event seq 7 is not below the queue's seq 7"),
+            (vec![(at, 3, ()), (later, 9, ())], "pending event seq 9 is not below the queue's seq 7"),
+            (vec![(at, 3, ()), (later, 1, ()), (at, 3, ())], "two pending events share seq 3"),
+        ] {
+            let err = EventQueue::restore(SimTime(5), 7, entries).expect_err(want);
+            assert_eq!(err, want);
+        }
     }
 }

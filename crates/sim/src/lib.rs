@@ -6,8 +6,8 @@
 //! built on:
 //!
 //! * [`time`] — the simulated nanosecond clock ([`SimTime`], [`SimDuration`]).
-//! * [`event`] — a deterministic discrete-event queue ([`EventQueue`]) with
-//!   stable FIFO ordering for simultaneous events.
+//! * [`event`] — a deterministic discrete-event queue ([`EventQueue`]), a
+//!   binary heap with stable FIFO ordering for simultaneous events.
 //! * [`rng`] — a seeded, reproducible random source ([`DetRng`]) so that every
 //!   simulation run with the same seed produces an identical trace.
 //! * [`bitmap`] — [`PageBitmap`], the 512-bit page bitmap of one VABlock,

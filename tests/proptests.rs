@@ -3,6 +3,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use uvm_core::{SystemConfig, UvmSystem};
@@ -14,7 +15,7 @@ use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_gpu::spec::GpuSpec;
 use uvm_hostos::host::HostMemory;
 use uvm_hostos::numa::NumaTopology;
-use uvm_hostos::radix_tree::RadixTree;
+use uvm_hostos::dma::DmaSpace;
 use uvm_hostos::rmap::CoreSet;
 use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::event::EventQueue;
@@ -24,29 +25,51 @@ use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::stream::{self, StreamParams};
 
 proptest! {
-    /// The radix tree behaves exactly like a BTreeMap under arbitrary
-    /// insert/get sequences, and its node count is the sum of the nodes
-    /// its inserts reported allocating.
+    /// The radix-tree nodes a DMA space reports allocating, summed over
+    /// random block mappings (re-maps included), equal the nodes a Linux
+    /// radix tree of 64-slot nodes holds for the mapped addresses: one per
+    /// distinct `(level, addr >> 6·(level+1))` below the root, with the
+    /// tree as tall as the largest address has 6-bit digits. The mapped
+    /// pages' addresses are exactly `0..n`.
     #[test]
-    fn radix_tree_matches_model(ops in vec((0u8..2, 0u64..1 << 20, any::<u32>()), 1..300)) {
-        let mut tree: RadixTree<u32> = RadixTree::new();
-        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut allocated = 0;
-        for (op, key, value) in ops {
-            if op == 0 {
-                let report = tree.insert(key, value);
-                let existed = model.insert(key, value).is_some();
-                prop_assert_eq!(report.replaced, existed);
-                allocated += report.nodes_allocated;
+    fn dma_radix_nodes_match_prefix_model(maps in vec((0u64..24, 1u32..=512), 1..48)) {
+        let digits = |addr: u64| (1u32..).find(|&h| addr >> (6 * h) == 0).expect("a small address");
+        let mut dma = DmaSpace::new();
+        let mut mapped: BTreeMap<VaBlockId, u32> = BTreeMap::new();
+        let (mut next, mut height, mut allocated) = (0u64, 0u32, 0u64);
+        let mut prefixes: BTreeSet<(u32, u64)> = BTreeSet::new();
+        for (block, pages) in maps {
+            let block = VaBlockId(block);
+            let report = dma.map_block(block, pages);
+            allocated += report.radix_nodes_allocated;
+            if let Entry::Vacant(slot) = mapped.entry(block) {
+                slot.insert(pages);
+                prop_assert_eq!(report.pages_mapped, u64::from(pages));
+                let new = next..next + u64::from(pages);
+                next = new.end;
+                // Levels the tree already has gain the new addresses'
+                // prefixes; a level added on top holds every address's.
+                let grown = digits(next - 1);
+                for level in 0..grown {
+                    let addrs = if level < height { new.clone() } else { 0..next };
+                    prefixes.extend(addrs.map(|a| (level, a >> (6 * (level + 1)))));
+                }
+                height = grown;
             } else {
-                prop_assert_eq!(tree.get(key), model.get(&key));
+                prop_assert_eq!(report.pages_already_mapped, u64::from(pages));
+                prop_assert_eq!(report.radix_nodes_allocated, 0);
             }
-            prop_assert_eq!(tree.len(), model.len() as u64);
-            prop_assert_eq!(tree.stats().nodes, allocated);
+            prop_assert_eq!(allocated, prefixes.len() as u64);
+            prop_assert_eq!(dma.mapped_pages(), next);
         }
-        for (key, value) in &model {
-            prop_assert_eq!(tree.get(*key), Some(value));
-        }
+        let mut addrs: Vec<u64> = mapped
+            .iter()
+            .flat_map(|(&b, &pages)| (0..pages as usize).map(move |i| b.page_at(i)))
+            .map(|p| dma.dma_of(p).map(|a| a.0))
+            .collect::<Option<_>>()
+            .expect("every mapped page has an address");
+        addrs.sort_unstable();
+        prop_assert_eq!(addrs, (0..next).collect::<Vec<_>>());
     }
 
     /// PageBitmap agrees with a BTreeSet model for all operations.
@@ -431,12 +454,12 @@ proptest! {
         prop_assert!(model.is_empty());
     }
 
-    /// Differential check of the timing-wheel queue against a plain
-    /// `BinaryHeap` model. Deadline deltas span every wheel level (from
-    /// same-instant ties up to ~2^40 ns horizons), pops interleave with
+    /// Differential check of the event queue against a plain `BinaryHeap`
+    /// of `(time, seq, payload)` triples. Deadline deltas range from
+    /// same-instant ties up to ~2^40 ns horizons, pops interleave with
     /// schedules, and a mid-sequence snapshot/restore round-trip must
     /// reproduce the exact `(time, seq, payload)` set — after every step
-    /// the wheel's `pop`, `len`, and `peek_time` agree with the heap.
+    /// the queue's `pop`, `len`, and `peek_time` agree with the model.
     #[test]
     fn event_queue_matches_binary_heap_model(
         ops in vec((0u8..3, 0u64..1 << 40, 0u32..41), 1..250),
@@ -462,8 +485,8 @@ proptest! {
                 }
                 1 => {
                     // `base >> shift` sweeps the whole horizon spectrum:
-                    // shift 40 forces same-instant ties, shift 0 lands in
-                    // the top wheel levels and exercises cascading.
+                    // shift 40 forces same-instant ties, shift 0 schedules
+                    // up to ~2^40 ns ahead.
                     let t = q.now().as_nanos() + (base >> shift);
                     let (seq, id) = (q.seq(), next_id);
                     q.schedule(SimTime(t), id);
@@ -481,7 +504,7 @@ proptest! {
                         .collect();
                     want.sort_unstable();
                     prop_assert_eq!(&entries, &want);
-                    q = EventQueue::restore(q.now(), q.seq(), entries);
+                    q = EventQueue::restore(q.now(), q.seq(), entries).expect("restores");
                 }
             }
             prop_assert_eq!(q.len(), heap.len());
