@@ -38,16 +38,18 @@
 //! paper sweep|multitenant|architectures [--quick] [--jobs N] [--bless] [--json <dir>]
 //! ```
 //!
-//! The four extension experiments (`ext-policy`, `ext-multitenant`,
-//! `ext-architectures`, `ext-inject`) are grids of workloads × one config
-//! axis, run by [`uvm_core::experiments::grid`]: each cell is an
-//! independent seeded simulation at fixed oversubscription, cells fan out
-//! across the worker pool, and stdout is byte-identical for any `--jobs N`.
-//! The axes are every prefetch × eviction policy (`sweep`), every
-//! multi-tenant fairness policy over three co-scheduled clients
-//! (`multitenant`), every fault-servicing backend (`architectures`), and
-//! the injected failure rate (`ext-inject`). `--json` writes the grid's
-//! cells.
+//! The six extension experiments (`ext-policy`, `ext-multitenant`,
+//! `ext-architectures`, `ext-inject`, `ext-hints`, `ext-thrashing`) are
+//! grids of workloads × one config axis, run by
+//! [`uvm_core::experiments::grid`]: each cell is an independent seeded
+//! simulation at a fixed fraction of its footprint resident, cells fan
+//! out across the worker pool, and stdout is byte-identical for any
+//! `--jobs N`. The axes are every prefetch × eviction policy (`sweep`),
+//! every multi-tenant fairness policy over three co-scheduled clients
+//! (`multitenant`), every fault-servicing backend (`architectures`), the
+//! injected failure rate (`ext-inject`), four memory-usage hint
+//! strategies (`ext-hints`), and thrashing mitigation off and on
+//! (`ext-thrashing`). `--json` writes the grid's cells.
 //!
 //! `paper sweep`, `multitenant` and `architectures` are aliases of
 //! `ext-policy`, `ext-multitenant` and `ext-architectures`. With `--quick`

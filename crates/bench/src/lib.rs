@@ -145,7 +145,7 @@ pub fn experiments() -> Vec<Experiment> {
         Experiment {
             id: "ext-hints",
             title: "Extension — cudaMemAdvise / cudaMemPrefetchAsync",
-            run: |ctx| exp(ctx, ext_hints::run, |r| r.render()),
+            run: |ctx| run_grid(ctx, &ext_hints::sweep()),
         },
         Experiment {
             id: "ext-inject",
@@ -155,7 +155,7 @@ pub fn experiments() -> Vec<Experiment> {
         Experiment {
             id: "ext-thrashing",
             title: "Extension — thrashing mitigation (uvm_perf_thrashing)",
-            run: |ctx| exp(ctx, ext_thrashing::run, |r| r.render()),
+            run: |ctx| run_grid(ctx, &ext_thrashing::sweep()),
         },
         Experiment {
             id: "ext-policy",

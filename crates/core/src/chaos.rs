@@ -216,7 +216,7 @@ impl WorkloadSpec {
                 .with_weight(2),
             );
         }
-        crate::tenancy::compose(&specs, crate::tenancy::InterleaveMode::Coschedule, fairness)
+        crate::tenancy::compose(&specs, fairness)
     }
 }
 

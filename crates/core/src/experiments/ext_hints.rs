@@ -14,135 +14,92 @@
 //!    fault-path unmap, no eviction writeback);
 //! 4. **preferred-host** — inputs pinned host-side and mapped remotely
 //!    (no migration at all; every access crosses the interconnect).
+//!
+//! The managements are one [`grid`](super::grid) axis of
+//! [`Axis::Hints`] values.
 
-use serde::{Deserialize, Serialize};
 use uvm_driver::advise::MemAdvise;
+use uvm_driver::policy::DriverPolicy;
 use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::stream::{self, StreamParams};
 use uvm_workloads::workload::Workload;
 
-use crate::experiments::suite::experiment_config;
+use crate::experiments::grid::{Axis, Rows, Sweep, Table, BATCHES, KERNEL_MS};
 use crate::system::RunHints;
-use crate::runctl::RunCtx;
 
-/// One management strategy's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HintRow {
-    /// Strategy name.
-    pub strategy: String,
-    /// End-to-end time (ms), including any upfront prefetch.
-    pub total_ms: f64,
-    /// Fault batches serviced.
-    pub fault_batches: u64,
-    /// Pages migrated.
-    pub pages_migrated: u64,
-    /// Pages mapped remotely.
-    pub remote_mapped: u64,
-    /// Fault-path unmap time (ms).
-    pub unmap_ms: f64,
+/// `hint` on the triad's inputs, `a` and `b` (`c` is the output).
+fn advise_inputs(w: &Workload, hint: MemAdvise) -> RunHints {
+    let advise = w.allocations[..2].iter().map(|&a| (a, hint)).collect();
+    RunHints { advise, ..Default::default() }
 }
 
-/// The extension-experiment dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtHintsResult {
-    /// One row per strategy.
-    pub rows: Vec<HintRow>,
-}
-
-fn workload() -> Workload {
-    stream::build(StreamParams {
+/// The four managements of a 48 MiB stream triad (2 iterations) with
+/// 256 MiB of device memory, so nothing is evicted.
+pub fn sweep() -> Sweep {
+    let triad = stream::build(StreamParams {
         warps: 256,
         pages_per_warp: 16,
         iters: 2,
         warps_per_page: 1,
         cpu_init: Some(CpuInitPolicy::SingleThread),
-    })
-}
-
-fn measure(ctx: &RunCtx, name: &str, w: &Workload, hints: RunHints, seed: u64) -> HintRow {
-    let config = experiment_config(256).with_seed(seed);
-    let result = ctx.try_run(config, w, &hints).expect("hint runs inject no faults");
-    let fault_batches = result.records.iter().filter(|r| !r.driver_prefetch_op).count() as u64;
-    HintRow {
-        strategy: name.to_string(),
-        total_ms: result.kernel_time.as_nanos() as f64 / 1e6,
-        fault_batches,
-        pages_migrated: result.records.iter().map(|r| r.pages_migrated).sum(),
-        remote_mapped: result.records.iter().map(|r| r.remote_mapped_pages).sum(),
-        unmap_ms: result.records.iter().map(|r| r.t_unmap.as_nanos()).sum::<u64>() as f64 / 1e6,
-    }
-}
-
-/// Run the four-strategy comparison.
-pub fn run(ctx: &RunCtx, seed: u64) -> ExtHintsResult {
-    let w = workload();
-    let inputs = &w.allocations[..2]; // a and b (c is output)
-    let advise = |hint| RunHints {
-        advise: inputs.iter().map(|&a| (a, hint)).collect(),
-        ..Default::default()
-    };
-    let strategies = [
-        ("default", RunHints::default()),
-        ("prefetch-async", RunHints { prefetch: w.allocations.clone(), ..Default::default() }),
-        ("read-mostly", advise(MemAdvise::ReadMostly)),
-        ("preferred-host", advise(MemAdvise::PreferredLocationHost)),
-    ];
-    let rows = strategies.into_iter().map(|(name, hints)| measure(ctx, name, &w, hints, seed));
-    ExtHintsResult { rows: rows.collect() }
-}
-
-impl ExtHintsResult {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut t = uvm_stats::Table::new(vec![
-            "Strategy",
-            "Total (ms)",
-            "Fault batches",
-            "Migrated",
-            "Remote",
-            "Unmap (ms)",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.strategy.clone(),
-                format!("{:.2}", r.total_ms),
-                r.fault_batches.to_string(),
-                r.pages_migrated.to_string(),
-                r.remote_mapped.to_string(),
-                format!("{:.2}", r.unmap_ms),
-            ]);
-        }
-        format!(
-            "Extension — memory-usage hints (stream triad, 2 iterations)\n{}",
-            t.render()
-        )
+    });
+    Sweep {
+        title: "Extension — memory-usage hints (stream triad, 2 iterations)",
+        workloads: vec![("stream", triad)],
+        resident: (16, 3),
+        policy: DriverPolicy::default(),
+        tenancy: Default::default(),
+        axis: vec![
+            Axis::Hints("default", |_| RunHints::default()),
+            Axis::Hints("prefetch-async", |w| RunHints {
+                prefetch: w.allocations.clone(),
+                ..Default::default()
+            }),
+            Axis::Hints("read-mostly", |w| advise_inputs(w, MemAdvise::ReadMostly)),
+            Axis::Hints("preferred-host", |w| {
+                advise_inputs(w, MemAdvise::PreferredLocationHost)
+            }),
+        ],
+        tables: vec![Table {
+            caption: None,
+            rows: Rows::Cells(vec![
+                ("Strategy", |c| c.config[0].clone()),
+                ("Total (ms)", KERNEL_MS.1),
+                ("Fault batches", BATCHES.1),
+                ("Migrated", |c| c.pages_migrated.to_string()),
+                ("Remote", |c| c.remote_mapped.to_string()),
+                ("Unmap (ms)", |c| format!("{:.2}", c.ms(&[3]))),
+            ]),
+        }],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::grid::find;
+    use crate::runctl::RunCtx;
 
     #[test]
     fn hints_trade_costs_as_designed() {
-        let r = run(&RunCtx::new(1), 1);
-        let by = |n: &str| r.rows.iter().find(|row| row.strategy == n).unwrap();
+        let cells = sweep().run(&RunCtx::new(1), 1);
+        let by = |n: &str| find(&cells, "stream", &[n]).unwrap();
         let default = by("default");
         let prefetch = by("prefetch-async");
         let read_mostly = by("read-mostly");
         let host = by("preferred-host");
 
         // Prefetch: far fewer fault batches, faster end to end.
-        assert!(prefetch.fault_batches * 2 < default.fault_batches);
-        assert!(prefetch.total_ms < default.total_ms);
+        assert!(prefetch.batches * 2 < default.batches);
+        assert!(prefetch.kernel_ms < default.kernel_ms);
 
         // Read-mostly: no fault-path unmap for the inputs (only the
         // output's blocks could ever unmap, and c is GPU-written only).
-        assert!(read_mostly.unmap_ms < default.unmap_ms * 0.2);
+        assert!(read_mostly.ms(&[3]) < default.ms(&[3]) * 0.2);
 
         // Preferred-host: the inputs never migrate; remote mappings appear.
         assert!(host.remote_mapped > 0);
         assert!(host.pages_migrated < default.pages_migrated);
-        assert_eq!(host.unmap_ms, 0.0, "host-pinned inputs keep CPU mappings");
+        assert_eq!(host.ms(&[3]), 0.0, "host-pinned inputs keep CPU mappings");
     }
 }

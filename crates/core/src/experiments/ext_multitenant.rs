@@ -4,7 +4,7 @@
 //! streaming client (`stream`, coalesced vecadd), a pointer-chasing
 //! client (`bfs`), and a weight-2 skewed-gather client (`attn`,
 //! attention). Their kernels co-schedule round by round
-//! ([`crate::tenancy::InterleaveMode::Coschedule`]), so all three fault
+//! ([`crate::tenancy::compose`]), so all three fault
 //! into the same batches and contend for the driver's servicing pipeline
 //! — the regime the paper's per-SM fault throttle targets, lifted here to
 //! per-client admission.
@@ -26,7 +26,7 @@ use uvm_workloads::cpu_init::CpuInitPolicy;
 use uvm_workloads::{attention, graph_bfs, vecadd};
 
 use crate::experiments::grid::{Axis, Rows, Sweep, Table, BATCHES, KERNEL_MS};
-use crate::tenancy::{compose, ClientSpec, InterleaveMode};
+use crate::tenancy::{compose, ClientSpec};
 
 /// The three tenants composed once (the composed workload does not depend
 /// on the fairness policy) and run under every fairness policy, with
@@ -65,7 +65,7 @@ pub fn sweep(quick: bool) -> Sweep {
         )
         .with_weight(2),
     ];
-    let (workload, tenancy) = compose(&specs, InterleaveMode::Coschedule, FairnessPolicy::None);
+    let (workload, tenancy) = compose(&specs, FairnessPolicy::None);
     Sweep {
         title:
             "Extension — multi-tenant fairness sweep (3 clients, coschedule, ~125% oversubscription)",

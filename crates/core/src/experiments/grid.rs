@@ -2,8 +2,9 @@
 //!
 //! The paper's method is one per-batch component vector summed across
 //! configurations. Every extension sweep (`ext-policy`,
-//! `ext-architectures`, `ext-multitenant`, `ext-inject`) applies it the
-//! same way, so each is declared as a [`Sweep`] value and run here:
+//! `ext-architectures`, `ext-multitenant`, `ext-inject`, `ext-hints`,
+//! `ext-thrashing`) applies it the same way, so each is declared as a
+//! [`Sweep`] value and run here:
 //!
 //! 1. the workloads are built once, at quick or full size, and every cell
 //!    borrows them;
@@ -43,6 +44,10 @@ pub enum Axis {
     Fairness(FairnessPolicy),
     /// [`FaultPlan::uniform`] failure rate at every injection point.
     FaultRate(f64),
+    /// Thrashing mitigation off or on.
+    Thrashing(bool),
+    /// Named memory-usage hints, built from the cell's workload.
+    Hints(&'static str, fn(&Workload) -> RunHints),
 }
 
 impl Axis {
@@ -58,6 +63,19 @@ impl Axis {
                 config.with_tenancy(tenancy)
             }
             Axis::FaultRate(r) => config.with_fault_plan(FaultPlan::uniform(r)),
+            Axis::Thrashing(on) => {
+                let policy = config.policy.clone().thrashing(on);
+                config.with_policy(policy)
+            }
+            Axis::Hints(..) => config,
+        }
+    }
+
+    /// The hints a cell applies to `w` before launch.
+    fn hints(self, w: &Workload) -> RunHints {
+        match self {
+            Axis::Hints(_, hints) => hints(w),
+            _ => RunHints::default(),
         }
     }
 
@@ -68,6 +86,8 @@ impl Axis {
             Axis::Backend(b) => vec![b.name().into()],
             Axis::Fairness(f) => vec![f.name().into()],
             Axis::FaultRate(r) => vec![format!("{r:.2}")],
+            Axis::Thrashing(on) => vec![if on { "on" } else { "off" }.into()],
+            Axis::Hints(name, _) => vec![name.into()],
         }
     }
 }
@@ -122,7 +142,7 @@ pub struct Cell {
     pub config: Vec<String>,
     /// Kernel time (ms); 0 when the run failed.
     pub kernel_ms: f64,
-    /// Fault batches serviced.
+    /// Fault batches serviced (driver-issued prefetch operations excluded).
     pub batches: u64,
     /// Batch component times summed over the run (ns), in
     /// `BatchRecord::component_ns` order: fetch, preprocess, DMA setup,
@@ -148,10 +168,13 @@ pub struct Cell {
     pub degraded_blocks: u64,
     /// Faults lost to injected buffer-overflow storms.
     pub dropped_faults: u64,
-    /// Pages left remote-mapped by degradations and pins.
+    /// Pages mapped remotely instead of migrated: by degradations, pins
+    /// and host-preferred advice.
     pub remote_mapped: u64,
     /// Faults dropped at admission over client quotas.
     pub throttled: u64,
+    /// Blocks newly pinned host-side by thrashing mitigation.
+    pub thrashing_pins: u64,
     /// Per-client attribution; empty without tenancy.
     pub clients: Vec<ClientCell>,
     /// The terminal error when recovery was exhausted.
@@ -189,9 +212,9 @@ impl Cell {
 
     fn record(&mut self, r: &RunResult, tenancy: &TenancyConfig) {
         self.kernel_ms = r.kernel_time.as_nanos() as f64 / 1e6;
-        self.batches = r.num_batches;
         self.evictions = r.evictions;
         for rec in &r.records {
+            self.batches += u64::from(!rec.driver_prefetch_op);
             for (acc, ns) in self.component_ns.iter_mut().zip(rec.component_ns()) {
                 *acc += ns;
             }
@@ -206,6 +229,7 @@ impl Cell {
             self.dropped_faults += rec.dropped_faults;
             self.remote_mapped += rec.remote_mapped_pages;
             self.throttled += rec.throttled_faults;
+            self.thrashing_pins += rec.thrashing_pins;
         }
         self.clients = client_cells(r, tenancy);
     }
@@ -273,7 +297,7 @@ impl Sweep {
                 .with_seed(seed),
         );
         let mut cell = Cell { workload: name.into(), config: axis.labels(), ..Cell::default() };
-        match ctx.try_run(config, w, &RunHints::default()) {
+        match ctx.try_run(config, w, &axis.hints(w)) {
             Ok(r) => cell.record(&r, &self.tenancy),
             Err(e) => cell.error = Some(e.to_string()),
         }
@@ -328,7 +352,7 @@ pub const BATCHES: Column = ("Batches", |c| c.batches.to_string());
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{ext_architectures, golden_form};
+    use crate::experiments::{ext_architectures, ext_hints, ext_thrashing, golden_form};
 
     #[test]
     fn architectures_quick_grid_matches_its_golden() {
@@ -342,5 +366,18 @@ mod tests {
         let json = serde_json::to_string(&cells).unwrap();
         let back: Vec<Cell> = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn hints_and_thrashing_grids_match_their_goldens() {
+        // Regenerate with, for each id:
+        //   cargo run --release -p uvm-bench --bin paper -- ext-hints --bless
+        for (sweep, golden) in [
+            (ext_hints::sweep(), include_str!("golden/ext_hints.txt")),
+            (ext_thrashing::sweep(), include_str!("golden/ext_thrashing.txt")),
+        ] {
+            let cells = sweep.run(&RunCtx::new(1), 0x5C21);
+            assert_eq!(golden_form(&sweep.render(&cells)), golden, "{}", sweep.title);
+        }
     }
 }

@@ -29,9 +29,10 @@
 //! | [`fig17_hpgmg`] | Fig. 17 — HPGMG case study (LRU order) |
 //! | [`table4_speedup`] | Table 4 — prefetch on/off batch & kernel times |
 //!
-//! The extension sweeps (`ext_policy`, `ext_architectures`,
-//! `ext_multitenant`, `ext_inject`) each declare a [`grid::Sweep`] and
-//! share its runner, cell type and table renderer.
+//! Every extension experiment (`ext_policy`, `ext_architectures`,
+//! `ext_multitenant`, `ext_inject`, `ext_hints`, `ext_thrashing`) is a
+//! `sweep()` that declares a [`grid::Sweep`]; they share its runner, its
+//! [`grid::Cell`] and its table renderer.
 
 use std::path::{Path, PathBuf};
 

@@ -31,11 +31,9 @@
 //!   seed. Presets for the paper's Titan V testbed and for fast tests.
 //! * [`system`] — [`UvmSystem`]: the event loop (warp steps, fault
 //!   arrivals, driver wakes, batch completions, replays) and [`RunResult`].
-//! * [`experiments`] — one module per paper table/figure (plus extension
-//!   experiments for `cudaMemAdvise`/prefetch hints and thrashing
-//!   mitigation); each returns a serializable result struct with a
-//!   `render()` text report.
-//! * [`report`] — CSV export and terminal summaries of batch records.
+//! * [`experiments`] — one module per paper table/figure, each returning
+//!   a serializable result struct with a `render()` text report, plus the
+//!   extension experiments, each a [`experiments::grid::Sweep`].
 //! * [`snapshot`] — [`snapshot::SystemSnapshot`]: versioned whole-system
 //!   checkpoints with per-subsystem integrity digests.
 //! * [`runctl`] — [`RunCtx`], the explicit context every experiment runs
@@ -57,7 +55,6 @@ pub mod chaos;
 pub mod config;
 pub mod experiments;
 mod parallel;
-pub mod report;
 pub mod runctl;
 pub mod snapshot;
 pub mod system;
@@ -68,7 +65,7 @@ pub use config::SystemConfig;
 pub use runctl::{RunCtl, RunCtx};
 pub use snapshot::SystemSnapshot;
 pub use system::{Progress, RunHints, RunInProgress, RunResult, UvmSystem};
-pub use tenancy::{compose, ClientSpec, InterleaveMode};
+pub use tenancy::{compose, ClientSpec};
 
 // Re-export the component crates so downstream users need only uvm-core.
 pub use uvm_driver as driver;

@@ -1351,7 +1351,7 @@ mod tests {
 
     #[test]
     fn restore_mid_run_of_a_composed_workload() -> Result<(), UvmError> {
-        use crate::tenancy::{compose, ClientSpec, InterleaveMode};
+        use crate::tenancy::{compose, ClientSpec};
         use uvm_driver::clients::FairnessPolicy;
         let client = |warps| {
             stream::build(StreamParams {
@@ -1364,7 +1364,6 @@ mod tests {
         };
         let (w, tenancy) = compose(
             &[ClientSpec::new("a", client(24)), ClientSpec::new("b", client(8)).with_weight(2)],
-            InterleaveMode::Coschedule,
             FairnessPolicy::RoundRobin,
         );
         let config = SystemConfig::test_small(16 * MB).with_tenancy(tenancy);
@@ -1580,6 +1579,39 @@ mod tests {
         rejects(&set(2, step), &format!("steps warp {warps}, but {warps} warps are launched"))?;
         // The unedited tree restores.
         RunInProgress::restore(&edited_snapshot(&w, 1, "run", |_| {})?, &w)?;
+        Ok(())
+    }
+
+    #[test]
+    fn a_restored_fault_outside_managed_memory_is_a_typed_error() -> Result<(), UvmError> {
+        use uvm_gpu::fault::AccessKind;
+        use uvm_sim::mem::PageNum;
+        let w = ckpt_workload();
+        // A read of a page far above every allocation, queued in the fault
+        // buffer before the first batch as if the GPU had reported it.
+        let page = PageNum(1 << 30);
+        let fault = FaultRecord {
+            page,
+            kind: AccessKind::Read,
+            warp: 0,
+            arrival: SimTime::ZERO,
+            dup_of_outstanding: false,
+        };
+        let snap = edited_snapshot(&w, 0, "gpu", |gpu| {
+            let serde::Value::Array(entries) = field(field(gpu, "fault_buffer"), "entries") else {
+                panic!("the fault buffer's entries are an array")
+            };
+            entries.push(serde_json::to_value(fault).expect("a fault encodes"));
+        })?;
+        let mut run = RunInProgress::restore(&snap, &w)?;
+        let err = loop {
+            match run.advance_batch(&w) {
+                Ok(Progress::Batch(_)) => continue,
+                Ok(Progress::Finished) => panic!("the unmanaged fault was never serviced"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, UvmError::UnmanagedAccess { block: page.va_block().0 });
         Ok(())
     }
 

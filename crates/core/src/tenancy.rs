@@ -10,15 +10,9 @@
 //! driver's client ledger, which attributes every fault batch, eviction,
 //! and residency change back to the owning client.
 //!
-//! Two interleavings are supported:
-//!
-//! * [`InterleaveMode::Coschedule`] — round `k` of every client launches
-//!   as **one merged kernel**, so clients' warps contend for the fault
-//!   pipeline simultaneously (the interesting regime for fairness
-//!   policies);
-//! * [`InterleaveMode::TimeSlice`] — rounds launch as separate sequential
-//!   kernels, round-robin across clients, modelling coarse time-sharing
-//!   with an implicit device synchronization between slices.
+//! The clients are co-scheduled: round `k` of every client launches as
+//! **one merged kernel**, so clients' warps contend for the fault pipeline
+//! simultaneously (the interesting regime for fairness policies).
 //!
 //! Composing a **single** client is the identity on the workload (same
 //! name, allocations, programs, and kernel boundaries), so a
@@ -55,43 +49,21 @@ impl ClientSpec {
     }
 }
 
-/// How the clients' sequential kernels interleave on the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterleaveMode {
-    /// Round `k` of every client launches as one merged kernel: all
-    /// clients' warps run (and fault) concurrently.
-    Coschedule,
-    /// Rounds launch as separate kernels, round-robin across clients,
-    /// with the usual implicit synchronization between launches.
-    TimeSlice,
-}
-
-impl InterleaveMode {
-    /// Stable lowercase name (reports and goldens).
-    pub fn name(&self) -> &'static str {
-        match self {
-            InterleaveMode::Coschedule => "coschedule",
-            InterleaveMode::TimeSlice => "time-slice",
-        }
-    }
-}
-
 /// Pack `specs` into one shared-address-space workload plus the matching
 /// tenancy configuration.
 ///
 /// Client 0 keeps its addresses; client `c` is rebased up by the summed
 /// spans of clients `0..c`. The per-client [`TenantConfig`] range covers
 /// exactly the rebased client's VABlock span, so the driver ledger can
-/// attribute any page or block to its owner with a range lookup.
+/// attribute any page or block to its owner with a range lookup. Round
+/// `k` of every client launches as one merged kernel, so all clients'
+/// warps run (and fault) concurrently; the result is named
+/// `mt-coschedule(<client>+<client>…)`.
 ///
 /// # Panics
 ///
 /// Panics on an empty spec list or a zero client weight.
-pub fn compose(
-    specs: &[ClientSpec],
-    mode: InterleaveMode,
-    fairness: FairnessPolicy,
-) -> (Workload, TenancyConfig) {
+pub fn compose(specs: &[ClientSpec], fairness: FairnessPolicy) -> (Workload, TenancyConfig) {
     assert!(!specs.is_empty(), "compose requires at least one client");
     for s in specs {
         assert!(s.weight >= 1, "client `{}` has zero weight", s.name);
@@ -123,8 +95,7 @@ pub fn compose(
     }
 
     let name = format!(
-        "mt-{}({})",
-        mode.name(),
+        "mt-coschedule({})",
         specs.iter().map(|s| s.name.as_str()).collect::<Vec<_>>().join("+")
     );
     let mut out = Workload {
@@ -139,7 +110,7 @@ pub fn compose(
         out.cpu_init.extend(w.cpu_init.iter().copied());
     }
 
-    // Interleave kernels round by round. `kernels()` yields each client's
+    // Merge kernels round by round. `kernels()` yields each client's
     // sequential launch ranges; clients with fewer rounds simply drop out
     // of later rounds.
     let per_client: Vec<Vec<std::ops::Range<usize>>> =
@@ -149,16 +120,9 @@ pub fn compose(
         for (ci, kernels) in per_client.iter().enumerate() {
             if let Some(range) = kernels.get(round) {
                 out.programs.extend(rebased[ci].programs[range.clone()].iter().cloned());
-                if mode == InterleaveMode::TimeSlice {
-                    // Each client's slice is its own sequential kernel.
-                    out.kernel_ends.push(out.programs.len());
-                }
             }
         }
-        if mode == InterleaveMode::Coschedule {
-            // One merged kernel per round.
-            out.kernel_ends.push(out.programs.len());
-        }
+        out.kernel_ends.push(out.programs.len());
     }
     (out, tenancy)
 }
@@ -182,11 +146,7 @@ mod tests {
     #[test]
     fn single_client_is_identity() {
         let spec = client("solo", 2, 2);
-        let (w, t) = compose(
-            std::slice::from_ref(&spec),
-            InterleaveMode::Coschedule,
-            FairnessPolicy::RoundRobin,
-        );
+        let (w, t) = compose(std::slice::from_ref(&spec), FairnessPolicy::RoundRobin);
         assert_eq!(w.name, spec.workload.name);
         assert_eq!(w.allocations, spec.workload.allocations);
         assert_eq!(w.kernel_ends, spec.workload.kernel_ends);
@@ -199,7 +159,7 @@ mod tests {
     fn two_clients_get_disjoint_block_ranges() {
         let a = client("a", 2, 1);
         let b = client("b", 3, 1);
-        let (w, t) = compose(&[a, b], InterleaveMode::Coschedule, FairnessPolicy::None);
+        let (w, t) = compose(&[a, b], FairnessPolicy::None);
         assert_eq!(w.allocations.len(), 2);
         // Client a spans blocks 0..3 (guard + 2), b is rebased past it.
         assert_eq!(t.clients[0].first_block, 0);
@@ -218,27 +178,19 @@ mod tests {
     fn coschedule_merges_rounds_into_one_kernel() {
         let a = client("a", 1, 2);
         let b = client("b", 1, 3);
-        let (w, _) = compose(&[a, b], InterleaveMode::Coschedule, FairnessPolicy::None);
+        let (w, _) = compose(&[a, b], FairnessPolicy::None);
         // Rounds: (a0+b0), (a1+b1), (b2) → 3 kernels, 5 programs.
         assert_eq!(w.num_warps(), 5);
         assert_eq!(w.kernels().len(), 3);
         assert_eq!(w.kernels()[0], 0..2);
         assert_eq!(w.kernels()[2], 4..5);
-    }
-
-    #[test]
-    fn time_slice_keeps_per_client_kernels() {
-        let a = client("a", 1, 2);
-        let b = client("b", 1, 1);
-        let (w, _) = compose(&[a, b], InterleaveMode::TimeSlice, FairnessPolicy::None);
-        // Slices: a0, b0, a1 → 3 sequential kernels of one program each.
-        assert_eq!(w.kernels(), vec![0..1, 1..2, 2..3]);
-        assert_eq!(w.name, "mt-time-slice(a+b)");
+        // The name feeds workload digests; it keeps its historical form.
+        assert_eq!(w.name, "mt-coschedule(a+b)");
     }
 
     #[test]
     #[should_panic]
     fn empty_spec_list_rejected() {
-        let _ = compose(&[], InterleaveMode::Coschedule, FairnessPolicy::None);
+        let _ = compose(&[], FairnessPolicy::None);
     }
 }

@@ -53,19 +53,28 @@ impl VaSpace {
         self.blocks.contains_key(&page.va_block())
     }
 
-    /// The block state for `id`.
+    /// The block state for `id`, a block the caller knows is managed.
+    ///
+    /// This is an invariant accessor, not an input check. Its callers pass
+    /// a block of a registered allocation (CPU-init touches and advice
+    /// hints), or a block that [`Self::try_block`] or
+    /// [`Self::try_block_mut`] already found earlier in the same batch.
+    /// Addresses that come from outside, such as the pages of faults
+    /// read from the GPU fault buffer or a restored snapshot, go through
+    /// the `try_` lookups and fail with [`UvmError::UnmanagedAccess`].
     ///
     /// # Panics
     ///
-    /// Panics when `id` is not part of any managed allocation (a fault
-    /// outside managed memory).
+    /// Panics when `id` is not part of any managed allocation, which
+    /// means one of those callers broke the invariant.
     pub fn block(&self, id: VaBlockId) -> &VaBlockState {
         self.blocks
             .get(&id)
             .unwrap_or_else(|| panic!("fault outside managed memory: block {id:?}"))
     }
 
-    /// Mutable block state for `id` (same panic contract as [`Self::block`]).
+    /// Mutable block state for `id`, under the same invariant and panic
+    /// contract as [`Self::block`].
     pub fn block_mut(&mut self, id: VaBlockId) -> &mut VaBlockState {
         self.blocks
             .get_mut(&id)

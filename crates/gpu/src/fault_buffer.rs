@@ -63,11 +63,6 @@ impl FaultBuffer {
         self.entries.is_empty()
     }
 
-    /// Remaining slots.
-    pub fn free_slots(&self) -> u32 {
-        self.capacity - self.entries.len() as u32
-    }
-
     /// Append a fault. Returns `false` (and counts an overflow drop) when
     /// the buffer is full — the hardware drops the entry and the access
     /// re-faults after the next replay. An injected overflow storm makes the

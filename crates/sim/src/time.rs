@@ -83,12 +83,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds in this duration (as float, for reporting).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Seconds in this duration (as float, for reporting).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

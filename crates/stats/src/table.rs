@@ -45,11 +45,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table with a separator under the header.
     pub fn render(&self) -> String {
         let cols = self.headers.len();

@@ -79,7 +79,7 @@ pub enum Phase {
 }
 
 /// Names of the ten batch-time components, aligned with the
-/// `BatchRecord::t_*` fields and the `report.rs` breakdown order.
+/// `BatchRecord::t_*` fields and the `BatchRecord::component_ns` order.
 pub const COMPONENTS: [&str; 10] = [
     "fetch",
     "preprocess",
@@ -212,7 +212,7 @@ pub enum TraceEvent {
     /// Batch service completed. Emitted at the batch's end time with the
     /// final per-component breakdown (nanoseconds, [`COMPONENTS`] order) —
     /// the reconciliation anchor for span-derived breakdowns and for the
-    /// `report.rs` aggregate totals.
+    /// batch records' summed `component_ns`.
     BatchClose {
         /// Batch sequence number.
         batch: u64,

@@ -5,8 +5,8 @@
 //! it accumulates the component spans the driver emitted *and* the final
 //! component vector carried by the batch's `BatchClose` event. The
 //! instrumentation is written so the two agree exactly (spans tile the
-//! batch's service interval), and the sums over a run equal the
-//! `report.rs` aggregate breakdown — [`BatchBreakdown::reconciled`]
+//! batch's service interval), and the sums over a run equal the batch
+//! records' summed `component_ns` — [`BatchBreakdown::reconciled`]
 //! checks the per-batch half of that contract.
 
 use std::collections::BTreeMap;
@@ -220,7 +220,7 @@ pub fn breakdown(records: &[TraceRecord]) -> Vec<BatchBreakdown> {
 }
 
 /// Sum the authoritative component vectors of complete batches —
-/// the trace-side counterpart of the `report.rs` aggregate breakdown.
+/// the trace-side counterpart of the batch records' summed `component_ns`.
 pub fn totals(breakdowns: &[BatchBreakdown]) -> [u64; 10] {
     let mut out = [0u64; 10];
     for b in breakdowns.iter().filter(|b| b.complete()) {

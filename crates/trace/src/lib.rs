@@ -8,14 +8,14 @@
 //! transfer, PTE updates), replays, and host-OS operations — plus
 //! exporters that turn a recorded run into Chrome `trace_event` JSON
 //! (loadable in Perfetto / `chrome://tracing`), CSV, and a per-batch
-//! latency-breakdown table that reconciles exactly with the aggregate
-//! `report.rs` service-time breakdown.
+//! latency-breakdown table that reconciles exactly with the batch
+//! records' service-time components.
 //!
 //! ## Zero perturbation
 //!
 //! Instrumented call-sites go through [`emit_instant`] / [`emit_span`],
-//! which take *closures*: when no tracer is installed (the default
-//! [`NullTracer`] world) the only cost is one thread-local flag read, and
+//! which take *closures*: when no tracer is installed (the default) the
+//! only cost is one thread-local flag read, and
 //! the event payload is never constructed. Tracers are pure observers —
 //! they receive copies of event data and never touch simulation state or
 //! RNG streams — so enabling a [`RingTracer`] cannot change simulated
@@ -46,7 +46,7 @@ pub use event::{Phase, Subsystem, TraceAccess, TraceEvent, TraceRecord, COMPONEN
 pub use export::{
     breakdown, breakdown_table, chrome_trace, csv, fault_lifetimes, totals, BatchBreakdown,
 };
-pub use tracer::{NullTracer, RingTracer, TraceFilter, TraceState, Tracer};
+pub use tracer::{RingTracer, TraceFilter, TraceState, Tracer};
 
 thread_local! {
     /// Fast-path flag mirroring whether the installed sink wants events.

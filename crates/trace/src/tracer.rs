@@ -1,6 +1,6 @@
-//! Tracer backends: the [`Tracer`] trait, the zero-cost [`NullTracer`],
-//! and the bounded [`RingTracer`], plus the serializable [`TraceState`]
-//! that makes tracing snapshot-aware.
+//! Tracer backends: the [`Tracer`] trait and the bounded [`RingTracer`],
+//! plus the serializable [`TraceState`] that makes tracing
+//! snapshot-aware.
 
 use std::collections::VecDeque;
 
@@ -33,18 +33,6 @@ pub trait Tracer {
     fn as_ring_mut(&mut self) -> Option<&mut RingTracer> {
         None
     }
-}
-
-/// The default tracer: discards everything, reports itself disabled.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _at_ns: u64, _dur_ns: u64, _event: TraceEvent) {}
 }
 
 /// Event filter applied before a record is admitted to the ring.

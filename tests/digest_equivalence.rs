@@ -11,9 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use uvm_core::experiments::suite::Bench;
-use uvm_core::{
-    compose, ClientSpec, InterleaveMode, Progress, RunHints, Scenario, SystemConfig, UvmSystem,
-};
+use uvm_core::{compose, ClientSpec, Progress, RunHints, Scenario, SystemConfig, UvmSystem};
 use uvm_driver::backend::BackendKind;
 use uvm_driver::clients::FairnessPolicy;
 use uvm_gpu::device::Gpu;
@@ -92,7 +90,6 @@ fn every_workload_generator_streams_like_the_tree() {
             ClientSpec::new("vecadd", vecadd::build(vecadd::VecAddParams::default()))
                 .with_weight(3),
         ],
-        InterleaveMode::TimeSlice,
         FairnessPolicy::WeightedShare,
     );
     assert_streams_like_the_tree("a composed two-client workload", &composed);
@@ -112,7 +109,6 @@ fn system_configs_stream_like_the_tree() {
             ClientSpec::new("a", small_stream()),
             ClientSpec::new("b", small_stream()),
         ],
-        InterleaveMode::Coschedule,
         FairnessPolicy::FaultQuota(16),
     );
     let plan = FaultPlan::uniform(0.02).with(

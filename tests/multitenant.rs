@@ -15,7 +15,7 @@
 //!   policy (ledger counters, admission state) resumes bit-identically.
 
 use uvm_core::experiments::{ext_multitenant, golden_form};
-use uvm_core::tenancy::{compose, ClientSpec, InterleaveMode};
+use uvm_core::tenancy::{compose, ClientSpec};
 use uvm_core::{
     Progress, RunCtx, RunHints, RunInProgress, SystemConfig, SystemSnapshot, UvmSystem,
 };
@@ -68,8 +68,7 @@ fn config(mem_mb: u64) -> SystemConfig {
 fn single_client_through_tenancy_is_byte_identical() {
     for fairness in [FairnessPolicy::None, FairnessPolicy::RoundRobin] {
         let direct = stream_client();
-        let (composed, tenancy) =
-            compose(&[ClientSpec::new("solo", direct.clone())], InterleaveMode::Coschedule, fairness);
+        let (composed, tenancy) = compose(&[ClientSpec::new("solo", direct.clone())], fairness);
         // Single-spec composition is the identity on the workload itself.
         assert_eq!(
             serde_json::to_string(&composed).expect("workload serializes"),
@@ -116,8 +115,7 @@ fn two_client_stepped_run_matches_oneshot_and_ledger_conserves() {
         ClientSpec::new("stream", stream_client()),
         ClientSpec::new("bfs", bfs_client()),
     ];
-    let (workload, tenancy) =
-        compose(&specs, InterleaveMode::Coschedule, FairnessPolicy::FaultQuota(16));
+    let (workload, tenancy) = compose(&specs, FairnessPolicy::FaultQuota(16));
     assert!(
         8 * 1024 * 1024 < workload.footprint_bytes(),
         "composed run must be oversubscribed"
@@ -193,8 +191,7 @@ fn snapshot_restore_mid_run_with_two_clients() {
         ClientSpec::new("stream", stream_client()),
         ClientSpec::new("bfs", bfs_client()).with_weight(2),
     ];
-    let (workload, tenancy) =
-        compose(&specs, InterleaveMode::Coschedule, FairnessPolicy::WeightedShare);
+    let (workload, tenancy) = compose(&specs, FairnessPolicy::WeightedShare);
 
     let straight = UvmSystem::new(config(8).with_tenancy(tenancy.clone())).run(&workload);
     assert!(straight.num_batches > 4, "need enough batches to snapshot mid-run");

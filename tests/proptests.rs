@@ -909,7 +909,7 @@ proptest! {
     /// to an untraced run, and (2) yields a per-batch breakdown whose
     /// component spans tile to exactly each batch's `BatchClose` vector —
     /// which is the batch record's own component breakdown — so the trace
-    /// totals equal the `report.rs` aggregate by construction.
+    /// totals equal the records' summed `component_ns` by construction.
     #[test]
     fn trace_breakdown_reconciles_with_report(
         warps in 8u32..32,
