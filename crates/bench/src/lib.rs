@@ -239,8 +239,9 @@ pub mod perf {
     };
     use uvm_core::driver::policy::DriverPolicy;
     use uvm_core::driver::service::{ServiceScratch, UvmDriver};
-    use uvm_core::gpu::device::Gpu;
+    use uvm_core::gpu::device::{Gpu, StepOutcome};
     use uvm_core::gpu::fault::{AccessKind, FaultRecord};
+    use uvm_core::gpu::isa::{Instr, WarpProgram};
     use uvm_core::gpu::spec::GpuSpec;
     use uvm_core::hostos::host::HostMemory;
     use uvm_core::sim::cost::CostModel;
@@ -286,6 +287,29 @@ pub mod perf {
         rec.pages_migrated
     }
 
+    /// A Titan V with 64 warps blocked on unserviced faults, and their
+    /// programs: each loads two pages and then stores to them, so a warp
+    /// faults both pages and blocks at its store. Every replay finds the
+    /// pages still unmapped, so each woken warp re-faults them and blocks
+    /// again, as most woken warps of an oversubscribed run do.
+    fn blocked_warps() -> (Gpu, Vec<WarpProgram>) {
+        let cost = CostModel::titan_v();
+        let programs: Vec<WarpProgram> = (0..64u64)
+            .map(|w| {
+                let pages = vec![PageNum(2 * w), PageNum(2 * w + 1)];
+                WarpProgram {
+                    instrs: vec![Instr::Load { pages: pages.clone() }, Instr::Store { pages }],
+                }
+            })
+            .collect();
+        let mut gpu = Gpu::new(GpuSpec::titan_v());
+        for wid in gpu.launch(programs.len()) {
+            let outcome = gpu.step_warp(&programs, wid, SimTime(0), &cost);
+            assert_eq!(outcome, StepOutcome::Blocked, "warp {wid} blocks at its store");
+        }
+        (gpu, programs)
+    }
+
     /// The hot-loop micro numbers (mean ns per operation), as a JSON map.
     pub fn micro_numbers(quick: bool) -> Value {
         micro_numbers_at(if quick { 20 } else { 200 })
@@ -295,7 +319,8 @@ pub mod perf {
     /// uses this to average away scheduler noise when iterating on the
     /// substrate structures).
     pub fn micro_numbers_at(reps: u32) -> Value {
-        // 2048 faults, each page faulted by a run of eight, from 40 μTLBs.
+        // 2048 faults, each page faulted by a run of eight, from 80 SMs and
+        // 40 μTLBs.
         let batch: Vec<FaultRecord> = (0..2048u32)
             .map(|i| FaultRecord {
                 page: PageNum(u64::from(i / 8)),
@@ -305,13 +330,13 @@ pub mod perf {
                 dup_of_outstanding: false,
             })
             .collect();
-        let utlbs: Vec<u32> = (0..2048u32).map(|i| i % 40).collect();
+        let placements: Vec<(u32, u32)> = (0..2048u32).map(|i| (i % 80, i % 40)).collect();
 
-        let dedup_ref = time_ns(reps, || classify_duplicates(&batch, &utlbs).unique.len());
+        let dedup_ref = time_ns(reps, || classify_duplicates(&batch, &placements).unique.len());
         let mut ds = DedupScratch::default();
         let mut dout = DedupResult::default();
         let dedup_fast = time_ns(reps, || {
-            classify_duplicates_with(&batch, &utlbs, &mut ds, &mut dout);
+            classify_duplicates_with(&batch, &placements, &mut ds, &mut dout);
             dout.unique.len()
         });
 
@@ -329,11 +354,33 @@ pub mod perf {
             sum
         });
 
+        // One replay of 64 blocked warps: the wake run through the event
+        // queue, one step per woken warp (re-fault, block again), and the
+        // pre-replay flush that discards the re-faults.
+        let (mut gpu, programs) = blocked_warps();
+        let cost = CostModel::titan_v();
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut woken = Vec::new();
+        let mut replay_round = || {
+            gpu.flush();
+            gpu.replay(queue.now(), &cost, &mut woken);
+            queue.schedule_run(woken.iter().map(|&(wid, at)| (at, wid)));
+            let mut blocked = 0u32;
+            while let Some((now, wid)) = queue.pop() {
+                let outcome = gpu.step_warp(&programs, wid, now, &cost);
+                blocked += u32::from(outcome == StepOutcome::Blocked);
+            }
+            blocked
+        };
+        assert_eq!(replay_round(), 64, "every woken warp blocks again");
+        let replay_refault = time_ns(reps, replay_round);
+
         obj(vec![
             ("dedup_reference_2048x8", Value::Float(dedup_ref)),
             ("dedup_fast_2048x8", Value::Float(dedup_fast)),
             ("service_batch_1024x4blocks", Value::Float(service)),
             ("event_queue_schedule_pop_10k", Value::Float(event_queue)),
+            ("replay_refault_64warps", Value::Float(replay_refault)),
         ])
     }
 
@@ -419,6 +466,7 @@ mod tests {
             "dedup_fast_2048x8",
             "service_batch_1024x4blocks",
             "event_queue_schedule_pop_10k",
+            "replay_refault_64warps",
         ] {
             let v = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
             let Some(serde_json::Value::Float(ns)) = v else {

@@ -31,6 +31,8 @@
 //! friends are thin drivers over this interface, so batch-mode and
 //! checkpointed executions traverse exactly the same code path.
 
+use std::cell::OnceCell;
+
 use serde::{Deserialize, Serialize};
 use uvm_driver::advise::MemAdvise;
 use uvm_driver::batch::{BatchRecord, FaultMeta};
@@ -207,6 +209,9 @@ pub struct RunInProgress {
     woken: Vec<(u32, SimTime)>,
     /// Reused per-batch servicing working memory (likewise pure scratch).
     scratch: ServiceScratch,
+    /// Digest of the run's workload, computed once: by the restore that
+    /// verified it, or by the first snapshot.
+    workload_digest: OnceCell<u64>,
 }
 
 impl UvmSystem {
@@ -344,6 +349,7 @@ impl UvmSystem {
             batch_buf: Vec::new(),
             woken: Vec::new(),
             scratch: ServiceScratch::default(),
+            workload_digest: OnceCell::new(),
         };
         run.launch_next_kernel(workload);
         Ok(run)
@@ -634,12 +640,11 @@ impl RunInProgress {
     }
 
     /// Issue a fault replay that reaches the GPU at `at`, and schedule a
-    /// step for every warp it wakes.
+    /// step for every warp it wakes, as one wake run.
     fn replay(&mut self, at: SimTime) {
         self.system.gpu.replay(at, self.system.driver.cost(), &mut self.woken);
-        for &(wid, wake) in &self.woken {
-            self.queue.schedule(wake, Event::WarpStep(wid));
-        }
+        self.queue
+            .schedule_run(self.woken.iter().map(|&(wid, wake)| (wake, Event::WarpStep(wid))));
     }
 
     /// Drive the run to completion and produce its [`RunResult`], calling
@@ -745,7 +750,7 @@ impl RunInProgress {
             run_key,
             batches: self.batches(),
             workload_name: workload.name.clone(),
-            workload_digest: serde::digest(workload),
+            workload_digest: *self.workload_digest.get_or_init(|| serde::digest(workload)),
             digests: SubsystemDigests::of(gpu, driver, host, &run),
             gpu: gpu.clone(),
             driver: driver.clone(),
@@ -827,6 +832,7 @@ impl RunInProgress {
             batch_buf: Vec::new(),
             woken: Vec::new(),
             scratch: ServiceScratch::default(),
+            workload_digest: OnceCell::from(workload_digest),
         })
     }
 
@@ -1661,19 +1667,47 @@ mod tests {
         };
         let serde::Value::NumU(block) = first[0] else { panic!("a run starts with its block") };
         runs.push(serde::Value::Array(first));
-        // The edit is refused while decoding, before any digest is read,
-        // so recomputing the digests could not make it restore.
-        let dir = std::env::temp_dir().join("uvm-system-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("dma-repeat-{}.json", std::process::id()));
-        std::fs::write(&path, serde_json::to_string(&tree).expect("tree encodes"))
-            .expect("write snapshot");
-        let loaded = SystemSnapshot::load(&path);
-        std::fs::remove_file(&path).ok();
-        let err = loaded.expect_err("a repeated DMA run must not load");
+        let err = load_tree(&tree, "dma-repeat").expect_err("a repeated DMA run must not load");
         assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
         let want = format!("DMA run list repeats block {block}");
         assert!(err.to_string().contains(&want), "got: {err}");
         Ok(())
+    }
+
+    #[test]
+    fn a_gpu_page_table_record_far_outside_managed_memory_does_not_load() -> Result<(), UvmError> {
+        let (_, snap) = snapshot_after(3)?;
+        let mut tree = serde_json::parse(&serde_json::to_string(&snap).expect("snapshot encodes"))
+            .expect("snapshot parses");
+        let serde::Value::Array(records) = field(field(&mut tree, "gpu"), "page_table") else {
+            panic!("the page table is a list of records")
+        };
+        let Some(serde::Value::Array(mut far)) = records.first().cloned() else {
+            panic!("the run has mapped a block")
+        };
+        let block = 1u64 << 40;
+        far[0] = serde::Value::NumU(block);
+        records.push(serde::Value::Array(far));
+        // Refused while decoding, before the page table's index could grow
+        // to the block's id.
+        let err = load_tree(&tree, "gpu-far-block").expect_err("a far block must not load");
+        assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+        let want = format!("GPU page table maps block {block}, past its 65536 blocks");
+        assert!(err.to_string().contains(&want), "got: {err}");
+        Ok(())
+    }
+
+    /// Load `tree` as a snapshot file, as a resume does. The edits these
+    /// tests make are refused while decoding, before any digest is read, so
+    /// recomputing the digests could not make them restore.
+    fn load_tree(tree: &serde::Value, name: &str) -> Result<SystemSnapshot, UvmError> {
+        let dir = std::env::temp_dir().join("uvm-system-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("{name}-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(tree).expect("tree encodes"))
+            .expect("write snapshot");
+        let loaded = SystemSnapshot::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
     }
 }

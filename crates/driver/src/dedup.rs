@@ -12,9 +12,9 @@
 //! compared — pure overhead, which is why Fig. 8's deduplicated batch sizes
 //! differ so much from the raw ones.
 //!
-//! A fault record names its warp, not its μTLB, so both classifiers take
-//! the batch's μTLB column beside it: `utlbs[i]` is the μTLB of `batch[i]`
-//! (`GpuSpec::placement` of its warp).
+//! A fault record names its warp, not its SM or μTLB, so both classifiers
+//! take the batch's placement column beside it: `placements[i]` is the
+//! `(SM, μTLB)` of `batch[i]` (`GpuSpec::placement` of its warp).
 
 use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_sim::hash::FastMap;
@@ -31,6 +31,10 @@ pub struct DedupResult {
     pub dup_same_utlb: u64,
     /// Count of cross-μTLB duplicates discarded.
     pub dup_cross_utlb: u64,
+    /// Distinct SMs the batch's faults came from.
+    pub distinct_sms: u32,
+    /// Distinct μTLBs the batch's faults came from.
+    pub distinct_utlbs: u32,
 }
 
 impl DedupResult {
@@ -46,8 +50,32 @@ impl DedupResult {
 pub struct DedupScratch {
     /// `(page, μTLB, batch index)` sort keys.
     keys: Vec<(u64, u32, u32)>,
-    /// `(first-arrival batch index, any-write flag)` per distinct page.
-    reps: Vec<(u32, bool)>,
+    /// Per batch index: [`FIRST`] on the first arrival of each distinct
+    /// page, plus [`WRITTEN`] if any fault on that page writes; else 0.
+    marks: Vec<u8>,
+    /// Bitset of the ids [`count_distinct`] has seen, all clear between
+    /// calls.
+    seen: Vec<u64>,
+}
+
+/// Mark of a page's first arrival in [`DedupScratch::marks`].
+const FIRST: u8 = 1;
+/// Mark of a page that some fault writes.
+const WRITTEN: u8 = 2;
+
+/// The number of distinct `ids`, counted in the bitset `seen`, which is
+/// all clear on entry and is left so.
+fn count_distinct(ids: impl Iterator<Item = u32>, seen: &mut Vec<u64>) -> u32 {
+    for id in ids {
+        let word = (id / 64) as usize;
+        if word >= seen.len() {
+            seen.resize(word + 1, 0);
+        }
+        seen[word] |= 1 << (id % 64);
+    }
+    let distinct = seen.iter().map(|w| w.count_ones()).sum();
+    seen.fill(0);
+    distinct
 }
 
 /// Sort-based fast path of [`classify_duplicates`]: identical output,
@@ -56,25 +84,29 @@ pub struct DedupScratch {
 /// The reference's per-page counts are order-independent — a page faulted
 /// `m` times from `k` distinct μTLBs always yields `k - 1` cross-μTLB and
 /// `m - k` same-μTLB duplicates, whatever the interleaving — so grouping
-/// by a `(page, μTLB, index)` sort reproduces them exactly, and re-sorting
-/// the representatives by first-arrival index restores the reference's
-/// output order.
+/// by a `(page, μTLB, index)` sort reproduces them exactly. Marking each
+/// page's first arrival and then walking the batch in order restores the
+/// reference's output order, and a bitset counts the distinct SMs and μTLBs,
+/// so the batch is sorted once.
 pub fn classify_duplicates_with(
     batch: &[FaultRecord],
-    utlbs: &[u32],
+    placements: &[(u32, u32)],
     scratch: &mut DedupScratch,
     out: &mut DedupResult,
 ) {
-    assert_eq!(batch.len(), utlbs.len(), "one μTLB per fault");
+    assert_eq!(batch.len(), placements.len(), "one placement per fault");
     out.unique.clear();
     out.dup_same_utlb = 0;
     out.dup_cross_utlb = 0;
+    out.distinct_sms = count_distinct(placements.iter().map(|p| p.0), &mut scratch.seen);
+    out.distinct_utlbs = count_distinct(placements.iter().map(|p| p.1), &mut scratch.seen);
     scratch.keys.clear();
-    scratch.reps.clear();
-    scratch
-        .keys
-        .extend((0..).zip(batch.iter().zip(utlbs)).map(|(i, (f, &u))| (f.page.0, u, i)));
+    scratch.keys.extend(
+        (0..).zip(batch.iter().zip(placements)).map(|(i, (f, &(_, u)))| (f.page.0, u, i)),
+    );
     scratch.keys.sort_unstable();
+    scratch.marks.clear();
+    scratch.marks.resize(batch.len(), 0);
 
     let keys = &scratch.keys;
     let mut i = 0;
@@ -97,14 +129,13 @@ pub fn classify_duplicates_with(
         }
         out.dup_cross_utlb += distinct_utlbs - 1;
         out.dup_same_utlb += total - distinct_utlbs;
-        scratch.reps.push((first_idx, any_write));
+        scratch.marks[first_idx as usize] = FIRST | if any_write { WRITTEN } else { 0 };
         i = j;
     }
 
-    scratch.reps.sort_unstable_by_key(|&(idx, _)| idx);
-    out.unique.extend(scratch.reps.iter().map(|&(idx, write)| {
-        let mut f = batch[idx as usize];
-        if write {
+    out.unique.extend(batch.iter().zip(&scratch.marks).filter(|(_, &m)| m != 0).map(|(f, &m)| {
+        let mut f = *f;
+        if m & WRITTEN != 0 {
             f.kind = AccessKind::Write;
         }
         f
@@ -116,8 +147,8 @@ pub fn classify_duplicates_with(
 /// This is the allocating reference implementation; the service loop uses
 /// the scratch-reusing [`classify_duplicates_with`], which is checked
 /// against this one by unit tests and a property test.
-pub fn classify_duplicates(batch: &[FaultRecord], utlbs: &[u32]) -> DedupResult {
-    assert_eq!(batch.len(), utlbs.len(), "one μTLB per fault");
+pub fn classify_duplicates(batch: &[FaultRecord], placements: &[(u32, u32)]) -> DedupResult {
+    assert_eq!(batch.len(), placements.len(), "one placement per fault");
     // page -> (index into unique, set of utlbs seen)
     let mut seen: FastMap<PageNum, (usize, Vec<u32>)> =
         FastMap::with_capacity_and_hasher(batch.len(), Default::default());
@@ -125,7 +156,7 @@ pub fn classify_duplicates(batch: &[FaultRecord], utlbs: &[u32]) -> DedupResult 
     let mut dup_same_utlb = 0u64;
     let mut dup_cross_utlb = 0u64;
 
-    for (fault, &utlb) in batch.iter().zip(utlbs) {
+    for (fault, &(_, utlb)) in batch.iter().zip(placements) {
         match seen.get_mut(&fault.page) {
             None => {
                 seen.insert(fault.page, (unique.len(), vec![utlb]));
@@ -145,10 +176,17 @@ pub fn classify_duplicates(batch: &[FaultRecord], utlbs: &[u32]) -> DedupResult 
         }
     }
 
+    let distinct = |mut ids: Vec<u32>| {
+        ids.sort_unstable();
+        ids.dedup();
+        ids.len() as u32
+    };
     DedupResult {
         unique,
         dup_same_utlb,
         dup_cross_utlb,
+        distinct_sms: distinct(placements.iter().map(|p| p.0).collect()),
+        distinct_utlbs: distinct(placements.iter().map(|p| p.1).collect()),
     }
 }
 
@@ -157,7 +195,8 @@ mod tests {
     use super::*;
     use uvm_sim::time::SimTime;
 
-    /// A fault from warp `utlb`, which these tests place on μTLB `utlb`.
+    /// A fault from warp `utlb`, which these tests place on μTLB `utlb`
+    /// and SM `2 × utlb`.
     fn fault(page: u64, utlb: u32, kind: AccessKind) -> FaultRecord {
         FaultRecord {
             page: PageNum(page),
@@ -168,13 +207,13 @@ mod tests {
         }
     }
 
-    /// The batch's μTLB column under the placement of [`fault`].
-    fn utlbs(batch: &[FaultRecord]) -> Vec<u32> {
-        batch.iter().map(|f| f.warp).collect()
+    /// The batch's placement column under the placement of [`fault`].
+    fn placements(batch: &[FaultRecord]) -> Vec<(u32, u32)> {
+        batch.iter().map(|f| (2 * f.warp, f.warp)).collect()
     }
 
     fn classify_duplicates(batch: &[FaultRecord]) -> DedupResult {
-        super::classify_duplicates(batch, &utlbs(batch))
+        super::classify_duplicates(batch, &placements(batch))
     }
 
     #[test]
@@ -250,12 +289,8 @@ mod tests {
 
     fn fast(batch: &[FaultRecord]) -> DedupResult {
         let mut scratch = DedupScratch::default();
-        let mut out = DedupResult {
-            unique: Vec::new(),
-            dup_same_utlb: 0,
-            dup_cross_utlb: 0,
-        };
-        classify_duplicates_with(batch, &utlbs(batch), &mut scratch, &mut out);
+        let mut out = DedupResult::default();
+        classify_duplicates_with(batch, &placements(batch), &mut scratch, &mut out);
         out
     }
 
@@ -264,6 +299,7 @@ mod tests {
         let b = fast(batch);
         assert_eq!(a.dup_same_utlb, b.dup_same_utlb);
         assert_eq!(a.dup_cross_utlb, b.dup_cross_utlb);
+        assert_eq!((a.distinct_sms, a.distinct_utlbs), (b.distinct_sms, b.distinct_utlbs));
         assert_eq!(a.unique.len(), b.unique.len());
         for (x, y) in a.unique.iter().zip(&b.unique) {
             assert_eq!((x.page, x.warp, x.kind), (y.page, y.warp, y.kind));
@@ -288,18 +324,16 @@ mod tests {
     #[test]
     fn fast_path_scratch_reuse_is_clean() {
         let mut scratch = DedupScratch::default();
-        let mut out = DedupResult {
-            unique: Vec::new(),
-            dup_same_utlb: 0,
-            dup_cross_utlb: 0,
-        };
+        let mut out = DedupResult::default();
         let b1 = vec![fault(1, 0, AccessKind::Read), fault(1, 1, AccessKind::Read)];
-        classify_duplicates_with(&b1, &utlbs(&b1), &mut scratch, &mut out);
+        classify_duplicates_with(&b1, &placements(&b1), &mut scratch, &mut out);
         assert_eq!(out.dup_cross_utlb, 1);
+        assert_eq!((out.distinct_sms, out.distinct_utlbs), (2, 2));
         // A second, unrelated batch through the same scratch must not see
         // any state from the first.
         let b2 = vec![fault(7, 3, AccessKind::Write)];
-        classify_duplicates_with(&b2, &utlbs(&b2), &mut scratch, &mut out);
+        classify_duplicates_with(&b2, &placements(&b2), &mut scratch, &mut out);
+        assert_eq!((out.distinct_sms, out.distinct_utlbs), (1, 1));
         assert_eq!(out.unique.len(), 1);
         assert_eq!(out.unique[0].page.0, 7);
         assert_eq!(out.total_dups(), 0);

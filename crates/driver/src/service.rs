@@ -165,11 +165,8 @@ struct DedupBuffers {
     scratch: DedupScratch,
     /// Dedup output (reused `unique` vector).
     out: DedupResult,
-    /// Each fault's SM, then (sorted and deduplicated) the distinct SMs.
-    sms: Vec<u32>,
-    /// Each fault's μTLB, then (sorted and deduplicated) the distinct
-    /// μTLBs.
-    utlbs: Vec<u32>,
+    /// Each fault's `(SM, μTLB)`.
+    placements: Vec<(u32, u32)>,
     /// First-occurrence tracking for the per-fault metadata log.
     seen_pages: FastSet<PageNum>,
 }
@@ -672,12 +669,9 @@ impl UvmDriver {
         rec: &mut BatchRecord,
         bufs: &mut DedupBuffers,
     ) {
-        bufs.sms.clear();
-        bufs.utlbs.clear();
+        bufs.placements.clear();
         for f in faults {
-            let (sm, utlb) = gpu.spec.placement(f.warp);
-            bufs.sms.push(sm);
-            bufs.utlbs.push(utlb);
+            bufs.placements.push(gpu.spec.placement(f.warp));
             match f.kind {
                 AccessKind::Read => rec.read_faults += 1,
                 AccessKind::Write => rec.write_faults += 1,
@@ -687,7 +681,7 @@ impl UvmDriver {
 
         if self.policy.log_fault_metadata {
             bufs.seen_pages.clear();
-            for (f, (&sm, &utlb)) in faults.iter().zip(bufs.sms.iter().zip(&bufs.utlbs)) {
+            for (f, &(sm, utlb)) in faults.iter().zip(&bufs.placements) {
                 let was_duplicate = !bufs.seen_pages.insert(f.page);
                 self.fault_log.push(FaultMeta {
                     batch_seq: rec.seq,
@@ -701,14 +695,10 @@ impl UvmDriver {
             }
         }
 
-        classify_duplicates_with(faults, &bufs.utlbs, &mut bufs.scratch, &mut bufs.out);
-        bufs.sms.sort_unstable();
-        bufs.sms.dedup();
-        bufs.utlbs.sort_unstable();
-        bufs.utlbs.dedup();
-        rec.distinct_sms = bufs.sms.len() as u32;
-        rec.distinct_utlbs = bufs.utlbs.len() as u32;
+        classify_duplicates_with(faults, &bufs.placements, &mut bufs.scratch, &mut bufs.out);
         let dedup = &bufs.out;
+        rec.distinct_sms = dedup.distinct_sms;
+        rec.distinct_utlbs = dedup.distinct_utlbs;
         rec.dup_same_utlb = dedup.dup_same_utlb;
         rec.dup_cross_utlb = dedup.dup_cross_utlb;
         rec.unique_pages = dedup.unique.len() as u64;

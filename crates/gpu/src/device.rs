@@ -455,15 +455,22 @@ impl Gpu {
         if prob <= 0.0 {
             return;
         }
-        let reissues: Vec<(PageNum, AccessKind)> = w
-            .outstanding_accesses()
-            .filter(|_| rng.chance(prob))
-            .collect();
-        for (page, kind) in reissues {
-            let wake_delay = SimDuration::from_nanos(10_000 + rng.below(50_000));
-            gmmu.deposit(utlb, page, kind, wid, now + wake_delay, true);
-            w.faults_generated += 1;
+        // Every `chance` draw comes first, then one `below` draw per
+        // re-issue. The picks are not kept: a copy of the stream taken
+        // before the `chance` draws replays them while the re-issues are
+        // made, so no list is needed.
+        let mut picks = rng.clone();
+        let reissues = (0..w.outstanding_len()).filter(|_| rng.chance(prob)).count();
+        if reissues == 0 {
+            return;
         }
+        for (page, kind) in w.outstanding_accesses() {
+            if picks.chance(prob) {
+                let wake_delay = SimDuration::from_nanos(10_000 + rng.below(50_000));
+                gmmu.deposit(utlb, page, kind, wid, now + wake_delay, true);
+            }
+        }
+        w.faults_generated += reissues as u64;
     }
 
     /// Aggregate μTLB full-stall count (hardware-limit pressure metric).
@@ -584,6 +591,34 @@ mod tests {
             });
         }
         p
+    }
+
+    #[test]
+    fn spurious_reissue_draws_as_a_collected_list_would() {
+        // The reference collects the picked accesses first, then draws a
+        // wake delay for each.
+        for outstanding in [0u64, 1, 5, 40] {
+            let mut w = Warp::new();
+            for p in 0..outstanding {
+                w.note_outstanding(PageNum(p * 3), AccessKind::Read);
+            }
+            let (prob, now) = (0.3, SimTime(1_000));
+            let mut rng = DetRng::new(outstanding);
+            let mut gmmu = Gmmu::new(1);
+            Gpu::spurious_reissue(&mut w, (7, 0), &mut gmmu, &mut rng, prob, now);
+
+            let mut want_rng = DetRng::new(outstanding);
+            let picked: Vec<(PageNum, AccessKind)> =
+                w.outstanding_accesses().filter(|_| want_rng.chance(prob)).collect();
+            let mut want = Gmmu::new(1);
+            for &(page, kind) in &picked {
+                let delay = SimDuration::from_nanos(10_000 + want_rng.below(50_000));
+                want.deposit(0, page, kind, 7, now + delay, true);
+            }
+            assert_eq!(w.faults_generated, picked.len() as u64);
+            assert_eq!(serde_json::to_string(&gmmu).ok(), serde_json::to_string(&want).ok());
+            assert_eq!(rng.below(u64::MAX), want_rng.below(u64::MAX), "the streams end level");
+        }
     }
 
     #[test]

@@ -129,18 +129,20 @@ impl Gmmu {
     /// each fault's warp on its SM for the trace events.
     pub fn drain(&mut self, buffer: &mut FaultBuffer, spec: &GpuSpec, cost: &CostModel) -> usize {
         let n_queues = self.queues.len();
+        // The cursor's successor, wrapping after the last queue.
+        let next = |cursor: usize| if cursor + 1 == n_queues { 0 } else { cursor + 1 };
         let mut inserted = 0;
         for _ in 0..self.pending {
             // Advance the cursor to the next non-empty queue.
             let mut tries = 0;
             while self.queues[self.cursor].is_empty() {
-                self.cursor = (self.cursor + 1) % n_queues;
+                self.cursor = next(self.cursor);
                 tries += 1;
                 debug_assert!(tries <= n_queues, "pending() said work remains");
             }
             let utlb = self.cursor as u32;
             let pf = self.queues[self.cursor].pop_front().expect("non-empty");
-            self.cursor = (self.cursor + 1) % n_queues;
+            self.cursor = next(self.cursor);
 
             let slot = if pf.requested > self.port_free_at {
                 pf.requested
@@ -317,6 +319,36 @@ mod tests {
             per_utlb[r.warp as usize] += 1;
         }
         assert!(per_utlb.iter().all(|&c| (6..=7).contains(&c)), "{per_utlb:?}");
+    }
+
+    #[test]
+    fn drains_round_robin_like_a_plain_scan() {
+        // Each round deposits into a few of 130 queues, some of them
+        // twice, and the drain must visit them as a plain round-robin scan
+        // from the cursor would, the cursor carrying over between rounds.
+        let mut g = Gmmu::new(130);
+        let mut cursor = 0usize;
+        for round in 0..20u32 {
+            let mut queues: Vec<Vec<u32>> = vec![Vec::new(); 130];
+            for i in 0..(round % 7 + 1) {
+                let q = (round * 53 + i * 71) % 130;
+                for _ in 0..(i % 3 + 1) {
+                    let (warp, page) = (round * 1000 + q, PageNum(u64::from(round * 1000 + q)));
+                    g.deposit(q, page, AccessKind::Read, warp, SimTime(0), false);
+                    queues[q as usize].push(warp);
+                }
+            }
+            let mut want = Vec::new();
+            while queues.iter().any(|q| !q.is_empty()) {
+                while queues[cursor].is_empty() {
+                    cursor = (cursor + 1) % 130;
+                }
+                want.push(queues[cursor].remove(0));
+                cursor = (cursor + 1) % 130;
+            }
+            let got: Vec<u32> = drain_all(&mut g).iter().map(|r| r.warp).collect();
+            assert_eq!(got, want, "round {round}");
+        }
     }
 
     #[test]

@@ -49,15 +49,19 @@ impl Utlb {
 
     /// Attempt to register an outstanding fault for `page`.
     pub fn try_insert(&mut self, page: PageNum) -> UtlbInsert {
-        if self.outstanding.contains(&page) {
-            return UtlbInsert::AlreadyOutstanding;
-        }
+        // Below the limit, one probe both tests and inserts.
         if self.outstanding.len() as u32 >= self.limit {
+            if self.outstanding.contains(&page) {
+                return UtlbInsert::AlreadyOutstanding;
+            }
             self.full_stalls += 1;
             return UtlbInsert::Full;
         }
-        self.outstanding.insert(page);
-        UtlbInsert::Inserted
+        if self.outstanding.insert(page) {
+            UtlbInsert::Inserted
+        } else {
+            UtlbInsert::AlreadyOutstanding
+        }
     }
 
     /// Whether `page` has an outstanding fault.
@@ -124,6 +128,10 @@ mod tests {
         assert_eq!(u.try_insert(PageNum(1)), UtlbInsert::AlreadyOutstanding);
         assert_eq!(u.occupancy(), 1);
         assert!(u.is_outstanding(PageNum(1)));
+        // At the limit, an outstanding page still piggybacks, not stalls.
+        assert_eq!(u.try_insert(PageNum(2)), UtlbInsert::Inserted);
+        assert_eq!(u.try_insert(PageNum(1)), UtlbInsert::AlreadyOutstanding);
+        assert_eq!(u.full_stalls(), 0);
     }
 
     #[test]

@@ -178,11 +178,18 @@ impl Warp {
     pub fn apply_replay(&mut self, is_resident: impl Fn(PageNum) -> bool) -> usize {
         let outstanding = self.outstanding.len();
         let queued = self.refault.len();
-        self.refault.extend(
-            self.outstanding
-                .drain(..)
-                .filter(|&(page, _)| !is_resident(page)),
-        );
+        if queued == 0 {
+            // The usual case: the scoreboard becomes the refault queue in
+            // place, and the empty queue's buffer the next scoreboard.
+            std::mem::swap(&mut self.refault, &mut self.outstanding);
+            self.refault.retain(|&(page, _)| !is_resident(page));
+        } else {
+            self.refault.extend(
+                self.outstanding
+                    .drain(..)
+                    .filter(|&(page, _)| !is_resident(page)),
+            );
+        }
         outstanding - (self.refault.len() - queued)
     }
 }

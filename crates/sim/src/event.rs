@@ -6,6 +6,13 @@
 //! reproducible across machines and runs. The run loop keeps about one
 //! event pending per running warp, plus the driver's, so the heap stays
 //! small and its `O(log n)` sifts are cheap.
+//!
+//! A fault replay wakes every blocked warp at once, and almost every woken
+//! warp steps once and blocks again. Those wakes arrive together through
+//! [`EventQueue::schedule_run`]: they are sorted once into a *wake run*,
+//! and [`EventQueue::pop`] merges the run's front with the heap's top, so
+//! a replay costs one sort instead of a heap push and pop per warp. Which
+//! of the two holds an entry never shows: pops follow `(at, seq)` alone.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -30,6 +37,9 @@ use crate::time::SimTime;
 pub struct EventQueue<E> {
     /// Pending events, earliest `(at, seq)` on top.
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Pending events of the wake run, sorted latest first: the earliest
+    /// is at the end, where popping it is cheapest.
+    run: Vec<Entry<E>>,
     seq: u64,
     now: SimTime,
 }
@@ -87,7 +97,12 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with room for `cap` pending events before it
     /// has to grow.
     pub fn with_capacity(cap: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(cap), seq: 0, now: SimTime::ZERO }
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            run: Vec::new(),
+            seq: 0,
+            now: SimTime::ZERO,
+        }
     }
 
     /// The current simulated time: the timestamp of the most recently popped
@@ -100,13 +115,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.run.is_empty()
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
@@ -117,19 +132,53 @@ impl<E> EventQueue<E> {
     /// past is always a simulator bug and silently reordering it would
     /// corrupt causality.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
+        let entry = self.entry(at, payload);
+        self.heap.push(Reverse(entry));
+    }
+
+    /// Schedule every `(at, payload)` of `events`, each taking the next
+    /// sequence number in turn, exactly as one [`Self::schedule`] call per
+    /// event would: the pop order is the same. The events join the wake
+    /// run, which is sorted once here (together with what is left of an
+    /// earlier run) instead of sifting each event through the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`Self::schedule`], if an event lies before the clock.
+    pub fn schedule_run(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        for (at, payload) in events {
+            let entry = self.entry(at, payload);
+            self.run.push(entry);
+        }
+        self.run.sort_unstable_by_key(|e| Reverse(e.key()));
+    }
+
+    /// A pending entry for `payload` at `at`, taking the next sequence
+    /// number.
+    #[inline]
+    fn entry(&mut self, at: SimTime, payload: E) -> Entry<E> {
         assert!(
             at >= self.now,
             "scheduled event at {at} before current time {now}",
             at = at.as_nanos(),
             now = self.now.as_nanos()
         );
-        self.heap.push(Reverse(Entry { at, seq: self.seq, payload }));
+        let seq = self.seq;
         self.seq += 1;
+        Entry { at, seq, payload }
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
+        let from_run = match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(Reverse(h))) => r.key() < h.key(),
+            (r, _) => r.is_some(),
+        };
+        let entry = if from_run {
+            self.run.pop()?
+        } else {
+            self.heap.pop()?.0
+        };
         debug_assert!(entry.at >= self.now, "event queue went back in time");
         self.now = entry.at;
         Some((entry.at, entry.payload))
@@ -137,7 +186,11 @@ impl<E> EventQueue<E> {
 
     /// Peek at the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        let heap = self.heap.peek().map(|Reverse(e)| e.at);
+        match (self.run.last().map(|e| e.at), heap) {
+            (Some(r), Some(h)) => Some(r.min(h)),
+            (r, h) => r.or(h),
+        }
     }
 
     /// The next sequence number this queue would assign.
@@ -192,7 +245,12 @@ impl<E> EventQueue<E> {
             .into_iter()
             .map(|(at, seq, payload)| Reverse(Entry { at, seq, payload }))
             .collect();
-        Ok(EventQueue { heap, seq, now })
+        Ok(EventQueue {
+            heap,
+            run: Vec::new(),
+            seq,
+            now,
+        })
     }
 }
 
@@ -202,8 +260,13 @@ impl<E: Clone> EventQueue<E> {
     /// [`EventQueue::restore`] together with [`EventQueue::now`] and
     /// [`EventQueue::seq`].
     pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, E)> {
-        let mut out: Vec<(SimTime, u64, E)> =
-            self.heap.iter().map(|Reverse(e)| (e.at, e.seq, e.payload.clone())).collect();
+        let mut out: Vec<(SimTime, u64, E)> = self
+            .heap
+            .iter()
+            .map(|Reverse(e)| e)
+            .chain(&self.run)
+            .map(|e| (e.at, e.seq, e.payload.clone()))
+            .collect();
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         out
     }
@@ -355,6 +418,48 @@ mod tests {
         let restored =
             EventQueue::restore(q.now(), q.seq(), q.snapshot_entries()).expect("restores");
         assert_eq!(restored.len(), 10);
+    }
+
+    #[test]
+    fn a_wake_run_pops_as_one_schedule_per_event_would() {
+        // The same events through `schedule` and through `schedule_run`,
+        // with heap entries tying the run's instants on both sides and a
+        // second run landing while the first is still pending.
+        let run1 = [(SimTime(30), 'a'), (SimTime(10), 'b'), (SimTime(30), 'c'), (SimTime(20), 'd')];
+        let run2 = [(SimTime(25), 'e'), (SimTime(10), 'f')];
+        let mut q = EventQueue::new();
+        let mut model = EventQueue::new();
+        for (at, e) in [(SimTime(10), 'x'), (SimTime(30), 'y')] {
+            q.schedule(at, e);
+            model.schedule(at, e);
+        }
+        q.schedule_run(run1);
+        run1.into_iter().for_each(|(at, e)| model.schedule(at, e));
+        assert_eq!((q.len(), q.peek_time()), (6, Some(SimTime(10))));
+        assert_eq!(q.pop(), model.pop());
+        q.schedule(SimTime(20), 'z');
+        model.schedule(SimTime(20), 'z');
+        q.schedule_run(run2);
+        run2.into_iter().for_each(|(at, e)| model.schedule(at, e));
+        assert_eq!(q.seq(), model.seq());
+        assert_eq!(q.snapshot_entries(), model.snapshot_entries());
+        let drain = |q: &mut EventQueue<char>| -> Vec<(SimTime, char)> {
+            std::iter::from_fn(|| q.pop()).collect()
+        };
+        let got = drain(&mut q);
+        assert_eq!(got, drain(&mut model));
+        let order: String = got.iter().map(|&(_, e)| e).collect();
+        assert_eq!(order, "bfdzeyac");
+        assert!(q.is_empty() && q.peek_time().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    fn a_wake_run_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), ());
+        q.pop();
+        q.schedule_run([(SimTime(12), ()), (SimTime(5), ())]);
     }
 
     #[test]

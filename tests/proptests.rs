@@ -199,8 +199,8 @@ proptest! {
                 dup_of_outstanding: false,
             })
             .collect();
-        let utlbs: Vec<u32> = pages.iter().map(|&(_, u)| u).collect();
-        let result = classify_duplicates(&batch, &utlbs);
+        let placements: Vec<(u32, u32)> = pages.iter().map(|&(_, u)| (u * 2, u)).collect();
+        let result = classify_duplicates(&batch, &placements);
         let distinct: BTreeSet<u64> = pages.iter().map(|&(p, _)| p).collect();
         prop_assert_eq!(result.unique.len(), distinct.len());
         prop_assert_eq!(
@@ -219,18 +219,20 @@ proptest! {
 
     /// The sort-based scratch-reusing dedup fast path is an exact drop-in
     /// for the reference: identical representatives (page order, upgraded
-    /// access kind, warp and arrival) and identical
-    /// same-μTLB vs cross-μTLB duplicate counts, on arbitrary batches with
-    /// mixed read/write kinds — and across scratch reuse.
+    /// access kind, warp and arrival), identical same-μTLB vs cross-μTLB
+    /// duplicate counts and identical distinct SM and μTLB counts, on
+    /// arbitrary batches with mixed read/write kinds — and across scratch
+    /// reuse. SM ids reach past one bitset word. First-arrival order is
+    /// checked against the batch itself, not only against the reference.
     #[test]
     fn dedup_fast_path_matches_reference(
-        faults in vec((0u64..48, 0u32..8, any::<bool>()), 0..300),
-        second in vec((0u64..48, 0u32..8, any::<bool>()), 0..300),
+        faults in vec((0u64..48, 0u32..8, any::<bool>(), 0u32..160), 0..300),
+        second in vec((0u64..48, 0u32..8, any::<bool>(), 0u32..160), 0..300),
     ) {
-        let build = |spec: &[(u64, u32, bool)]| -> Vec<FaultRecord> {
+        let build = |spec: &[(u64, u32, bool, u32)]| -> Vec<FaultRecord> {
             spec.iter()
                 .enumerate()
-                .map(|(i, &(p, _, w))| FaultRecord {
+                .map(|(i, &(p, _, w, _))| FaultRecord {
                     page: PageNum(p),
                     kind: if w { AccessKind::Write } else { AccessKind::Read },
                     warp: i as u32,
@@ -245,11 +247,20 @@ proptest! {
         // leak state from the first classification into the second.
         for spec in [&faults, &second] {
             let batch = build(spec);
-            let utlbs: Vec<u32> = spec.iter().map(|&(_, u, _)| u).collect();
-            let reference = classify_duplicates(&batch, &utlbs);
-            classify_duplicates_with(&batch, &utlbs, &mut scratch, &mut fast);
+            let placements: Vec<(u32, u32)> = spec.iter().map(|&(_, u, _, sm)| (sm, u)).collect();
+            let reference = classify_duplicates(&batch, &placements);
+            classify_duplicates_with(&batch, &placements, &mut scratch, &mut fast);
             prop_assert_eq!(fast.dup_same_utlb, reference.dup_same_utlb);
             prop_assert_eq!(fast.dup_cross_utlb, reference.dup_cross_utlb);
+            let distinct = |ids: Vec<u32>| ids.into_iter().collect::<BTreeSet<u32>>().len() as u32;
+            let sms = distinct(placements.iter().map(|p| p.0).collect());
+            let utlbs = distinct(placements.iter().map(|p| p.1).collect());
+            prop_assert_eq!((reference.distinct_sms, reference.distinct_utlbs), (sms, utlbs));
+            prop_assert_eq!((fast.distinct_sms, fast.distinct_utlbs), (sms, utlbs));
+            let mut seen = BTreeSet::new();
+            let first: Vec<u64> =
+                batch.iter().map(|f| f.page.0).filter(|&p| seen.insert(p)).collect();
+            prop_assert_eq!(fast.unique.iter().map(|f| f.page.0).collect::<Vec<_>>(), first);
             prop_assert_eq!(fast.unique.len(), reference.unique.len());
             for (f, r) in fast.unique.iter().zip(&reference.unique) {
                 prop_assert_eq!(f.page, r.page);
@@ -457,12 +468,14 @@ proptest! {
     /// Differential check of the event queue against a plain `BinaryHeap`
     /// of `(time, seq, payload)` triples. Deadline deltas range from
     /// same-instant ties up to ~2^40 ns horizons, pops interleave with
-    /// schedules, and a mid-sequence snapshot/restore round-trip must
-    /// reproduce the exact `(time, seq, payload)` set — after every step
-    /// the queue's `pop`, `len`, and `peek_time` agree with the model.
+    /// schedules and with wake runs (`schedule_run`, which often lands
+    /// while an earlier run is still pending), and a mid-sequence
+    /// snapshot/restore round-trip must reproduce the exact
+    /// `(time, seq, payload)` set — after every step the queue's `pop`,
+    /// `len`, and `peek_time` agree with the model.
     #[test]
     fn event_queue_matches_binary_heap_model(
-        ops in vec((0u8..3, 0u64..1 << 40, 0u32..41), 1..250),
+        ops in vec((0u8..4, 0u64..1 << 40, 0u32..41, vec(0u64..1 << 40, 0..12)), 1..250),
     ) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -470,7 +483,7 @@ proptest! {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
         let mut next_id = 0u64;
-        for (op, base, shift) in ops {
+        for (op, base, shift, run) in ops {
             match op {
                 0 => {
                     let got = q.pop();
@@ -492,6 +505,25 @@ proptest! {
                     q.schedule(SimTime(t), id);
                     heap.push(Reverse((t, seq, id)));
                     next_id += 1;
+                }
+                2 => {
+                    // A wake run: its events take consecutive sequence
+                    // numbers in the order given, as `schedule` calls would.
+                    // Every other run crowds its events onto four instants,
+                    // so a run's leftovers often tie with each other and
+                    // with the next run.
+                    let now = q.now().as_nanos();
+                    let delta = |d: u64| if base % 2 == 0 { d % 4 } else { d >> shift };
+                    let events: Vec<(SimTime, u64)> = run
+                        .iter()
+                        .zip(next_id..)
+                        .map(|(&d, id)| (SimTime(now + delta(d)), id))
+                        .collect();
+                    for (&(at, id), seq) in events.iter().zip(q.seq()..) {
+                        heap.push(Reverse((at.as_nanos(), seq, id)));
+                    }
+                    next_id += events.len() as u64;
+                    q.schedule_run(events);
                 }
                 _ => {
                     // Snapshot → restore round-trip: the serialized form
