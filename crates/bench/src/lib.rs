@@ -298,7 +298,7 @@ pub mod perf {
             .map(|w| {
                 let pages = vec![PageNum(2 * w), PageNum(2 * w + 1)];
                 WarpProgram {
-                    instrs: vec![Instr::Load { pages: pages.clone() }, Instr::Store { pages }],
+                    instrs: vec![Instr::load(pages.clone()), Instr::store(pages)],
                 }
             })
             .collect();

@@ -256,39 +256,17 @@ impl UvmSystem {
     /// pipeline fails unrecoverably (only possible with fault injection
     /// enabled — use [`Self::try_run`] to handle that as a value).
     pub fn run(self, workload: &Workload) -> RunResult {
-        self.run_with_hints(workload, &RunHints::default())
-    }
-
-    /// Like [`Self::run`], but an unrecoverable pipeline failure returns
-    /// the typed [`UvmError`] instead of panicking.
-    pub fn try_run(self, workload: &Workload) -> Result<RunResult, UvmError> {
-        self.try_run_with_hints(workload, &RunHints::default())
-    }
-
-    /// Run `workload` after applying memory-usage hints: `cudaMemAdvise`
-    /// settings and explicit upfront `cudaMemPrefetchAsync` migrations
-    /// (whose driver operations appear in the records flagged
-    /// `driver_prefetch_op`, and whose time delays the first kernel
-    /// launch, as a synchronized prefetch would).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::run`].
-    pub fn run_with_hints(self, workload: &Workload, hints: &RunHints) -> RunResult {
-        self.try_run_with_hints(workload, hints)
+        self.try_run(workload)
             .unwrap_or_else(|e| panic!("UVM servicing pipeline failed unrecoverably: {e}"))
     }
 
-    /// Like [`Self::run_with_hints`], but an unrecoverable pipeline
-    /// failure returns the typed [`UvmError`] instead of panicking. Never
-    /// checkpoints or resumes
-    /// ([`RunCtx::try_run`](crate::runctl::RunCtx::try_run) does).
-    pub fn try_run_with_hints(
-        self,
-        workload: &Workload,
-        hints: &RunHints,
-    ) -> Result<RunResult, UvmError> {
-        self.start(workload, hints)?.run_to_end(workload, |_, _| {})
+    /// Like [`Self::run`], but an unrecoverable pipeline failure returns
+    /// the typed [`UvmError`] instead of panicking. Runs with default
+    /// hints and never checkpoints or resumes
+    /// ([`RunCtx::try_run`](crate::runctl::RunCtx::try_run) applies hints
+    /// and does both).
+    pub fn try_run(self, workload: &Workload) -> Result<RunResult, UvmError> {
+        self.start(workload, &RunHints::default())?.run_to_end(workload, |_, _| {})
     }
 
     /// Begin an incremental run: apply allocations, CPU initialization,
@@ -1008,8 +986,8 @@ mod tests {
         for w in 0..4u64 {
             let mut p = uvm_gpu::isa::WarpProgram::new();
             for i in 0..8u64 {
-                p.push(uvm_gpu::isa::Instr::load1(a.page(w * 8 + i)));
-                p.push(uvm_gpu::isa::Instr::store1(c.page(w * 8 + i)));
+                p.push(uvm_gpu::isa::Instr::load(vec![a.page(w * 8 + i)]));
+                p.push(uvm_gpu::isa::Instr::store(vec![c.page(w * 8 + i)]));
             }
             b.warp(p);
         }
@@ -1017,8 +995,8 @@ mod tests {
         for w in 0..4u64 {
             let mut p = uvm_gpu::isa::WarpProgram::new();
             for i in 0..8u64 {
-                p.push(uvm_gpu::isa::Instr::load1(c.page(w * 8 + i)));
-                p.push(uvm_gpu::isa::Instr::store1(d.page(w * 8 + i)));
+                p.push(uvm_gpu::isa::Instr::load(vec![c.page(w * 8 + i)]));
+                p.push(uvm_gpu::isa::Instr::store(vec![d.page(w * 8 + i)]));
             }
             b.warp(p);
         }
@@ -1377,6 +1355,30 @@ mod tests {
     }
 
     #[test]
+    fn restore_mid_instruction_with_refaults_queued() -> Result<(), UvmError> {
+        use serde::Serialize;
+        // The non-coalesced vecadd: 32 pages per instruction, so a μTLB
+        // stall falls partway through one. Four warps share each μTLB, and
+        // a 32-fault batch limit leaves most of a batch's faults to the
+        // flush, so a woken warp re-faults them into a μTLB the other
+        // warps have filled, and stalls mid-instruction with refaults
+        // still queued.
+        let w = vecadd::build(VecAddParams { warps: 16, ..VecAddParams::default() });
+        let policy = DriverPolicy { batch_limit: 32, ..DriverPolicy::default() };
+        let mid_instruction_with_refaults = |run: &RunInProgress| {
+            let mut gpu = run.gpu().to_value();
+            let paused = warps(&mut gpu).iter_mut().any(|warp| {
+                let issued = matches!(field(warp, "issued"), serde::Value::NumU(n) if *n > 0);
+                let refaults = matches!(field(warp, "refault"), serde::Value::Array(a) if !a.is_empty());
+                issued && refaults
+            });
+            run.batches() >= 1 && paused
+        };
+        let config = SystemConfig::test_small(16 * MB).with_policy(policy);
+        json_restore_matches_straight_run(config, &w, mid_instruction_with_refaults)
+    }
+
+    #[test]
     fn snapshots_hold_program_counters_not_programs() -> Result<(), UvmError> {
         let w = ckpt_workload();
         let mut run =
@@ -1452,11 +1454,33 @@ mod tests {
             })?,
             &format!("warp 3 is at instruction {} of a {len}-instruction program", len + 1),
         );
+        // An issue count past the current instruction's pages.
+        rejects(
+            edited_snapshot(&w, 1, "gpu", |gpu| {
+                let warp = &mut warps(gpu)[3];
+                *field(warp, "pc") = Value::NumU(1);
+                *field(warp, "issued") = Value::NumU(2);
+            })?,
+            "warp 3 has issued 2 pages of a 1-page instruction",
+        );
+        // A GMMU with fewer queues than the spec has μTLBs (deposits index
+        // the queues by μTLB).
+        rejects(
+            edited_snapshot(&w, 1, "gpu", |gpu| {
+                let serde::Value::Array(queues) = field(field(gpu, "gmmu"), "queues") else {
+                    panic!("GMMU queues are an array")
+                };
+                queues.truncate(1);
+                *field(field(gpu, "gmmu"), "cursor") = Value::NumU(0);
+            })?,
+            "the device has 8 SM queues, 4 μTLBs and 1 GMMU queues",
+        );
         // A spec with no SMs per μTLB places no warp (and divides by zero
         // if unchecked).
         rejects(
             edited_snapshot(&w, 1, "gpu", |gpu| *field(field(gpu, "spec"), "sms_per_utlb") = Value::NumU(0))?,
-            "the spec places warps on 8 SMs at 0 per μTLB, but the device has 8 SM queues and 4 μTLBs",
+            "the spec places warps on 8 SMs at 0 per μTLB, but the device has 8 SM queues, 4 μTLBs \
+             and 4 GMMU queues",
         );
         // The unedited tree restores.
         RunInProgress::restore(&edited_snapshot(&w, 1, "gpu", |_| {})?, &w)?;

@@ -137,7 +137,7 @@ mod tests {
         let mut b = Workload::builder(name);
         let a = b.alloc(blocks * VABLOCK_SIZE);
         for k in 0..kernels {
-            b.warp(WarpProgram { instrs: vec![Instr::load1(a.page(k as u64))] });
+            b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(k as u64)])] });
             b.end_kernel();
         }
         ClientSpec::new(name, b.build())

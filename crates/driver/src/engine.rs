@@ -13,26 +13,26 @@
 //!   `SequentialStride`, and `Oracle` (reads the workload's future access
 //!   list — the upper bound no reactive policy can beat).
 //! * [`EvictionPolicyKind`] — picks the victim block when device memory is
-//!   full ([`EvictionPolicyKind::select`]): `Lru` (stock migration-order
+//!   full (the selection lives with the resident set, in
+//!   [`crate::evict::GpuMemoryManager`]): `Lru` (stock migration-order
 //!   LRU), `Random`, and `Lfu` (fewest migrations first).
 //!
 //! ## Determinism and snapshot contract
 //!
-//! Policies are stateless: every input they may consult arrives through
-//! [`PrefetchContext`] / the candidate slice, and all mutable policy state
-//! lives in the serialized driver — the oracle's future-access table on
+//! Policies are stateless: every input a prefetcher may consult arrives
+//! through [`PrefetchContext`], and all mutable policy state lives in the
+//! serialized driver — the oracle's future-access table on
 //! [`crate::service::UvmDriver`], the LFU touch counters and the random
-//! evictor's [`DetRng`] on [`crate::evict::GpuMemoryManager`]. A snapshot
+//! evictor's `DetRng` on [`crate::evict::GpuMemoryManager`]. A snapshot
 //! therefore captures every bit a policy depends on, and a restored run
 //! continues bit-identically under any policy stack, not just the stock
-//! one. Eviction candidates are handed to the policy sorted by block id,
-//! so no `HashMap` iteration order can leak into victim selection.
+//! one. Every eviction key ends in the block id, so no `HashMap`
+//! iteration order can leak into victim selection.
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::bitmap::PageBitmap;
-use uvm_sim::mem::VaBlockId;
-use uvm_sim::rng::DetRng;
 
+use crate::policy::DriverPolicy;
 use crate::prefetch::compute_prefetch;
 
 /// Serde-configurable prefetcher selection (the
@@ -44,8 +44,9 @@ pub enum PrefetchPolicyKind {
     /// The stock tree-based density prefetcher
     /// ([`crate::prefetch::compute_prefetch`]).
     TreeDensity,
-    /// Prefetch the next `stride_pages` pages after the highest faulted
-    /// page (a classic next-line/stream prefetcher at page granularity).
+    /// Prefetch the next [`DriverPolicy::STRIDE_PAGES`] pages after the
+    /// highest faulted page (a classic next-line/stream prefetcher at page
+    /// granularity).
     SequentialStride,
     /// Perfect knowledge: prefetch every page of the block the workload
     /// will ever touch. An upper bound, not implementable in a real
@@ -78,16 +79,21 @@ impl PrefetchPolicyKind {
         match self {
             PrefetchPolicyKind::None => PageBitmap::EMPTY,
             PrefetchPolicyKind::TreeDensity => {
-                compute_prefetch(ctx.resident, ctx.faulted, ctx.valid_pages, ctx.threshold)
+                compute_prefetch(
+                    ctx.resident,
+                    ctx.faulted,
+                    ctx.valid_pages,
+                    DriverPolicy::PREFETCH_THRESHOLD,
+                )
             }
-            // Next-line prefetch: the `stride_pages` pages after the
+            // Next-line prefetch: the `STRIDE_PAGES` pages after the
             // highest faulted page.
             PrefetchPolicyKind::SequentialStride => {
                 let Some(last) = ctx.faulted.iter_set().max() else {
                     return PageBitmap::EMPTY;
                 };
                 let lo = last + 1;
-                let hi = (lo + ctx.stride_pages as usize).min(ctx.valid_pages as usize);
+                let hi = (lo + DriverPolicy::STRIDE_PAGES as usize).min(ctx.valid_pages as usize);
                 let mut p = PageBitmap::EMPTY;
                 if lo < hi {
                     p.set_range(lo, hi);
@@ -133,31 +139,6 @@ impl EvictionPolicyKind {
             EvictionPolicyKind::Lfu => "lfu",
         }
     }
-
-    /// Index into `candidates` of the victim. `candidates` is non-empty
-    /// and sorted by block id ascending (a deterministic order independent
-    /// of map internals); `rng` is the memory manager's serialized stream,
-    /// so the random policy survives snapshot/restore bit-identically.
-    pub fn select(self, candidates: &[VictimCandidate], rng: &mut DetRng) -> usize {
-        match self {
-            // Ties broken by block id.
-            EvictionPolicyKind::Lru => argmin(candidates, |c| (c.last_migrate, c.block.0)),
-            EvictionPolicyKind::Random => rng.below(candidates.len() as u64) as usize,
-            // Ties by LRU key, then block id.
-            EvictionPolicyKind::Lfu => {
-                argmin(candidates, |c| (c.touches, c.last_migrate, c.block.0))
-            }
-        }
-    }
-}
-
-/// Index of the first candidate with the smallest `key`.
-fn argmin<K: Ord>(candidates: &[VictimCandidate], key: impl Fn(&VictimCandidate) -> K) -> usize {
-    candidates
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, c)| key(c))
-        .map_or(0, |(i, _)| i)
 }
 
 /// Everything a prefetcher may consult for one VABlock of one batch.
@@ -170,10 +151,6 @@ pub struct PrefetchContext<'a> {
     /// Usable pages in the block (partial final blocks prefetch only
     /// within their valid range).
     pub valid_pages: u32,
-    /// Density threshold for [`PrefetchPolicyKind::TreeDensity`].
-    pub threshold: f64,
-    /// Expansion depth for [`PrefetchPolicyKind::SequentialStride`].
-    pub stride_pages: u32,
     /// This block's future access list (pages the workload will touch),
     /// when the driver has one installed — consumed by
     /// [`PrefetchPolicyKind::Oracle`].
@@ -194,18 +171,6 @@ pub fn run_prefetch_policy(kind: PrefetchPolicyKind, ctx: &PrefetchContext<'_>) 
     raw.and(&valid).and_not(&ctx.resident.or(ctx.faulted))
 }
 
-/// One eviction candidate: a resident block and its bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VictimCandidate {
-    /// The resident block.
-    pub block: VaBlockId,
-    /// Migration sequence number of the last batch that touched it (the
-    /// LRU key).
-    pub last_migrate: u64,
-    /// How many batches have migrated pages into it (the LFU key).
-    pub touches: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,8 +188,6 @@ mod tests {
             resident,
             faulted,
             valid_pages: 512,
-            threshold: 0.5,
-            stride_pages: 16,
             future,
         }
     }
@@ -316,47 +279,5 @@ mod tests {
         c.valid_pages = 100;
         let p = run_prefetch_policy(PrefetchPolicyKind::Oracle, &c);
         assert_eq!(p.iter_set().collect::<Vec<_>>(), (16..100).collect::<Vec<_>>());
-    }
-
-    fn cands() -> Vec<VictimCandidate> {
-        vec![
-            VictimCandidate { block: VaBlockId(1), last_migrate: 9, touches: 4 },
-            VictimCandidate { block: VaBlockId(2), last_migrate: 3, touches: 7 },
-            VictimCandidate { block: VaBlockId(3), last_migrate: 5, touches: 1 },
-        ]
-    }
-
-    #[test]
-    fn lru_picks_oldest_migration() {
-        let mut rng = DetRng::new(0);
-        assert_eq!(EvictionPolicyKind::Lru.select(&cands(), &mut rng), 1);
-    }
-
-    #[test]
-    fn lfu_picks_fewest_touches() {
-        let mut rng = DetRng::new(0);
-        assert_eq!(EvictionPolicyKind::Lfu.select(&cands(), &mut rng), 2);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_stream() {
-        let c = cands();
-        let picks_a: Vec<usize> = {
-            let mut rng = DetRng::new(7);
-            (0..16)
-                .map(|_| EvictionPolicyKind::Random.select(&c, &mut rng))
-                .collect()
-        };
-        let picks_b: Vec<usize> = {
-            let mut rng = DetRng::new(7);
-            (0..16)
-                .map(|_| EvictionPolicyKind::Random.select(&c, &mut rng))
-                .collect()
-        };
-        assert_eq!(picks_a, picks_b);
-        assert!(picks_a.iter().all(|&i| i < c.len()));
-        // The stream actually varies its picks.
-        let distinct: std::collections::HashSet<_> = picks_a.iter().collect();
-        assert!(distinct.len() > 1, "16 draws over 3 candidates should vary: {picks_a:?}");
     }
 }

@@ -7,13 +7,12 @@
 //! for densely accessed workloads, which is exactly the eviction pattern
 //! Fig. 17(c) visualizes.
 //!
-//! Victim selection is delegated to the policy engine
-//! ([`EvictionPolicyKind::select`]). The stock LRU policy keeps its
-//! original allocation-free fast path; alternative policies receive the
-//! candidate set sorted by block id (so `HashMap` iteration order never
-//! leaks into results) plus the manager's own serialized [`DetRng`]
-//! stream (so stochastic policies replay bit-identically across
-//! snapshot/restore).
+//! The manager picks victims by its [`EvictionPolicyKind`]. `Lru` and `Lfu`
+//! take the minimum of their key straight off the resident map; each key
+//! ends in the block id, so it is unique and the map's iteration order
+//! never leaks into the choice. `Random` draws from the manager's own
+//! serialized [`DetRng`] stream (so it replays bit-identically across
+//! snapshot/restore) over the resident blocks sorted by id.
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::error::UvmError;
@@ -21,7 +20,7 @@ use uvm_sim::hash::FastMap;
 use uvm_sim::mem::VaBlockId;
 use uvm_sim::rng::DetRng;
 
-use crate::engine::{EvictionPolicyKind, VictimCandidate};
+use crate::engine::EvictionPolicyKind;
 
 /// Outcome of a block-residency request
 /// ([`GpuMemoryManager::ensure_resident_with`]). On `Evicted` the victims
@@ -47,8 +46,8 @@ pub enum ResidencyOutcome {
 pub struct EvictScratch {
     /// Victims of the most recent `*_with` call, in eviction order.
     pub(crate) victims: Vec<VaBlockId>,
-    /// Candidate set handed to non-LRU policies.
-    candidates: Vec<VictimCandidate>,
+    /// The id-sorted resident set the random policy draws from.
+    candidates: Vec<VaBlockId>,
 }
 
 impl EvictScratch {
@@ -185,30 +184,29 @@ impl GpuMemoryManager {
         }
     }
 
-    /// Pick the victim for one eviction. LRU keeps the original
-    /// allocation-free scan; other policies get an id-sorted candidate
-    /// set (rebuilt into `candidates`, so the buffer's capacity is
-    /// reused across evictions) and the manager's rng.
-    fn select_victim(&mut self, candidates: &mut Vec<VictimCandidate>) -> Option<VaBlockId> {
-        if self.policy == EvictionPolicyKind::Lru {
-            return self
-                .resident
-                .iter()
-                .min_by_key(|(id, m)| (m.last_migrate, id.0))
-                .map(|(&id, _)| id);
-        }
-        candidates.clear();
-        candidates.extend(self.resident.iter().map(|(&block, m)| VictimCandidate {
-            block,
-            last_migrate: m.last_migrate,
-            touches: m.touches,
-        }));
-        if candidates.is_empty() {
-            return None;
-        }
-        candidates.sort_unstable_by_key(|c| c.block.0);
-        let idx = self.policy.select(candidates, &mut self.rng);
-        Some(candidates[idx.min(candidates.len() - 1)].block)
+    /// Pick the victim for one eviction, or `None` with nothing resident.
+    /// `Lru` takes the least `(last_migrate, id)` and `Lfu` the least
+    /// `(touches, last_migrate, id)`. `Random` rebuilds the id-sorted
+    /// resident set into `candidates` (reusing its capacity across
+    /// evictions) and draws an index from the manager's rng.
+    fn select_victim(&mut self, candidates: &mut Vec<VaBlockId>) -> Option<VaBlockId> {
+        let resident = &self.resident;
+        let victim = match self.policy {
+            EvictionPolicyKind::Lru => resident.iter().min_by_key(|(id, m)| (m.last_migrate, id.0)),
+            EvictionPolicyKind::Lfu => {
+                resident.iter().min_by_key(|(id, m)| (m.touches, m.last_migrate, id.0))
+            }
+            EvictionPolicyKind::Random => {
+                candidates.clear();
+                candidates.extend(resident.keys());
+                if candidates.is_empty() {
+                    return None;
+                }
+                candidates.sort_unstable_by_key(|id| id.0);
+                return Some(candidates[self.rng.below(candidates.len() as u64) as usize]);
+            }
+        };
+        victim.map(|(&id, _)| id)
     }
 
     /// Ensure `block` holds a GPU allocation, evicting policy-selected
@@ -404,6 +402,52 @@ mod tests {
             (ResidencyOutcome::Evicted, vec![VaBlockId(2)])
         );
         Ok(())
+    }
+
+    /// A full manager of `policy` holding block 1 (last migrated at 9,
+    /// four touches), block 2 (3, seven) and block 3 (5, one).
+    fn three_blocks(policy: EvictionPolicyKind) -> GpuMemoryManager {
+        let mut mm = GpuMemoryManager::with_policy(3, policy, 7);
+        for (id, last_migrate, touches) in [(1, 9, 4), (2, 3, 7), (3, 5, 1)] {
+            mm.resident.insert(VaBlockId(id), BlockMeta { last_migrate, touches });
+        }
+        mm
+    }
+
+    #[test]
+    fn lru_picks_oldest_migration() {
+        let mut mm = three_blocks(EvictionPolicyKind::Lru);
+        assert_eq!(mm.select_victim(&mut Vec::new()), Some(VaBlockId(2)));
+    }
+
+    #[test]
+    fn lfu_picks_fewest_touches() {
+        let mut mm = three_blocks(EvictionPolicyKind::Lfu);
+        assert_eq!(mm.select_victim(&mut Vec::new()), Some(VaBlockId(3)));
+    }
+
+    #[test]
+    fn random_is_deterministic_per_stream() {
+        let picks = || {
+            let mut mm = three_blocks(EvictionPolicyKind::Random);
+            let mut candidates = Vec::new();
+            (0..16).map(|_| mm.select_victim(&mut candidates)).collect::<Vec<_>>()
+        };
+        let picks_a = picks();
+        assert_eq!(picks_a, picks());
+        // Each pick indexes the id-sorted resident set with one draw.
+        let mut rng = three_blocks(EvictionPolicyKind::Random).rng;
+        for pick in &picks_a {
+            assert_eq!(*pick, Some(VaBlockId(1 + rng.below(3))));
+        }
+        // The stream actually varies its picks.
+        let distinct: std::collections::HashSet<_> = picks_a.iter().collect();
+        assert!(distinct.len() > 1, "16 draws over 3 candidates should vary: {picks_a:?}");
+        // Nothing resident, nothing to pick, under every policy.
+        for policy in EvictionPolicyKind::ALL {
+            let mut mm = GpuMemoryManager::with_policy(3, policy, 7);
+            assert_eq!(mm.select_victim(&mut Vec::new()), None);
+        }
     }
 
     #[test]

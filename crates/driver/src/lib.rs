@@ -69,7 +69,7 @@ pub use backend::{BackendKind, PeerDirectory, PeerHolding};
 pub use batch::BatchRecord;
 pub use clients::{ClientCounters, ClientLedger, FairnessPolicy, TenancyConfig, TenantConfig};
 pub use dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
-pub use engine::{EvictionPolicyKind, PrefetchContext, PrefetchPolicyKind, VictimCandidate};
+pub use engine::{EvictionPolicyKind, PrefetchContext, PrefetchPolicyKind};
 pub use evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
 pub use health::{HealthEvidence, HealthMachine, HealthState};
 pub use policy::DriverPolicy;

@@ -909,8 +909,6 @@ impl UvmDriver {
                     resident: &self.va_space.block(block_id).gpu_resident,
                     faulted,
                     valid_pages,
-                    threshold: DriverPolicy::PREFETCH_THRESHOLD,
-                    stride_pages: DriverPolicy::STRIDE_PAGES,
                     future: self.oracle_future.get(&block_id),
                 },
             )

@@ -88,7 +88,6 @@ pub struct Gpu {
     sm_queues: Vec<VecDeque<u32>>,
     sm_active: Vec<u32>,
     rng: DetRng,
-    done_warps: usize,
     /// Completion time of the last warp to finish.
     pub kernel_end: SimTime,
     /// Monotone count of replays issued.
@@ -113,7 +112,6 @@ impl Gpu {
             sm_queues: (0..num_sms).map(|_| VecDeque::new()).collect(),
             sm_active: vec![0; num_sms as usize],
             rng: DetRng::new(seed ^ 0x6704_11AD),
-            done_warps: 0,
             kernel_end: SimTime::ZERO,
             replays: 0,
             resets: 0,
@@ -158,8 +156,9 @@ impl Gpu {
 
     /// Check that the device fits `programs`, the programs of every kernel
     /// launched so far: a spec whose placement lands on the device's SM
-    /// queues and μTLBs, one warp per program, and no program counter past
-    /// its program's end. A device decoded from a snapshot must pass
+    /// queues, μTLBs and GMMU queues, one warp per program, no program
+    /// counter past its program's end, and no issue count past its current
+    /// instruction's pages. A device decoded from a snapshot must pass
     /// before it is stepped.
     pub fn check_programs(&self, programs: &[WarpProgram]) -> Result<(), String> {
         // The spec is decoded from the snapshot too, and `placement` divides
@@ -168,14 +167,16 @@ impl Gpu {
         if sms == 0
             || per_utlb == 0
             || self.spec.num_utlbs() as usize != self.utlbs.len()
+            || self.gmmu.num_queues() != self.utlbs.len()
             || self.sm_queues.len() != sms as usize
             || self.sm_active.len() != sms as usize
         {
             return Err(format!(
                 "the spec places warps on {sms} SMs at {per_utlb} per μTLB, but the device has \
-                 {} SM queues and {} μTLBs",
+                 {} SM queues, {} μTLBs and {} GMMU queues",
                 self.sm_queues.len(),
-                self.utlbs.len()
+                self.utlbs.len(),
+                self.gmmu.num_queues()
             ));
         }
         if self.warps.len() != programs.len() {
@@ -185,25 +186,33 @@ impl Gpu {
                 programs.len()
             ));
         }
-        let mut warps = self.warps.iter().zip(programs).enumerate();
-        match warps.find(|(_, (w, p))| w.pc() > p.instrs.len()) {
-            Some((i, (w, p))) => Err(format!(
-                "warp {i} is at instruction {} of a {}-instruction program",
-                w.pc(),
-                p.instrs.len()
-            )),
-            None => Ok(()),
+        for (i, (w, p)) in self.warps.iter().zip(programs).enumerate() {
+            if w.pc() > p.instrs.len() {
+                return Err(format!(
+                    "warp {i} is at instruction {} of a {}-instruction program",
+                    w.pc(),
+                    p.instrs.len()
+                ));
+            }
+            let pages = w.current_instr(p).map_or(0, |instr| instr.pages().len());
+            if w.issued() > pages {
+                return Err(format!(
+                    "warp {i} has issued {} pages of a {pages}-page instruction",
+                    w.issued()
+                ));
+            }
         }
+        Ok(())
     }
 
     /// Warps that have completed.
     pub fn warps_done(&self) -> usize {
-        self.done_warps
+        self.warps.iter().filter(|w| w.status == WarpStatus::Done).count()
     }
 
     /// Whether every launched warp has completed.
     pub fn all_done(&self) -> bool {
-        self.done_warps == self.warps.len()
+        self.warps_done() == self.warps.len()
     }
 
     /// Warps currently stalled waiting for a replay.
@@ -343,46 +352,48 @@ impl Gpu {
         let mut instrs_executed = 0usize;
 
         loop {
-            // Issue any pending accesses of the current instruction (plus
-            // queued refaults).
-            while let Some((page, kind)) = w.next_pending_access() {
+            // Issue the rest of the current instruction (queued refaults
+            // first). An access is taken once it hits, faults or
+            // piggybacks; one that stalls stays at the head.
+            while let Some((page, kind)) = w.next_access(program) {
                 if self.page_table.is_mapped(page) {
-                    continue; // hit
-                }
-                if kind == AccessKind::Prefetch {
+                    // Hit.
+                } else if kind == AccessKind::Prefetch {
                     // Prefetches bypass the scoreboard and μTLB slots: the
                     // fault is logged but the warp neither stalls nor waits.
                     self.gmmu.deposit(utlb, page, kind, wid, t, false);
                     w.faults_generated += 1;
-                    continue;
-                }
-                match self.utlbs[utlb as usize].try_insert(page) {
-                    UtlbInsert::Inserted => {
-                        self.gmmu.deposit(utlb, page, kind, wid, t, false);
-                        w.note_outstanding(page, kind);
-                        w.faults_generated += 1;
-                    }
-                    UtlbInsert::AlreadyOutstanding => {
-                        // Another access (same or different warp behind this
-                        // μTLB) already faulted this page. The access
-                        // usually attaches to the existing entry, but with
-                        // some probability the GMMU logs another entry —
-                        // the same-μTLB (type 1) duplicates of Sec. 4.2.
-                        if self.rng.chance(self.spec.same_utlb_dup_prob) {
-                            self.gmmu.deposit(utlb, page, kind, wid, t, true);
+                } else {
+                    match self.utlbs[utlb as usize].try_insert(page) {
+                        UtlbInsert::Inserted => {
+                            self.gmmu.deposit(utlb, page, kind, wid, t, false);
+                            w.note_outstanding(page, kind);
                             w.faults_generated += 1;
                         }
-                        w.note_outstanding(page, kind);
-                    }
-                    UtlbInsert::Full => {
-                        // All 56 slots occupied: the warp stalls until the
-                        // next replay (the Fig. 3 56-fault first batch).
-                        w.push_back_access(page, kind);
-                        w.status = WarpStatus::Blocked;
-                        w.ready_at = t;
-                        return StepOutcome::Blocked;
+                        UtlbInsert::AlreadyOutstanding => {
+                            // Another access (same or different warp behind
+                            // this μTLB) already faulted this page. The
+                            // access usually attaches to the existing entry,
+                            // but with some probability the GMMU logs
+                            // another entry — the same-μTLB (type 1)
+                            // duplicates of Sec. 4.2.
+                            if self.rng.chance(self.spec.same_utlb_dup_prob) {
+                                self.gmmu.deposit(utlb, page, kind, wid, t, true);
+                                w.faults_generated += 1;
+                            }
+                            w.note_outstanding(page, kind);
+                        }
+                        UtlbInsert::Full => {
+                            // All 56 slots occupied: the warp stalls until
+                            // the next replay (the Fig. 3 56-fault first
+                            // batch).
+                            w.status = WarpStatus::Blocked;
+                            w.ready_at = t;
+                            return StepOutcome::Blocked;
+                        }
                     }
                 }
+                w.take_access();
             }
 
             // Current instruction fully issued: move to the next.
@@ -398,7 +409,6 @@ impl Gpu {
                 w.status = WarpStatus::Done;
                 w.ready_at = t;
                 let sm = sm as usize;
-                self.done_warps += 1;
                 if t > self.kernel_end {
                     self.kernel_end = t;
                 }
@@ -414,7 +424,7 @@ impl Gpu {
             // Scoreboard: a store cannot issue while any prior faulted
             // access is outstanding (Listing 2: FADD stalls on its input
             // registers, blocking the STG and everything after it).
-            if matches!(w.peek_instr(program), Some(Instr::Store { .. })) && w.has_outstanding() {
+            if program.instrs.get(w.pc()).is_some_and(Instr::is_store) && w.has_outstanding() {
                 w.status = WarpStatus::Blocked;
                 w.ready_at = t;
                 Self::spurious_reissue(w, (wid, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
@@ -580,15 +590,9 @@ mod tests {
         let mut p = WarpProgram::new();
         for stmt in 0..3u64 {
             let off = stmt * 32;
-            p.push(Instr::Load {
-                pages: (0..32).map(|l| PageNum(a + off + l)).collect(),
-            });
-            p.push(Instr::Load {
-                pages: (0..32).map(|l| PageNum(b + off + l)).collect(),
-            });
-            p.push(Instr::Store {
-                pages: (0..32).map(|l| PageNum(c + off + l)).collect(),
-            });
+            p.push(Instr::load((0..32).map(|l| PageNum(a + off + l)).collect()));
+            p.push(Instr::load((0..32).map(|l| PageNum(b + off + l)).collect()));
+            p.push(Instr::store((0..32).map(|l| PageNum(c + off + l)).collect()));
         }
         p
     }
@@ -692,7 +696,7 @@ mod tests {
         let mut gpu = small_gpu();
         let pages: Vec<PageNum> = (0..300).map(|i| PageNum(5000 + i)).collect();
         let mut p = WarpProgram::new();
-        p.push(Instr::Prefetch { pages });
+        p.push(Instr::prefetch(pages));
         let programs = [p];
         let activated = gpu.launch(programs.len());
         // The warp never blocks: prefetches are fire-and-forget.
@@ -714,10 +718,10 @@ mod tests {
         // faults are bounded by the single 56-entry budget.
         let mut gpu = small_gpu();
         let p0 = WarpProgram {
-            instrs: vec![Instr::Load { pages: (0..32).map(|i| PageNum(100 + i)).collect() }],
+            instrs: vec![Instr::load((0..32).map(|i| PageNum(100 + i)).collect())],
         };
         let p1 = WarpProgram {
-            instrs: vec![Instr::Load { pages: (0..32).map(|i| PageNum(200 + i)).collect() }],
+            instrs: vec![Instr::load((0..32).map(|i| PageNum(200 + i)).collect())],
         };
         // Launch 8 programs so warps land on SMs 0..8; warps 0 and 1 share μTLB 0.
         let programs = [p0, p1];
@@ -737,7 +741,7 @@ mod tests {
         // fault is logged as a duplicate of an outstanding entry.
         let mut gpu = small_gpu();
         let shared = PageNum(42);
-        let prog = WarpProgram { instrs: vec![Instr::load1(shared)] };
+        let prog = WarpProgram { instrs: vec![Instr::load(vec![shared])] };
         // Warps 0 and 1 land on SMs 0 and 1 → both on μTLB 0.
         let programs = [prog.clone(), prog];
         let activated = gpu.launch(programs.len());
@@ -758,8 +762,8 @@ mod tests {
         assert_eq!(gpu.resident_pages() as u64, PAGES_PER_VABLOCK);
         let prog = WarpProgram {
             instrs: vec![
-                Instr::Load { pages: vec![block.page_at(0), block.page_at(5)] },
-                Instr::Store { pages: vec![block.page_at(6)] },
+                Instr::load(vec![block.page_at(0), block.page_at(5)]),
+                Instr::store(vec![block.page_at(6)]),
             ],
         };
         let programs = [prog];
@@ -777,7 +781,7 @@ mod tests {
         let mut gpu = small_gpu();
         // 8 SMs x 16 warps = 128 slots; launch 130 trivial programs.
         let progs: Vec<WarpProgram> = (0..130)
-            .map(|i| WarpProgram { instrs: vec![Instr::load1(PageNum(10_000 + i))] })
+            .map(|i| WarpProgram { instrs: vec![Instr::load(vec![PageNum(10_000 + i)])] })
             .collect();
         let activated = gpu.launch(progs.len());
         assert_eq!(activated.len(), 128);
@@ -807,7 +811,7 @@ mod tests {
     #[test]
     fn second_launch_reuses_residency() {
         let mut gpu = small_gpu();
-        let prog = WarpProgram { instrs: vec![Instr::load1(PageNum(7))] };
+        let prog = WarpProgram { instrs: vec![Instr::load(vec![PageNum(7)])] };
         // Warp 0 runs the first kernel's program, warp 1 the second's.
         let programs = [prog.clone(), prog];
         let a1 = gpu.launch(1);
@@ -838,7 +842,7 @@ mod tests {
         spec.fault_buffer_entries = 16;
         let mut gpu = Gpu::new(spec);
         let prog = WarpProgram {
-            instrs: vec![Instr::Load { pages: (0..32).map(PageNum).collect() }],
+            instrs: vec![Instr::load((0..32).map(PageNum).collect())],
         };
         let programs = [prog];
         let a = gpu.launch(programs.len());
@@ -872,7 +876,7 @@ mod tests {
         // lost accesses re-fault — same recovery shape as overflow drops.
         let mut gpu = small_gpu();
         let prog = WarpProgram {
-            instrs: vec![Instr::Load { pages: (0..32).map(PageNum).collect() }],
+            instrs: vec![Instr::load((0..32).map(PageNum).collect())],
         };
         let programs = [prog];
         let a = gpu.launch(programs.len());
@@ -908,7 +912,7 @@ mod tests {
         let prog = WarpProgram {
             instrs: vec![
                 Instr::Delay(uvm_sim::time::SimDuration::from_micros(10)),
-                Instr::load1(PageNum(1)),
+                Instr::load(vec![PageNum(1)]),
                 Instr::Delay(uvm_sim::time::SimDuration::from_micros(10)),
             ],
         };
@@ -936,7 +940,7 @@ mod tests {
     fn stepping_blocked_warp_panics() {
         let mut gpu = small_gpu();
         let prog = WarpProgram {
-            instrs: vec![Instr::Load { pages: vec![PageNum(1)] }],
+            instrs: vec![Instr::load(vec![PageNum(1)])],
         };
         let programs = [prog];
         let activated = gpu.launch(programs.len());

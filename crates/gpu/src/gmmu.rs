@@ -77,6 +77,11 @@ impl Gmmu {
         }
     }
 
+    /// Number of μTLB queues.
+    pub(crate) fn num_queues(&self) -> usize {
+        self.queues.len()
+    }
+
     /// Number of faults awaiting insertion.
     pub fn pending(&self) -> usize {
         self.pending

@@ -5,9 +5,9 @@
 //! method that reads one takes the warp's program as an argument. The
 //! stepping logic itself lives in [`crate::device`] (it needs the μTLBs,
 //! GMMU, and page table); this module owns the per-warp bookkeeping:
-//! program counter, partially issued instruction, the set of outstanding
-//! faulted accesses (the scoreboard), and accesses that must re-fault after
-//! a replay found them still non-resident.
+//! program counter, how far the current instruction has issued, the set
+//! of outstanding faulted accesses (the scoreboard), and accesses that
+//! must re-fault after a replay found them still non-resident.
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::mem::PageNum;
@@ -35,23 +35,29 @@ pub enum WarpStatus {
 /// Hardware state only: the program counter indexes the warp's program,
 /// which stays with the workload, and the warp's id, SM and μTLB follow
 /// from its index in the device (see
-/// [`GpuSpec::placement`](crate::spec::GpuSpec::placement)). Fully
-/// serializable — program counter, partially issued instruction,
-/// scoreboard, and refault queue included — so a restored warp, given the
-/// same program, resumes mid-instruction exactly where the snapshot left
-/// it.
+/// [`GpuSpec::placement`](crate::spec::GpuSpec::placement)). The current
+/// instruction's unissued pages are not copied either: the warp keeps how
+/// many it has issued, and reads the rest from the program. Fully
+/// serializable — program counter, issue count, scoreboard, and refault
+/// queue included — so a restored warp, given the same program, resumes
+/// mid-instruction exactly where the snapshot left it.
+///
+/// Issue is peek-then-take: [`Warp::next_access`] names the access at the
+/// head, and [`Warp::take_access`] consumes it once it has hit, faulted or
+/// piggybacked on an outstanding fault.
+/// An access that stalls on a full μTLB is never taken, so it stays at the
+/// head for the retry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Warp {
     /// Scheduling status.
     pub status: WarpStatus,
     /// Time at which the warp may next issue.
     pub ready_at: SimTime,
-    /// Index of the next instruction of the warp's program.
+    /// Index of the next instruction of the warp's program; the current
+    /// instruction is the one before it.
     pc: usize,
-    /// Pages of the current instruction not yet issued (in reverse order so
-    /// `pop` yields them in program order).
-    pending_pages: Vec<PageNum>,
-    pending_kind: AccessKind,
+    /// Pages of the current instruction already issued.
+    issued: usize,
     /// The scoreboard: faulted accesses awaiting service as `(page, kind)`
     /// pairs, sorted by page with one entry per page. Ascending order keeps
     /// every iteration (notably the spurious-reissue RNG pairing)
@@ -59,7 +65,7 @@ pub struct Warp {
     /// array a `BTreeMap` would.
     outstanding: Vec<(PageNum, AccessKind)>,
     /// Accesses a replay found still non-resident; re-issued (re-faulted)
-    /// before the current instruction continues.
+    /// from the back before the current instruction continues.
     refault: Vec<(PageNum, AccessKind)>,
     /// Monotone count of faults this warp generated (including refaults).
     pub faults_generated: u64,
@@ -78,8 +84,7 @@ impl Warp {
             status: WarpStatus::Queued,
             ready_at: SimTime::ZERO,
             pc: 0,
-            pending_pages: Vec::new(),
-            pending_kind: AccessKind::Read,
+            issued: 0,
             outstanding: Vec::new(),
             refault: Vec::new(),
             faults_generated: 0,
@@ -89,6 +94,17 @@ impl Warp {
     /// Index of the next instruction of the warp's program.
     pub(crate) fn pc(&self) -> usize {
         self.pc
+    }
+
+    /// Pages of the current instruction already issued.
+    pub(crate) fn issued(&self) -> usize {
+        self.issued
+    }
+
+    /// The current instruction of `program` (the last one fetched), if
+    /// any.
+    pub(crate) fn current_instr<'p>(&self, program: &'p WarpProgram) -> Option<&'p Instr> {
+        program.instrs.get(self.pc.checked_sub(1)?)
     }
 
     /// Whether the warp has outstanding faulted accesses (the scoreboard is
@@ -116,54 +132,35 @@ impl Warp {
         self.outstanding.iter().copied()
     }
 
-    /// Take the next access to issue: first any refaults, then the pages of
-    /// the partially issued instruction. Returns `None` when the current
+    /// The next access to issue, without consuming it: the last queued
+    /// refault if there is one, else the first unissued page of the
+    /// current instruction of `program`. `None` when the current
     /// instruction (if any) is fully issued.
-    pub fn next_pending_access(&mut self) -> Option<(PageNum, AccessKind)> {
-        if let Some(rf) = self.refault.pop() {
+    pub fn next_access(&self, program: &WarpProgram) -> Option<(PageNum, AccessKind)> {
+        if let Some(&rf) = self.refault.last() {
             return Some(rf);
         }
-        self.pending_pages.pop().map(|p| (p, self.pending_kind))
-    }
-
-    /// Put back an access that could not issue (μTLB full); it will be the
-    /// next one retried.
-    pub fn push_back_access(&mut self, page: PageNum, kind: AccessKind) {
-        if kind == self.pending_kind && self.refault.is_empty() {
-            self.pending_pages.push(page);
-        } else {
-            self.refault.push((page, kind));
+        match self.current_instr(program)? {
+            Instr::Access { kind, pages } => pages.get(self.issued).map(|&p| (p, *kind)),
+            Instr::Delay(_) => None,
         }
     }
 
-    /// Whether the current instruction still has unissued accesses (or
-    /// refaults are queued).
-    pub fn has_pending_accesses(&self) -> bool {
-        !self.pending_pages.is_empty() || !self.refault.is_empty()
+    /// Consume the access [`Self::next_access`] returned.
+    pub fn take_access(&mut self) {
+        if self.refault.pop().is_none() {
+            self.issued += 1;
+        }
     }
 
-    /// Fetch the next instruction of `program`, loading its pages into the
-    /// pending queue (refilled in place, so stepping allocates nothing once
-    /// the queue has grown to the widest instruction). Returns the fetched
-    /// instruction, or `None` at program end.
+    /// Fetch the next instruction of `program`, making it current with
+    /// none of its pages issued. Returns the fetched instruction, or
+    /// `None` at program end.
     pub fn fetch_next_instr<'p>(&mut self, program: &'p WarpProgram) -> Option<&'p Instr> {
         let instr = program.instrs.get(self.pc)?;
         self.pc += 1;
-        self.pending_pages.clear();
-        let (kind, pages) = match instr {
-            Instr::Load { pages } => (AccessKind::Read, pages),
-            Instr::Store { pages } => (AccessKind::Write, pages),
-            Instr::Prefetch { pages } => (AccessKind::Prefetch, pages),
-            Instr::Delay(_) => return Some(instr),
-        };
-        self.pending_kind = kind;
-        self.pending_pages.extend(pages.iter().rev());
+        self.issued = 0;
         Some(instr)
-    }
-
-    /// Peek at the next instruction of `program` without consuming it.
-    pub fn peek_instr<'p>(&self, program: &'p WarpProgram) -> Option<&'p Instr> {
-        program.instrs.get(self.pc)
     }
 
     /// Whether the program counter is at the end of `program`.
@@ -172,9 +169,10 @@ impl Warp {
     }
 
     /// Apply a fault replay: every outstanding access whose page is now
-    /// resident (per `is_resident`) is fulfilled; the rest move to the
-    /// refault queue for re-issue, in ascending page order. Returns the
-    /// number fulfilled.
+    /// resident (per `is_resident`) is fulfilled; the rest join the refault
+    /// queue behind the accesses already queued there, in ascending page
+    /// order, so they re-issue first and in descending page order. Returns
+    /// the number fulfilled.
     pub fn apply_replay(&mut self, is_resident: impl Fn(PageNum) -> bool) -> usize {
         let outstanding = self.outstanding.len();
         let queued = self.refault.len();
@@ -202,45 +200,59 @@ mod tests {
         WarpProgram { instrs }
     }
 
+    /// Take accesses until the head is empty, returning them in order.
+    fn take_all(w: &mut Warp, p: &WarpProgram) -> Vec<(PageNum, AccessKind)> {
+        let mut taken = Vec::new();
+        while let Some(access) = w.next_access(p) {
+            w.take_access();
+            taken.push(access);
+        }
+        taken
+    }
+
     #[test]
     fn fetch_loads_pages_in_program_order() {
-        let p = prog(vec![Instr::Load {
-            pages: vec![PageNum(1), PageNum(2), PageNum(3)],
-        }]);
+        let p = prog(vec![Instr::load(vec![PageNum(1), PageNum(2), PageNum(3)])]);
         let mut w = Warp::new();
+        assert_eq!(w.next_access(&p), None, "nothing is current before the first fetch");
         w.fetch_next_instr(&p).unwrap();
-        assert_eq!(w.next_pending_access(), Some((PageNum(1), AccessKind::Read)));
-        assert_eq!(w.next_pending_access(), Some((PageNum(2), AccessKind::Read)));
-        assert_eq!(w.next_pending_access(), Some((PageNum(3), AccessKind::Read)));
-        assert_eq!(w.next_pending_access(), None);
+        assert_eq!(
+            take_all(&mut w, &p),
+            [1, 2, 3].map(|n| (PageNum(n), AccessKind::Read))
+        );
         assert!(w.at_program_end(&p));
     }
 
     #[test]
-    fn push_back_retries_same_access_next() {
-        let p = prog(vec![Instr::Load {
-            pages: vec![PageNum(1), PageNum(2)],
-        }]);
+    fn an_untaken_access_stays_at_the_head() {
+        let p = prog(vec![Instr::store(vec![PageNum(1), PageNum(2)])]);
         let mut w = Warp::new();
         w.fetch_next_instr(&p).unwrap();
-        let (p, k) = w.next_pending_access().unwrap();
-        w.push_back_access(p, k);
-        assert_eq!(w.next_pending_access(), Some((PageNum(1), AccessKind::Read)));
+        assert_eq!(w.next_access(&p), Some((PageNum(1), AccessKind::Write)));
+        assert_eq!(w.next_access(&p), Some((PageNum(1), AccessKind::Write)));
+        w.take_access();
+        assert_eq!(w.next_access(&p), Some((PageNum(2), AccessKind::Write)));
+        // A queued refault goes first, and stays first until taken.
+        w.note_outstanding(PageNum(9), AccessKind::Read);
+        w.apply_replay(|_| false);
+        assert_eq!(w.next_access(&p), Some((PageNum(9), AccessKind::Read)));
+        assert_eq!(w.next_access(&p), Some((PageNum(9), AccessKind::Read)));
+        w.take_access();
+        assert_eq!(take_all(&mut w, &p), [(PageNum(2), AccessKind::Write)]);
     }
 
     #[test]
     fn replay_fulfills_resident_and_queues_refaults() {
+        let p = WarpProgram::new();
         let mut w = Warp::new();
         w.note_outstanding(PageNum(1), AccessKind::Read);
         w.note_outstanding(PageNum(2), AccessKind::Read);
         w.note_outstanding(PageNum(3), AccessKind::Write);
         let fulfilled = w.apply_replay(|p| p == PageNum(2));
         assert_eq!(fulfilled, 1);
-        assert!(w.has_pending_accesses());
+        assert!(w.next_access(&p).is_some());
         // Refaults re-issue in sorted order (LIFO pop → descending pushes).
-        let a = w.next_pending_access().unwrap();
-        let b = w.next_pending_access().unwrap();
-        let mut got = vec![a, b];
+        let mut got = take_all(&mut w, &p);
         got.sort_unstable_by_key(|(p, _)| *p);
         assert_eq!(got, vec![(PageNum(1), AccessKind::Read), (PageNum(3), AccessKind::Write)]);
         assert!(!w.has_outstanding());
@@ -252,6 +264,6 @@ mod tests {
         let mut w = Warp::new();
         let instr = w.fetch_next_instr(&p).unwrap();
         assert!(matches!(instr, Instr::Delay(_)));
-        assert!(!w.has_pending_accesses());
+        assert_eq!(w.next_access(&p), None);
     }
 }

@@ -51,8 +51,13 @@ use serde::Value;
 /// entries no longer store their SM and μTLB (the warp's placement gives
 /// both); v9 — the stored digests hash the walk a 64-bit word at a time
 /// (they were a bytewise FNV-1a), and GMMU queue entries no longer store
-/// their SM (the warp's placement gives it).
-pub const SNAPSHOT_VERSION: u32 = 9;
+/// their SM (the warp's placement gives it); v10 — warps keep how many
+/// pages of their current instruction they have issued in place of a copy
+/// of the unissued pages and their access kind, the GPU drops its count
+/// of finished warps (the warps' statuses give it), and the workload
+/// digest a snapshot stores walks instructions encoded keyed by access
+/// kind (`{"Read": [pages]}`).
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Stable digest of a serialized state tree.
 ///

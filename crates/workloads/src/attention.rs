@@ -82,7 +82,7 @@ pub fn build(params: AttentionParams) -> Workload {
             let mut prog = WarpProgram::new();
             // Sequential query streaming.
             let q0 = warp_idx * qp;
-            prog.push(Instr::Load { pages: (q0..q0 + qp).map(|i| q.page(i)).collect() });
+            prog.push(Instr::load((q0..q0 + qp).map(|i| q.page(i)).collect()));
             // Skewed KV gathers: hot set with probability `hot_fraction`,
             // uniform over the whole table otherwise.
             let mut gathers = Vec::with_capacity(params.gathers_per_query as usize);
@@ -96,11 +96,11 @@ pub fn build(params: AttentionParams) -> Workload {
             }
             gathers.sort_unstable();
             gathers.dedup();
-            prog.push(Instr::Load { pages: gathers });
+            prog.push(Instr::load(gathers));
             if params.compute_per_query > SimDuration::ZERO {
                 prog.push(Instr::Delay(params.compute_per_query));
             }
-            prog.push(Instr::Store { pages: vec![out.page(warp_idx)] });
+            prog.push(Instr::store(vec![out.page(warp_idx)]));
             b.warp(prog);
         }
         b.end_kernel();

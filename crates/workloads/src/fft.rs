@@ -67,16 +67,16 @@ pub fn build(params: FftParams) -> Workload {
             let partner = w ^ (1u64 << s);
             let theirs: Vec<_> = (0..ppc).map(|i| x.page(partner * ppc + i)).collect();
             for chunk in own.chunks(per) {
-                prog.push(Instr::Load { pages: chunk.to_vec() });
+                prog.push(Instr::load(chunk.to_vec()));
             }
             for chunk in theirs.chunks(per) {
-                prog.push(Instr::Load { pages: chunk.to_vec() });
+                prog.push(Instr::load(chunk.to_vec()));
             }
             if params.compute_per_pass > SimDuration::ZERO {
                 prog.push(Instr::Delay(params.compute_per_pass.mul_f64(warp_compute_factor(w))));
             }
             for chunk in own.chunks(per) {
-                prog.push(Instr::Store { pages: chunk.to_vec() });
+                prog.push(Instr::store(chunk.to_vec()));
             }
         }
         b.warp(prog);
@@ -92,6 +92,7 @@ pub fn build(params: FftParams) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uvm_gpu::fault::AccessKind;
 
     #[test]
     fn pass_count_is_log2_chunks() {
@@ -122,7 +123,7 @@ mod tests {
         let loads: Vec<u64> = prog
             .instrs
             .iter()
-            .filter(|i| matches!(i, Instr::Load { .. }))
+            .filter(|i| matches!(i, Instr::Access { kind: AccessKind::Read, .. }))
             .map(|i| i.pages()[0].0 - x.page(0).0)
             .collect();
         assert_eq!(loads, vec![0, 1, 0, 2]);
@@ -155,7 +156,7 @@ mod tests {
         let loads: Vec<u64> = prog
             .instrs
             .iter()
-            .filter(|i| matches!(i, Instr::Load { .. }))
+            .filter(|i| matches!(i, Instr::Access { kind: AccessKind::Read, .. }))
             .map(|i| (i.pages()[0].0 - x.page(0).0) / 16)
             .collect();
         assert_eq!(*loads.last().unwrap(), 32);

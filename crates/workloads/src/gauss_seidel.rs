@@ -85,13 +85,13 @@ pub fn build(params: GaussSeidelParams) -> Workload {
                 ];
                 loads.sort_unstable();
                 loads.dedup();
-                prog.push(Instr::Load { pages: loads });
+                prog.push(Instr::load(loads));
                 if params.compute_per_row > SimDuration::ZERO {
                     prog.push(Instr::Delay(
                         params.compute_per_row.mul_f64(warp_compute_factor(w)),
                     ));
                 }
-                prog.push(Instr::Store { pages: vec![slice_page(&u, r, w)] });
+                prog.push(Instr::store(vec![slice_page(&u, r, w)]));
             }
         }
         b.warp(prog);

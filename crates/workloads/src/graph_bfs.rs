@@ -105,7 +105,7 @@ pub fn build(params: GraphBfsParams) -> Workload {
                         .map(|p| adj.page(p))
                         .collect();
                 adj_pages.dedup();
-                prog.push(Instr::Load { pages: adj_pages });
+                prog.push(Instr::load(adj_pages));
                 // The pointer chase: gather every neighbor's vertex data.
                 let mut gathers: Vec<_> = adjacency[v as usize]
                     .iter()
@@ -113,11 +113,11 @@ pub fn build(params: GraphBfsParams) -> Workload {
                     .collect();
                 gathers.sort_unstable();
                 gathers.dedup();
-                prog.push(Instr::Load { pages: gathers });
+                prog.push(Instr::load(gathers));
                 if params.compute_per_vertex > SimDuration::ZERO {
                     prog.push(Instr::Delay(params.compute_per_vertex));
                 }
-                prog.push(Instr::Store { pages: vec![visited.page(v / ADJ_PER_PAGE)] });
+                prog.push(Instr::store(vec![visited.page(v / ADJ_PER_PAGE)]));
             }
             b.warp(prog);
         }

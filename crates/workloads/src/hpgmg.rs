@@ -94,13 +94,13 @@ pub fn build(params: HpgmgParams) -> Workload {
             let mut loads = up.clone();
             loads.extend(rp);
             for chunk in loads.chunks(per) {
-                prog.push(Instr::Load { pages: chunk.to_vec() });
+                prog.push(Instr::load(chunk.to_vec()));
             }
             if params.compute_per_phase > SimDuration::ZERO {
                 prog.push(Instr::Delay(params.compute_per_phase.mul_f64(warp_compute_factor(w))));
             }
             for chunk in up.chunks(per) {
-                prog.push(Instr::Store { pages: chunk.to_vec() });
+                prog.push(Instr::store(chunk.to_vec()));
             }
         };
 
@@ -111,11 +111,11 @@ pub fn build(params: HpgmgParams) -> Workload {
                 let fine = slab(&r[l], w, warps);
                 let coarse = slab(&r[l + 1], w, warps);
                 for chunk in fine.chunks(per) {
-                    prog.push(Instr::Load { pages: chunk.to_vec() });
+                    prog.push(Instr::load(chunk.to_vec()));
                 }
                 if !coarse.is_empty() {
                     for chunk in coarse.chunks(per) {
-                        prog.push(Instr::Store { pages: chunk.to_vec() });
+                        prog.push(Instr::store(chunk.to_vec()));
                     }
                 }
             }
@@ -126,11 +126,11 @@ pub fn build(params: HpgmgParams) -> Workload {
                 let coarse = slab(&u[l + 1], w, warps);
                 let fine = slab(&u[l], w, warps);
                 for chunk in coarse.chunks(per) {
-                    prog.push(Instr::Load { pages: chunk.to_vec() });
+                    prog.push(Instr::load(chunk.to_vec()));
                 }
                 if !fine.is_empty() {
                     for chunk in fine.chunks(per) {
-                        prog.push(Instr::Store { pages: chunk.to_vec() });
+                        prog.push(Instr::store(chunk.to_vec()));
                     }
                 }
                 smooth(&mut prog, l);

@@ -38,7 +38,7 @@ pub fn build(params: PrefetchUbParams) -> Workload {
     let mut prog = WarpProgram::new();
     let all: Vec<_> = (0..pages).map(|i| region.page(i)).collect();
     for chunk in all.chunks(per) {
-        prog.push(Instr::Prefetch { pages: chunk.to_vec() });
+        prog.push(Instr::prefetch(chunk.to_vec()));
     }
     b.warp(prog);
     b.build()
@@ -47,6 +47,7 @@ pub fn build(params: PrefetchUbParams) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uvm_gpu::fault::AccessKind;
 
     #[test]
     fn single_warp_prefetches_all_pages() {
@@ -56,7 +57,7 @@ mod tests {
         assert!(w.programs[0]
             .instrs
             .iter()
-            .all(|i| matches!(i, Instr::Prefetch { .. })));
+            .all(|i| matches!(i, Instr::Access { kind: AccessKind::Prefetch, .. })));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn build(params: RandomParams) -> Workload {
         let mut prog = WarpProgram::new();
         for _ in 0..params.accesses_per_warp.max(1) {
             let p = region.page(rng.below(params.footprint_pages.max(1)));
-            prog.push(Instr::Load { pages: vec![p] });
+            prog.push(Instr::load(vec![p]));
         }
         b.warp(prog);
     }

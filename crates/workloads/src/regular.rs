@@ -46,7 +46,7 @@ pub fn build(params: RegularParams) -> Workload {
         let mut prog = WarpProgram::new();
         let pages: Vec<_> = (0..ppw).map(|i| region.page(w * ppw + i)).collect();
         for chunk in pages.chunks(per) {
-            prog.push(Instr::Load { pages: chunk.to_vec() });
+            prog.push(Instr::load(chunk.to_vec()));
         }
         b.warp(prog);
     }

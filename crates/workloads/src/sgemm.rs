@@ -113,11 +113,11 @@ pub fn build(params: GemmParams) -> Workload {
             for tk in 0..tiles {
                 let a_pages = tile_pages(&a, n, params.elem_size, ti * tile, tk * tile, tile);
                 for chunk in a_pages.chunks(per) {
-                    prog.push(Instr::Load { pages: chunk.to_vec() });
+                    prog.push(Instr::load(chunk.to_vec()));
                 }
                 let b_pages = tile_pages(&bm, n, params.elem_size, tk * tile, tj * tile, tile);
                 for chunk in b_pages.chunks(per) {
-                    prog.push(Instr::Load { pages: chunk.to_vec() });
+                    prog.push(Instr::load(chunk.to_vec()));
                 }
                 if params.compute_per_ktile > SimDuration::ZERO {
                     let d = params
@@ -128,7 +128,7 @@ pub fn build(params: GemmParams) -> Workload {
             }
             let c_pages = tile_pages(&c, n, params.elem_size, ti * tile, tj * tile, tile);
             for chunk in c_pages.chunks(per) {
-                prog.push(Instr::Store { pages: chunk.to_vec() });
+                prog.push(Instr::store(chunk.to_vec()));
             }
             b.warp(prog);
         }

@@ -60,9 +60,9 @@ pub fn build(params: StreamParams) -> Workload {
         for _iter in 0..params.iters.max(1) {
             for i in 0..ppw {
                 let idx = group * ppw + i;
-                prog.push(Instr::load1(a.page(idx)));
-                prog.push(Instr::load1(bb.page(idx)));
-                prog.push(Instr::store1(c.page(idx)));
+                prog.push(Instr::load(vec![a.page(idx)]));
+                prog.push(Instr::load(vec![bb.page(idx)]));
+                prog.push(Instr::store(vec![c.page(idx)]));
             }
         }
         b.warp(prog);
@@ -82,6 +82,7 @@ pub fn build(params: StreamParams) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uvm_gpu::fault::AccessKind;
 
     #[test]
     fn triad_structure() {
@@ -95,8 +96,8 @@ mod tests {
         assert_eq!(w.num_warps(), 2);
         let instrs = &w.programs[0].instrs;
         assert_eq!(instrs.len(), 9);
-        assert!(matches!(instrs[0], Instr::Load { .. }));
-        assert!(matches!(instrs[1], Instr::Load { .. }));
+        assert!(matches!(instrs[0], Instr::Access { kind: AccessKind::Read, .. }));
+        assert!(matches!(instrs[1], Instr::Access { kind: AccessKind::Read, .. }));
         assert!(instrs[2].is_store());
     }
 

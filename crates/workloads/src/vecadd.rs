@@ -68,9 +68,9 @@ pub fn build(params: VecAddParams) -> Workload {
                     (0..lanes).map(|l| vec.page((s * warps + w) * lanes + l)).collect()
                 }
             };
-            prog.push(Instr::Load { pages: pages(&a) });
-            prog.push(Instr::Load { pages: pages(&bb) });
-            prog.push(Instr::Store { pages: pages(&c) });
+            prog.push(Instr::load(pages(&a)));
+            prog.push(Instr::load(pages(&bb)));
+            prog.push(Instr::store(pages(&c)));
         }
         b.warp(prog);
     }

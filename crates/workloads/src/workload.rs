@@ -93,15 +93,10 @@ impl Workload {
                     .instrs
                     .iter()
                     .map(|i| match i {
-                        Instr::Load { pages } => {
-                            Instr::Load { pages: pages.iter().copied().map(shift).collect() }
-                        }
-                        Instr::Store { pages } => {
-                            Instr::Store { pages: pages.iter().copied().map(shift).collect() }
-                        }
-                        Instr::Prefetch { pages } => {
-                            Instr::Prefetch { pages: pages.iter().copied().map(shift).collect() }
-                        }
+                        Instr::Access { kind, pages } => Instr::Access {
+                            kind: *kind,
+                            pages: pages.iter().copied().map(shift).collect(),
+                        },
                         Instr::Delay(d) => Instr::Delay(*d),
                     })
                     .collect(),
@@ -215,7 +210,7 @@ mod tests {
         let a = b.alloc(VABLOCK_SIZE);
         let c = b.alloc(2 * VABLOCK_SIZE);
         b.warp(WarpProgram {
-            instrs: vec![Instr::load1(a.page(0)), Instr::store1(c.page(0))],
+            instrs: vec![Instr::load(vec![a.page(0)]), Instr::store(vec![c.page(0)])],
         });
         let w = b.build();
         assert_eq!(w.name, "test");
@@ -231,10 +226,10 @@ mod tests {
     fn kernel_boundaries_partition_programs() {
         let mut b = Workload::builder("multi");
         let a = b.alloc(VABLOCK_SIZE);
-        b.warp(WarpProgram { instrs: vec![Instr::load1(a.page(0))] });
-        b.warp(WarpProgram { instrs: vec![Instr::load1(a.page(1))] });
+        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(0)])] });
+        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(1)])] });
         b.end_kernel();
-        b.warp(WarpProgram { instrs: vec![Instr::load1(a.page(2))] });
+        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(2)])] });
         b.end_kernel();
         b.end_kernel(); // duplicate boundary is a no-op
         let w = b.build();
@@ -245,9 +240,9 @@ mod tests {
     fn trailing_programs_form_final_kernel() {
         let mut b = Workload::builder("tail");
         let a = b.alloc(VABLOCK_SIZE);
-        b.warp(WarpProgram { instrs: vec![Instr::load1(a.page(0))] });
+        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(0)])] });
         b.end_kernel();
-        b.warp(WarpProgram { instrs: vec![Instr::load1(a.page(1))] });
+        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(1)])] });
         let w = b.build();
         assert_eq!(w.kernels(), vec![0..1, 1..2]);
     }
@@ -257,7 +252,7 @@ mod tests {
         let mut b = Workload::builder("rebase");
         let a = b.alloc(VABLOCK_SIZE);
         b.warp(WarpProgram {
-            instrs: vec![Instr::load1(a.page(0)), Instr::store1(a.page(3))],
+            instrs: vec![Instr::load(vec![a.page(0)]), Instr::store(vec![a.page(3)])],
         });
         b.cpu_touches([crate::cpu_init::CpuTouch { page: a.page(0), core: 0, write: true }]);
         let w = b.build();

@@ -338,8 +338,6 @@ proptest! {
         faulted in vec(0usize..512, 1..128),
         future in vec(0usize..512, 0..256),
         valid in 16u32..=512,
-        stride in 1u32..64,
-        threshold_pct in 5u32..95,
     ) {
         use uvm_driver::engine::run_prefetch_policy;
         use uvm_driver::{PrefetchContext, PrefetchPolicyKind};
@@ -353,8 +351,6 @@ proptest! {
                 resident: &resident,
                 faulted: &faulted,
                 valid_pages: valid,
-                threshold: f64::from(threshold_pct) / 100.0,
-                stride_pages: stride,
                 future: Some(&future),
             });
             prop_assert!(
@@ -693,7 +689,9 @@ proptest! {
         prop_assert_eq!(fulfilled, model.keys().filter(|p| resident.contains(p)).count());
         prop_assert!(!warp.has_outstanding());
         let mut reissued = Vec::new();
-        while let Some(access) = warp.next_pending_access() {
+        let no_program = uvm_gpu::isa::WarpProgram::new();
+        while let Some(access) = warp.next_access(&no_program) {
+            warp.take_access();
             reissued.push(access);
         }
         let mut refaults: Vec<(PageNum, AccessKind)> =
