@@ -241,7 +241,7 @@ pub mod perf {
     use uvm_core::driver::service::{ServiceScratch, UvmDriver};
     use uvm_core::gpu::device::{Gpu, StepOutcome};
     use uvm_core::gpu::fault::{AccessKind, FaultRecord};
-    use uvm_core::gpu::isa::{Instr, WarpProgram};
+    use uvm_core::gpu::isa::WarpProgram;
     use uvm_core::gpu::spec::GpuSpec;
     use uvm_core::hostos::host::HostMemory;
     use uvm_core::sim::cost::CostModel;
@@ -296,10 +296,10 @@ pub mod perf {
         let cost = CostModel::titan_v();
         let programs: Vec<WarpProgram> = (0..64u64)
             .map(|w| {
-                let pages = vec![PageNum(2 * w), PageNum(2 * w + 1)];
-                WarpProgram {
-                    instrs: vec![Instr::load(pages.clone()), Instr::store(pages)],
-                }
+                let pages = [PageNum(2 * w), PageNum(2 * w + 1)];
+                let mut p = WarpProgram::new();
+                p.load(pages).store(pages);
+                p
             })
             .collect();
         let mut gpu = Gpu::new(GpuSpec::titan_v());

@@ -290,7 +290,7 @@ impl UvmSystem {
             self.driver.managed_alloc(*alloc);
         }
         for t in &workload.cpu_init {
-            self.driver.cpu_touch(&mut self.host, t.page, t.core, t.write);
+            self.driver.cpu_touch(&mut self.host, t.first, t.pages, t.core, t.write);
         }
         for (alloc, advise) in &hints.advise {
             self.driver.set_advise(alloc, *advise);
@@ -986,8 +986,7 @@ mod tests {
         for w in 0..4u64 {
             let mut p = uvm_gpu::isa::WarpProgram::new();
             for i in 0..8u64 {
-                p.push(uvm_gpu::isa::Instr::load(vec![a.page(w * 8 + i)]));
-                p.push(uvm_gpu::isa::Instr::store(vec![c.page(w * 8 + i)]));
+                p.load([a.page(w * 8 + i)]).store([c.page(w * 8 + i)]);
             }
             b.warp(p);
         }
@@ -995,8 +994,7 @@ mod tests {
         for w in 0..4u64 {
             let mut p = uvm_gpu::isa::WarpProgram::new();
             for i in 0..8u64 {
-                p.push(uvm_gpu::isa::Instr::load(vec![c.page(w * 8 + i)]));
-                p.push(uvm_gpu::isa::Instr::store(vec![d.page(w * 8 + i)]));
+                p.load([c.page(w * 8 + i)]).store([d.page(w * 8 + i)]);
             }
             b.warp(p);
         }
@@ -1447,7 +1445,7 @@ mod tests {
                 w.num_warps() - 1, w.num_warps()),
         );
         // A program counter one past its program's end.
-        let len = w.programs[3].instrs.len();
+        let len = w.programs[3].len();
         rejects(
             edited_snapshot(&w, 1, "gpu", |gpu| {
                 *field(&mut warps(gpu)[3], "pc") = Value::NumU(len as u64 + 1);

@@ -105,9 +105,9 @@ pub fn compose(specs: &[ClientSpec], fairness: FairnessPolicy) -> (Workload, Ten
         cpu_init: Vec::new(),
         kernel_ends: Vec::new(),
     };
-    for w in &rebased {
-        out.allocations.extend(w.allocations.iter().copied());
-        out.cpu_init.extend(w.cpu_init.iter().copied());
+    for w in &mut rebased {
+        out.allocations.append(&mut w.allocations);
+        out.cpu_init.append(&mut w.cpu_init);
     }
 
     // Merge kernels round by round. `kernels()` yields each client's
@@ -119,7 +119,7 @@ pub fn compose(specs: &[ClientSpec], fairness: FairnessPolicy) -> (Workload, Ten
     for round in 0..rounds {
         for (ci, kernels) in per_client.iter().enumerate() {
             if let Some(range) = kernels.get(round) {
-                out.programs.extend(rebased[ci].programs[range.clone()].iter().cloned());
+                out.programs.extend(rebased[ci].programs[range.clone()].iter_mut().map(std::mem::take));
             }
         }
         out.kernel_ends.push(out.programs.len());
@@ -130,14 +130,16 @@ pub fn compose(specs: &[ClientSpec], fairness: FairnessPolicy) -> (Workload, Ten
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvm_gpu::isa::{Instr, WarpProgram};
+    use uvm_gpu::isa::WarpProgram;
     use uvm_sim::mem::VABLOCK_SIZE;
 
     fn client(name: &str, blocks: u64, kernels: usize) -> ClientSpec {
         let mut b = Workload::builder(name);
         let a = b.alloc(blocks * VABLOCK_SIZE);
         for k in 0..kernels {
-            b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(k as u64)])] });
+            let mut p = WarpProgram::new();
+            p.load([a.page(k as u64)]);
+            b.warp(p);
             b.end_kernel();
         }
         ClientSpec::new(name, b.build())

@@ -362,9 +362,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(2 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        for i in 0..600 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 600, 0, true);
         let faults: Vec<_> = (0..100).map(|i| fault(alloc.page(i * 5))).collect();
         // service_batch_with itself audits (policy.audited(true)) and would
         // return Err on any violation.
@@ -487,7 +485,7 @@ mod tests {
             &mut scratch,
         )?;
         // Corrupt: CPU remaps a migrated page without the driver noticing.
-        host.cpu_touch(alloc.page(0), 0, true);
+        host.cpu_touch(alloc.page(0), 1, 0, true);
         let vs = violations(&driver, &gpu, &host);
         assert!(vs.iter().any(|e| matches!(
             e,

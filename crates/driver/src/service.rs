@@ -382,24 +382,26 @@ impl UvmDriver {
         self.va_space.register(alloc);
     }
 
-    /// A CPU thread on `core` touches `page` of managed memory: the host OS
-    /// maps it, and the driver records that host data now exists for the
-    /// page (so a later migration pays a real transfer, not just
-    /// population).
+    /// A CPU thread on `core` touches the `pages` consecutive pages from
+    /// `first` of managed memory: the host OS maps them, and the driver
+    /// records that host data now exists for them (so a later migration
+    /// pays a real transfer, not just population), a VABlock at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `page` lies outside every registered managed allocation.
+    /// Panics if a page lies outside every registered managed allocation.
     pub fn cpu_touch(
         &mut self,
         host: &mut HostMemory,
-        page: uvm_sim::mem::PageNum,
+        first: uvm_sim::mem::PageNum,
+        pages: u64,
         core: u32,
         write: bool,
     ) {
-        host.cpu_touch(page, core, write);
-        let state = self.va_space.block_mut(page.va_block());
-        state.host_data.set(page.index_in_block());
+        host.cpu_touch(first, pages, core, write);
+        for (block, span) in first.block_spans(pages) {
+            self.va_space.block_mut(block).host_data.set_range(span.start, span.end);
+        }
     }
 
     /// Apply a `cudaMemAdvise` hint to every VABlock of `alloc`.
@@ -1341,9 +1343,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        for i in 0..alloc.num_pages() {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), alloc.num_pages(), 0, true);
 
         let faults: Vec<_> = (0..10)
             .map(|i| fault(alloc.page(i), 0, AccessKind::Read))
@@ -1439,9 +1439,7 @@ mod tests {
         let alloc = asa.alloc(VABLOCK_SIZE);
         driver.managed_alloc(alloc);
         // CPU initializes the first 100 pages from core 0.
-        for i in 0..100 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 100, 0, true);
 
         let f1 = vec![fault(alloc.page(0), 0, AccessKind::Read)];
         let r1 = driver
@@ -1468,7 +1466,7 @@ mod tests {
             let alloc = asa.alloc(VABLOCK_SIZE);
             driver.managed_alloc(alloc);
             for i in 0..512 {
-                driver.cpu_touch(&mut host, alloc.page(i), (i as u32) % threads, true);
+                driver.cpu_touch(&mut host, alloc.page(i), 1, (i as u32) % threads, true);
             }
             let f = vec![fault(alloc.page(0), 0, AccessKind::Read)];
             Ok::<_, UvmError>(
@@ -1524,9 +1522,7 @@ mod tests {
         let alloc = asa.alloc(2 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
         let blocks: Vec<VaBlockId> = alloc.va_blocks().collect();
-        for i in 0..1024 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 1024, 0, true);
 
         // Migrate block 0 (pays unmap), then block 1 (evicts 0, pays its
         // own unmap), then block 0 again (evicts 1, NO unmap).
@@ -1610,9 +1606,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(4 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        for i in 0..alloc.num_pages() {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), alloc.num_pages(), 0, true);
         // A realistic batch: 200 faults spread over 4 blocks.
         let faults: Vec<_> = (0..200)
             .map(|i| fault(alloc.page(i * 10), (i % 4) as u32, AccessKind::Read))
@@ -1650,9 +1644,7 @@ mod tests {
         let alloc = asa.alloc(2 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
         driver.set_advise(&alloc, crate::advise::MemAdvise::ReadMostly);
-        for i in 0..1024 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 1024, 0, true);
         let blocks: Vec<VaBlockId> = alloc.va_blocks().collect();
 
         // Read fault: migrates WITHOUT unmapping the CPU copy.
@@ -1692,9 +1684,7 @@ mod tests {
         let alloc = asa.alloc(VABLOCK_SIZE);
         driver.managed_alloc(alloc);
         driver.set_advise(&alloc, crate::advise::MemAdvise::ReadMostly);
-        for i in 0..512 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 512, 0, true);
         let rec = driver
             .service_batch_with(
                 &[fault(alloc.page(0), 0, AccessKind::Write)],
@@ -1717,9 +1707,7 @@ mod tests {
         let alloc = asa.alloc(2 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
         driver.set_advise(&alloc, crate::advise::MemAdvise::PreferredLocationHost);
-        for i in 0..1024 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 1024, 0, true);
         let faults: Vec<_> = (0..1024)
             .step_by(64)
             .map(|i| fault(alloc.page(i as u64), 0, AccessKind::Read))
@@ -1744,9 +1732,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(2 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        for i in 0..1024 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 1024, 0, true);
         let end = driver.prefetch_async(&alloc, &mut gpu, &mut host, SimTime(0))?;
         assert!(end > SimTime(0));
         let rec = driver.records.last().expect("operation logged a record").clone();
@@ -1928,9 +1914,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        for i in 0..8 {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), 8, 0, true);
         driver.service_batch_with(
             &[fault(alloc.page(0), 0, AccessKind::Read)],
             &mut gpu,
@@ -2017,7 +2001,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        driver.cpu_touch(&mut host, alloc.page(0), 0, true);
+        driver.cpu_touch(&mut host, alloc.page(0), 1, 0, true);
         let rec = driver.service_batch_with(
             &[fault(alloc.page(0), 0, AccessKind::Read)],
             &mut gpu,
@@ -2040,7 +2024,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        driver.cpu_touch(&mut host, alloc.page(0), 0, true);
+        driver.cpu_touch(&mut host, alloc.page(0), 1, 0, true);
         let id = alloc.va_blocks().next().expect("allocation spans a block");
         let err = driver
             .service_batch_with(
@@ -2430,9 +2414,7 @@ mod tests {
             let mut asa = AddressSpaceAllocator::new();
             let alloc = asa.alloc(2 * VABLOCK_SIZE);
             driver.managed_alloc(alloc);
-            for i in 0..100 {
-                driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-            }
+            driver.cpu_touch(&mut host, alloc.page(0), 100, 0, true);
             for round in 0..5u64 {
                 let faults: Vec<_> = (0..32)
                     .map(|i| fault(alloc.page(round * 100 + i), 0, AccessKind::Read))
@@ -2626,9 +2608,7 @@ mod tests {
         let mut asa = AddressSpaceAllocator::new();
         let alloc = asa.alloc(8 * VABLOCK_SIZE);
         driver.managed_alloc(alloc);
-        for i in 0..alloc.num_pages() {
-            driver.cpu_touch(&mut host, alloc.page(i), 0, true);
-        }
+        driver.cpu_touch(&mut host, alloc.page(0), alloc.num_pages(), 0, true);
 
         let small: Vec<_> = (0..8)
             .map(|i| fault(alloc.page(i), 0, AccessKind::Read))

@@ -187,14 +187,14 @@ impl Gpu {
             ));
         }
         for (i, (w, p)) in self.warps.iter().zip(programs).enumerate() {
-            if w.pc() > p.instrs.len() {
+            if w.pc() > p.len() {
                 return Err(format!(
                     "warp {i} is at instruction {} of a {}-instruction program",
                     w.pc(),
-                    p.instrs.len()
+                    p.len()
                 ));
             }
-            let pages = w.current_instr(p).map_or(0, |instr| instr.pages().len());
+            let pages = w.current_instr(p).map_or(0, |instr| p.pages_of(instr).len());
             if w.issued() > pages {
                 return Err(format!(
                     "warp {i} has issued {} pages of a {pages}-page instruction",
@@ -424,7 +424,7 @@ impl Gpu {
             // Scoreboard: a store cannot issue while any prior faulted
             // access is outstanding (Listing 2: FADD stalls on its input
             // registers, blocking the STG and everything after it).
-            if program.instrs.get(w.pc()).is_some_and(Instr::is_store) && w.has_outstanding() {
+            if program.instrs().get(w.pc()).is_some_and(Instr::is_store) && w.has_outstanding() {
                 w.status = WarpStatus::Blocked;
                 w.ready_at = t;
                 Self::spurious_reissue(w, (wid, utlb), &mut self.gmmu, &mut self.rng, self.spec.spurious_refault_prob, t);
@@ -434,7 +434,7 @@ impl Gpu {
             // Infallible: the `at_program_end` branch above already returned.
             let instr = w.fetch_next_instr(program).expect("not at program end");
             t += match instr {
-                Instr::Delay(d) => *d,
+                Instr::Delay(d) => d,
                 _ => cost.warp_instr_latency,
             };
             instrs_executed += 1;
@@ -580,6 +580,13 @@ mod tests {
         batches
     }
 
+    /// A one-instruction program loading `pages`.
+    fn load(pages: impl IntoIterator<Item = PageNum>) -> WarpProgram {
+        let mut p = WarpProgram::new();
+        p.load(pages);
+        p
+    }
+
     /// The Listing 1 vector-addition microbenchmark: one 32-thread warp,
     /// each thread touching one page of a, b, and c per statement, three
     /// statements.
@@ -590,9 +597,9 @@ mod tests {
         let mut p = WarpProgram::new();
         for stmt in 0..3u64 {
             let off = stmt * 32;
-            p.push(Instr::load((0..32).map(|l| PageNum(a + off + l)).collect()));
-            p.push(Instr::load((0..32).map(|l| PageNum(b + off + l)).collect()));
-            p.push(Instr::store((0..32).map(|l| PageNum(c + off + l)).collect()));
+            p.load((0..32).map(|l| PageNum(a + off + l)))
+                .load((0..32).map(|l| PageNum(b + off + l)))
+                .store((0..32).map(|l| PageNum(c + off + l)));
         }
         p
     }
@@ -696,7 +703,7 @@ mod tests {
         let mut gpu = small_gpu();
         let pages: Vec<PageNum> = (0..300).map(|i| PageNum(5000 + i)).collect();
         let mut p = WarpProgram::new();
-        p.push(Instr::prefetch(pages));
+        p.prefetch(pages);
         let programs = [p];
         let activated = gpu.launch(programs.len());
         // The warp never blocks: prefetches are fire-and-forget.
@@ -717,12 +724,8 @@ mod tests {
         // Two warps on SMs 0 and 1 share μTLB 0; their combined outstanding
         // faults are bounded by the single 56-entry budget.
         let mut gpu = small_gpu();
-        let p0 = WarpProgram {
-            instrs: vec![Instr::load((0..32).map(|i| PageNum(100 + i)).collect())],
-        };
-        let p1 = WarpProgram {
-            instrs: vec![Instr::load((0..32).map(|i| PageNum(200 + i)).collect())],
-        };
+        let p0 = load((0..32).map(|i| PageNum(100 + i)));
+        let p1 = load((0..32).map(|i| PageNum(200 + i)));
         // Launch 8 programs so warps land on SMs 0..8; warps 0 and 1 share μTLB 0.
         let programs = [p0, p1];
         let activated = gpu.launch(programs.len());
@@ -741,7 +744,7 @@ mod tests {
         // fault is logged as a duplicate of an outstanding entry.
         let mut gpu = small_gpu();
         let shared = PageNum(42);
-        let prog = WarpProgram { instrs: vec![Instr::load(vec![shared])] };
+        let prog = load([shared]);
         // Warps 0 and 1 land on SMs 0 and 1 → both on μTLB 0.
         let programs = [prog.clone(), prog];
         let activated = gpu.launch(programs.len());
@@ -760,12 +763,8 @@ mod tests {
         let block = VaBlockId(3);
         gpu.map_block(block, &PageBitmap::FULL);
         assert_eq!(gpu.resident_pages() as u64, PAGES_PER_VABLOCK);
-        let prog = WarpProgram {
-            instrs: vec![
-                Instr::load(vec![block.page_at(0), block.page_at(5)]),
-                Instr::store(vec![block.page_at(6)]),
-            ],
-        };
+        let mut prog = load([block.page_at(0), block.page_at(5)]);
+        prog.store([block.page_at(6)]);
         let programs = [prog];
         let activated = gpu.launch(programs.len());
         match step(&mut gpu, &programs, activated[0], SimTime::ZERO) {
@@ -781,7 +780,7 @@ mod tests {
         let mut gpu = small_gpu();
         // 8 SMs x 16 warps = 128 slots; launch 130 trivial programs.
         let progs: Vec<WarpProgram> = (0..130)
-            .map(|i| WarpProgram { instrs: vec![Instr::load(vec![PageNum(10_000 + i)])] })
+            .map(|i| load([PageNum(10_000 + i)]))
             .collect();
         let activated = gpu.launch(progs.len());
         assert_eq!(activated.len(), 128);
@@ -794,9 +793,8 @@ mod tests {
     #[test]
     fn kernel_end_reflects_last_finisher() {
         let mut gpu = small_gpu();
-        let prog = WarpProgram {
-            instrs: vec![Instr::Delay(uvm_sim::time::SimDuration::from_micros(50))],
-        };
+        let mut prog = WarpProgram::new();
+        prog.delay(uvm_sim::time::SimDuration::from_micros(50));
         let programs = [prog];
         let activated = gpu.launch(programs.len());
         match step(&mut gpu, &programs, activated[0], SimTime(1000)) {
@@ -811,7 +809,7 @@ mod tests {
     #[test]
     fn second_launch_reuses_residency() {
         let mut gpu = small_gpu();
-        let prog = WarpProgram { instrs: vec![Instr::load(vec![PageNum(7)])] };
+        let prog = load([PageNum(7)]);
         // Warp 0 runs the first kernel's program, warp 1 the second's.
         let programs = [prog.clone(), prog];
         let a1 = gpu.launch(1);
@@ -841,9 +839,7 @@ mod tests {
         let mut spec = GpuSpec::small(1 << 30);
         spec.fault_buffer_entries = 16;
         let mut gpu = Gpu::new(spec);
-        let prog = WarpProgram {
-            instrs: vec![Instr::load((0..32).map(PageNum).collect())],
-        };
+        let prog = load((0..32).map(PageNum));
         let programs = [prog];
         let a = gpu.launch(programs.len());
         let _ = step(&mut gpu, &programs, a[0], SimTime::ZERO);
@@ -875,9 +871,7 @@ mod tests {
         // subsequent (driver-issued) replay wakes the blocked warp and the
         // lost accesses re-fault — same recovery shape as overflow drops.
         let mut gpu = small_gpu();
-        let prog = WarpProgram {
-            instrs: vec![Instr::load((0..32).map(PageNum).collect())],
-        };
+        let prog = load((0..32).map(PageNum));
         let programs = [prog];
         let a = gpu.launch(programs.len());
         let _ = step(&mut gpu, &programs, a[0], SimTime::ZERO);
@@ -909,13 +903,9 @@ mod tests {
     #[test]
     fn delay_program_advances_time_without_faults() {
         let mut gpu = small_gpu();
-        let prog = WarpProgram {
-            instrs: vec![
-                Instr::Delay(uvm_sim::time::SimDuration::from_micros(10)),
-                Instr::load(vec![PageNum(1)]),
-                Instr::Delay(uvm_sim::time::SimDuration::from_micros(10)),
-            ],
-        };
+        let mut prog = WarpProgram::new();
+        let delay = uvm_sim::time::SimDuration::from_micros(10);
+        prog.delay(delay).load([PageNum(1)]).delay(delay);
         let programs = [prog];
         let a = gpu.launch(programs.len());
         // The load is non-blocking: both delays elapse, then the warp
@@ -939,9 +929,7 @@ mod tests {
     #[should_panic(expected = "stepping warp")]
     fn stepping_blocked_warp_panics() {
         let mut gpu = small_gpu();
-        let prog = WarpProgram {
-            instrs: vec![Instr::load(vec![PageNum(1)])],
-        };
+        let prog = load([PageNum(1)]);
         let programs = [prog];
         let activated = gpu.launch(programs.len());
         // Warp blocks at end with outstanding fault.

@@ -20,54 +20,39 @@
 //!
 //! [`Instr::Delay`] is non-memory compute time between access phases.
 
-use serde::{DeError, Deserialize, Serialize, Sink, Source};
+use serde::{Serialize, Sink};
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimDuration;
 
 use crate::fault::AccessKind;
 
-/// One warp-level instruction. It encodes under one key, its access kind
-/// (`{"Read": [pages]}`) or `"Delay"`, for the reason DESIGN.md §7 gives.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One warp-level instruction, as its [`WarpProgram`] stores it: the
+/// pages of an access live in the program's page array, and the
+/// instruction holds their range there ([`WarpProgram::pages_of`]).
+///
+/// An instruction encodes as one number, `4 * n + code`: an access's
+/// page count `n` with code 0 (`Read`), 1 (`Write`) or 2 (`Prefetch`),
+/// or a delay's nanoseconds with code 3, for the reason DESIGN.md §7
+/// gives. A delay of 2^62 ns (146 years) or more does not fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
-    /// A global memory access of `kind`. `pages` lists the distinct pages
-    /// the warp's lanes touch (after intra-warp coalescing), in issue
-    /// order: a fully coalesced access is one page, a page-strided access
-    /// is up to 32.
+    /// A global memory access of `kind` to the program's pages
+    /// `start..end`: the distinct pages the warp's lanes touch (after
+    /// intra-warp coalescing), in issue order. A fully coalesced access
+    /// is one page, a page-strided access is up to 32.
     Access {
         /// Load, store, or software prefetch.
         kind: AccessKind,
-        /// Distinct pages the warp's lanes touch.
-        pages: Vec<PageNum>,
+        /// Index of the access's first page in the program's pages.
+        start: u32,
+        /// One past the index of its last page.
+        end: u32,
     },
     /// Compute for the given duration without memory access.
     Delay(SimDuration),
 }
 
 impl Instr {
-    /// A global load of `pages`.
-    pub fn load(pages: Vec<PageNum>) -> Self {
-        Instr::Access { kind: AccessKind::Read, pages }
-    }
-
-    /// A global store of `pages`.
-    pub fn store(pages: Vec<PageNum>) -> Self {
-        Instr::Access { kind: AccessKind::Write, pages }
-    }
-
-    /// A software prefetch of `pages`.
-    pub fn prefetch(pages: Vec<PageNum>) -> Self {
-        Instr::Access { kind: AccessKind::Prefetch, pages }
-    }
-
-    /// The pages this instruction touches (empty for `Delay`).
-    pub fn pages(&self) -> &[PageNum] {
-        match self {
-            Instr::Access { pages, .. } => pages,
-            Instr::Delay(_) => &[],
-        }
-    }
-
     /// Whether this instruction writes memory.
     pub fn is_store(&self) -> bool {
         matches!(self, Instr::Access { kind: AccessKind::Write, .. })
@@ -76,51 +61,30 @@ impl Instr {
 
 impl Serialize for Instr {
     fn stream<S: Sink>(&self, s: &mut S) {
-        s.object(1);
-        match self {
-            Instr::Access { kind, pages } => {
-                s.key(match kind {
-                    AccessKind::Read => "Read",
-                    AccessKind::Write => "Write",
-                    AccessKind::Prefetch => "Prefetch",
-                });
-                pages.stream(s);
+        s.num_u(match *self {
+            Instr::Access { kind, start, end } => {
+                let code = match kind {
+                    AccessKind::Read => 0,
+                    AccessKind::Write => 1,
+                    AccessKind::Prefetch => 2,
+                };
+                u64::from(end - start) << 2 | code
             }
-            Instr::Delay(d) => {
-                s.key("Delay");
-                d.stream(s);
-            }
-        }
-        s.end_object();
+            Instr::Delay(d) => d.0 << 2 | 3,
+        });
     }
 }
 
-impl Deserialize for Instr {
-    fn pull<S: Source>(src: &mut S) -> Result<Self, DeError> {
-        src.object("Instr")?;
-        let instr = match src.key()? {
-            Some("Read") => Instr::load(Deserialize::pull(src)?),
-            Some("Write") => Instr::store(Deserialize::pull(src)?),
-            Some("Prefetch") => Instr::prefetch(Deserialize::pull(src)?),
-            Some("Delay") => Instr::Delay(Deserialize::pull(src)?),
-            Some(other) => {
-                let e = DeError::unknown_variant(other, "Instr");
-                return Err(src.locate(e));
-            }
-            None => return Err(src.invalid_type("Instr", "empty object")),
-        };
-        if src.key()?.is_some() {
-            return Err(src.invalid_type("Instr", "object with more than one key"));
-        }
-        Ok(instr)
-    }
-}
-
-/// The full instruction stream of one warp.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The full instruction stream of one warp: one [`Instr`] per
+/// instruction over a single array of the pages they touch, in issue
+/// order. Built with [`Self::load`], [`Self::store`], [`Self::prefetch`]
+/// and [`Self::delay`]; it serializes as those two arrays.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct WarpProgram {
     /// Instructions in issue order.
-    pub instrs: Vec<Instr>,
+    ops: Vec<Instr>,
+    /// Every access's pages, in instruction order.
+    pages: Vec<PageNum>,
 }
 
 impl WarpProgram {
@@ -129,24 +93,96 @@ impl WarpProgram {
         Self::default()
     }
 
-    /// Append an instruction (builder style).
-    pub fn push(&mut self, instr: Instr) -> &mut Self {
-        self.instrs.push(instr);
+    /// Append an access of `kind` to `pages` (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program would hold 2^32 page touches or more.
+    pub fn access(&mut self, kind: AccessKind, pages: impl IntoIterator<Item = PageNum>) -> &mut Self {
+        // Instructions index the page array with `u32`s, which keeps each
+        // one to 16 bytes; the largest generated program holds under a
+        // million touches.
+        let index = |len: usize| u32::try_from(len).expect("a program holds fewer than 2^32 pages");
+        let start = index(self.pages.len());
+        self.pages.extend(pages);
+        let end = index(self.pages.len());
+        self.ops.push(Instr::Access { kind, start, end });
         self
+    }
+
+    /// Append one access of `kind` for every `per` pages of `pages`, in
+    /// order (the last may have fewer).
+    pub fn access_chunks(&mut self, kind: AccessKind, pages: &[PageNum], per: usize) -> &mut Self {
+        for chunk in pages.chunks(per) {
+            self.access(kind, chunk.iter().copied());
+        }
+        self
+    }
+
+    /// Append a global load of `pages`.
+    pub fn load(&mut self, pages: impl IntoIterator<Item = PageNum>) -> &mut Self {
+        self.access(AccessKind::Read, pages)
+    }
+
+    /// Append a global store of `pages`.
+    pub fn store(&mut self, pages: impl IntoIterator<Item = PageNum>) -> &mut Self {
+        self.access(AccessKind::Write, pages)
+    }
+
+    /// Append a software prefetch of `pages`.
+    pub fn prefetch(&mut self, pages: impl IntoIterator<Item = PageNum>) -> &mut Self {
+        self.access(AccessKind::Prefetch, pages)
+    }
+
+    /// Append `d` of compute.
+    pub fn delay(&mut self, d: SimDuration) -> &mut Self {
+        self.ops.push(Instr::Delay(d));
+        self
+    }
+
+    /// Number of instructions.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the program has no instructions.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// The instructions in issue order.
+    pub fn instrs(&self) -> &[Instr] {
+        &self.ops
+    }
+
+    /// The pages `instr`, an instruction of this program, touches (empty
+    /// for a delay).
+    pub fn pages_of(&self, instr: Instr) -> &[PageNum] {
+        match instr {
+            Instr::Access { start, end, .. } => &self.pages[start as usize..end as usize],
+            Instr::Delay(_) => &[],
+        }
     }
 
     /// Total number of page touches across all instructions.
     pub fn total_accesses(&self) -> usize {
-        self.instrs.iter().map(|i| i.pages().len()).sum()
+        self.pages.len()
     }
 
     /// The set of distinct pages the program touches, sorted.
     pub fn touched_pages(&self) -> Vec<PageNum> {
-        let mut pages: Vec<PageNum> =
-            self.instrs.iter().flat_map(|i| i.pages().iter().copied()).collect();
+        let mut pages = self.pages.clone();
         pages.sort_unstable();
         pages.dedup();
         pages
+    }
+
+    /// The same program with every page `pages` higher.
+    pub fn shifted(&self, pages: u64) -> WarpProgram {
+        WarpProgram {
+            ops: self.ops.clone(),
+            pages: self.pages.iter().map(|p| PageNum(p.0 + pages)).collect(),
+        }
     }
 }
 
@@ -157,44 +193,44 @@ mod tests {
     #[test]
     fn builder_and_accessors() {
         let mut p = WarpProgram::new();
-        p.push(Instr::load(vec![PageNum(1)]))
-            .push(Instr::load(vec![PageNum(2)]))
-            .push(Instr::store(vec![PageNum(3)]))
-            .push(Instr::Delay(SimDuration::from_nanos(10)));
+        p.load([PageNum(1)])
+            .load([PageNum(2)])
+            .store([PageNum(3)])
+            .delay(SimDuration::from_nanos(10));
+        assert_eq!(p.len(), 4);
         assert_eq!(p.total_accesses(), 3);
         assert_eq!(
             p.touched_pages(),
             vec![PageNum(1), PageNum(2), PageNum(3)]
         );
-        assert!(p.instrs[2].is_store());
-        assert!(!p.instrs[0].is_store());
-        assert!(p.instrs[3].pages().is_empty());
+        let instrs = p.instrs();
+        assert!(instrs[2].is_store());
+        assert!(!instrs[0].is_store());
+        assert_eq!(p.pages_of(instrs[2]), [PageNum(3)]);
+        assert!(p.pages_of(instrs[3]).is_empty());
+        assert_eq!(instrs[3], Instr::Delay(SimDuration::from_nanos(10)));
     }
 
     #[test]
-    fn instructions_encode_keyed_by_kind_and_round_trip() {
+    fn a_program_encodes_as_its_two_arrays() {
         let mut p = WarpProgram::new();
-        p.push(Instr::load(vec![PageNum(1)]))
-            .push(Instr::store(vec![PageNum(2), PageNum(3)]))
-            .push(Instr::prefetch(vec![PageNum(4)]))
-            .push(Instr::Delay(SimDuration::from_nanos(10)));
+        p.load([PageNum(1)])
+            .store([PageNum(2), PageNum(3)])
+            .prefetch([PageNum(4)])
+            .delay(SimDuration::from_nanos(10))
+            .load([]);
         let json = serde_json::to_string(&p).expect("program encodes");
-        assert_eq!(
-            json,
-            r#"{"instrs":[{"Read":[1]},{"Write":[2,3]},{"Prefetch":[4]},{"Delay":10}]}"#
-        );
-        let back: WarpProgram = serde_json::from_str(&json).expect("program decodes");
-        assert_eq!(back, p);
-        for bad in [r#"{"Load":[1]}"#, "{}", r#"{"Read":[1],"Write":[2]}"#, "[1]"] {
-            assert!(serde_json::from_str::<Instr>(bad).is_err(), "{bad} decodes");
-        }
+        assert_eq!(json, r#"{"ops":[4,9,6,43,0],"pages":[1,2,3,4]}"#);
     }
 
     #[test]
     fn touched_pages_dedups() {
         let mut p = WarpProgram::new();
-        p.push(Instr::load(vec![PageNum(5)])).push(Instr::store(vec![PageNum(5)]));
+        p.load([PageNum(5)]).store([PageNum(5)]);
         assert_eq!(p.touched_pages(), vec![PageNum(5)]);
         assert_eq!(p.total_accesses(), 2);
+        let q = p.shifted(10);
+        assert_eq!(q.touched_pages(), vec![PageNum(15)]);
+        assert_eq!(q.instrs(), p.instrs());
     }
 }

@@ -103,8 +103,8 @@ impl Warp {
 
     /// The current instruction of `program` (the last one fetched), if
     /// any.
-    pub(crate) fn current_instr<'p>(&self, program: &'p WarpProgram) -> Option<&'p Instr> {
-        program.instrs.get(self.pc.checked_sub(1)?)
+    pub(crate) fn current_instr(&self, program: &WarpProgram) -> Option<Instr> {
+        program.instrs().get(self.pc.checked_sub(1)?).copied()
     }
 
     /// Whether the warp has outstanding faulted accesses (the scoreboard is
@@ -141,7 +141,9 @@ impl Warp {
             return Some(rf);
         }
         match self.current_instr(program)? {
-            Instr::Access { kind, pages } => pages.get(self.issued).map(|&p| (p, *kind)),
+            instr @ Instr::Access { kind, .. } => {
+                program.pages_of(instr).get(self.issued).map(|&p| (p, kind))
+            }
             Instr::Delay(_) => None,
         }
     }
@@ -156,8 +158,8 @@ impl Warp {
     /// Fetch the next instruction of `program`, making it current with
     /// none of its pages issued. Returns the fetched instruction, or
     /// `None` at program end.
-    pub fn fetch_next_instr<'p>(&mut self, program: &'p WarpProgram) -> Option<&'p Instr> {
-        let instr = program.instrs.get(self.pc)?;
+    pub fn fetch_next_instr(&mut self, program: &WarpProgram) -> Option<Instr> {
+        let instr = *program.instrs().get(self.pc)?;
         self.pc += 1;
         self.issued = 0;
         Some(instr)
@@ -165,7 +167,7 @@ impl Warp {
 
     /// Whether the program counter is at the end of `program`.
     pub fn at_program_end(&self, program: &WarpProgram) -> bool {
-        self.pc >= program.instrs.len()
+        self.pc >= program.len()
     }
 
     /// Apply a fault replay: every outstanding access whose page is now
@@ -196,10 +198,6 @@ impl Warp {
 mod tests {
     use super::*;
 
-    fn prog(instrs: Vec<Instr>) -> WarpProgram {
-        WarpProgram { instrs }
-    }
-
     /// Take accesses until the head is empty, returning them in order.
     fn take_all(w: &mut Warp, p: &WarpProgram) -> Vec<(PageNum, AccessKind)> {
         let mut taken = Vec::new();
@@ -212,7 +210,8 @@ mod tests {
 
     #[test]
     fn fetch_loads_pages_in_program_order() {
-        let p = prog(vec![Instr::load(vec![PageNum(1), PageNum(2), PageNum(3)])]);
+        let mut p = WarpProgram::new();
+        p.load([PageNum(1), PageNum(2), PageNum(3)]);
         let mut w = Warp::new();
         assert_eq!(w.next_access(&p), None, "nothing is current before the first fetch");
         w.fetch_next_instr(&p).unwrap();
@@ -225,7 +224,8 @@ mod tests {
 
     #[test]
     fn an_untaken_access_stays_at_the_head() {
-        let p = prog(vec![Instr::store(vec![PageNum(1), PageNum(2)])]);
+        let mut p = WarpProgram::new();
+        p.store([PageNum(1), PageNum(2)]);
         let mut w = Warp::new();
         w.fetch_next_instr(&p).unwrap();
         assert_eq!(w.next_access(&p), Some((PageNum(1), AccessKind::Write)));
@@ -260,7 +260,8 @@ mod tests {
 
     #[test]
     fn delay_instruction_has_no_pages() {
-        let p = prog(vec![Instr::Delay(uvm_sim::time::SimDuration::from_micros(1))]);
+        let mut p = WarpProgram::new();
+        p.delay(uvm_sim::time::SimDuration::from_micros(1));
         let mut w = Warp::new();
         let instr = w.fetch_next_instr(&p).unwrap();
         assert!(matches!(instr, Instr::Delay(_)));

@@ -8,8 +8,8 @@
 //! operations the fault path needs:
 //!
 //! * [`HostMemory::cpu_touch`] — a CPU thread first-touches (or writes) a
-//!   page: the page is mapped, a write dirties it, and the touching core
-//!   is recorded as a mapper of its block. This is what the workload
+//!   run of pages: the pages are mapped, a write dirties them, and the
+//!   touching core is recorded as a mapper of each block they cover. This is what the workload
 //!   generators call during host-side initialization.
 //! * [`HostMemory::unmap_mapping_range`] — the fault-path teardown the UVM
 //!   driver performs when the GPU touches a VABlock partially resident on
@@ -120,17 +120,19 @@ impl HostMemory {
         }
     }
 
-    /// A CPU thread on `core` touches `page`; `write` marks it dirty.
-    /// First touch maps the page; repeat touches accumulate mapper cores
-    /// and dirty state.
-    pub fn cpu_touch(&mut self, page: PageNum, core: u32, write: bool) {
-        let block = self.blocks.entry(page.va_block()).or_default();
-        let i = page.index_in_block();
-        block.mapped.set(i);
-        if write {
-            block.dirty.set(i);
+    /// A CPU thread on `core` touches the `pages` consecutive pages from
+    /// `first`; `write` marks them dirty. First touch maps a page; repeat
+    /// touches accumulate mapper cores and dirty state. The run is applied
+    /// a VABlock at a time.
+    pub fn cpu_touch(&mut self, first: PageNum, pages: u64, core: u32, write: bool) {
+        for (id, span) in first.block_spans(pages) {
+            let block = self.blocks.entry(id).or_default();
+            block.mapped.set_range(span.start, span.end);
+            if write {
+                block.dirty.set_range(span.start, span.end);
+            }
+            block.mappers.insert(core);
         }
-        block.mappers.insert(core);
     }
 
     /// Whether `page` is currently CPU-mapped.
@@ -272,8 +274,8 @@ mod tests {
     fn touch_maps_and_tracks_mappers() {
         let mut hm = HostMemory::new();
         let p = block_page(1, 0);
-        hm.cpu_touch(p, 3, true);
-        hm.cpu_touch(p, 7, false);
+        hm.cpu_touch(p, 1, 3, true);
+        hm.cpu_touch(p, 1, 7, false);
         assert!(hm.is_cpu_mapped(p));
         assert_eq!(hm.mapped_pages(), 1);
         let report = hm.unmap_mapping_range(VaBlockId(1));
@@ -286,9 +288,7 @@ mod tests {
     #[test]
     fn single_threaded_init_has_one_mapper() {
         let mut hm = HostMemory::new();
-        for i in 0..512 {
-            hm.cpu_touch(block_page(2, i), 0, true);
-        }
+        hm.cpu_touch(block_page(2, 0), 512, 0, true);
         let report = hm.unmap_mapping_range(VaBlockId(2));
         assert_eq!(report.pages_unmapped, 512);
         assert_eq!(report.mapper_cores, 1);
@@ -300,7 +300,7 @@ mod tests {
         // The Fig. 11 scenario: 32 OpenMP threads stripe a block's pages.
         let mut hm = HostMemory::new();
         for i in 0..512u64 {
-            hm.cpu_touch(block_page(3, i), (i % 32) as u32, true);
+            hm.cpu_touch(block_page(3, i), 1, (i % 32) as u32, true);
         }
         let report = hm.unmap_mapping_range(VaBlockId(3));
         assert_eq!(report.pages_unmapped, 512);
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn unmap_is_idempotent() {
         let mut hm = HostMemory::new();
-        hm.cpu_touch(block_page(4, 10), 0, false);
+        hm.cpu_touch(block_page(4, 10), 1, 0, false);
         let first = hm.unmap_mapping_range(VaBlockId(4));
         assert_eq!(first.pages_unmapped, 1);
         let second = hm.unmap_mapping_range(VaBlockId(4));
@@ -323,8 +323,8 @@ mod tests {
     #[test]
     fn unmap_only_touches_target_block() {
         let mut hm = HostMemory::new();
-        hm.cpu_touch(block_page(5, 0), 0, false);
-        hm.cpu_touch(block_page(6, 0), 0, false);
+        hm.cpu_touch(block_page(5, 0), 1, 0, false);
+        hm.cpu_touch(block_page(6, 0), 1, 0, false);
         hm.unmap_mapping_range(VaBlockId(5));
         assert!(!hm.is_cpu_mapped(block_page(5, 0)));
         assert!(hm.is_cpu_mapped(block_page(6, 0)));
@@ -335,17 +335,17 @@ mod tests {
         use crate::numa::NumaTopology;
         // Worker on core 0 (node 0); Epyc remote distance is 16/10 = 1.6.
         let mut hm = HostMemory::with_numa(NumaTopology::epyc_7551p(), 0);
-        hm.cpu_touch(block_page(8, 0), 1, true); // node 0 (cores 0-7)
+        hm.cpu_touch(block_page(8, 0), 1, 1, true); // node 0 (cores 0-7)
         let local = hm.unmap_mapping_range(VaBlockId(8));
         assert_eq!(local.numa_factor, 1.0);
 
-        hm.cpu_touch(block_page(9, 0), 30, true); // node 3
+        hm.cpu_touch(block_page(9, 0), 1, 30, true); // node 3
         let remote = hm.unmap_mapping_range(VaBlockId(9));
         assert!((remote.numa_factor - 1.6).abs() < 1e-9);
 
         // Uniform-memory hosts always report 1.0.
         let mut flat = HostMemory::new();
-        flat.cpu_touch(block_page(10, 0), 30, true);
+        flat.cpu_touch(block_page(10, 0), 1, 30, true);
         assert_eq!(flat.unmap_mapping_range(VaBlockId(10)).numa_factor, 1.0);
     }
 
@@ -355,9 +355,7 @@ mod tests {
         use uvm_sim::DetRng;
 
         let mut hm = HostMemory::new();
-        for i in 0..16 {
-            hm.cpu_touch(block_page(11, i), 0, true);
-        }
+        hm.cpu_touch(block_page(11, 0), 16, 0, true);
         hm.set_injector(PointInjector::new(
             &PointPlan::scheduled(SimTime(0), 1),
             DetRng::new(3),
@@ -386,7 +384,7 @@ mod tests {
     fn dirty_pages_are_the_written_ones() {
         let mut hm = HostMemory::new();
         for i in 0..512u64 {
-            hm.cpu_touch(block_page(12, i), 0, i % 4 == 0);
+            hm.cpu_touch(block_page(12, i), 1, 0, i % 4 == 0);
         }
         let report = hm.unmap_mapping_range(VaBlockId(12));
         assert_eq!((report.pages_unmapped, report.dirty_pages), (512, 128));
@@ -398,11 +396,11 @@ mod tests {
         let mut hm = HostMemory::new();
         // A page first read, then written, is dirty; a write stays dirty
         // through later reads; a page only read stays clean.
-        hm.cpu_touch(block_page(13, 1), 0, false);
-        hm.cpu_touch(block_page(13, 1), 0, true);
-        hm.cpu_touch(block_page(13, 2), 0, true);
-        hm.cpu_touch(block_page(13, 2), 0, false);
-        hm.cpu_touch(block_page(13, 3), 0, false);
+        hm.cpu_touch(block_page(13, 1), 1, 0, false);
+        hm.cpu_touch(block_page(13, 1), 1, 0, true);
+        hm.cpu_touch(block_page(13, 2), 1, 0, true);
+        hm.cpu_touch(block_page(13, 2), 1, 0, false);
+        hm.cpu_touch(block_page(13, 3), 1, 0, false);
         let report = hm.unmap_mapping_range(VaBlockId(13));
         assert_eq!((report.pages_unmapped, report.dirty_pages), (3, 2));
     }
@@ -411,7 +409,7 @@ mod tests {
     fn mapped_pages_in_block_counts_only_that_block() {
         let mut hm = HostMemory::new();
         for &i in &[5u64, 700, 3, 511, 512, 513, 1024] {
-            hm.cpu_touch(PageNum(i), 0, false);
+            hm.cpu_touch(PageNum(i), 1, 0, false);
         }
         assert_eq!(hm.mapped_pages_in_block(VaBlockId(0)), 3);
         assert_eq!(hm.mapped_pages_in_block(VaBlockId(1)), 3);
@@ -423,9 +421,7 @@ mod tests {
     #[test]
     fn unmapping_one_block_leaves_the_rest_mapped() {
         let mut hm = HostMemory::new();
-        for i in 0..1024u64 {
-            hm.cpu_touch(PageNum(i), 0, false);
-        }
+        hm.cpu_touch(PageNum(0), 1024, 0, false);
         assert_eq!(hm.unmap_mapping_range(VaBlockId(0)).pages_unmapped, 512);
         assert_eq!(hm.mapped_pages(), 512);
         assert!(!hm.is_cpu_mapped(PageNum(0)));
@@ -438,9 +434,7 @@ mod tests {
     fn pages_straddling_a_block_boundary_unmap_per_block() {
         let mut hm = HostMemory::new();
         // Pages 500..530 straddle the boundary of blocks 0 and 1.
-        for i in 500..530u64 {
-            hm.cpu_touch(PageNum(i), 1, false);
-        }
+        hm.cpu_touch(PageNum(500), 30, 1, false);
         assert_eq!(hm.unmap_mapping_range(VaBlockId(0)).pages_unmapped, 12);
         assert!(hm.is_cpu_mapped(PageNum(512)));
         assert_eq!(hm.unmap_mapping_range(VaBlockId(1)).pages_unmapped, 18);
@@ -450,9 +444,9 @@ mod tests {
     #[test]
     fn repeat_touches_count_each_core_once() {
         let mut hm = HostMemory::new();
-        hm.cpu_touch(block_page(14, 0), 0, false);
-        hm.cpu_touch(block_page(14, 1), 5, false);
-        hm.cpu_touch(block_page(14, 1), 5, false);
+        hm.cpu_touch(block_page(14, 0), 1, 0, false);
+        hm.cpu_touch(block_page(14, 1), 1, 5, false);
+        hm.cpu_touch(block_page(14, 1), 1, 5, false);
         let report = hm.unmap_mapping_range(VaBlockId(14));
         assert_eq!((report.mapper_cores, report.ipis), (2, 2));
         let untouched = hm.unmap_mapping_range(VaBlockId(9));
@@ -462,8 +456,8 @@ mod tests {
     #[test]
     fn mapper_sets_are_per_block() {
         let mut hm = HostMemory::new();
-        hm.cpu_touch(block_page(1, 0), 0, false);
-        hm.cpu_touch(block_page(2, 0), 1, false);
+        hm.cpu_touch(block_page(1, 0), 1, 0, false);
+        hm.cpu_touch(block_page(2, 0), 1, 1, false);
         let first = hm.unmap_mapping_range(VaBlockId(1));
         assert_eq!((first.mapper_cores, first.ipis), (1, 1));
         // Block 2's mapper survives the teardown of block 1.
@@ -474,7 +468,7 @@ mod tests {
     #[test]
     fn unmapping_an_untouched_block_changes_nothing() {
         let mut hm = HostMemory::new();
-        hm.cpu_touch(block_page(16, 7), 0, true);
+        hm.cpu_touch(block_page(16, 7), 1, 0, true);
         assert_eq!(hm.unmap_mapping_range(VaBlockId(17)), UnmapReport::default());
         assert_eq!(hm.mapped_pages(), 1);
         assert_eq!(hm.unmap_calls(), 1);
@@ -484,9 +478,7 @@ mod tests {
     #[test]
     fn partial_residency_counts_only_mapped_pages() {
         let mut hm = HostMemory::new();
-        for i in 0..100 {
-            hm.cpu_touch(block_page(7, i), 1, false);
-        }
+        hm.cpu_touch(block_page(7, 0), 100, 1, false);
         assert_eq!(hm.mapped_pages_in_block(VaBlockId(7)), 100);
         let report = hm.unmap_mapping_range(VaBlockId(7));
         assert_eq!(report.pages_unmapped, 100);

@@ -101,6 +101,22 @@ impl PageNum {
     pub fn offset(self, n: u64) -> PageNum {
         PageNum(self.0 + n)
     }
+
+    /// The `pages` consecutive pages from this one, split at VABlock
+    /// boundaries: each block they cover, in address order, with the range
+    /// of page indices they cover in it.
+    pub fn block_spans(self, pages: u64) -> impl Iterator<Item = (VaBlockId, std::ops::Range<usize>)> {
+        let (mut next, end) = (self.0, self.0 + pages);
+        std::iter::from_fn(move || {
+            let page = PageNum(next);
+            (next < end).then(|| {
+                let block = page.va_block();
+                let hi = (end - block.first_page().0).min(PAGES_PER_VABLOCK);
+                next = block.first_page().0 + hi;
+                (block, page.index_in_block()..hi as usize)
+            })
+        })
+    }
 }
 
 impl VaBlockId {
@@ -247,6 +263,17 @@ mod tests {
         assert_eq!(a.page().index_in_block(), 3);
         assert_eq!(a.page().big_page_in_block(), 0);
         assert_eq!(PageNum(512 + 16).big_page_in_block(), 1);
+    }
+
+    #[test]
+    fn block_spans_split_runs_at_block_boundaries() {
+        let spans = |first: u64, pages: u64| -> Vec<(u64, std::ops::Range<usize>)> {
+            PageNum(first).block_spans(pages).map(|(b, r)| (b.0, r)).collect()
+        };
+        assert_eq!(spans(510, 0), []);
+        assert_eq!(spans(3, 4), [(0, 3..7)]);
+        assert_eq!(spans(512, 512), [(1, 0..512)]);
+        assert_eq!(spans(510, 517), [(0, 510..512), (1, 0..512), (2, 0..3)]);
     }
 
     #[test]

@@ -56,8 +56,10 @@ use serde::Value;
 /// of the unissued pages and their access kind, the GPU drops its count
 /// of finished warps (the warps' statuses give it), and the workload
 /// digest a snapshot stores walks instructions encoded keyed by access
-/// kind (`{"Read": [pages]}`).
-pub const SNAPSHOT_VERSION: u32 = 10;
+/// kind (`{"Read": [pages]}`); v11 — the workload digest walks each warp
+/// program as one number per instruction beside one array of its pages,
+/// and CPU initialization as runs of pages.
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Stable digest of a serialized state tree.
 ///

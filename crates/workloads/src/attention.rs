@@ -11,7 +11,7 @@
 //! hot pages are worth caching, cold pages thrash, and batch boundaries
 //! re-touch the hot set.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 use uvm_sim::rng::DetRng;
 use uvm_sim::time::SimDuration;
@@ -76,16 +76,17 @@ pub fn build(params: AttentionParams) -> Workload {
     let q = b.alloc(u64::from(batches) * u64::from(queries) * qp * PAGE_SIZE);
     let out = b.alloc(u64::from(batches) * u64::from(queries) * PAGE_SIZE);
 
+    let mut gathers = Vec::with_capacity(params.gathers_per_query as usize);
     for batch in 0..u64::from(batches) {
         for query in 0..u64::from(queries) {
             let warp_idx = batch * u64::from(queries) + query;
             let mut prog = WarpProgram::new();
             // Sequential query streaming.
             let q0 = warp_idx * qp;
-            prog.push(Instr::load((q0..q0 + qp).map(|i| q.page(i)).collect()));
+            prog.load((q0..q0 + qp).map(|i| q.page(i)));
             // Skewed KV gathers: hot set with probability `hot_fraction`,
             // uniform over the whole table otherwise.
-            let mut gathers = Vec::with_capacity(params.gathers_per_query as usize);
+            gathers.clear();
             for _ in 0..params.gathers_per_query.max(1) {
                 let row = if rng.chance(params.hot_fraction) {
                     rng.below(hot_rows)
@@ -96,11 +97,11 @@ pub fn build(params: AttentionParams) -> Workload {
             }
             gathers.sort_unstable();
             gathers.dedup();
-            prog.push(Instr::load(gathers));
+            prog.load(gathers.iter().copied());
             if params.compute_per_query > SimDuration::ZERO {
-                prog.push(Instr::Delay(params.compute_per_query));
+                prog.delay(params.compute_per_query);
             }
-            prog.push(Instr::store(vec![out.page(warp_idx)]));
+            prog.store([out.page(warp_idx)]);
             b.warp(prog);
         }
         b.end_kernel();

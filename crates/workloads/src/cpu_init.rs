@@ -6,17 +6,20 @@
 //! determines the fault-path `unmap_mapping_range` cost (paper Fig. 11:
 //! default OpenMP threading roughly halves HPGMG's UVM performance).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use uvm_sim::mem::{Allocation, PageNum};
 
-/// One CPU first-touch: `core` touched `page` (write = stores during init).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A run of CPU first-touches: `core` touched the `pages` consecutive
+/// pages from `first` (`write` = stores during init).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CpuTouch {
-    /// Touched page.
-    pub page: PageNum,
+    /// First touched page.
+    pub first: PageNum,
+    /// Number of consecutive pages touched.
+    pub pages: u64,
     /// Touching CPU core.
     pub core: u32,
-    /// Whether the touch dirtied the page.
+    /// Whether the touches dirtied the pages.
     pub write: bool,
 }
 
@@ -43,39 +46,28 @@ pub enum CpuInitPolicy {
 }
 
 impl CpuInitPolicy {
-    /// Generate the touch sequence initializing every page of `alloc`.
+    /// The touch runs initializing every page of `alloc` once, in page
+    /// order: one run per thread's chunk, or one page per run when
+    /// several threads interleave page by page.
     pub fn touches(&self, alloc: &Allocation) -> Vec<CpuTouch> {
         let n = alloc.num_pages();
-        match *self {
-            CpuInitPolicy::SingleThread => (0..n)
-                .map(|i| CpuTouch {
-                    page: alloc.page(i),
-                    core: 0,
-                    write: true,
-                })
-                .collect(),
-            CpuInitPolicy::Chunked { threads } => {
-                let threads = threads.max(1) as u64;
-                let chunk = n.div_ceil(threads);
-                (0..n)
-                    .map(|i| CpuTouch {
-                        page: alloc.page(i),
-                        core: (i / chunk).min(threads - 1) as u32,
-                        write: true,
-                    })
-                    .collect()
+        let run = |lo: u64, pages: u64, core: u64| CpuTouch {
+            first: alloc.page(lo),
+            pages,
+            core: core as u32,
+            write: true,
+        };
+        let threads = match *self {
+            CpuInitPolicy::SingleThread => 1,
+            CpuInitPolicy::Chunked { threads } | CpuInitPolicy::Striped { threads } => {
+                u64::from(threads.max(1))
             }
-            CpuInitPolicy::Striped { threads } => {
-                let threads = threads.max(1) as u64;
-                (0..n)
-                    .map(|i| CpuTouch {
-                        page: alloc.page(i),
-                        core: (i % threads) as u32,
-                        write: true,
-                    })
-                    .collect()
-            }
+        };
+        if matches!(self, CpuInitPolicy::Striped { .. }) && threads > 1 {
+            return (0..n).map(|i| run(i, 1, i % threads)).collect();
         }
+        let chunk = n.div_ceil(threads).max(1);
+        (0..n).step_by(chunk as usize).map(|lo| run(lo, chunk.min(n - lo), lo / chunk)).collect()
     }
 }
 
@@ -88,11 +80,20 @@ mod tests {
         AddressSpaceAllocator::new().alloc(blocks * VABLOCK_SIZE)
     }
 
-    fn cores_in_first_block(touches: &[CpuTouch]) -> std::collections::HashSet<u32> {
+    /// Each touched page with its core, run by run.
+    fn per_page(touches: &[CpuTouch]) -> Vec<(PageNum, u32)> {
         touches
             .iter()
-            .filter(|t| t.page.va_block() == touches[0].page.va_block())
-            .map(|t| t.core)
+            .flat_map(|t| (0..t.pages).map(move |i| (t.first.offset(i), t.core)))
+            .collect()
+    }
+
+    fn cores_in_first_block(touches: &[CpuTouch]) -> std::collections::HashSet<u32> {
+        let pages = per_page(touches);
+        pages
+            .iter()
+            .filter(|(p, _)| p.va_block() == pages[0].0.va_block())
+            .map(|&(_, core)| core)
             .collect()
     }
 
@@ -100,8 +101,7 @@ mod tests {
     fn single_thread_uses_core_zero() {
         let a = alloc(2);
         let touches = CpuInitPolicy::SingleThread.touches(&a);
-        assert_eq!(touches.len(), 1024);
-        assert!(touches.iter().all(|t| t.core == 0 && t.write));
+        assert_eq!(touches, [CpuTouch { first: a.page(0), pages: 1024, core: 0, write: true }]);
     }
 
     #[test]
@@ -109,8 +109,9 @@ mod tests {
         let a = alloc(8);
         let touches = CpuInitPolicy::Chunked { threads: 4 }.touches(&a);
         // 8 blocks / 4 threads = 2 blocks per thread: each block sees one
-        // core.
+        // core, and each thread's chunk is one run.
         assert_eq!(cores_in_first_block(&touches).len(), 1);
+        assert_eq!(touches.len(), 4);
         let all_cores: std::collections::HashSet<u32> = touches.iter().map(|t| t.core).collect();
         assert_eq!(all_cores.len(), 4);
     }
@@ -120,6 +121,7 @@ mod tests {
         let a = alloc(2);
         let touches = CpuInitPolicy::Striped { threads: 32 }.touches(&a);
         assert_eq!(cores_in_first_block(&touches).len(), 32);
+        assert!(touches.iter().all(|t| t.pages == 1));
     }
 
     #[test]
@@ -129,6 +131,8 @@ mod tests {
         assert!(t1.iter().all(|t| t.core == 0));
         let t2 = CpuInitPolicy::Chunked { threads: 0 }.touches(&a);
         assert!(t2.iter().all(|t| t.core == 0));
+        assert_eq!(t1, t2);
+        assert_eq!(t1, CpuInitPolicy::SingleThread.touches(&a));
     }
 
     #[test]
@@ -139,11 +143,8 @@ mod tests {
             CpuInitPolicy::Chunked { threads: 8 },
             CpuInitPolicy::Striped { threads: 8 },
         ] {
-            let touches = policy.touches(&a);
-            assert_eq!(touches.len() as u64, a.num_pages());
-            let distinct: std::collections::HashSet<_> =
-                touches.iter().map(|t| t.page).collect();
-            assert_eq!(distinct.len() as u64, a.num_pages());
+            let pages: Vec<PageNum> = per_page(&policy.touches(&a)).into_iter().map(|(p, _)| p).collect();
+            assert_eq!(pages, (0..a.num_pages()).map(|i| a.page(i)).collect::<Vec<_>>());
         }
     }
 }

@@ -6,7 +6,8 @@
 //! they are far apart — which is why Table 3 shows cuFFT's faults spread
 //! over many VABlocks (≈25 per batch) at low per-block density (≈2.9).
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::fault::AccessKind;
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 use uvm_sim::time::SimDuration;
 
@@ -66,18 +67,12 @@ pub fn build(params: FftParams) -> Workload {
         for s in 0..passes {
             let partner = w ^ (1u64 << s);
             let theirs: Vec<_> = (0..ppc).map(|i| x.page(partner * ppc + i)).collect();
-            for chunk in own.chunks(per) {
-                prog.push(Instr::load(chunk.to_vec()));
-            }
-            for chunk in theirs.chunks(per) {
-                prog.push(Instr::load(chunk.to_vec()));
-            }
+            prog.access_chunks(AccessKind::Read, &own, per);
+            prog.access_chunks(AccessKind::Read, &theirs, per);
             if params.compute_per_pass > SimDuration::ZERO {
-                prog.push(Instr::Delay(params.compute_per_pass.mul_f64(warp_compute_factor(w))));
+                prog.delay(params.compute_per_pass.mul_f64(warp_compute_factor(w)));
             }
-            for chunk in own.chunks(per) {
-                prog.push(Instr::store(chunk.to_vec()));
-            }
+            prog.access_chunks(AccessKind::Write, &own, per);
         }
         b.warp(prog);
     }
@@ -92,7 +87,7 @@ pub fn build(params: FftParams) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvm_gpu::fault::AccessKind;
+    use uvm_gpu::isa::Instr;
 
     #[test]
     fn pass_count_is_log2_chunks() {
@@ -105,7 +100,7 @@ mod tests {
         });
         assert_eq!(w.num_warps(), 8);
         // 3 passes x (1 own load + 1 partner load + 1 store) instructions.
-        assert_eq!(w.programs[0].instrs.len(), 9);
+        assert_eq!(w.programs[0].len(), 9);
     }
 
     #[test]
@@ -121,10 +116,10 @@ mod tests {
         let prog = &w.programs[0];
         let x = w.allocations[0];
         let loads: Vec<u64> = prog
-            .instrs
+            .instrs()
             .iter()
             .filter(|i| matches!(i, Instr::Access { kind: AccessKind::Read, .. }))
-            .map(|i| i.pages()[0].0 - x.page(0).0)
+            .map(|&i| prog.pages_of(i)[0].0 - x.page(0).0)
             .collect();
         assert_eq!(loads, vec![0, 1, 0, 2]);
     }
@@ -154,10 +149,10 @@ mod tests {
         let x = w.allocations[0];
         // The last pass's partner load should be 32 chunks away.
         let loads: Vec<u64> = prog
-            .instrs
+            .instrs()
             .iter()
             .filter(|i| matches!(i, Instr::Access { kind: AccessKind::Read, .. }))
-            .map(|i| (i.pages()[0].0 - x.page(0).0) / 16)
+            .map(|&i| (prog.pages_of(i)[0].0 - x.page(0).0) / 16)
             .collect();
         assert_eq!(*loads.last().unwrap(), 32);
     }

@@ -13,7 +13,7 @@
 //! of a row straddle the same pages), and re-sweeps that re-touch early
 //! rows late (the Fig. 16 eviction churn).
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 use uvm_sim::time::SimDuration;
 
@@ -71,27 +71,27 @@ pub fn build(params: GaussSeidelParams) -> Workload {
         alloc.page(r * ppr + (w * ppr) / warps)
     };
 
+    let mut loads = Vec::with_capacity(4);
     for w in 0..warps {
         let mut prog = WarpProgram::new();
         for _iter in 0..params.iters.max(1) {
             for r in 0..rows {
                 let above = r.saturating_sub(1);
                 let below = (r + 1).min(rows - 1);
-                let mut loads = vec![
+                loads.clear();
+                loads.extend([
                     slice_page(&u, above, w),
                     slice_page(&u, r, w),
                     slice_page(&u, below, w),
                     slice_page(&rhs, r, w),
-                ];
+                ]);
                 loads.sort_unstable();
                 loads.dedup();
-                prog.push(Instr::load(loads));
+                prog.load(loads.iter().copied());
                 if params.compute_per_row > SimDuration::ZERO {
-                    prog.push(Instr::Delay(
-                        params.compute_per_row.mul_f64(warp_compute_factor(w)),
-                    ));
+                    prog.delay(params.compute_per_row.mul_f64(warp_compute_factor(w)));
                 }
-                prog.push(Instr::store(vec![slice_page(&u, r, w)]));
+                prog.store([slice_page(&u, r, w)]);
             }
         }
         b.warp(prog);
@@ -129,7 +129,7 @@ mod tests {
         assert_eq!(w.num_warps(), 4);
         // Per warp: 16 rows x (1 load + 1 store).
         for p in &w.programs {
-            assert_eq!(p.instrs.len(), 32);
+            assert_eq!(p.len(), 32);
         }
     }
 
@@ -139,12 +139,8 @@ mod tests {
         let u = w.allocations[0];
         // 2 pages per row, 4 warps: warps 0-1 take page 0, warps 2-3 page 1.
         let first_store = |i: usize| {
-            w.programs[i]
-                .instrs
-                .iter()
-                .find(|ins| ins.is_store())
-                .unwrap()
-                .pages()[0]
+            let p = &w.programs[i];
+            p.pages_of(*p.instrs().iter().find(|ins| ins.is_store()).unwrap())[0]
         };
         assert_eq!(first_store(0), u.page(0));
         assert_eq!(first_store(1), u.page(0));
@@ -158,8 +154,7 @@ mod tests {
         let u = w.allocations[0];
         let rhs = w.allocations[1];
         // Warp 0, row 1 (instruction index 2 = row 1's load).
-        let load = &w.programs[0].instrs[2];
-        let pages = load.pages();
+        let pages = w.programs[0].pages_of(w.programs[0].instrs()[2]);
         assert!(pages.contains(&u.page(0)), "row above");
         assert!(pages.contains(&u.page(2)), "row itself");
         assert!(pages.contains(&u.page(4)), "row below");

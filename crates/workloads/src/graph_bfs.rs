@@ -11,7 +11,7 @@
 //! handful of pages; the wavefront levels touch most of the vertex-data
 //! allocation in near-random order.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 use uvm_sim::rng::DetRng;
 use uvm_sim::time::SimDuration;
@@ -94,30 +94,26 @@ pub fn build(params: GraphBfsParams) -> Workload {
     seen[0] = true;
     let mut frontier: Vec<u64> = vec![0];
     let mut level = 0u32;
+    let mut gathers = Vec::new();
     while !frontier.is_empty() && level < params.max_levels.max(1) {
         for chunk in frontier.chunks(params.frontier_per_warp.max(1) as usize) {
             let mut prog = WarpProgram::new();
             for &v in chunk {
                 // Stream this vertex's adjacency slice.
                 let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-                let mut adj_pages: Vec<_> =
-                    (lo / ADJ_PER_PAGE..=(hi.saturating_sub(1)) / ADJ_PER_PAGE)
-                        .map(|p| adj.page(p))
-                        .collect();
-                adj_pages.dedup();
-                prog.push(Instr::load(adj_pages));
+                prog.load(
+                    (lo / ADJ_PER_PAGE..=(hi.saturating_sub(1)) / ADJ_PER_PAGE).map(|p| adj.page(p)),
+                );
                 // The pointer chase: gather every neighbor's vertex data.
-                let mut gathers: Vec<_> = adjacency[v as usize]
-                    .iter()
-                    .map(|&u| vdata.page(u / verts_per_page))
-                    .collect();
+                gathers.clear();
+                gathers.extend(adjacency[v as usize].iter().map(|&u| vdata.page(u / verts_per_page)));
                 gathers.sort_unstable();
                 gathers.dedup();
-                prog.push(Instr::load(gathers));
+                prog.load(gathers.iter().copied());
                 if params.compute_per_vertex > SimDuration::ZERO {
-                    prog.push(Instr::Delay(params.compute_per_vertex));
+                    prog.delay(params.compute_per_vertex);
                 }
-                prog.push(Instr::store(vec![visited.page(v / ADJ_PER_PAGE)]));
+                prog.store([visited.page(v / ADJ_PER_PAGE)]);
             }
             b.warp(prog);
         }

@@ -8,7 +8,8 @@
 //! re-touched at the *end* of every cycle, so under oversubscription the
 //! migration-order LRU keeps evicting exactly the data about to be needed.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::fault::AccessKind;
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::{Allocation, PageNum, PAGE_SIZE};
 use uvm_sim::time::SimDuration;
 
@@ -93,15 +94,11 @@ pub fn build(params: HpgmgParams) -> Workload {
             }
             let mut loads = up.clone();
             loads.extend(rp);
-            for chunk in loads.chunks(per) {
-                prog.push(Instr::load(chunk.to_vec()));
-            }
+            prog.access_chunks(AccessKind::Read, &loads, per);
             if params.compute_per_phase > SimDuration::ZERO {
-                prog.push(Instr::Delay(params.compute_per_phase.mul_f64(warp_compute_factor(w))));
+                prog.delay(params.compute_per_phase.mul_f64(warp_compute_factor(w)));
             }
-            for chunk in up.chunks(per) {
-                prog.push(Instr::store(chunk.to_vec()));
-            }
+            prog.access_chunks(AccessKind::Write, &up, per);
         };
 
         for _cycle in 0..params.vcycles.max(1) {
@@ -110,14 +107,8 @@ pub fn build(params: HpgmgParams) -> Workload {
                 smooth(&mut prog, l);
                 let fine = slab(&r[l], w, warps);
                 let coarse = slab(&r[l + 1], w, warps);
-                for chunk in fine.chunks(per) {
-                    prog.push(Instr::load(chunk.to_vec()));
-                }
-                if !coarse.is_empty() {
-                    for chunk in coarse.chunks(per) {
-                        prog.push(Instr::store(chunk.to_vec()));
-                    }
-                }
+                prog.access_chunks(AccessKind::Read, &fine, per);
+                prog.access_chunks(AccessKind::Write, &coarse, per);
             }
             // Coarsest solve.
             smooth(&mut prog, levels as usize - 1);
@@ -125,14 +116,8 @@ pub fn build(params: HpgmgParams) -> Workload {
             for l in (0..(levels as usize - 1)).rev() {
                 let coarse = slab(&u[l + 1], w, warps);
                 let fine = slab(&u[l], w, warps);
-                for chunk in coarse.chunks(per) {
-                    prog.push(Instr::load(chunk.to_vec()));
-                }
-                if !fine.is_empty() {
-                    for chunk in fine.chunks(per) {
-                        prog.push(Instr::store(chunk.to_vec()));
-                    }
-                }
+                prog.access_chunks(AccessKind::Read, &coarse, per);
+                prog.access_chunks(AccessKind::Write, &fine, per);
                 smooth(&mut prog, l);
             }
         }
@@ -181,16 +166,16 @@ mod tests {
         let u0 = w.allocations[0];
         let prog = &w.programs[0];
         let touches_u0: Vec<usize> = prog
-            .instrs
+            .instrs()
             .iter()
             .enumerate()
-            .filter(|(_, i)| i.pages().iter().any(|p| u0.contains(p.base_addr())))
+            .filter(|&(_, &i)| prog.pages_of(i).iter().any(|p| u0.contains(p.base_addr())))
             .map(|(idx, _)| idx)
             .collect();
         // The fine level is touched both early (downstroke) and at the very
         // end (final smooth of the upstroke).
-        assert!(*touches_u0.first().unwrap() < prog.instrs.len() / 4);
-        assert!(*touches_u0.last().unwrap() > 3 * prog.instrs.len() / 4);
+        assert!(*touches_u0.first().unwrap() < prog.len() / 4);
+        assert!(*touches_u0.last().unwrap() > 3 * prog.len() / 4);
     }
 
     #[test]
@@ -225,6 +210,6 @@ mod tests {
             ..small()
         });
         let total: u64 = w.allocations.iter().map(|a| a.num_pages()).sum();
-        assert_eq!(w.cpu_init.len() as u64, total);
+        assert_eq!(w.cpu_init.iter().map(|t| t.pages).sum::<u64>(), total);
     }
 }

@@ -5,7 +5,8 @@
 //! outstanding-fault slots, so one warp can generate faults up to the
 //! driver's batch-size limit in a single batch.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::fault::AccessKind;
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 
 use crate::workload::Workload;
@@ -37,9 +38,7 @@ pub fn build(params: PrefetchUbParams) -> Workload {
     let region = b.alloc(pages * PAGE_SIZE);
     let mut prog = WarpProgram::new();
     let all: Vec<_> = (0..pages).map(|i| region.page(i)).collect();
-    for chunk in all.chunks(per) {
-        prog.push(Instr::prefetch(chunk.to_vec()));
-    }
+    prog.access_chunks(AccessKind::Prefetch, &all, per);
     b.warp(prog);
     b.build()
 }
@@ -47,7 +46,7 @@ pub fn build(params: PrefetchUbParams) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvm_gpu::fault::AccessKind;
+    use uvm_gpu::isa::Instr;
 
     #[test]
     fn single_warp_prefetches_all_pages() {
@@ -55,7 +54,7 @@ mod tests {
         assert_eq!(w.num_warps(), 1);
         assert_eq!(w.total_accesses(), 300);
         assert!(w.programs[0]
-            .instrs
+            .instrs()
             .iter()
             .all(|i| matches!(i, Instr::Access { kind: AccessKind::Prefetch, .. })));
     }
@@ -67,6 +66,6 @@ mod tests {
             pages_per_instr: 7,
         });
         assert_eq!(w.total_accesses(), 100);
-        assert_eq!(w.programs[0].instrs.len(), 15);
+        assert_eq!(w.programs[0].len(), 15);
     }
 }

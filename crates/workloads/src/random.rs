@@ -5,7 +5,7 @@
 //! ≈233 distinct VABlocks per batch at ≈1 fault per VABlock, i.e. no
 //! spatial locality whatsoever.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 use uvm_sim::rng::DetRng;
 
@@ -48,7 +48,7 @@ pub fn build(params: RandomParams) -> Workload {
         let mut prog = WarpProgram::new();
         for _ in 0..params.accesses_per_warp.max(1) {
             let p = region.page(rng.below(params.footprint_pages.max(1)));
-            prog.push(Instr::load(vec![p]));
+            prog.load([p]);
         }
         b.warp(prog);
     }

@@ -5,7 +5,8 @@
 //! workload shows the highest per-SM fault density (≈3.2, the fair-share
 //! cap) and faults spread across many VABlocks per batch.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::fault::AccessKind;
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 
 use crate::cpu_init::CpuInitPolicy;
@@ -45,9 +46,7 @@ pub fn build(params: RegularParams) -> Workload {
     for w in 0..warps {
         let mut prog = WarpProgram::new();
         let pages: Vec<_> = (0..ppw).map(|i| region.page(w * ppw + i)).collect();
-        for chunk in pages.chunks(per) {
-            prog.push(Instr::load(chunk.to_vec()));
-        }
+        prog.access_chunks(AccessKind::Read, &pages, per);
         b.warp(prog);
     }
     if let Some(policy) = params.cpu_init {
@@ -75,7 +74,7 @@ mod tests {
         pages.sort_unstable();
         pages.dedup();
         assert_eq!(pages.len(), 128, "no sharing between warps");
-        assert_eq!(w.cpu_init.len(), 128);
+        assert_eq!(w.cpu_init.iter().map(|t| t.pages).sum::<u64>(), 128);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use std::collections::BTreeSet;
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::fault::AccessKind;
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::{Allocation, PageNum, PAGE_SIZE};
 use uvm_sim::time::SimDuration;
 
@@ -112,24 +113,18 @@ pub fn build(params: GemmParams) -> Workload {
             let mut prog = WarpProgram::new();
             for tk in 0..tiles {
                 let a_pages = tile_pages(&a, n, params.elem_size, ti * tile, tk * tile, tile);
-                for chunk in a_pages.chunks(per) {
-                    prog.push(Instr::load(chunk.to_vec()));
-                }
+                prog.access_chunks(AccessKind::Read, &a_pages, per);
                 let b_pages = tile_pages(&bm, n, params.elem_size, tk * tile, tj * tile, tile);
-                for chunk in b_pages.chunks(per) {
-                    prog.push(Instr::load(chunk.to_vec()));
-                }
+                prog.access_chunks(AccessKind::Read, &b_pages, per);
                 if params.compute_per_ktile > SimDuration::ZERO {
                     let d = params
                         .compute_per_ktile
                         .mul_f64(warp_compute_factor(ti * tiles + tj));
-                    prog.push(Instr::Delay(d));
+                    prog.delay(d);
                 }
             }
             let c_pages = tile_pages(&c, n, params.elem_size, ti * tile, tj * tile, tile);
-            for chunk in c_pages.chunks(per) {
-                prog.push(Instr::store(chunk.to_vec()));
-            }
+            prog.access_chunks(AccessKind::Write, &c_pages, per);
             b.warp(prog);
         }
     }
@@ -186,7 +181,7 @@ mod tests {
     #[test]
     fn stores_come_last() {
         let w = build(GemmParams::default());
-        let instrs = &w.programs[0].instrs;
+        let instrs = w.programs[0].instrs();
         let first_store = instrs.iter().position(|i| i.is_store()).unwrap();
         assert!(instrs[first_store..].iter().all(|i| i.is_store()));
     }
@@ -210,6 +205,6 @@ mod tests {
     fn cpu_init_covers_a_and_b() {
         let w = build(GemmParams::default());
         let expected = 2 * (1024u64 * 1024 * 4 / PAGE_SIZE);
-        assert_eq!(w.cpu_init.len() as u64, expected);
+        assert_eq!(w.cpu_init.iter().map(|t| t.pages).sum::<u64>(), expected);
     }
 }

@@ -6,7 +6,7 @@
 //! batches concentrated in few VABlocks (≈3.9) with many faults each
 //! (≈15).
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 
 use crate::cpu_init::CpuInitPolicy;
@@ -60,9 +60,7 @@ pub fn build(params: StreamParams) -> Workload {
         for _iter in 0..params.iters.max(1) {
             for i in 0..ppw {
                 let idx = group * ppw + i;
-                prog.push(Instr::load(vec![a.page(idx)]));
-                prog.push(Instr::load(vec![bb.page(idx)]));
-                prog.push(Instr::store(vec![c.page(idx)]));
+                prog.load([a.page(idx)]).load([bb.page(idx)]).store([c.page(idx)]);
             }
         }
         b.warp(prog);
@@ -83,6 +81,7 @@ pub fn build(params: StreamParams) -> Workload {
 mod tests {
     use super::*;
     use uvm_gpu::fault::AccessKind;
+    use uvm_gpu::isa::Instr;
 
     #[test]
     fn triad_structure() {
@@ -94,7 +93,7 @@ mod tests {
             cpu_init: None,
         });
         assert_eq!(w.num_warps(), 2);
-        let instrs = &w.programs[0].instrs;
+        let instrs = w.programs[0].instrs();
         assert_eq!(instrs.len(), 9);
         assert!(matches!(instrs[0], Instr::Access { kind: AccessKind::Read, .. }));
         assert!(matches!(instrs[1], Instr::Access { kind: AccessKind::Read, .. }));

@@ -7,7 +7,7 @@
 //! instead walks consecutive elements (one page per warp instruction), the
 //! shape real streaming kernels produce.
 
-use uvm_gpu::isa::{Instr, WarpProgram};
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::PAGE_SIZE;
 
 use crate::cpu_init::CpuInitPolicy;
@@ -59,18 +59,15 @@ pub fn build(params: VecAddParams) -> Workload {
     for w in 0..warps {
         let mut prog = WarpProgram::new();
         for s in 0..statements {
-            let pages = |vec: &uvm_sim::mem::Allocation| -> Vec<uvm_sim::mem::PageNum> {
-                if params.coalesced {
-                    vec![vec.page(w * statements + s)]
-                } else {
-                    // Lane l of statement s touches page (s*warps + w)*32 + l,
-                    // matching Listing 1's `page0 + FPSIZE*TSIZE*stmt` layout.
-                    (0..lanes).map(|l| vec.page((s * warps + w) * lanes + l)).collect()
-                }
+            // Lane l of statement s touches page (s*warps + w)*32 + l,
+            // matching Listing 1's `page0 + FPSIZE*TSIZE*stmt` layout.
+            let (first, n) = if params.coalesced {
+                (w * statements + s, 1)
+            } else {
+                ((s * warps + w) * lanes, lanes)
             };
-            prog.push(Instr::load(pages(&a)));
-            prog.push(Instr::load(pages(&bb)));
-            prog.push(Instr::store(pages(&c)));
+            let pages = |vec: uvm_sim::mem::Allocation| (first..first + n).map(move |i| vec.page(i));
+            prog.load(pages(a)).load(pages(bb)).store(pages(c));
         }
         b.warp(prog);
     }
@@ -95,7 +92,7 @@ mod tests {
         let w = build(VecAddParams::default());
         assert_eq!(w.num_warps(), 1);
         // 3 statements x 3 instructions.
-        assert_eq!(w.programs[0].instrs.len(), 9);
+        assert_eq!(w.programs[0].len(), 9);
         // 3 vectors x 3 statements x 32 lanes = 288 distinct pages.
         assert_eq!(w.programs[0].touched_pages().len(), 288);
         assert_eq!(w.total_accesses(), 288);
@@ -105,7 +102,7 @@ mod tests {
     #[test]
     fn store_follows_loads_each_statement() {
         let w = build(VecAddParams::default());
-        let instrs = &w.programs[0].instrs;
+        let instrs = w.programs[0].instrs();
         for s in 0..3 {
             assert!(!instrs[s * 3].is_store());
             assert!(!instrs[s * 3 + 1].is_store());
@@ -119,8 +116,8 @@ mod tests {
             coalesced: true,
             ..Default::default()
         });
-        for instr in &w.programs[0].instrs {
-            assert_eq!(instr.pages().len(), 1);
+        for &instr in w.programs[0].instrs() {
+            assert_eq!(w.programs[0].pages_of(instr).len(), 1);
         }
         assert_eq!(w.programs[0].touched_pages().len(), 9);
     }
@@ -145,6 +142,7 @@ mod tests {
             ..Default::default()
         });
         // a and b fully touched; c untouched.
-        assert_eq!(w.cpu_init.len() as u64, w.allocations[0].num_pages() * 2);
+        let pages: u64 = w.cpu_init.iter().map(|t| t.pages).sum();
+        assert_eq!(pages, w.allocations[0].num_pages() * 2);
     }
 }

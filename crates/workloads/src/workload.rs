@@ -1,10 +1,9 @@
 //! The [`Workload`] container shared by all generators.
 
-use serde::{Deserialize, Serialize};
-use uvm_gpu::isa::{Instr, WarpProgram};
+use serde::Serialize;
+use uvm_gpu::isa::WarpProgram;
 use uvm_sim::mem::{
-    AddressSpaceAllocator, Allocation, PageNum, VirtAddr, PAGES_PER_VABLOCK, PAGE_SIZE,
-    VABLOCK_SIZE,
+    AddressSpaceAllocator, Allocation, VirtAddr, PAGES_PER_VABLOCK, PAGE_SIZE, VABLOCK_SIZE,
 };
 
 use crate::cpu_init::CpuTouch;
@@ -14,7 +13,7 @@ use crate::cpu_init::CpuTouch;
 ///
 /// Workloads serialize, so a checkpoint can embed a digest of the exact
 /// workload it was taken against and refuse to resume under a different one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Workload {
     /// Benchmark name (used in reports).
     pub name: String,
@@ -22,8 +21,8 @@ pub struct Workload {
     pub allocations: Vec<Allocation>,
     /// One instruction stream per warp.
     pub programs: Vec<WarpProgram>,
-    /// Host-side first-touch initialization, replayed into `HostMemory`
-    /// before the kernel launches.
+    /// Host-side first-touch initialization as runs of pages, replayed
+    /// into `HostMemory` before the kernel launches.
     pub cpu_init: Vec<CpuTouch>,
     /// Kernel boundaries: `kernel_ends[k]` is the index one past the last
     /// warp program of kernel `k`. Empty means a single kernel covering
@@ -84,24 +83,6 @@ impl Workload {
             return self.clone();
         }
         let dp = block_offset * PAGES_PER_VABLOCK;
-        let shift = |p: PageNum| PageNum(p.0 + dp);
-        let programs = self
-            .programs
-            .iter()
-            .map(|prog| WarpProgram {
-                instrs: prog
-                    .instrs
-                    .iter()
-                    .map(|i| match i {
-                        Instr::Access { kind, pages } => Instr::Access {
-                            kind: *kind,
-                            pages: pages.iter().copied().map(shift).collect(),
-                        },
-                        Instr::Delay(d) => Instr::Delay(*d),
-                    })
-                    .collect(),
-            })
-            .collect();
         Workload {
             name: self.name.clone(),
             allocations: self
@@ -114,11 +95,11 @@ impl Workload {
                     )
                 })
                 .collect(),
-            programs,
+            programs: self.programs.iter().map(|p| p.shifted(dp)).collect(),
             cpu_init: self
                 .cpu_init
                 .iter()
-                .map(|t| CpuTouch { page: shift(t.page), ..*t })
+                .map(|t| CpuTouch { first: t.first.offset(dp), ..*t })
                 .collect(),
             kernel_ends: self.kernel_ends.clone(),
         }
@@ -201,17 +182,23 @@ impl WorkloadBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uvm_gpu::isa::Instr;
     use uvm_sim::mem::{PageNum, VABLOCK_SIZE};
+
+    /// A one-instruction program loading `page`.
+    fn load(page: PageNum) -> WarpProgram {
+        let mut p = WarpProgram::new();
+        p.load([page]);
+        p
+    }
 
     #[test]
     fn builder_accumulates() {
         let mut b = Workload::builder("test");
         let a = b.alloc(VABLOCK_SIZE);
         let c = b.alloc(2 * VABLOCK_SIZE);
-        b.warp(WarpProgram {
-            instrs: vec![Instr::load(vec![a.page(0)]), Instr::store(vec![c.page(0)])],
-        });
+        let mut p = load(a.page(0));
+        p.store([c.page(0)]);
+        b.warp(p);
         let w = b.build();
         assert_eq!(w.name, "test");
         assert_eq!(w.allocations.len(), 2);
@@ -226,10 +213,10 @@ mod tests {
     fn kernel_boundaries_partition_programs() {
         let mut b = Workload::builder("multi");
         let a = b.alloc(VABLOCK_SIZE);
-        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(0)])] });
-        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(1)])] });
+        b.warp(load(a.page(0)));
+        b.warp(load(a.page(1)));
         b.end_kernel();
-        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(2)])] });
+        b.warp(load(a.page(2)));
         b.end_kernel();
         b.end_kernel(); // duplicate boundary is a no-op
         let w = b.build();
@@ -240,9 +227,9 @@ mod tests {
     fn trailing_programs_form_final_kernel() {
         let mut b = Workload::builder("tail");
         let a = b.alloc(VABLOCK_SIZE);
-        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(0)])] });
+        b.warp(load(a.page(0)));
         b.end_kernel();
-        b.warp(WarpProgram { instrs: vec![Instr::load(vec![a.page(1)])] });
+        b.warp(load(a.page(1)));
         let w = b.build();
         assert_eq!(w.kernels(), vec![0..1, 1..2]);
     }
@@ -251,10 +238,10 @@ mod tests {
     fn rebased_shifts_every_address_uniformly() {
         let mut b = Workload::builder("rebase");
         let a = b.alloc(VABLOCK_SIZE);
-        b.warp(WarpProgram {
-            instrs: vec![Instr::load(vec![a.page(0)]), Instr::store(vec![a.page(3)])],
-        });
-        b.cpu_touches([crate::cpu_init::CpuTouch { page: a.page(0), core: 0, write: true }]);
+        let mut p = load(a.page(0));
+        p.store([a.page(3)]);
+        b.warp(p);
+        b.cpu_touches([crate::cpu_init::CpuTouch { first: a.page(0), pages: 2, core: 0, write: true }]);
         let w = b.build();
         assert_eq!(w.span_blocks(), 2, "guard block + one allocated block");
 
@@ -263,7 +250,8 @@ mod tests {
         assert_eq!(r.footprint_bytes(), w.footprint_bytes());
         assert_eq!(r.span_blocks(), w.span_blocks() + 5);
         let shifted = 5 * PAGES_PER_VABLOCK;
-        assert_eq!(r.cpu_init[0].page.0, w.cpu_init[0].page.0 + shifted);
+        assert_eq!(r.cpu_init[0].first.0, w.cpu_init[0].first.0 + shifted);
+        assert_eq!(r.cpu_init[0].pages, 2);
         assert_eq!(
             r.programs[0].touched_pages().iter().map(|p| p.0).collect::<Vec<_>>(),
             w.programs[0].touched_pages().iter().map(|p| p.0 + shifted).collect::<Vec<_>>()

@@ -115,7 +115,7 @@ proptest! {
             let block = VaBlockId(block);
             if op < 3 {
                 let page = block.page_at(idx as usize);
-                host.cpu_touch(page, core, write);
+                host.cpu_touch(page, 1, core, write);
                 let (dirty, cores) = model.entry(page).or_insert((false, CoreSet::EMPTY));
                 *dirty |= write;
                 cores.insert(core);
@@ -702,6 +702,128 @@ proptest! {
 }
 
 proptest! {
+    /// A warp program, one op per instruction over a single page array,
+    /// agrees with a model that keeps each instruction's kind and pages in
+    /// its own `Vec`: each op's pages, the access total, the touched-page
+    /// set, and the order a warp peeks and takes accesses in. Partway
+    /// into each instruction the warp queues refaults and stalls (peeks
+    /// without taking, as on a full μTLB); the refaults go first, in
+    /// descending page order, and the stalled access stays at the head.
+    #[test]
+    fn warp_program_matches_a_per_instruction_model(
+        instrs in vec((0usize..4, vec(0u64..64, 0..6), 0usize..8, vec(0u64..64, 0..3)), 0..24),
+    ) {
+        use uvm_gpu::isa::{Instr, WarpProgram};
+        use uvm_gpu::warp::Warp;
+        use uvm_sim::time::SimDuration;
+
+        let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Prefetch];
+        let mut program = WarpProgram::new();
+        let mut model: Vec<(Option<AccessKind>, Vec<PageNum>)> = Vec::new();
+        for (k, pages, _, _) in &instrs {
+            let pages: Vec<PageNum> = pages.iter().copied().map(PageNum).collect();
+            if let Some(&kind) = kinds.get(*k) {
+                program.access(kind, pages.iter().copied());
+                model.push((Some(kind), pages));
+            } else {
+                program.delay(SimDuration::from_nanos(pages.len() as u64));
+                model.push((None, Vec::new()));
+            }
+        }
+        prop_assert_eq!(program.len(), model.len());
+        for (&instr, (kind, pages)) in program.instrs().iter().zip(&model) {
+            let got = match instr {
+                Instr::Access { kind, .. } => Some(kind),
+                Instr::Delay(_) => None,
+            };
+            prop_assert_eq!(got, *kind);
+            prop_assert_eq!(program.pages_of(instr), pages.as_slice());
+        }
+        prop_assert_eq!(program.total_accesses(), model.iter().map(|(_, p)| p.len()).sum::<usize>());
+        let touched: BTreeSet<PageNum> = model.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        prop_assert_eq!(program.touched_pages(), touched.into_iter().collect::<Vec<_>>());
+
+        let mut warp = Warp::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (i, ((kind, pages), (_, _, cut, refaults))) in model.iter().zip(&instrs).enumerate() {
+            prop_assert_eq!(warp.fetch_next_instr(&program), Some(program.instrs()[i]));
+            let cut = (*cut).min(pages.len());
+            let kind = kind.unwrap_or(AccessKind::Read);
+            want.extend(pages[..cut].iter().map(|&p| (p, kind)));
+            let queued: BTreeSet<PageNum> = refaults.iter().copied().map(PageNum).collect();
+            want.extend(queued.iter().rev().map(|&p| (p, AccessKind::Read)));
+            want.extend(pages[cut..].iter().map(|&p| (p, kind)));
+            for _ in 0..cut {
+                let access = warp.next_access(&program).expect("the op has pages left");
+                warp.take_access();
+                got.push(access);
+            }
+            for &p in &queued {
+                warp.note_outstanding(p, AccessKind::Read);
+            }
+            prop_assert_eq!(warp.apply_replay(|_| false), 0);
+            let head = warp.next_access(&program);
+            prop_assert_eq!(warp.next_access(&program), head, "a stalled access stays at the head");
+            while let Some(access) = warp.next_access(&program) {
+                warp.take_access();
+                got.push(access);
+            }
+        }
+        prop_assert_eq!(got, want);
+        prop_assert!(warp.at_program_end(&program));
+        prop_assert_eq!(warp.fetch_next_instr(&program), None);
+    }
+
+    /// CPU initialization applied a run at a time, a VABlock per step,
+    /// leaves the same host memory and driver VA space (as JSON) as the
+    /// same touches applied one page at a time: for every init policy
+    /// (striped ones are 1-page runs), over an allocation whose last block
+    /// is partial, plus arbitrary read or write runs that cross block
+    /// boundaries, with the workload rebased.
+    #[test]
+    fn cpu_init_runs_match_per_page_touches(
+        pages in 1u64..1500,
+        which in 0u8..3,
+        threads in 0u32..40,
+        runs in vec((0u64..1500, 0u64..1100, 0u32..32, any::<bool>()), 0..6),
+        offset in 0u64..3,
+    ) {
+        use uvm_core::RunHints;
+        use uvm_workloads::cpu_init::CpuTouch;
+        use uvm_workloads::workload::Workload;
+
+        let policy = match which {
+            0 => CpuInitPolicy::SingleThread,
+            1 => CpuInitPolicy::Chunked { threads },
+            _ => CpuInitPolicy::Striped { threads },
+        };
+        let mut b = Workload::builder("cpu-init");
+        let alloc = b.alloc(pages * uvm_core::sim::mem::PAGE_SIZE);
+        b.cpu_touches(policy.touches(&alloc));
+        b.cpu_touches(runs.iter().map(|&(start, len, core, write)| {
+            let start = start % pages;
+            CpuTouch { first: alloc.page(start), pages: len.min(pages - start), core, write }
+        }));
+        let runwise = b.build().rebased(offset);
+        let mut per_page = runwise.clone();
+        per_page.cpu_init = runwise
+            .cpu_init
+            .iter()
+            .flat_map(|t| (0..t.pages).map(move |i| CpuTouch { first: t.first.offset(i), pages: 1, ..*t }))
+            .collect();
+        let state = |w: &Workload| {
+            let run = UvmSystem::new(SystemConfig::test_small(64 * 1024 * 1024))
+                .start(w, &RunHints::default())
+                .expect("the run starts");
+            let host = serde_json::to_string(run.host()).expect("host encodes");
+            let va_space = serde_json::to_string(&run.driver().va_space).expect("VA space encodes");
+            (host, va_space)
+        };
+        prop_assert_eq!(state(&runwise), state(&per_page));
+    }
+}
+
+proptest! {
     /// GEMM tile page sets cover exactly the bytes the tile occupies: the
     /// page of every element of the tile is present, and every listed page
     /// intersects the tile's rows.
@@ -749,8 +871,10 @@ proptest! {
             _ => CpuInitPolicy::Striped { threads },
         };
         let touches = policy.touches(&alloc);
-        prop_assert_eq!(touches.len() as u64, alloc.num_pages());
-        let distinct: BTreeSet<_> = touches.iter().map(|t| t.page).collect();
+        let pages: Vec<PageNum> =
+            touches.iter().flat_map(|t| (0..t.pages).map(|i| t.first.offset(i))).collect();
+        prop_assert_eq!(pages.len() as u64, alloc.num_pages());
+        let distinct: BTreeSet<_> = pages.iter().collect();
         prop_assert_eq!(distinct.len() as u64, alloc.num_pages());
         for t in &touches {
             prop_assert!(t.core < 128);

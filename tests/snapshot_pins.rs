@@ -89,19 +89,19 @@ fn arch_workloads() -> [(&'static str, Workload); 2] {
 /// `(workload, backend, batches at the pause, bytes of the snapshot JSON,
 /// FNV of those bytes)`.
 const ARCH_PINS: [(&str, &str, u64, usize, u64); 8] = [
-    ("stream", "cpu-driver", 16, 31_510, 9_885_206_738_456_976_997),
-    ("stream", "gpu-driven", 160, 167_643, 9_369_904_617_109_263_518),
-    ("stream", "peer-2", 16, 31_864, 260_048_416_211_465_363),
-    ("stream", "peer-4", 16, 31_868, 9_639_668_036_994_247_800),
-    ("gauss-seidel", "cpu-driver", 700, 705_022, 7_768_979_417_683_437_783),
-    ("gauss-seidel", "gpu-driven", 700, 695_383, 2_231_149_895_942_765_529),
-    ("gauss-seidel", "peer-2", 700, 705_031, 3_321_372_190_263_946_170),
-    ("gauss-seidel", "peer-4", 700, 705_034, 7_873_383_443_658_248_133),
+    ("stream", "cpu-driver", 16, 31_510, 9_508_408_998_290_277_630),
+    ("stream", "gpu-driven", 160, 167_643, 14_382_579_508_276_563_687),
+    ("stream", "peer-2", 16, 31_864, 14_757_908_587_550_513_156),
+    ("stream", "peer-4", 16, 31_868, 12_211_144_028_780_668_423),
+    ("gauss-seidel", "cpu-driver", 700, 705_020, 11_167_442_273_403_753_722),
+    ("gauss-seidel", "gpu-driven", 700, 695_381, 16_045_274_988_850_943_842),
+    ("gauss-seidel", "peer-2", 700, 705_029, 10_132_629_389_246_648_273),
+    ("gauss-seidel", "peer-4", 700, 705_032, 14_531_284_806_267_942_788),
 ];
 
 #[test]
 fn arch_oversub_snapshots_keep_their_bytes() {
-    assert_eq!(SNAPSHOT_VERSION, 10, "re-record every pin for a new version");
+    assert_eq!(SNAPSHOT_VERSION, 11, "re-record every pin for a new version");
     let mut got = Vec::new();
     let mut blocked = 0;
     for (name, workload) in arch_workloads() {
@@ -121,7 +121,7 @@ fn arch_oversub_snapshots_keep_their_bytes() {
     }
     assert_eq!(
         got, ARCH_PINS,
-        "snapshot bytes changed under SNAPSHOT_VERSION 10"
+        "snapshot bytes changed under SNAPSHOT_VERSION 11"
     );
     // The pins cover warps paused with faulted accesses on their
     // scoreboards, not only idle devices.
@@ -148,7 +148,7 @@ fn chaos_snapshot_keeps_its_bytes() {
     let (batches, bytes, hash) = pin(&run, &workload);
     assert_eq!(
         (index, batches, bytes, hash),
-        (4, 12, 33_134, 2_646_248_286_431_889_509),
-        "snapshot bytes changed under SNAPSHOT_VERSION 10"
+        (4, 12, 33_135, 15_409_589_378_703_598_350),
+        "snapshot bytes changed under SNAPSHOT_VERSION 11"
     );
 }
