@@ -99,9 +99,9 @@ impl WarpProgram {
     ///
     /// Panics if the program would hold 2^32 page touches or more.
     pub fn access(&mut self, kind: AccessKind, pages: impl IntoIterator<Item = PageNum>) -> &mut Self {
-        // Instructions index the page array with `u32`s, which keeps each
-        // one to 16 bytes; the largest generated program holds under a
-        // million touches.
+        // Invariant: a program holds fewer than 2^32 page touches (the
+        // `# Panics` contract above); `u32` indices keep an `Instr` to 16
+        // bytes.
         let index = |len: usize| u32::try_from(len).expect("a program holds fewer than 2^32 pages");
         let start = index(self.pages.len());
         self.pages.extend(pages);
