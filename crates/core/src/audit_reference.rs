@@ -7,7 +7,8 @@
 //! every set bit against the valid range. The property below corrupts one
 //! random bit of each state holder in mid-run states of random chaos
 //! scenarios and requires both auditors to return the same list, in the
-//! same order.
+//! same order. Both state the ten invariants over the single owner of
+//! each fact (see the `uvm_driver::audit` module docs).
 
 use uvm_driver::service::UvmDriver;
 use uvm_driver::va_block::VaBlockState;
@@ -19,6 +20,9 @@ use uvm_sim::error::UvmError;
 pub(crate) fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmError> {
     let mut out = Vec::new();
     let mut accounted_pages: u64 = 0;
+    let mem = driver.memory();
+    let dir = driver.peer_directory();
+    let ledger = driver.clients();
 
     for state in driver.va_space.blocks() {
         let id = state.id;
@@ -28,14 +32,13 @@ pub(crate) fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Ve
             detail,
         };
 
-        // 1. Allocation agreement with the GPU memory manager.
-        if state.gpu_allocated != driver.memory().is_resident(id) {
+        // 1. Resident pages live in an allocation the manager holds.
+        if state.resident_count() > 0 && !mem.is_resident(id) {
             out.push(v(
                 "gpu-mem",
                 format!(
-                    "driver gpu_allocated={} but memory manager resident={}",
-                    state.gpu_allocated,
-                    driver.memory().is_resident(id)
+                    "{} GPU-resident pages but the memory manager holds no allocation",
+                    state.resident_count()
                 ),
             ));
         }
@@ -54,7 +57,6 @@ pub(crate) fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Ve
             ("gpu_resident", &state.gpu_resident),
             ("remote_mapped", &state.remote_mapped),
             ("host_data", &state.host_data),
-            ("peer_pages", &state.peer_pages),
         ] {
             if let Some(bad) = bm.iter_set().find(|&i| i as u32 >= state.valid_pages) {
                 out.push(v(
@@ -96,32 +98,31 @@ pub(crate) fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Ve
             }
         }
 
-        // 10. Peer-held pages agree with the owner directory and never
-        // overlap a GPU-accessible mapping.
-        let peer_accessible = state.peer_pages.and(&accessible);
-        if !peer_accessible.is_empty() {
+        // 10. Peer-held pages never overlap a GPU-accessible mapping.
+        let peer_accessible = dir.pages_of(id).iter_set().filter(|&i| accessible.get(i)).count();
+        if peer_accessible > 0 {
             out.push(v(
                 "peer-dir",
-                format!(
-                    "{} pages both peer-held and GPU-accessible",
-                    peer_accessible.count()
-                ),
-            ));
-        }
-        let dir_pages = driver.peer_directory().pages_of(id);
-        if dir_pages != state.peer_pages {
-            out.push(v(
-                "peer-dir",
-                format!(
-                    "block records {} peer-held pages but the owner directory names {}",
-                    state.peer_pages.count(),
-                    dir_pages.count()
-                ),
+                format!("{peer_accessible} pages both peer-held and GPU-accessible"),
             ));
         }
 
         // 5. Migration implies the CPU mapping was torn down.
         out.extend(cpu_mapping_violations(state, host));
+
+        // 9. GPU-accessible pages belong to some client.
+        if ledger.is_enabled()
+            && !accessible.is_empty()
+            && !ledger.clients().iter().any(|c| c.contains_block(id.0))
+        {
+            out.push(v(
+                "tenancy",
+                format!(
+                    "{} GPU-accessible pages in a block outside every client range",
+                    accessible.count()
+                ),
+            ));
+        }
     }
 
     // 7. Global page accounting.
@@ -136,124 +137,40 @@ pub(crate) fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Ve
         });
     }
 
-    // 9. Multi-tenant attribution agrees with ground truth.
-    let ledger = driver.clients();
-    if ledger.is_enabled() {
-        let mut per_client: Vec<u64> = vec![0; ledger.num_clients()];
-        for state in driver.va_space.blocks() {
-            let accessible = u64::from(state.accessible_pages());
-            if accessible == 0 {
-                continue;
-            }
-            match ledger.client_of_block(state.id) {
-                Some(c) => per_client[c] += accessible,
-                None => out.push(UvmError::InvariantViolation {
-                    subsystem: "tenancy",
-                    block: state.id.0,
-                    detail: format!(
-                        "{accessible} GPU-accessible pages in a block outside every \
-                         client range"
-                    ),
-                }),
-            }
-        }
-        let mut ledger_resident: u64 = 0;
-        let mut ledger_faults: u64 = 0;
-        let mut ledger_throttled: u64 = 0;
-        for (c, counters) in ledger.counters().iter().enumerate() {
-            ledger_resident += counters.resident_pages;
-            ledger_faults += counters.faults;
-            ledger_throttled += counters.throttled;
-            if counters.resident_pages != per_client[c] {
-                out.push(UvmError::InvariantViolation {
-                    subsystem: "tenancy",
-                    block: u64::MAX,
-                    detail: format!(
-                        "client {} ('{}') ledgers {} resident pages but VABlock states \
-                         hold {}",
-                        c,
-                        ledger.clients()[c].name,
-                        counters.resident_pages,
-                        per_client[c]
-                    ),
-                });
-            }
-        }
-        if ledger_resident != accounted_pages {
-            out.push(UvmError::InvariantViolation {
-                subsystem: "tenancy",
-                block: u64::MAX,
-                detail: format!(
-                    "per-client residency sums to {ledger_resident} but the driver \
-                     accounts for {accounted_pages} pages globally"
-                ),
-            });
-        }
-        if ledger_faults != ledger.total_faults() || ledger_throttled != ledger.total_throttled() {
-            out.push(UvmError::InvariantViolation {
-                subsystem: "tenancy",
-                block: u64::MAX,
-                detail: format!(
-                    "per-client counters sum to {ledger_faults} faults / {ledger_throttled} \
-                     throttled but the ledger totals are {} / {}",
-                    ledger.total_faults(),
-                    ledger.total_throttled()
-                ),
-            });
-        }
+    // 10 (cont). The directory's own shape (peer count, entries naming
+    // registered blocks and existing peers with pages in range, per-peer
+    // capacity), and the held total conserves the traffic counters.
+    if let Err(detail) = dir.check(driver.backend().peers(), &driver.va_space) {
+        out.push(UvmError::InvariantViolation { subsystem: "peer-dir", block: u64::MAX, detail });
+    }
+    let held = dir.total_held_pages();
+    if dir.pages_spilled != held + dir.pages_fetched + dir.pages_reclaimed {
+        out.push(UvmError::InvariantViolation {
+            subsystem: "peer-dir",
+            block: u64::MAX,
+            detail: format!(
+                "peer traffic does not conserve: {} spilled != {held} held + {} \
+                 fetched + {} reclaimed",
+                dir.pages_spilled, dir.pages_fetched, dir.pages_reclaimed
+            ),
+        });
     }
 
-    // 10 (cont). Owner-directory internal accounting: per-peer slot
-    // counts match the entries, respect capacity, and the held total
-    // conserves the traffic counters.
-    let dir = driver.peer_directory();
-    if dir.is_enabled() {
-        let mut per_peer: Vec<u64> = vec![0; dir.peer_count() as usize];
-        for (_, holding) in dir.entries() {
-            per_peer[holding.peer as usize] += 1;
-        }
-        for p in 0..dir.peer_count() {
-            if dir.used_slots(p) != per_peer[p as usize] {
-                out.push(UvmError::InvariantViolation {
-                    subsystem: "peer-dir",
-                    block: u64::MAX,
-                    detail: format!(
-                        "peer {p} counts {} used slots but the directory holds {} \
-                         of its entries",
-                        dir.used_slots(p),
-                        per_peer[p as usize]
-                    ),
-                });
-            }
-            if dir.used_slots(p) > dir.capacity_blocks() {
-                out.push(UvmError::InvariantViolation {
-                    subsystem: "peer-dir",
-                    block: u64::MAX,
-                    detail: format!(
-                        "peer {p} holds {} blocks over its capacity {}",
-                        dir.used_slots(p),
-                        dir.capacity_blocks()
-                    ),
-                });
-            }
-        }
-        let held = dir.total_held_pages();
-        if dir.pages_spilled != held + dir.pages_fetched + dir.pages_reclaimed {
-            out.push(UvmError::InvariantViolation {
-                subsystem: "peer-dir",
-                block: u64::MAX,
-                detail: format!(
-                    "peer traffic does not conserve: {} spilled != {held} held + {} \
-                     fetched + {} reclaimed",
-                    dir.pages_spilled, dir.pages_fetched, dir.pages_reclaimed
-                ),
-            });
-        }
+    // 1 (cont). The manager holds only registered blocks, in id order.
+    let registered: std::collections::BTreeSet<u64> =
+        driver.va_space.blocks().map(|s| s.id.0).collect();
+    let allocated: std::collections::BTreeSet<u64> = mem.resident().map(|b| b.0).collect();
+    for &block in allocated.difference(&registered) {
+        out.push(UvmError::InvariantViolation {
+            subsystem: "gpu-mem",
+            block,
+            detail: "the memory manager holds an allocation for an unregistered block".into(),
+        });
     }
 
     // 8. Residency respects the effective (pressure-shrunken) capacity.
-    let resident = driver.memory().resident_blocks();
-    let effective = driver.memory().effective_capacity();
+    let resident = mem.resident_blocks();
+    let effective = mem.effective_capacity();
     if resident > effective {
         out.push(UvmError::InvariantViolation {
             subsystem: "gpu-mem",
@@ -261,8 +178,8 @@ pub(crate) fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Ve
             detail: format!(
                 "{resident} resident blocks exceed effective capacity {effective} \
                  (hardware {}, pressure-reserved {})",
-                driver.memory().capacity_blocks(),
-                driver.memory().pressure_reserved()
+                mem.capacity_blocks(),
+                mem.pressure_reserved()
             ),
         });
     }
@@ -374,7 +291,9 @@ mod tests {
     }
 
     /// Corrupt one random bit of each state holder of `tree`: a VABlock
-    /// state bitmap, a GPU page-table bit, a DMA run and a host mapping.
+    /// state bitmap, a GPU page-table bit, a DMA run, a host mapping and,
+    /// once a peer backend has spilled, a page of an owner-directory
+    /// holding.
     fn corrupt(tree: &mut Value, rng: &mut DetRng) {
         let driver = field(tree, "driver");
         let blocks = pairs(field(field(driver, "va_space"), "blocks"));
@@ -384,7 +303,7 @@ mod tests {
             panic!("a pair")
         };
         let name =
-            ["gpu_resident", "remote_mapped", "host_data", "peer_pages"][rng.below(4) as usize];
+            ["gpu_resident", "remote_mapped", "host_data"][rng.below(3) as usize];
         flip(field(&mut pair[1], name), rng.below(512) as usize);
 
         // The DMA run of a managed block: resized, dropped, or created.
@@ -424,6 +343,12 @@ mod tests {
                 record
             },
         );
+        let entries = field(field(field(tree, "driver"), "peer_dir"), "entries");
+        if !pairs(entries).is_empty() {
+            let at = rng.below(pairs(entries).len() as u64) as usize;
+            let block = block_of(&pairs(entries)[at]);
+            flip_record(entries, block, rng.below(512) as usize, |h| field(h, "pages"), |bm| bm);
+        }
     }
 
     /// A managed block of `tree`, drawn from `rng`.

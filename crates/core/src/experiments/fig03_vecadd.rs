@@ -9,8 +9,8 @@
 //! gaps.
 
 use serde::{Deserialize, Serialize};
-use uvm_driver::batch::FaultKind;
 use uvm_driver::policy::DriverPolicy;
+use uvm_gpu::fault::AccessKind;
 use uvm_workloads::vecadd::{self, VecAddParams};
 
 use crate::experiments::suite::experiment_config;
@@ -24,7 +24,7 @@ pub struct FaultPoint {
     /// Faulting page number.
     pub page: u64,
     /// Access type.
-    pub kind: FaultKind,
+    pub kind: AccessKind,
     /// Arrival time in the fault buffer (ns).
     pub arrival_ns: u64,
 }

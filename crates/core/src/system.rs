@@ -79,7 +79,8 @@ pub struct RunResult {
     pub overflow_drops: u64,
     /// Total faults that reached the fault buffer.
     pub total_faults_inserted: u64,
-    /// VABlock evictions performed.
+    /// VABlock evictions performed: the batch log's capacity and
+    /// emergency evictions summed.
     pub evictions: u64,
     /// `unmap_mapping_range` invocations.
     pub unmap_calls: u64,
@@ -684,7 +685,13 @@ impl RunInProgress {
                 + self.system.gpu.gmmu.flush_discards(),
             overflow_drops: self.system.gpu.fault_buffer.overflow_drops(),
             total_faults_inserted: self.system.gpu.fault_buffer.total_inserted(),
-            evictions: self.system.driver.memory().evictions(),
+            evictions: self
+                .system
+                .driver
+                .records
+                .iter()
+                .map(|r| r.evictions + r.emergency_evictions)
+                .sum(),
             unmap_calls: self.system.host.unmap_calls(),
             records: std::mem::take(&mut self.system.driver.records),
             fault_log: std::mem::take(&mut self.system.driver.fault_log),
@@ -746,9 +753,11 @@ impl RunInProgress {
     /// (integrity), that `workload` is byte-identical to the one the
     /// checkpoint was taken against, that the GPU's warps fit the programs
     /// of the kernels launched so far, that the host state is well formed
-    /// ([`HostMemory::check`]), and that the pending events fire no earlier
-    /// than the clock, carry distinct sequence numbers below the queue's
-    /// counter and step only launched warps; the restored run then
+    /// ([`HostMemory::check`]), that the peer owner directory fits the VA
+    /// space and its peers ([`uvm_driver::backend::PeerDirectory::check`]),
+    /// and that the pending events fire no earlier than the clock, carry
+    /// distinct sequence numbers below the queue's counter and step only
+    /// launched warps; the restored run then
     /// continues exactly where the snapshotted one stopped, producing
     /// bit-identical results.
     pub fn restore(snap: &SystemSnapshot, workload: &Workload) -> Result<Self, UvmError> {
@@ -772,8 +781,16 @@ impl RunInProgress {
             .check_programs(&workload.programs[..launched.last().map_or(0, |k| k.end)])
             .map_err(|detail| UvmError::SnapshotInvalid { detail })?;
         // Host state an unmap would panic on, or that no touch sequence
-        // produces, must fail here too.
+        // produces, must fail here too, and so must an owner directory
+        // sized for another backend, naming a missing peer or block, or
+        // overfilling a peer.
         snap.host.check().map_err(|detail| UvmError::SnapshotInvalid { detail })?;
+        let driver = &snap.driver;
+        let peers = driver.backend().peers();
+        driver
+            .peer_directory()
+            .check(peers, &driver.va_space)
+            .map_err(|detail| UvmError::SnapshotInvalid { detail })?;
         // Pending events: a warp step past the launched warps would index
         // out of bounds when it fires.
         let warps = snap.gpu.num_warps();
@@ -1405,7 +1422,7 @@ mod tests {
     }
 
     /// A snapshot of `w` after `batches` batches with its `part` ("gpu",
-    /// "host" or "run") edited through the JSON tree by `edit`, and its
+    /// "driver", "host" or "run") edited through the JSON tree by `edit`, and its
     /// digests recomputed so the integrity check passes.
     fn edited_snapshot(
         w: &Workload,
@@ -1413,8 +1430,18 @@ mod tests {
         part: &str,
         edit: impl FnOnce(&mut serde::Value),
     ) -> Result<SystemSnapshot, UvmError> {
-        let mut run =
-            UvmSystem::new(SystemConfig::test_small(16 * MB)).start(w, &RunHints::default())?;
+        edited_snapshot_of(SystemConfig::test_small(16 * MB), w, batches, part, edit)
+    }
+
+    /// [`edited_snapshot`] of a run under `config`.
+    fn edited_snapshot_of(
+        config: SystemConfig,
+        w: &Workload,
+        batches: u64,
+        part: &str,
+        edit: impl FnOnce(&mut serde::Value),
+    ) -> Result<SystemSnapshot, UvmError> {
+        let mut run = UvmSystem::new(config).start(w, &RunHints::default())?;
         for _ in 0..batches {
             run.advance_batch(w)?;
         }
@@ -1693,6 +1720,79 @@ mod tests {
         assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
         let want = format!("DMA run list repeats block {block}");
         assert!(err.to_string().contains(&want), "got: {err}");
+        Ok(())
+    }
+
+    #[test]
+    fn a_malformed_peer_directory_does_not_restore() -> Result<(), UvmError> {
+        use serde::Value;
+        use uvm_driver::backend::BackendKind;
+        // Three 384-page vectors, one partial VABlock each, on a 2-block
+        // peer-2 device: capacity evictions spill blocks to the peers.
+        let w = stream::build(StreamParams {
+            warps: 32,
+            pages_per_warp: 12,
+            iters: 1,
+            warps_per_page: 1,
+            cpu_init: None,
+        });
+        let config = SystemConfig::test_small(4 * MB).with_backend(BackendKind::MultiGpuPeer2);
+        // After six batches, with the peer directory edited by `edit`.
+        let snap = |edit: &dyn Fn(&mut Value)| {
+            edited_snapshot_of(config.clone(), &w, 6, "driver", |driver| {
+                edit(field(driver, "peer_dir"))
+            })
+        };
+        // The first directory entry, an `[block, {"peer", "pages"}]` pair.
+        fn entry(dir: &mut Value) -> &mut Vec<Value> {
+            let Value::Array(entries) = field(dir, "entries") else { panic!("entries are a list") };
+            let Some(Value::Array(pair)) = entries.first_mut() else {
+                panic!("the run has spilled a block")
+            };
+            pair
+        }
+        let unedited = snap(&|_| {})?;
+        let (block, _) =
+            unedited.driver.peer_directory().entries().next().expect("the run has spilled a block");
+        let block = block.0;
+        RunInProgress::restore(&unedited, &w)?;
+        let rejects = |edit: &dyn Fn(&mut Value), want: &str| -> Result<(), UvmError> {
+            let err = RunInProgress::restore(&snap(edit)?, &w)
+                .expect_err("a malformed directory must be rejected");
+            assert!(matches!(err, UvmError::SnapshotInvalid { .. }), "{err}");
+            assert!(err.to_string().contains(want), "got: {err}");
+            Ok(())
+        };
+        // A directory sized for another backend.
+        rejects(
+            &|dir| *field(dir, "peers") = Value::NumU(3),
+            "the peer directory has 3 peers, but the backend has 2",
+        )?;
+        // An entry naming a peer past the peer count.
+        rejects(
+            &|dir| *field(&mut entry(dir)[1], "peer") = Value::NumU(2),
+            &format!("places block {block} on peer 2, but it has 2 peers"),
+        )?;
+        // A peer holding more blocks than its capacity.
+        rejects(
+            &|dir| *field(dir, "capacity_blocks") = Value::NumU(0),
+            "over its capacity 0",
+        )?;
+        // An entry for a block no allocation registered.
+        rejects(
+            &|dir| entry(dir)[0] = Value::NumU(1 << 20),
+            &format!("holds unregistered block {}", 1 << 20),
+        )?;
+        // An entry holding a page past its partial block's 384 valid pages.
+        rejects(
+            &|dir| {
+                let Value::Array(words) = field(field(&mut entry(dir)[1], "pages"), "words") else {
+                    panic!("bitmap words")
+                };
+                words[7] = Value::NumU(1);
+            },
+            &format!("holds page 448 of block {block}, past its 384 valid pages"),
+        )?;
         Ok(())
     }
 

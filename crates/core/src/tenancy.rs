@@ -7,8 +7,8 @@
 //! before it, so the per-client VABlock ranges are disjoint by
 //! construction. The returned [`TenancyConfig`] carries those ranges plus
 //! the fairness policy; [`crate::UvmSystem::new`] installs it into the
-//! driver's client ledger, which attributes every fault batch, eviction,
-//! and residency change back to the owning client.
+//! driver's client ledger, which attributes every fetched fault to its
+//! client and applies the fairness policy at batch admission.
 //!
 //! The clients are co-scheduled: round `k` of every client launches as
 //! **one merged kernel**, so clients' warps contend for the fault pipeline

@@ -1,16 +1,19 @@
 //! Cross-layer invariant auditor.
 //!
 //! After every serviced batch (when `DriverPolicy::audit_enabled` is set)
-//! the auditor cross-checks the four state holders the servicing pipeline
-//! mutates — the driver's VABlock states, the GPU memory manager, the DMA
-//! space, and the host page tables — and reports any disagreement as a
-//! structured [`UvmError::InvariantViolation`]. The auditor is pure
-//! observation: it charges no simulated time and draws no random numbers,
-//! so enabling it cannot perturb an experiment's figures.
+//! the auditor cross-checks the state holders the servicing pipeline
+//! mutates — the driver's VABlock states, the GPU memory manager, the peer
+//! owner directory, the client table, the DMA space, and the host page
+//! tables — and reports any disagreement as a structured
+//! [`UvmError::InvariantViolation`]. The auditor is pure observation: it
+//! charges no simulated time and draws no random numbers, so enabling it
+//! cannot perturb an experiment's figures.
 //!
-//! Checked invariants, per managed VABlock:
+//! Each fact has one owner, so the checks relate different facts rather
+//! than comparing copies of one. Checked invariants, per managed VABlock:
 //!
-//! 1. `gpu_allocated` agrees with the GPU memory manager's resident set.
+//! 1. A block with GPU-resident pages is held by the GPU memory manager
+//!    (and, globally, the manager holds only registered blocks).
 //! 2. Every page the driver believes GPU-accessible (`gpu_resident` or
 //!    `remote_mapped`) is mapped in the GPU page table.
 //! 3. A page is never both migrated and remote-mapped.
@@ -25,28 +28,30 @@
 //! 8. Residency never exceeds the memory manager's *effective* capacity
 //!    (hardware capacity minus any sustained-pressure reservation).
 //! 9. When multi-tenant clients are configured: every GPU-accessible page
-//!    belongs to some client's VABlock range, each client's ledgered
-//!    resident-page count equals the ground truth recomputed from the
-//!    VABlock states, the per-client residency sums to the global page
-//!    accounting of check 7, and the ledger's fault/throttle totals equal
-//!    the sums of its per-client counters.
-//! 10. Directory/residency coherence for the multi-GPU peer backends:
-//!     every block's `peer_pages` equals exactly what the owner directory
-//!     names for it (and is disjoint from GPU-accessible pages and within
-//!     the valid range), each peer's used-slot count equals its directory
-//!     entries and respects the per-peer capacity, and the directory's
-//!     held-page total conserves its traffic counters
-//!     (`held == spilled − fetched − reclaimed`). With a non-peer backend
-//!     the directory is disabled and every `peer_pages` set is empty.
+//!    lies in some client's VABlock range.
+//! 10. Owner-directory coherence for the multi-GPU peer backends: the
+//!     pages the directory names for a block are disjoint from its
+//!     GPU-accessible pages, the directory passes the same shape check
+//!     restore applies ([`PeerDirectory::check`]: the backend's peer
+//!     count, every entry naming a registered block and one of the peers
+//!     and holding pages only inside the block's valid range, no peer
+//!     over its capacity), and the held-page total conserves the
+//!     traffic counters (`held == spilled − fetched − reclaimed`), so a
+//!     page that leaves the directory without being counted shows up as a
+//!     leak.
 //!
 //! Every state holder keeps one record per VABlock — the driver's block
-//! state, the GPU page table ([`Gpu::resident_in`]), the DMA space
+//! state, the owner directory ([`PeerDirectory::pages_of`]), the GPU page
+//! table ([`Gpu::resident_in`]), the DMA space
 //! ([`DmaSpace::mapped_in`](uvm_hostos::dma::DmaSpace::mapped_in)) and
-//! the host tables ([`HostMemory::mapped_in`]) — so checks 2, 4, 5 and 6
-//! are bitmap operations on a block's records: one probe per holder and a
-//! few word-wise ANDs, whatever the block's page count. Only a non-empty
-//! difference is walked bit by bit, to name each offending page, in
-//! ascending page order as a per-page walk would.
+//! the host tables ([`HostMemory::mapped_in`]) — so checks 2, 4, 5, 6 and
+//! 10's overlap are bitmap operations on a block's records: one probe per
+//! holder and a few word-wise ANDs, whatever the block's page count. Only
+//! a non-empty difference is walked bit by bit, to name each offending
+//! page, in ascending page order as a per-page walk would.
+//!
+//! [`PeerDirectory::check`]: crate::backend::PeerDirectory::check
+//! [`PeerDirectory::pages_of`]: crate::backend::PeerDirectory::pages_of
 
 use uvm_gpu::device::Gpu;
 use uvm_hostos::host::HostMemory;
@@ -60,6 +65,9 @@ use crate::service::UvmDriver;
 pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmError> {
     let mut out = Vec::new();
     let mut accounted_pages: u64 = 0;
+    let mem = driver.memory();
+    let dir = driver.peer_directory();
+    let ledger = driver.clients();
 
     for state in driver.va_space.blocks() {
         let id = state.id;
@@ -69,14 +77,13 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
             detail,
         };
 
-        // 1. Allocation agreement with the GPU memory manager.
-        if state.gpu_allocated != driver.memory().is_resident(id) {
+        // 1. Resident pages live in an allocation the manager holds.
+        if !state.gpu_resident.is_empty() && !mem.is_resident(id) {
             out.push(v(
                 "gpu-mem",
                 format!(
-                    "driver gpu_allocated={} but memory manager resident={}",
-                    state.gpu_allocated,
-                    driver.memory().is_resident(id)
+                    "{} GPU-resident pages but the memory manager holds no allocation",
+                    state.gpu_resident.count()
                 ),
             ));
         }
@@ -97,7 +104,6 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
             ("gpu_resident", &state.gpu_resident),
             ("remote_mapped", &state.remote_mapped),
             ("host_data", &state.host_data),
-            ("peer_pages", &state.peer_pages),
         ] {
             if let Some(bad) = bm.and_not(&valid).iter_set().next() {
                 out.push(v(
@@ -139,26 +145,14 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
             }
         }
 
-        // 10. Peer-held pages agree with the owner directory and never
-        // overlap a GPU-accessible mapping.
-        let peer_accessible = state.peer_pages.and(&accessible);
+        // 10. Peer-held pages never overlap a GPU-accessible mapping.
+        let peer_accessible = dir.pages_of(id).and(&accessible);
         if !peer_accessible.is_empty() {
             out.push(v(
                 "peer-dir",
                 format!(
                     "{} pages both peer-held and GPU-accessible",
                     peer_accessible.count()
-                ),
-            ));
-        }
-        let dir_pages = driver.peer_directory().pages_of(id);
-        if dir_pages != state.peer_pages {
-            out.push(v(
-                "peer-dir",
-                format!(
-                    "block records {} peer-held pages but the owner directory names {}",
-                    state.peer_pages.count(),
-                    dir_pages.count()
                 ),
             ));
         }
@@ -172,6 +166,17 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
                     format!("page {} migrated to GPU but still CPU-mapped", id.page_at(i).0),
                 ));
             }
+        }
+
+        // 9. GPU-accessible pages belong to some client.
+        if ledger.is_enabled() && !accessible.is_empty() && ledger.client_of_block(id).is_none() {
+            out.push(v(
+                "tenancy",
+                format!(
+                    "{} GPU-accessible pages in a block outside every client range",
+                    accessible.count()
+                ),
+            ));
         }
     }
 
@@ -187,124 +192,44 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
         });
     }
 
-    // 9. Multi-tenant attribution agrees with ground truth.
-    let ledger = driver.clients();
-    if ledger.is_enabled() {
-        let mut per_client: Vec<u64> = vec![0; ledger.num_clients()];
-        for state in driver.va_space.blocks() {
-            let accessible = u64::from(state.accessible_pages());
-            if accessible == 0 {
-                continue;
-            }
-            match ledger.client_of_block(state.id) {
-                Some(c) => per_client[c] += accessible,
-                None => out.push(UvmError::InvariantViolation {
-                    subsystem: "tenancy",
-                    block: state.id.0,
-                    detail: format!(
-                        "{accessible} GPU-accessible pages in a block outside every \
-                         client range"
-                    ),
-                }),
-            }
-        }
-        let mut ledger_resident: u64 = 0;
-        let mut ledger_faults: u64 = 0;
-        let mut ledger_throttled: u64 = 0;
-        for (c, counters) in ledger.counters().iter().enumerate() {
-            ledger_resident += counters.resident_pages;
-            ledger_faults += counters.faults;
-            ledger_throttled += counters.throttled;
-            if counters.resident_pages != per_client[c] {
-                out.push(UvmError::InvariantViolation {
-                    subsystem: "tenancy",
-                    block: u64::MAX,
-                    detail: format!(
-                        "client {} ('{}') ledgers {} resident pages but VABlock states \
-                         hold {}",
-                        c,
-                        ledger.clients()[c].name,
-                        counters.resident_pages,
-                        per_client[c]
-                    ),
-                });
-            }
-        }
-        if ledger_resident != accounted_pages {
-            out.push(UvmError::InvariantViolation {
-                subsystem: "tenancy",
-                block: u64::MAX,
-                detail: format!(
-                    "per-client residency sums to {ledger_resident} but the driver \
-                     accounts for {accounted_pages} pages globally"
-                ),
-            });
-        }
-        if ledger_faults != ledger.total_faults() || ledger_throttled != ledger.total_throttled() {
-            out.push(UvmError::InvariantViolation {
-                subsystem: "tenancy",
-                block: u64::MAX,
-                detail: format!(
-                    "per-client counters sum to {ledger_faults} faults / {ledger_throttled} \
-                     throttled but the ledger totals are {} / {}",
-                    ledger.total_faults(),
-                    ledger.total_throttled()
-                ),
-            });
-        }
+    // 10 (cont). The directory's own shape (peer count, entries naming
+    // registered blocks and existing peers with pages in range, per-peer
+    // capacity), and the held total conserves the traffic counters.
+    if let Err(detail) = dir.check(driver.backend().peers(), &driver.va_space) {
+        out.push(UvmError::InvariantViolation { subsystem: "peer-dir", block: u64::MAX, detail });
+    }
+    let held = dir.total_held_pages();
+    if dir.pages_spilled != held + dir.pages_fetched + dir.pages_reclaimed {
+        out.push(UvmError::InvariantViolation {
+            subsystem: "peer-dir",
+            block: u64::MAX,
+            detail: format!(
+                "peer traffic does not conserve: {} spilled != {held} held + {} \
+                 fetched + {} reclaimed",
+                dir.pages_spilled, dir.pages_fetched, dir.pages_reclaimed
+            ),
+        });
     }
 
-    // 10 (cont). Owner-directory internal accounting: per-peer slot
-    // counts match the entries, respect capacity, and the held total
-    // conserves the traffic counters.
-    let dir = driver.peer_directory();
-    if dir.is_enabled() {
-        let mut per_peer: Vec<u64> = vec![0; dir.peer_count() as usize];
-        for (_, holding) in dir.entries() {
-            per_peer[holding.peer as usize] += 1;
-        }
-        for p in 0..dir.peer_count() {
-            if dir.used_slots(p) != per_peer[p as usize] {
-                out.push(UvmError::InvariantViolation {
-                    subsystem: "peer-dir",
-                    block: u64::MAX,
-                    detail: format!(
-                        "peer {p} counts {} used slots but the directory holds {} \
-                         of its entries",
-                        dir.used_slots(p),
-                        per_peer[p as usize]
-                    ),
-                });
-            }
-            if dir.used_slots(p) > dir.capacity_blocks() {
-                out.push(UvmError::InvariantViolation {
-                    subsystem: "peer-dir",
-                    block: u64::MAX,
-                    detail: format!(
-                        "peer {p} holds {} blocks over its capacity {}",
-                        dir.used_slots(p),
-                        dir.capacity_blocks()
-                    ),
-                });
-            }
-        }
-        let held = dir.total_held_pages();
-        if dir.pages_spilled != held + dir.pages_fetched + dir.pages_reclaimed {
-            out.push(UvmError::InvariantViolation {
-                subsystem: "peer-dir",
-                block: u64::MAX,
-                detail: format!(
-                    "peer traffic does not conserve: {} spilled != {held} held + {} \
-                     fetched + {} reclaimed",
-                    dir.pages_spilled, dir.pages_fetched, dir.pages_reclaimed
-                ),
-            });
-        }
+    // 1 (cont). The manager holds only registered blocks, named in id
+    // order.
+    let mut unregistered: Vec<u64> = mem
+        .resident()
+        .filter(|&b| driver.va_space.try_block(b).is_err())
+        .map(|b| b.0)
+        .collect();
+    unregistered.sort_unstable();
+    for block in unregistered {
+        out.push(UvmError::InvariantViolation {
+            subsystem: "gpu-mem",
+            block,
+            detail: "the memory manager holds an allocation for an unregistered block".into(),
+        });
     }
 
     // 8. Residency respects the effective (pressure-shrunken) capacity.
-    let resident = driver.memory().resident_blocks();
-    let effective = driver.memory().effective_capacity();
+    let resident = mem.resident_blocks();
+    let effective = mem.effective_capacity();
     if resident > effective {
         out.push(UvmError::InvariantViolation {
             subsystem: "gpu-mem",
@@ -312,8 +237,8 @@ pub fn violations(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Vec<UvmEr
             detail: format!(
                 "{resident} resident blocks exceed effective capacity {effective} \
                  (hardware {}, pressure-reserved {})",
-                driver.memory().capacity_blocks(),
-                driver.memory().pressure_reserved()
+                mem.capacity_blocks(),
+                mem.pressure_reserved()
             ),
         });
     }
@@ -332,12 +257,13 @@ pub fn audit(driver: &UvmDriver, gpu: &Gpu, host: &HostMemory) -> Result<(), Uvm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evict::EvictScratch;
     use crate::policy::DriverPolicy;
     use crate::service::ServiceScratch;
     use uvm_gpu::fault::{AccessKind, FaultRecord};
     use uvm_gpu::spec::GpuSpec;
     use uvm_sim::cost::CostModel;
-    use uvm_sim::mem::{AddressSpaceAllocator, VABLOCK_SIZE};
+    use uvm_sim::mem::{AddressSpaceAllocator, VaBlockId, VABLOCK_SIZE};
     use uvm_sim::time::SimTime;
 
     fn setup() -> (UvmDriver, Gpu, HostMemory, ServiceScratch) {
@@ -416,7 +342,15 @@ mod tests {
         let vs = violations(&driver, &gpu, &host);
         assert!(vs.iter().any(|e| matches!(
             e,
-            UvmError::InvariantViolation { subsystem: "gpu-mem", .. }
+            UvmError::InvariantViolation { subsystem: "gpu-mem", block, .. } if *block == id.0
+        )));
+        // The manager holding a block no allocation registered.
+        let stray = VaBlockId(id.0 + 100);
+        driver.mem.ensure_resident_with(stray, 1, &mut EvictScratch::default())?;
+        let vs = violations(&driver, &gpu, &host);
+        assert!(vs.iter().any(|e| matches!(
+            e,
+            UvmError::InvariantViolation { subsystem: "gpu-mem", block, .. } if *block == stray.0
         )));
         Ok(())
     }
@@ -454,15 +388,15 @@ mod tests {
         driver.service_batch_with(&faults, &mut gpu, &mut host, SimTime(0), &mut scratch)?;
         assert!(violations(&driver, &gpu, &host).is_empty());
         assert!(driver.peer_directory().total_held_pages() > 0, "spills happened");
-        // Corrupt: a block forgets its peer-held pages behind the owner
+        // Corrupt: a peer-held page turns up GPU-resident behind the owner
         // directory's back.
-        let spilled = driver
-            .va_space
-            .blocks()
-            .find(|s| !s.peer_pages.is_empty())
-            .expect("oversubscription spilled at least one block")
-            .id;
-        driver.va_space.block_mut(spilled).peer_pages.reset();
+        let (spilled, held) = driver
+            .peer_directory()
+            .entries()
+            .map(|(block, holding)| (block, holding.pages))
+            .next()
+            .expect("oversubscription spilled at least one block");
+        driver.va_space.block_mut(spilled).gpu_resident.merge(&held);
         let vs = violations(&driver, &gpu, &host);
         assert!(vs.iter().any(|e| matches!(
             e,

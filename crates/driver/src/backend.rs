@@ -29,11 +29,12 @@
 //!
 //! A backend kind is a plain `Copy` value (dispatch allocates nothing,
 //! mirroring [`crate::engine`]); all mutable backend state — the
-//! owner directory, per-peer slot usage, traffic counters — lives in the
-//! serialized [`PeerDirectory`] on [`crate::service::UvmDriver`], so a
-//! snapshot captures every bit a backend depends on and a restored run
-//! continues bit-identically under any backend. Peer selection is
-//! deterministic (least-used slot count, ties by lowest peer id): no RNG
+//! owner directory and its traffic counters — lives in the serialized
+//! [`PeerDirectory`] on [`crate::service::UvmDriver`], so a snapshot
+//! captures every bit a backend depends on and a restored run continues
+//! bit-identically under any backend. The directory is the only record of
+//! which pages a peer holds: VABlock states keep no copy. Peer selection
+//! is deterministic (fewest entries, ties by lowest peer id): no RNG
 //! draw, so enabling a peer backend perturbs no other random stream.
 
 use std::collections::BTreeMap;
@@ -43,6 +44,8 @@ use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::cost::CostModel;
 use uvm_sim::mem::VaBlockId;
 use uvm_sim::time::SimDuration;
+
+use crate::va_space::VaSpace;
 
 /// Serde-configurable servicing-backend selection (the
 /// `SystemConfig::backend` knob).
@@ -133,18 +136,19 @@ pub struct PeerHolding {
 /// on a single peer (a later spill of the same block merges into the same
 /// holding), and the slot frees once every held page has migrated back.
 /// Slot accounting is block-granular — each peer offers
-/// `capacity_blocks` slots — while page movement is page-granular.
+/// `capacity_blocks` slots, and a peer's used slots are the entries
+/// naming it — while page movement is page-granular.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PeerDirectory {
     /// Number of peer GPUs (0 = directory disabled).
     peers: u32,
     /// Block slots per peer.
     capacity_blocks: u64,
-    /// Occupied slots per peer (`used[p]` = directory entries naming `p`).
-    used: Vec<u64>,
     /// Owner directory: block → (peer, held pages).
     entries: BTreeMap<VaBlockId, PeerHolding>,
-    /// Cumulative pages spilled device → peer.
+    /// Cumulative pages spilled device → peer. The three traffic
+    /// counters exist for leak detection: the held pages must equal
+    /// spilled − fetched − reclaimed (audit invariant 10).
     pub pages_spilled: u64,
     /// Cumulative pages migrated peer → device on re-fault.
     pub pages_fetched: u64,
@@ -157,12 +161,7 @@ impl PeerDirectory {
     /// A directory for `peers` peer GPUs with `capacity_blocks` block
     /// slots each. `peers == 0` yields the disabled directory.
     pub fn new(peers: u32, capacity_blocks: u64) -> Self {
-        PeerDirectory {
-            peers,
-            capacity_blocks,
-            used: vec![0; peers as usize],
-            ..PeerDirectory::default()
-        }
+        PeerDirectory { peers, capacity_blocks, ..PeerDirectory::default() }
     }
 
     /// Whether any peers exist.
@@ -180,9 +179,9 @@ impl PeerDirectory {
         self.capacity_blocks
     }
 
-    /// Occupied slots on peer `p`.
+    /// Occupied slots on peer `p`: the directory entries naming it.
     pub fn used_slots(&self, p: u32) -> u64 {
-        self.used.get(p as usize).copied().unwrap_or(0)
+        self.entries.values().filter(|h| h.peer == p).count() as u64
     }
 
     /// The pages of `block` currently held by a peer (empty if none).
@@ -198,6 +197,54 @@ impl PeerDirectory {
     /// Total pages held across all peers.
     pub fn total_held_pages(&self) -> u64 {
         self.entries.values().map(|h| u64::from(h.pages.count())).sum()
+    }
+
+    /// Check a decoded directory against the backend's peer count and the
+    /// VA space it was saved with: the directory has `peers` peers, every
+    /// entry names one of them and a registered block, holds at least one
+    /// page and none past the block's valid range, and no peer holds more
+    /// entries than its capacity. `Err` describes the first inconsistency.
+    pub fn check(&self, peers: u32, va_space: &VaSpace) -> Result<(), String> {
+        if self.peers != peers {
+            return Err(format!(
+                "the peer directory has {} peers, but the backend has {peers}",
+                self.peers
+            ));
+        }
+        let mut per_peer: BTreeMap<u32, u64> = BTreeMap::new();
+        for (&block, h) in &self.entries {
+            if h.peer >= self.peers {
+                return Err(format!(
+                    "the peer directory places block {} on peer {}, but it has {} peers",
+                    block.0, h.peer, self.peers
+                ));
+            }
+            let valid = va_space
+                .try_block(block)
+                .map_err(|_| format!("the peer directory holds unregistered block {}", block.0))?
+                .valid_pages;
+            match h.pages.iter_set().last() {
+                None => {
+                    return Err(format!("the peer directory holds no pages of block {}", block.0))
+                }
+                Some(last) if last as u32 >= valid => {
+                    return Err(format!(
+                        "the peer directory holds page {last} of block {}, past its {valid} \
+                         valid pages",
+                        block.0
+                    ))
+                }
+                Some(_) => {}
+            }
+            *per_peer.entry(h.peer).or_default() += 1;
+        }
+        match per_peer.into_iter().find(|&(_, n)| n > self.capacity_blocks) {
+            Some((p, n)) => Err(format!(
+                "peer {p} holds {n} blocks, over its capacity {}",
+                self.capacity_blocks
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Spill `pages` of `block` to a peer, if a slot is available. A block
@@ -216,9 +263,10 @@ impl PeerDirectory {
             return Some(h.peer);
         }
         let peer = (0..self.peers)
-            .filter(|&p| self.used[p as usize] < self.capacity_blocks)
-            .min_by_key(|&p| (self.used[p as usize], p))?;
-        self.used[peer as usize] += 1;
+            .map(|p| (self.used_slots(p), p))
+            .filter(|&(used, _)| used < self.capacity_blocks)
+            .min()?
+            .1;
         self.entries.insert(block, PeerHolding { peer, pages: *pages });
         self.pages_spilled += n;
         Some(peer)
@@ -265,7 +313,6 @@ impl PeerDirectory {
         let peer = h.peer;
         if h.pages.is_empty() {
             self.entries.remove(&block);
-            self.used[peer as usize] -= 1;
         }
         Some((peer, overlap))
     }

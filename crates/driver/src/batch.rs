@@ -8,6 +8,7 @@
 //! the evaluation is computed from sequences of these records.
 
 use serde::{Deserialize, Serialize};
+use uvm_gpu::fault::AccessKind;
 use uvm_sim::time::{SimDuration, SimTime};
 
 use crate::health::HealthState;
@@ -225,27 +226,6 @@ impl BatchRecord {
     }
 }
 
-/// Access type recorded in per-fault metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
-    /// Global load.
-    Read,
-    /// Global store.
-    Write,
-    /// Software prefetch instruction.
-    Prefetch,
-}
-
-impl From<uvm_gpu::fault::AccessKind> for FaultKind {
-    fn from(k: uvm_gpu::fault::AccessKind) -> Self {
-        match k {
-            uvm_gpu::fault::AccessKind::Read => FaultKind::Read,
-            uvm_gpu::fault::AccessKind::Write => FaultKind::Write,
-            uvm_gpu::fault::AccessKind::Prefetch => FaultKind::Prefetch,
-        }
-    }
-}
-
 /// Per-fault metadata (the paper's first instrumented-driver variant),
 /// retained when `DriverPolicy::log_fault_metadata` is set.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -255,7 +235,7 @@ pub struct FaultMeta {
     /// Faulting page.
     pub page: u64,
     /// Access type.
-    pub kind: crate::batch::FaultKind,
+    pub kind: AccessKind,
     /// Originating SM.
     pub sm: u32,
     /// Originating μTLB.

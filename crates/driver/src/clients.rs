@@ -1,4 +1,4 @@
-//! Multi-tenant client table, fault admission, and per-client attribution.
+//! Multi-tenant client table and fault admission.
 //!
 //! A UVM *service* hosts several clients (processes) on one device. Each
 //! client owns a disjoint VABlock range of the shared managed address
@@ -6,21 +6,21 @@
 //! the driver carries a [`ClientLedger`] that
 //!
 //! * maps every faulting page back to its client (a scan over the
-//!   disjoint block ranges — client tables are small),
+//!   disjoint block ranges — client tables are small), and
 //! * applies the configured [`FairnessPolicy`] to each fetched batch
 //!   before servicing (*admission*): faults above a client's per-batch
 //!   quota are dropped and regenerate after the end-of-batch replay,
 //!   exactly like buffer-flush drops — the paper's per-SM fault throttle
-//!   generalized to a per-client throttle, and
-//! * attributes faults, throttle drops, evictions, degradations, and
-//!   GPU-accessible residency to clients as the servicing pipeline runs.
+//!   generalized to a per-client throttle.
 //!
-//! A disabled ledger (no clients) draws no RNG, charges no simulated
-//! time, and adds nothing to any record, so single-tenant runs are
-//! bit-identical to a driver without the subsystem. The ledger serializes
-//! with the driver, so restored runs keep their attribution mid-stream.
-//! The auditor's ninth invariant cross-checks the ledger against ground
-//! truth (`crate::audit`).
+//! Per-client fault and throttle counts land in each batch record
+//! (`client_faults`, `throttled_faults`); the ledger keeps no running
+//! totals of its own. A disabled ledger (no clients) draws no RNG, charges
+//! no simulated time, and adds nothing to any record, so single-tenant
+//! runs are bit-identical to a driver without the subsystem. The ledger
+//! serializes with the driver. The auditor's ninth invariant requires
+//! every GPU-accessible page to lie in some client's range
+//! (`crate::audit`).
 
 use serde::{Deserialize, Serialize};
 use uvm_gpu::fault::FaultRecord;
@@ -117,24 +117,6 @@ impl Default for TenancyConfig {
     }
 }
 
-/// Per-client attribution counters, maintained by the servicing pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClientCounters {
-    /// Faults fetched into batches and attributed to this client
-    /// (including faults later dropped by admission).
-    pub faults: u64,
-    /// Faults dropped at admission over this client's quota.
-    pub throttled: u64,
-    /// VABlock evictions whose victim belonged to this client (capacity,
-    /// emergency, and degradation writebacks).
-    pub evictions: u64,
-    /// This client's VABlocks degraded to remote mappings.
-    pub degraded_blocks: u64,
-    /// Pages of this client currently GPU-accessible (migrated or
-    /// remote-mapped) — the auditor recomputes this from ground truth.
-    pub resident_pages: u64,
-}
-
 /// The outcome of admitting one batch: per-client arrival counts and
 /// throttle drops (indices parallel the client table).
 #[derive(Debug, Clone, Default)]
@@ -147,7 +129,7 @@ pub struct AdmitOutcome {
     pub throttled: u64,
 }
 
-/// The driver-resident client table plus running attribution counters.
+/// The driver-resident client table and fairness policy.
 ///
 /// Disabled (empty) by default; installed by the system layer from the
 /// [`TenancyConfig`]. Serializes with the driver.
@@ -157,12 +139,6 @@ pub struct ClientLedger {
     fairness: FairnessPolicy,
     /// Client table, sorted by `first_block` for binary search.
     clients: Vec<TenantConfig>,
-    /// Per-client counters (parallel to `clients`).
-    counters: Vec<ClientCounters>,
-    /// Total faults attributed (Σ per-client; the auditor cross-checks).
-    total_faults: u64,
-    /// Total throttle drops (Σ per-client).
-    total_throttled: u64,
 }
 
 impl ClientLedger {
@@ -172,15 +148,12 @@ impl ClientLedger {
     }
 
     /// Build a ledger from a tenancy configuration. Client order is
-    /// preserved for counters and reports. Panics if client ranges
-    /// overlap — the tenancy composer guarantees disjointness.
+    /// preserved for per-batch attribution and reports. Panics if client
+    /// ranges overlap — the tenancy composer guarantees disjointness.
     pub fn new(config: &TenancyConfig) -> Self {
         let ledger = ClientLedger {
             fairness: config.fairness,
             clients: config.clients.clone(),
-            counters: vec![ClientCounters::default(); config.clients.len()],
-            total_faults: 0,
-            total_throttled: 0,
         };
         let mut ranges: Vec<(u64, u64)> =
             ledger.clients.iter().map(|c| (c.first_block, c.blocks)).collect();
@@ -207,21 +180,6 @@ impl ClientLedger {
     /// The client table.
     pub fn clients(&self) -> &[TenantConfig] {
         &self.clients
-    }
-
-    /// Per-client counters, parallel to [`Self::clients`].
-    pub fn counters(&self) -> &[ClientCounters] {
-        &self.counters
-    }
-
-    /// Total faults attributed across clients.
-    pub fn total_faults(&self) -> u64 {
-        self.total_faults
-    }
-
-    /// Total admission drops across clients.
-    pub fn total_throttled(&self) -> u64 {
-        self.total_throttled
     }
 
     /// The active fairness policy.
@@ -259,7 +217,7 @@ impl ClientLedger {
     /// Faults on pages outside every client range are never throttled.
     /// Deterministic: a pure function of the batch and the client table.
     pub fn admit(
-        &mut self,
+        &self,
         faults: &[FaultRecord],
         batch_limit: u64,
         out: &mut Vec<FaultRecord>,
@@ -278,8 +236,6 @@ impl ClientLedger {
             faults.iter().map(|f| self.client_of_page(f.page)).collect();
         for owner in owners.iter().flatten() {
             outcome.per_client[*owner] += 1;
-            self.counters[*owner].faults += 1;
-            self.total_faults += 1;
         }
 
         match self.fairness {
@@ -324,8 +280,6 @@ impl ClientLedger {
                             } else {
                                 outcome.throttled_per_client[*c] += 1;
                                 outcome.throttled += 1;
-                                self.counters[*c].throttled += 1;
-                                self.total_throttled += 1;
                             }
                         }
                     }
@@ -333,31 +287,6 @@ impl ClientLedger {
             }
         }
         outcome
-    }
-
-    /// Attribute a VABlock eviction (capacity, emergency, or degradation
-    /// writeback) to `block`'s owner.
-    pub fn note_eviction(&mut self, block: VaBlockId) {
-        if let Some(c) = self.client_of_block(block) {
-            self.counters[c].evictions += 1;
-        }
-    }
-
-    /// Attribute a degradation-to-remote of `block` to its owner.
-    pub fn note_degraded(&mut self, block: VaBlockId) {
-        if let Some(c) = self.client_of_block(block) {
-            self.counters[c].degraded_blocks += 1;
-        }
-    }
-
-    /// Record that `block`'s GPU-accessible page count changed from
-    /// `before` to `after` (called around every residency mutation of the
-    /// servicing pipeline).
-    pub fn residency_changed(&mut self, block: VaBlockId, before: u32, after: u32) {
-        if let Some(c) = self.client_of_block(block) {
-            let r = &mut self.counters[c].resident_pages;
-            *r = *r + u64::from(after) - u64::from(before);
-        }
     }
 }
 
@@ -400,19 +329,18 @@ mod tests {
 
     #[test]
     fn none_policy_is_passthrough() {
-        let mut l = two_clients(FairnessPolicy::None);
+        let l = two_clients(FairnessPolicy::None);
         let batch: Vec<_> = (0..6).map(|i| fault_in_block(1 + (i % 2) * 4, i)).collect();
         let mut out = Vec::new();
         let o = l.admit(&batch, 256, &mut out);
         assert_eq!(out, batch, "no reorder, no drops");
         assert_eq!(o.per_client, vec![3, 3]);
         assert_eq!(o.throttled, 0);
-        assert_eq!(l.total_faults(), 6);
     }
 
     #[test]
     fn round_robin_interleaves_without_drops() {
-        let mut l = two_clients(FairnessPolicy::RoundRobin);
+        let l = two_clients(FairnessPolicy::RoundRobin);
         // 4 faults from client 0, then 2 from client 1.
         let batch: Vec<_> = (0..4)
             .map(|i| fault_in_block(1, i))
@@ -428,7 +356,7 @@ mod tests {
 
     #[test]
     fn fault_quota_drops_over_cap_per_client() {
-        let mut l = two_clients(FairnessPolicy::FaultQuota(2));
+        let l = two_clients(FairnessPolicy::FaultQuota(2));
         let batch: Vec<_> = (0..5)
             .map(|i| fault_in_block(1, i))
             .chain((0..1).map(|i| fault_in_block(5, 100 + i)))
@@ -437,14 +365,13 @@ mod tests {
         let o = l.admit(&batch, 256, &mut out);
         assert_eq!(o.per_client, vec![5, 1]);
         assert_eq!(o.throttled_per_client, vec![3, 0]);
+        assert_eq!(o.throttled, 3);
         assert_eq!(out.len(), 3);
-        assert_eq!(l.counters()[0].throttled, 3);
-        assert_eq!(l.total_throttled(), 3);
     }
 
     #[test]
     fn weighted_share_scales_quota_with_weight() {
-        let mut l = two_clients(FairnessPolicy::WeightedShare);
+        let l = two_clients(FairnessPolicy::WeightedShare);
         // batch_limit 8, weights 1:3 → caps 2 and 6.
         let batch: Vec<_> = (0..4)
             .map(|i| fault_in_block(1, i))
@@ -458,7 +385,7 @@ mod tests {
 
     #[test]
     fn quota_never_starves_a_client() {
-        let mut l = two_clients(FairnessPolicy::FaultQuota(0));
+        let l = two_clients(FairnessPolicy::FaultQuota(0));
         let batch = vec![fault_in_block(1, 0), fault_in_block(5, 1)];
         let mut out = Vec::new();
         let o = l.admit(&batch, 256, &mut out);
@@ -468,7 +395,7 @@ mod tests {
 
     #[test]
     fn unowned_faults_are_never_throttled() {
-        let mut l = two_clients(FairnessPolicy::FaultQuota(1));
+        let l = two_clients(FairnessPolicy::FaultQuota(1));
         let batch = vec![fault_in_block(20, 0), fault_in_block(20, 1), fault_in_block(20, 2)];
         let mut out = Vec::new();
         let o = l.admit(&batch, 256, &mut out);
@@ -477,23 +404,8 @@ mod tests {
     }
 
     #[test]
-    fn residency_and_eviction_attribution() {
-        let mut l = two_clients(FairnessPolicy::None);
-        l.residency_changed(VaBlockId(1), 0, 10);
-        l.residency_changed(VaBlockId(5), 0, 7);
-        l.residency_changed(VaBlockId(1), 10, 4);
-        l.note_eviction(VaBlockId(1));
-        l.note_degraded(VaBlockId(5));
-        l.note_eviction(VaBlockId(40)); // unowned: ignored
-        assert_eq!(l.counters()[0].resident_pages, 4);
-        assert_eq!(l.counters()[1].resident_pages, 7);
-        assert_eq!(l.counters()[0].evictions, 1);
-        assert_eq!(l.counters()[1].degraded_blocks, 1);
-    }
-
-    #[test]
     fn disabled_ledger_is_inert() {
-        let mut l = ClientLedger::disabled();
+        let l = ClientLedger::disabled();
         assert!(!l.is_enabled());
         let batch = vec![fault_in_block(1, 0)];
         let mut out = Vec::new();
@@ -516,8 +428,7 @@ mod tests {
 
     #[test]
     fn ledger_round_trips_serde() {
-        let mut l = two_clients(FairnessPolicy::WeightedShare);
-        l.residency_changed(VaBlockId(1), 0, 3);
+        let l = two_clients(FairnessPolicy::WeightedShare);
         let json = serde_json::to_string(&l).expect("serialize");
         let back: ClientLedger = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, l);

@@ -73,8 +73,6 @@ pub struct GpuMemoryManager {
     capacity_blocks: u64,
     /// Resident blocks → their policy bookkeeping.
     resident: FastMap<VaBlockId, BlockMeta>,
-    /// Monotone count of evictions performed.
-    evictions: u64,
     /// Which eviction policy picks victims.
     policy: EvictionPolicyKind,
     /// The manager's own stream for stochastic policies. Serialized, so a
@@ -83,9 +81,6 @@ pub struct GpuMemoryManager {
     /// Blocks currently reserved away from UVM by a sustained
     /// memory-pressure window; effective capacity shrinks by this much.
     pressure_reserved: u64,
-    /// Monotone count of emergency evictions (evictions forced by a
-    /// capacity shrink rather than by an allocation request).
-    emergency_evictions: u64,
 }
 
 impl GpuMemoryManager {
@@ -102,11 +97,9 @@ impl GpuMemoryManager {
         GpuMemoryManager {
             capacity_blocks,
             resident: FastMap::default(),
-            evictions: 0,
             policy,
             rng: DetRng::new(seed ^ 0xE71C_7015_AB1E_5EED),
             pressure_reserved: 0,
-            emergency_evictions: 0,
         }
     }
 
@@ -126,11 +119,6 @@ impl GpuMemoryManager {
         self.pressure_reserved
     }
 
-    /// Monotone count of emergency evictions forced by capacity shrinks.
-    pub fn emergency_evictions(&self) -> u64 {
-        self.emergency_evictions
-    }
-
     /// Set the pressure reservation (clamped so at least one block stays
     /// usable). Shrinking capacity does not evict by itself — call
     /// [`GpuMemoryManager::shed_over_capacity_with`] to pick the victims,
@@ -141,16 +129,14 @@ impl GpuMemoryManager {
 
     /// Emergency eviction: pick the victims (policy-selected, in eviction
     /// order) that must be written back so residency fits the effective
-    /// capacity. Removes them from the resident set, counts them as both
-    /// regular and emergency evictions, and leaves them in
+    /// capacity. Removes them from the resident set and leaves them in
     /// `scratch.victims` (replacing its previous contents) for writeback.
+    /// The batch log counts evictions: the manager keeps no tally.
     pub fn shed_over_capacity_with(&mut self, scratch: &mut EvictScratch) {
         scratch.victims.clear();
         while (self.resident.len() as u64) > self.effective_capacity() {
             let Some(victim) = self.select_victim(&mut scratch.candidates) else { break };
             self.resident.remove(&victim);
-            self.evictions += 1;
-            self.emergency_evictions += 1;
             scratch.victims.push(victim);
         }
     }
@@ -165,23 +151,14 @@ impl GpuMemoryManager {
         self.resident.contains_key(&block)
     }
 
-    /// Monotone eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+    /// The blocks holding a GPU allocation, in no particular order.
+    pub fn resident(&self) -> impl Iterator<Item = VaBlockId> + '_ {
+        self.resident.keys().copied()
     }
 
     /// The active eviction policy.
     pub fn policy(&self) -> EvictionPolicyKind {
         self.policy
-    }
-
-    /// Record that a batch migrated pages into `block` at sequence `seq`
-    /// (refreshes the LRU key and bumps the LFU count).
-    pub fn touch(&mut self, block: VaBlockId, seq: u64) {
-        if let Some(m) = self.resident.get_mut(&block) {
-            m.last_migrate = seq;
-            m.touches += 1;
-        }
     }
 
     /// Pick the victim for one eviction, or `None` with nothing resident.
@@ -211,7 +188,9 @@ impl GpuMemoryManager {
 
     /// Ensure `block` holds a GPU allocation, evicting policy-selected
     /// victims if the device is full. `seq` is the requesting batch's
-    /// sequence number (becomes the block's LRU key). On
+    /// sequence number: it becomes the block's LRU key, and the request
+    /// bumps the block's LFU count, whether or not the block was already
+    /// resident. On
     /// [`ResidencyOutcome::Evicted`] the victims sit in `scratch.victims`
     /// (replacing its previous contents), so the steady-state eviction
     /// path allocates nothing.
@@ -253,7 +232,6 @@ impl GpuMemoryManager {
                 });
             };
             self.resident.remove(&victim);
-            self.evictions += 1;
             scratch.victims.push(victim);
         }
         self.resident.insert(block, BlockMeta { last_migrate: seq, touches: 1 });
@@ -312,7 +290,6 @@ mod tests {
         );
         assert!(!mm.is_resident(VaBlockId(1)));
         assert!(mm.is_resident(VaBlockId(4)));
-        assert_eq!(mm.evictions(), 1);
         Ok(())
     }
 
@@ -321,7 +298,7 @@ mod tests {
         let mut mm = GpuMemoryManager::new(2);
         ensure(&mut mm, 1, 1)?;
         ensure(&mut mm, 2, 2)?;
-        mm.touch(VaBlockId(1), 3); // block 1 now most recent
+        ensure(&mut mm, 1, 3)?; // block 1 now most recent
         assert_eq!(
             ensure(&mut mm, 3, 4)?,
             (ResidencyOutcome::Evicted, vec![VaBlockId(2)])
@@ -373,7 +350,6 @@ mod tests {
         ensure(&mut mm, 1, 1)?;
         mm.release(VaBlockId(1));
         assert_eq!(mm.resident_blocks(), 0);
-        assert_eq!(mm.evictions(), 0);
         assert_eq!(
             ensure(&mut mm, 2, 2)?,
             (ResidencyOutcome::Allocated, vec![])
@@ -394,9 +370,9 @@ mod tests {
         ensure(&mut mm, 2, 2)?;
         ensure(&mut mm, 3, 3)?;
         // Blocks 1 and 3 accumulate extra migrations; block 2 stays cold.
-        mm.touch(VaBlockId(1), 4);
-        mm.touch(VaBlockId(3), 5);
-        mm.touch(VaBlockId(1), 6);
+        ensure(&mut mm, 1, 4)?;
+        ensure(&mut mm, 3, 5)?;
+        ensure(&mut mm, 1, 6)?;
         assert_eq!(
             ensure(&mut mm, 9, 7)?,
             (ResidencyOutcome::Evicted, vec![VaBlockId(2)])
@@ -493,7 +469,6 @@ mod tests {
         let victims = shed(&mut mm);
         assert_eq!(victims.len(), 3, "must shed down to effective capacity");
         assert_eq!(mm.resident_blocks(), 5);
-        assert_eq!(mm.emergency_evictions(), 3);
         // LRU sheds the earliest-migrated blocks first.
         assert_eq!(victims, vec![VaBlockId(1), VaBlockId(2), VaBlockId(3)]);
 

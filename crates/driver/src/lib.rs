@@ -46,8 +46,8 @@
 //!   and host page tables after every batch.
 //! * [`clients`] — the multi-tenant client table: per-client VABlock
 //!   ranges, fault admission under a [`clients::FairnessPolicy`]
-//!   (round-robin, per-client fault quota, weighted share), and running
-//!   attribution of faults, drops, evictions, and residency to clients.
+//!   (round-robin, per-client fault quota, weighted share) that records
+//!   each batch's per-client arrivals and drops.
 
 pub mod advise;
 pub mod audit;
@@ -67,7 +67,7 @@ pub mod va_space;
 pub use advise::MemAdvise;
 pub use backend::{BackendKind, PeerDirectory, PeerHolding};
 pub use batch::BatchRecord;
-pub use clients::{ClientCounters, ClientLedger, FairnessPolicy, TenancyConfig, TenantConfig};
+pub use clients::{ClientLedger, FairnessPolicy, TenancyConfig, TenantConfig};
 pub use dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
 pub use engine::{EvictionPolicyKind, PrefetchContext, PrefetchPolicyKind};
 pub use evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};

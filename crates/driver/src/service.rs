@@ -239,7 +239,7 @@ pub struct UvmDriver {
     /// other prefetch policy. Serialized with the driver so a restored
     /// oracle run keeps its foresight.
     oracle_future: BTreeMap<VaBlockId, PageBitmap>,
-    /// Multi-tenant client table and attribution counters. Disabled
+    /// Multi-tenant client table and fairness policy. Disabled
     /// (empty) for single-tenant runs; installed by the system layer from
     /// the tenancy configuration ([`Self::install_clients`]).
     clients: ClientLedger,
@@ -688,7 +688,7 @@ impl UvmDriver {
                 self.fault_log.push(FaultMeta {
                     batch_seq: rec.seq,
                     page: f.page.0,
-                    kind: f.kind.into(),
+                    kind: f.kind,
                     sm,
                     utlb,
                     arrival: f.arrival,
@@ -850,11 +850,8 @@ impl UvmDriver {
                     // faults migrate normally.
                     state.pinned_until = None;
                     let remote = state.remote_mapped;
-                    let before = state.accessible_pages();
                     state.remote_mapped.reset();
-                    let after = state.accessible_pages();
                     gpu.unmap_block(block_id, &remote);
-                    self.clients.residency_changed(block_id, before, after);
                 }
             }
         }
@@ -880,12 +877,8 @@ impl UvmDriver {
             pages: n,
         });
         rec.remote_mapped_pages += n;
-        let state = self.va_space.try_block_mut(block_id)?;
-        let before = state.accessible_pages();
-        state.remote_mapped.merge(pages);
-        let after = state.accessible_pages();
+        self.va_space.try_block_mut(block_id)?.remote_mapped.merge(pages);
         gpu.map_block(block_id, pages);
-        self.clients.residency_changed(block_id, before, after);
         Ok(())
     }
 
@@ -959,7 +952,6 @@ impl UvmDriver {
                 });
             }
         }
-        self.va_space.try_block_mut(block_id)?.gpu_allocated = true;
         Ok(())
     }
 
@@ -1019,7 +1011,6 @@ impl UvmDriver {
             bytes,
         });
         gpu.unmap_block(victim, &resident);
-        self.clients.note_eviction(victim);
         if how == Writeback::Degrade {
             // The block's own state transition is the degradation's.
             self.mem.release(victim);
@@ -1029,15 +1020,8 @@ impl UvmDriver {
         // The data returns to host RAM (or a peer) but is NOT re-mapped
         // into CPU page tables — so a re-migration later skips the unmap
         // cost (the Fig. 13 levels).
-        let before = vstate.accessible_pages();
-        if spill {
-            vstate.evict_to_peer();
-        } else {
-            vstate.evict();
-        }
+        vstate.evict(spill);
         vstate.last_evict_seq = Some(rec.seq);
-        let after = vstate.accessible_pages();
-        self.clients.residency_changed(victim, before, after);
         Ok(())
     }
 
@@ -1143,28 +1127,20 @@ impl UvmDriver {
         gpu: &mut Gpu,
         rec: &mut BatchRecord,
     ) -> Result<(), UvmError> {
-        let (resident, had_alloc) = {
-            let state = self.va_space.try_block(block_id)?;
-            (state.gpu_resident, state.gpu_allocated)
-        };
-        if had_alloc {
+        let resident = self.va_space.try_block(block_id)?.gpu_resident;
+        if self.mem.is_resident(block_id) {
             self.write_back(block_id, Writeback::Degrade, gpu, rec)?;
         }
         // The block permanently serves from sysmem: its resident data is
         // back in host RAM (always there under read duplication), and the
         // formerly resident pages map remotely along with the faulted ones.
         let state = self.va_space.try_block_mut(block_id)?;
-        let before = state.accessible_pages();
         if !state.read_duplicated {
             state.host_data.merge(&resident);
         }
         state.gpu_resident.reset();
-        state.gpu_allocated = false;
         state.read_duplicated = false;
         state.degraded = true;
-        let after = state.accessible_pages();
-        self.clients.residency_changed(block_id, before, after);
-        self.clients.note_degraded(block_id);
         rec.degraded_blocks += 1;
         self.degraded_total += 1;
         self.map_remote(block_id, &pages.or(&resident), gpu, rec)
@@ -1184,11 +1160,14 @@ impl UvmDriver {
         let state = self.va_space.try_block_mut(block_id)?;
         let n_pages = u64::from(migrate.count());
         // Pages whose current copy sits on a peer GPU come back over the
-        // interconnect (move semantics: the peer copy is released); the
-        // rest pay a host→device transfer if they have host data, or are
-        // populated only. A page with both a peer copy and stale host data
-        // fetches from the peer — that copy is current.
-        let from_peer = migrate.and(&state.peer_pages);
+        // interconnect (move semantics: the directory releases the peer
+        // copy); the rest pay a host→device transfer if they have host
+        // data, or are populated only. A page with both a peer copy and
+        // stale host data fetches from the peer — that copy is current.
+        let from_peer = self
+            .peer_dir
+            .take_overlap(block_id, migrate)
+            .map_or(PageBitmap::EMPTY, |(_, pages)| pages);
         let data_pages = u64::from(migrate.and(&state.host_data).and_not(&from_peer).count());
         let bytes = data_pages * PAGE_SIZE;
         rec.t_populate += self.cost.populate_time(n_pages);
@@ -1209,8 +1188,6 @@ impl UvmDriver {
                 block: block_id.0,
                 bytes: peer_bytes,
             });
-            state.peer_pages = state.peer_pages.and_not(&from_peer);
-            let _ = self.peer_dir.take_overlap(block_id, &from_peer);
         }
         rec.t_transfer += self.cost.h2d_time(bytes);
         span(rec, self.cost.h2d_time(bytes), || TraceEvent::Transfer {
@@ -1227,12 +1204,8 @@ impl UvmDriver {
         rec.pages_migrated += n_pages;
         rec.bytes_migrated += bytes;
 
-        let before = state.accessible_pages();
         state.gpu_resident.merge(migrate);
-        let after = state.accessible_pages();
-        state.last_migrate_seq = rec.seq;
         gpu.map_block(block_id, migrate);
-        self.clients.residency_changed(block_id, before, after);
         Ok(())
     }
 
@@ -1252,10 +1225,9 @@ impl UvmDriver {
             return Ok(());
         }
         let state = self.va_space.try_block_mut(block_id)?;
-        let overlap = wanted.and(&state.peer_pages);
-        if overlap.is_empty() {
+        let Some((_, overlap)) = self.peer_dir.reclaim_overlap(block_id, wanted) else {
             return Ok(());
-        }
+        };
         let bytes = u64::from(overlap.count()) * PAGE_SIZE;
         let d = self.cost.p2p_time(bytes);
         rec.t_evict += d;
@@ -1264,9 +1236,7 @@ impl UvmDriver {
             victim: Some(block_id.0),
             bytes,
         });
-        state.peer_pages = state.peer_pages.and_not(&overlap);
         state.host_data.merge(&overlap);
-        let _ = self.peer_dir.reclaim_overlap(block_id, &overlap);
         Ok(())
     }
 
@@ -1509,7 +1479,7 @@ mod tests {
         }
         assert!(!gpu.is_resident(blocks[0].first_page()));
         assert!(gpu.is_resident(blocks[2].first_page()));
-        assert_eq!(driver.va_space.block(blocks[0]).evict_count, 1);
+        assert_eq!(driver.va_space.block(blocks[0]).last_evict_seq, Some(2));
         Ok(())
     }
 
@@ -1796,7 +1766,7 @@ mod tests {
                 )?;
             }
             Ok::<_, UvmError>((
-                driver.memory().evictions(),
+                driver.records.iter().map(|r| r.evictions).sum::<u64>(),
                 driver.records.iter().map(|r| r.thrashing_pins).sum::<u64>(),
             ))
         };
@@ -1882,7 +1852,7 @@ mod tests {
         assert_eq!(rec.remote_mapped_pages, 1, "faulted page served from sysmem");
         let state = driver.va_space.block(id);
         assert!(state.degraded, "degradation is sticky");
-        assert!(!state.gpu_allocated);
+        assert!(!driver.memory().is_resident(id));
         assert!(gpu.is_resident(alloc.page(0)), "remote mapping satisfies the access");
 
         // A later fault on the degraded block takes the remote path
@@ -1936,7 +1906,7 @@ mod tests {
         assert_eq!(rec.degraded_blocks, 1);
         assert!(rec.bytes_evicted > 0, "resident data written back");
         assert_eq!(driver.memory().resident_blocks(), 0, "device chunk freed");
-        assert_eq!(driver.memory().evictions(), 0, "degradation is not an LRU eviction");
+        assert_eq!(rec.evictions + rec.emergency_evictions, 0, "degradation is not an LRU eviction");
         // Both the previously-resident page and the new fault are remote.
         assert!(gpu.is_resident(alloc.page(0)));
         assert!(gpu.is_resident(alloc.page(1)));

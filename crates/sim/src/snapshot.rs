@@ -58,8 +58,14 @@ use serde::Value;
 /// digest a snapshot stores walks instructions encoded keyed by access
 /// kind (`{"Read": [pages]}`); v11 — the workload digest walks each warp
 /// program as one number per instruction beside one array of its pages,
-/// and CPU initialization as runs of pages.
-pub const SNAPSHOT_VERSION: u32 = 11;
+/// and CPU initialization as runs of pages; v12 — the driver keeps each
+/// fact once: VABlock states drop `gpu_allocated` (the memory manager's
+/// resident set), `peer_pages` (the owner directory), `last_migrate_seq`
+/// and `evict_count`; the memory manager drops its eviction tallies (the
+/// batch log counts them); the client ledger drops its per-client
+/// counters and totals; the owner directory drops its per-peer slot
+/// counts (its entries give them).
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Stable digest of a serialized state tree.
 ///

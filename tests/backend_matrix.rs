@@ -140,6 +140,15 @@ fn check_matrix(name: &str, workload: &Workload) {
             "{}/{name}: oversubscription must force evictions",
             backend.name()
         );
+        // The eviction count is derived from the batch log's counters;
+        // each evicted block is also listed where it is written back.
+        let evicted: usize = oneshot.records.iter().map(|r| r.evicted_blocks.len()).sum();
+        assert_eq!(
+            oneshot.evictions,
+            evicted as u64,
+            "{}/{name}: evictions must match the evicted-block lists",
+            backend.name()
+        );
         let oneshot = serde_json::to_string(&oneshot).expect("result serializes");
         // Stepped rerun with per-batch conservation checks: bit-identical.
         let stepped = stepped_run(name, workload, backend);

@@ -107,8 +107,9 @@ fn single_client_through_tenancy_is_byte_identical() {
 }
 
 /// Two coscheduled clients under an active throttle: stepped servicing is
-/// bit-identical to `run()`, and the record-level attribution sums
-/// reconcile exactly with the driver's client ledger at the end.
+/// bit-identical to `run()`, and every fetched fault is attributed to
+/// exactly one client in its batch record (the records are the only
+/// per-client tally).
 #[test]
 fn two_client_stepped_run_matches_oneshot_and_ledger_conserves() {
     let specs = [
@@ -130,33 +131,30 @@ fn two_client_stepped_run_matches_oneshot_and_ledger_conserves() {
         .expect("run starts");
     while run.advance_batch(&workload).expect("audit/service passes") != Progress::Finished {}
 
-    // Ledger ground truth, captured before the run is consumed.
     let ledger = run.driver().clients();
     assert!(ledger.is_enabled());
     assert_eq!(ledger.num_clients(), 2);
-    let counters = ledger.counters().to_vec();
-    let total_throttled = ledger.total_throttled();
-    let total_faults = ledger.total_faults();
-    assert!(total_throttled > 0, "FaultQuota(16) must clip a 2-client coschedule");
 
     let result = run.into_result(&workload);
     let mut rec_faults = [0u64; 2];
     let mut rec_throttled = 0u64;
     for rec in &result.records {
+        assert_eq!(
+            rec.client_faults.iter().sum::<u64>(),
+            rec.raw_faults,
+            "batch {}: every fetched fault belongs to one client",
+            rec.seq
+        );
+        assert!(rec.throttled_faults <= rec.raw_faults);
         for (c, &f) in rec.client_faults.iter().enumerate() {
             rec_faults[c] += f;
         }
         rec_throttled += rec.throttled_faults;
     }
-    for (c, counter) in counters.iter().enumerate() {
-        assert_eq!(
-            counter.faults, rec_faults[c],
-            "client {c}: ledger faults must equal the record sums"
-        );
-        assert!(counter.faults > 0, "client {c} must fault");
+    for (c, &faults) in rec_faults.iter().enumerate() {
+        assert!(faults > 0, "client {c} must fault");
     }
-    assert_eq!(total_faults, rec_faults.iter().sum::<u64>());
-    assert_eq!(total_throttled, rec_throttled, "ledger throttle count must equal record sums");
+    assert!(rec_throttled > 0, "FaultQuota(16) must clip a 2-client coschedule");
 
     let stepped = serde_json::to_string(&result).expect("result serializes");
     assert_eq!(oneshot, stepped, "stepped multi-client run diverged at seed {SEED:#x}");

@@ -129,6 +129,16 @@ fn check_matrix(workload: &Workload, mem_mb: u64) {
             p.name(),
             e.name()
         );
+        // The eviction count is derived from the batch log's counters;
+        // each evicted block is also listed where it is written back.
+        let evicted: usize = oneshot.records.iter().map(|r| r.evicted_blocks.len()).sum();
+        assert_eq!(
+            oneshot.evictions,
+            evicted as u64,
+            "{}/{}: evictions must match the evicted-block lists",
+            p.name(),
+            e.name()
+        );
         let oneshot = serde_json::to_string(&oneshot).expect("result serializes");
         // Stepped rerun with per-batch conservation checks: bit-identical.
         let stepped = stepped_run(workload, mem_mb, p, e);

@@ -89,19 +89,19 @@ fn arch_workloads() -> [(&'static str, Workload); 2] {
 /// `(workload, backend, batches at the pause, bytes of the snapshot JSON,
 /// FNV of those bytes)`.
 const ARCH_PINS: [(&str, &str, u64, usize, u64); 8] = [
-    ("stream", "cpu-driver", 16, 31_510, 9_508_408_998_290_277_630),
-    ("stream", "gpu-driven", 160, 167_643, 14_382_579_508_276_563_687),
-    ("stream", "peer-2", 16, 31_864, 14_757_908_587_550_513_156),
-    ("stream", "peer-4", 16, 31_868, 12_211_144_028_780_668_423),
-    ("gauss-seidel", "cpu-driver", 700, 705_020, 11_167_442_273_403_753_722),
-    ("gauss-seidel", "gpu-driven", 700, 695_381, 16_045_274_988_850_943_842),
-    ("gauss-seidel", "peer-2", 700, 705_029, 10_132_629_389_246_648_273),
-    ("gauss-seidel", "peer-4", 700, 705_032, 14_531_284_806_267_942_788),
+    ("stream", "cpu-driver", 16, 31_109, 11_802_541_406_310_728_531),
+    ("stream", "gpu-driven", 160, 167_235, 17_458_556_791_983_018_155),
+    ("stream", "peer-2", 16, 31_350, 15_568_783_725_616_218_728),
+    ("stream", "peer-4", 16, 31_350, 5_285_334_031_573_614_809),
+    ("gauss-seidel", "cpu-driver", 700, 703_309, 16_635_562_176_777_739_107),
+    ("gauss-seidel", "gpu-driven", 700, 693_679, 14_531_139_262_449_023_692),
+    ("gauss-seidel", "peer-2", 700, 703_315, 17_543_582_610_618_723_798),
+    ("gauss-seidel", "peer-4", 700, 703_315, 493_427_564_627_668_849),
 ];
 
 #[test]
 fn arch_oversub_snapshots_keep_their_bytes() {
-    assert_eq!(SNAPSHOT_VERSION, 11, "re-record every pin for a new version");
+    assert_eq!(SNAPSHOT_VERSION, 12, "re-record every pin for a new version");
     let mut got = Vec::new();
     let mut blocked = 0;
     for (name, workload) in arch_workloads() {
@@ -121,7 +121,7 @@ fn arch_oversub_snapshots_keep_their_bytes() {
     }
     assert_eq!(
         got, ARCH_PINS,
-        "snapshot bytes changed under SNAPSHOT_VERSION 11"
+        "snapshot bytes changed under SNAPSHOT_VERSION 12"
     );
     // The pins cover warps paused with faulted accesses on their
     // scoreboards, not only idle devices.
@@ -148,7 +148,7 @@ fn chaos_snapshot_keeps_its_bytes() {
     let (batches, bytes, hash) = pin(&run, &workload);
     assert_eq!(
         (index, batches, bytes, hash),
-        (4, 12, 33_135, 15_409_589_378_703_598_350),
-        "snapshot bytes changed under SNAPSHOT_VERSION 11"
+        (4, 12, 31_883, 12_445_098_297_974_438_518),
+        "snapshot bytes changed under SNAPSHOT_VERSION 12"
     );
 }
